@@ -18,11 +18,13 @@ in one phase and moving (s_pi, phi_c) to compensate leaves every model
 IRF unchanged, so B is fixed to 1 in *both* phases as the gauge choice;
 phi_c is then identified by the ratio of the two price-response
 amplitudes. Fitted A/eta/kappa retain a one-dimensional within-phase
-trade-off and should be read as a representative of that family.
+trade-off: the calibration reports its kappa interval and returns its
+smallest-kappa member.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,11 +166,13 @@ def steady_state_phi(
 
 @dataclass(frozen=True)
 class PhaseFit:
-    """Per-phase calibrated parameters in the B = 1 gauge."""
+    """Per-phase parameters in the B = 1 gauge: of the (A, eta, kappa) family of
+    equal fit, whose kappa interval is `kappa_range`, the smallest-kappa member."""
 
     params: CompartmentParams
     kappa: float
     phi_bar: float
+    kappa_range: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -180,47 +184,136 @@ class CalibrationResult:
     residuals: dict = field(default_factory=dict)
     converged: bool = True
     degenerate: bool = False
-    n_starts: int = 0
-    seed: int = 0
+    binding: tuple[str, ...] = ()  # "name=value" of each parameter on a bound
+    rate_evaluations: int = 0
 
     def ordering_holds(self) -> bool:
         return self.cash.phi_bar < self.coupling.phi_c < self.reserve.phi_bar
 
 
-N_STARTS = 50
-# optimizer working bounds; generous relative to any monthly IRF scale
+# the calibration box; generous relative to any monthly IRF scale
 RATE_CAP = 5.0
 AMP_CAP = 1e4
+KAPPA_MIN = 1e-12
+PHI_C_MIN, PHI_C_MAX = 0.01, 0.99
+# outer grid of each relaxation rate: zero, then steps of about 14 % up to the cap
+RATE_GRID = np.concatenate(([0.0], np.geomspace(1e-3, RATE_CAP, 64)))
+# (s_pi, s_pi / phi_c) = s_pi * (1, 1 / phi_c): this segment, scaled by s_pi
+_PI_CORNERS = np.array([[[1.0, 1.0 / PHI_C_MAX], [1.0, 1.0 / PHI_C_MIN]]])
 
-_LO = np.array([0.0, 0.0, 0.0, 0.0, 1e-12, 0.0, 0.0, 0.0, 0.0, 1e-12, -AMP_CAP, 0.01])
-_HI = np.array(
-    [AMP_CAP, RATE_CAP, RATE_CAP, RATE_CAP, AMP_CAP]
-    + [AMP_CAP, RATE_CAP, RATE_CAP, RATE_CAP, AMP_CAP]
-    + [AMP_CAP, 0.99]
-)
+
+def _hull_segments(corners, low, high):
+    """Segments covering the boundary of the hull of polygons (N, K, 2) scaled by low and high."""
+    near, far = low * corners, high * corners
+    edges = [np.stack([c, np.roll(c, -1, 1)], 2) for c in (near, far)]
+    return np.concatenate(edges + [np.stack([near, far], 2)], 1)
 
 
-def _model_responses(x: np.ndarray, h: np.ndarray, phi_bars: tuple[float, float]):
-    """Stacked model IRFs for parameter vector x.
+def _lsq2(a, b, wy, segments, feasible):
+    """Minimize |wy - u a - v b|^2 over a convex region of (u, v) for columns a, b (N, H).
 
-    Layout: (A, delta, gamma, eta, kappa) per phase, then (s_pi, phi_c);
-    B is pinned to 1 in both phases.
+    The segments (N or 1, S, 2, 2) lie in the region and cover its boundary, and
+    `feasible(u, v)` tests membership. The best of the unconstrained minimizer,
+    if feasible, and of each segment's minimizer is the exact minimum (ties to
+    the first). Returns (u, v) (N, 2) and the sum of squares (N,).
     """
-    out = []
-    s_pi, phi_c = x[10], x[11]
-    for i, phi_bar in enumerate(phi_bars):
-        A, delta, gamma, eta, kappa = x[5 * i : 5 * i + 5]
-        xr = np.exp(-gamma * h)
-        decay = np.exp(-delta * h)
-        rr = A * decay + eta * h * decay * _phi1((delta - gamma) * h)
-        phi_model = kappa * ((1.0 - phi_bar) * rr - phi_bar * xr)
-        pi_model = s_pi * (1.0 - phi_bar / phi_c) * xr
-        out.append((phi_model, pi_model))
-    return out
+    G11, G12, G22 = (np.sum(x * y, -1)[:, None] for x, y in ((a, a), (a, b), (b, b)))
+    g1, g2 = np.sum(a * wy, -1)[:, None], np.sum(b * wy, -1)[:, None]
+
+    def gmul(t, u0=0.0, v0=0.0):  # G t - (u0, v0)
+        u, v = t[..., 0], t[..., 1]
+        return np.stack([G11 * u + G12 * v - u0, G12 * u + G22 * v - v0], -1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        free = np.stack([G22 * g1 - G12 * g2, G11 * g2 - G12 * g1], -1)
+        free /= (G11 * G22 - G12**2)[..., None]
+        free[~feasible(free[:, 0, 0], free[:, 0, 1])] = np.nan
+    start, step = segments[:, :, 0], segments[:, :, 1] - segments[:, :, 0]
+    curve = np.sum(step * gmul(step), -1)
+    t = np.divide(-np.sum(step * gmul(start, g1, g2), -1), curve, out=0 * curve, where=curve > 0)
+    points = np.concatenate([start + np.clip(t, 0.0, 1.0)[..., None] * step, free], 1)
+    q = np.sum(points * gmul(points, 2.0 * g1, 2.0 * g2), -1)
+    k, rows = np.argmin(np.where(np.isnan(q), np.inf, q), 1), np.arange(len(q))
+    return points[rows, k], q[rows, k] + wy @ wy
 
 
-def _project(x: np.ndarray) -> np.ndarray:
-    return np.clip(x, _LO, _HI)
+def _inverse_kappa_range(u, v, phi_bar, d):
+    """Interval (low, high) of w = 1/kappa putting kappa, A = (u w + phi_bar) / (1 - phi_bar)
+    and eta = (v w + phi_bar d) / (1 - phi_bar) in the box; empty where low > high."""
+    low, high = np.full_like(u, 1.0 / AMP_CAP), np.full_like(u, 1.0 / KAPPA_MIN)
+    for c, e, cap in ((u, phi_bar, AMP_CAP), (v, phi_bar * d, RATE_CAP)):
+        cap = (1.0 - phi_bar) * cap
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at_zero, at_cap = -e / c, (cap - e) / c
+        free = np.where((e >= 0) & (e <= cap), np.inf, -np.inf)  # where c == 0
+        low = np.maximum(low, np.where(c > 0, at_zero, np.where(c < 0, at_cap, -free)))
+        high = np.minimum(high, np.where(c > 0, at_cap, np.where(c < 0, at_zero, free)))
+    return low, high
+
+
+def _phi_fits(delta, gamma, h, wy, w, phi_bar):
+    """Best order-parameter model of one phase at each rate pair, batched.
+
+    With c1 = e^{-delta h}, c2 = h e^{-delta h} phi1((delta - gamma) h) and
+    e^{-gamma h} = c1 + (delta - gamma) c2, the model is u c1 + v c2, with (u, v) =
+    kappa ((1 - phi_bar) A - phi_bar, (1 - phi_bar) eta - phi_bar (delta - gamma)):
+    the box's (A, eta) rectangle so mapped, scaled by every kappa in the box.
+    """
+    d = delta - gamma
+    c1 = np.exp(-np.multiply.outer(delta, h))
+    c2 = h * c1 * _phi1(np.multiply.outer(d, h))
+    s, u_lo = 1.0 - phi_bar, np.full_like(d, -phi_bar)
+    u_hi, v_lo, v_hi = u_lo + s * AMP_CAP, -phi_bar * d, s * RATE_CAP - phi_bar * d
+    corners = np.array([[u_lo, v_lo], [u_hi, v_lo], [u_hi, v_hi], [u_lo, v_hi]])
+    segments = _hull_segments(corners.transpose(2, 0, 1), KAPPA_MIN, AMP_CAP)
+
+    def feasible(u, v):
+        return np.less_equal(*_inverse_kappa_range(u, v, phi_bar, d))
+
+    return _lsq2(w * c1, w * c2, wy, segments, feasible)
+
+
+def _pi_fits(gammas, h, wys, ws, phi_bars):
+    """Best (a, b) = (s_pi, s_pi / phi_c) of the price models (a - b phi_bar_i) e^{-gamma_i h}."""
+    x = [w * np.exp(-np.multiply.outer(gamma, h)) for gamma, w in zip(gammas, ws)]
+    b = np.concatenate([-phi_bar * xi for phi_bar, xi in zip(phi_bars, x)], -1)
+    segments = np.concatenate([_hull_segments(s * _PI_CORNERS, 0.0, AMP_CAP) for s in (1, -1)], 1)
+
+    def feasible(a, b):
+        return (np.abs(a) <= AMP_CAP) & (PHI_C_MIN <= a / b) & (a / b <= PHI_C_MAX)
+
+    return _lsq2(np.concatenate(x, -1), b, np.concatenate(wys), segments, feasible)
+
+
+def _pattern_search(fun, x0, bounds, step, xtol=1e-9, maxiter=500, **_):
+    """Bounded pattern search, a method for `scipy.optimize.minimize` on a batched `fun`.
+
+    Each iteration evaluates the 3^n points x + s e, e in {-1, 0, 1}^n, clipped
+    to the bounds, in one call of `fun`; it moves to the best if that improves
+    on x (ties to the first) and halves the steps s otherwise, until every step
+    is below xtol * max(1, |x|).
+    """
+    low, high = np.asarray(bounds, dtype=np.float64).T
+    stencil = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=len(x0))))
+    x, s, nfev = np.asarray(x0, dtype=np.float64), np.asarray(step, dtype=np.float64), 1
+    fx = fun(x[None])[0]
+    for nit in range(1, maxiter + 1):
+        points = np.clip(x + stencil * s, low, high)
+        values = fun(points)
+        nfev, k = nfev + len(points), int(np.argmin(values))
+        if values[k] < fx:
+            x, fx = points[k], values[k]
+        else:
+            s = s / 2.0
+        if converged := bool(np.all(s <= xtol * np.maximum(1.0, np.abs(x)))):
+            break
+    return optimize.OptimizeResult(x=x, fun=fx, nfev=nfev, nit=nit, success=converged)
+
+
+def _snap(value, low, high):
+    """Clip into [low, high]; a value within rounding of a bound becomes the bound."""
+    value = min(max(float(value), low), high)
+    return next((b for b in (low, high) if abs(value - b) <= 1e-12 * max(1.0, abs(b))), value)
 
 
 def calibrate(
@@ -229,190 +322,96 @@ def calibrate(
     irf_phi_reserve: IRFTable,
     irf_pi_reserve: IRFTable,
     phi_bars: tuple[float, float],
-    seed: int = 0,
-    n_starts: int = N_STARTS,
 ) -> CalibrationResult:
     """Fit both phases and the shared coupling to four empirical IRF tables.
 
-    Minimizes the se-weighted squared deviation between the model
-    responses and the estimated coefficients, over per-phase
-    (A, delta, gamma, eta, kappa) and shared (s_pi, phi_c), B = 1 fixed in
-    each phase. Multi-start Nelder-Mead with projection onto the box is
-    followed by a damped Gauss-Newton polish; results are deterministic
-    for a given seed, ties resolved to the lowest start index.
+    Minimizes the se-weighted squared deviation between the model responses
+    and the estimated coefficients, over per-phase (A, delta, gamma, eta, kappa)
+    and shared (s_pi, phi_c), B = 1 fixed in each phase, within the box:
+    A, kappa in [KAPPA_MIN or 0, AMP_CAP], delta, gamma, eta in [0, RATE_CAP],
+    |s_pi| <= AMP_CAP and phi_c in [PHI_C_MIN, PHI_C_MAX]. For fixed rates every
+    model is linear in two coefficients, solved exactly by `_lsq2` (variable
+    projection); the profiled Phi_cash(delta_c, gamma_c) + Phi_reserve(delta_r,
+    gamma_r) + Pi(gamma_c, gamma_r) is tabulated on RATE_GRID and polished by a
+    bounded pattern search, with nothing random. `degenerate` flags null fitted
+    price responses, which leave phi_c unidentified.
     """
-    tables = {
-        ("cash", "phi"): irf_phi_cash,
-        ("cash", "pi"): irf_pi_cash,
-        ("reserve", "phi"): irf_phi_reserve,
-        ("reserve", "pi"): irf_pi_reserve,
-    }
-    horizons = None
+    tables = {("cash", "phi"): irf_phi_cash, ("cash", "pi"): irf_pi_cash}
+    tables.update({("reserve", "phi"): irf_phi_reserve, ("reserve", "pi"): irf_pi_reserve})
+    horizons = tuple(r.h for r in irf_phi_cash.rows)
     for key, tbl in tables.items():
-        hs = tuple(r.h for r in tbl.rows)
-        if horizons is None:
-            horizons = hs
-        elif hs != horizons:
+        if tuple(r.h for r in tbl.rows) != horizons:
             raise DataError(f"IRF tables must share one horizon grid, {key} differs")
         if any(r.se <= 0 for r in tbl.rows):
             raise DataError(f"IRF table {key} has a zero or negative standard error")
-    phi_bar_cash, phi_bar_reserve = phi_bars
     for v in phi_bars:
         if not 0.0 < v < 1.0:
             raise DataError(f"phase mean {v} outside (0, 1)")
-    if phi_bar_cash >= phi_bar_reserve:
+    if phi_bars[0] >= phi_bars[1]:
         raise DataError("phase means must satisfy cash < reserve")
 
     h = np.asarray(horizons, dtype=np.float64)
     beta = {k: t.beta() for k, t in tables.items()}
-    se = {k: t.se() for k, t in tables.items()}
+    weight = {k: 1.0 / t.se() for k, t in tables.items()}
+    phases = dict(zip(("cash", "reserve"), phi_bars))
 
-    def residual_vector(x):
-        model = _model_responses(x, h, (phi_bar_cash, phi_bar_reserve))
-        pieces = []
-        for i, phase in enumerate(("cash", "reserve")):
-            phi_m, pi_m = model[i]
-            pieces.append((phi_m - beta[(phase, "phi")]) / se[(phase, "phi")])
-            pieces.append((pi_m - beta[(phase, "pi")]) / se[(phase, "pi")])
-        return np.concatenate(pieces)
+    def phi_fits(phase, delta, gamma):
+        w = weight[(phase, "phi")]
+        return _phi_fits(delta, gamma, h, w * beta[(phase, "phi")], w, phases[phase])
 
-    def objective(x):
-        inside = _project(x)
-        r = residual_vector(inside)
-        # soft wall keeps Nelder-Mead from drifting far outside the box
-        overshoot = x - inside
-        return float(r @ r + 1e3 * overshoot @ overshoot)
+    def pi_fits(gammas):
+        ws, wys = zip(*((weight[(p, "pi")], weight[(p, "pi")] * beta[(p, "pi")]) for p in phases))
+        return _pi_fits(gammas, h, wys, ws, phi_bars)
 
-    # data-driven scales for the random starts
-    amp_phi = max(
-        float(np.max(np.abs(beta[("cash", "phi")]))),
-        float(np.max(np.abs(beta[("reserve", "phi")]))),
-        1e-8,
+    def profile(x):  # the objective at each row (delta_c, gamma_c, delta_r, gamma_r)
+        phi = phi_fits("cash", x[:, 0], x[:, 1])[1] + phi_fits("reserve", x[:, 2], x[:, 3])[1]
+        return phi + pi_fits(x[:, 1::2].T)[1]
+
+    # best delta at each gamma of each phase, one gamma at a time; then the best gamma pair
+    grid = RATE_GRID
+    phi = {p: np.array([phi_fits(p, grid, np.full_like(grid, g))[1] for g in grid]) for p in phases}
+    price = np.array([pi_fits((np.full_like(grid, g), grid))[1] for g in grid])
+    total = np.min(phi["cash"], 1)[:, None] + np.min(phi["reserve"], 1) + price
+    i, j = np.unravel_index(np.argmin(total), total.shape)
+    start = [grid[np.argmin(phi["cash"][i])], grid[i], grid[np.argmin(phi["reserve"][j])], grid[j]]
+    step = (grid[2] / grid[1] - 1.0) * np.maximum(start, grid[1])  # one grid cell
+    polish = optimize.minimize(
+        profile, start, method=_pattern_search, bounds=[(0.0, RATE_CAP)] * 4, options={"step": step}
     )
-    amp_pi = max(
-        float(np.max(np.abs(beta[("cash", "pi")]))),
-        float(np.max(np.abs(beta[("reserve", "pi")]))),
-        1e-8,
+
+    fits = {}
+    for phase, (delta, gamma) in zip(phases, polish.x.reshape(2, 2)):
+        phi_bar, d = phases[phase], delta - gamma
+        (u, v), _ = (x[0] for x in phi_fits(phase, np.array([delta]), np.array([gamma])))
+        low, high = (float(x[0]) for x in _inverse_kappa_range(np.array([u]), v, phi_bar, d))
+        kappa = _snap(1.0 / high, KAPPA_MIN, AMP_CAP)
+        A = _snap((u * high + phi_bar) / (1.0 - phi_bar), 0.0, AMP_CAP)
+        eta = _snap((v * high + phi_bar * d) / (1.0 - phi_bar), 0.0, RATE_CAP)
+        params = CompartmentParams(A=A, B=1.0, delta=float(delta), gamma=float(gamma), eta=eta)
+        fits[phase] = PhaseFit(params, kappa, phi_bar, (kappa, 1.0 / min(low, high)))
+    (a, b), _ = (x[0] for x in pi_fits(polish.x[1::2, None]))
+    identified = a * b > 0  # else a = b = 0
+    coupling = CouplingParams(
+        s_pi=_snap(a, -AMP_CAP, AMP_CAP),
+        phi_c=_snap(a / b, PHI_C_MIN, PHI_C_MAX) if identified else 0.5 * sum(phi_bars),
     )
-    rng = np.random.default_rng(seed)
-    starts = []
-    for i in range(n_starts):
-        if i == 0:
-            start = np.array(
-                [1.0, 0.10, 0.05, 0.05, amp_phi,
-                 1.0, 0.10, 0.05, 0.05, amp_phi,
-                 np.sign(np.sum(beta[("cash", "pi")])) * amp_pi or amp_pi,
-                 0.5 * (phi_bar_cash + phi_bar_reserve)]
-            )
-        else:
-            start = np.empty(12)
-            for blk in (0, 5):
-                start[blk + 0] = 10.0 ** rng.uniform(-0.7, 0.9)
-                start[blk + 1] = rng.uniform(0.01, 0.6)
-                start[blk + 2] = rng.uniform(0.01, 0.6)
-                start[blk + 3] = rng.uniform(0.0, 0.4)
-                start[blk + 4] = amp_phi * 10.0 ** rng.uniform(-1.0, 1.0)
-            start[10] = rng.choice([-1.0, 1.0]) * amp_pi * 10.0 ** rng.uniform(-1.0, 1.0)
-            start[11] = rng.uniform(0.02, 0.95)
-        starts.append(_project(start))
 
-    best = None
-    for idx, start in enumerate(starts):
-        res = optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"maxiter": 4000, "fatol": 1e-14, "xatol": 1e-12, "adaptive": True},
-        )
-        x = _project(res.x)
-        val = objective(x)
-        key = (val, idx)
-        if best is None or key < best[0]:
-            best = (key, x)
-
-    (obj_val, _), x_best = best
-    x_polished, polish_converged = _gauss_newton_polish(residual_vector, x_best)
-    r_final = residual_vector(x_polished)
-    obj_final = float(r_final @ r_final)
-    if obj_final > obj_val:
-        x_polished, obj_final = x_best, obj_val
-    x = x_polished
-
-    model = _model_responses(x, h, (phi_bar_cash, phi_bar_reserve))
-    residuals = {}
-    max_model = 0.0
-    for i, phase in enumerate(("cash", "reserve")):
-        phi_m, pi_m = model[i]
-        residuals[(phase, "phi")] = phi_m - beta[(phase, "phi")]
-        residuals[(phase, "pi")] = pi_m - beta[(phase, "pi")]
-        max_model = max(max_model, float(np.max(np.abs(phi_m))), float(np.max(np.abs(pi_m))))
-
-    beta_scale = max(float(np.max(np.abs(np.concatenate(list(beta.values()))))), 1e-300)
-    degenerate = max_model < 1e-10 * max(1.0, beta_scale)
-
-    def phase_fit(i, phi_bar):
-        A, delta, gamma, eta, kappa = (float(v) for v in x[5 * i : 5 * i + 5])
-        return PhaseFit(
-            params=CompartmentParams(A=A, B=1.0, delta=delta, gamma=gamma, eta=eta),
-            kappa=kappa,
-            phi_bar=phi_bar,
-        )
-
+    models = {(p, "phi"): phi_irf(h, f.params, f.phi_bar, f.kappa) for p, f in fits.items()}
+    models.update({(p, "pi"): cpi_irf(h, f.params, coupling, f.phi_bar) for p, f in fits.items()})
+    residuals = {k: models[k] - beta[k] for k in tables}
+    box = dict(A=(0.0, AMP_CAP), delta=(0.0, RATE_CAP), gamma=(0.0, RATE_CAP), eta=(0.0, RATE_CAP))
+    values = [(f"{p}.{n}", getattr(fit.params, n), box[n]) for p, fit in fits.items() for n in box]
+    values += [(f"{p}.kappa", fit.kappa, (KAPPA_MIN, AMP_CAP)) for p, fit in fits.items()]
+    values += [("s_pi", coupling.s_pi, (-AMP_CAP, AMP_CAP))]
+    values += [("phi_c", coupling.phi_c, (PHI_C_MIN, PHI_C_MAX))]
     return CalibrationResult(
-        cash=phase_fit(0, phi_bar_cash),
-        reserve=phase_fit(1, phi_bar_reserve),
-        coupling=CouplingParams(s_pi=float(x[10]), phi_c=float(x[11])),
-        objective=obj_final,
+        cash=fits["cash"],
+        reserve=fits["reserve"],
+        coupling=coupling,
+        objective=sum(float(np.sum((r * weight[k]) ** 2)) for k, r in residuals.items()),
         residuals=residuals,
-        converged=bool(polish_converged),
-        degenerate=bool(degenerate),
-        n_starts=n_starts,
-        seed=seed,
+        converged=bool(polish.success),
+        degenerate=not identified,
+        binding=tuple(f"{name}={value!r}" for name, value, bounds in values if value in bounds),
+        rate_evaluations=3 * grid.size**2 + int(polish.nfev),
     )
-
-
-def _gauss_newton_polish(residual_vector, x0, max_iter=60):
-    """Damped Gauss-Newton with a forward-difference Jacobian, box projected."""
-    x = x0.copy()
-    r = residual_vector(x)
-    sse = float(r @ r)
-    lam = 1e-6
-    converged = False
-    for _ in range(max_iter):
-        J = np.empty((r.size, x.size))
-        for j in range(x.size):
-            step = 1e-7 * max(abs(x[j]), 1e-3)
-            xp = x.copy()
-            xp[j] = min(x[j] + step, _HI[j])
-            actual = xp[j] - x[j]
-            if actual == 0.0:
-                xp[j] = max(x[j] - step, _LO[j])
-                actual = xp[j] - x[j]
-            J[:, j] = (residual_vector(xp) - r) / actual if actual != 0.0 else 0.0
-        accepted = False
-        for _ in range(20):
-            JtJ = J.T @ J + lam * np.eye(x.size)
-            try:
-                step = np.linalg.solve(JtJ, -J.T @ r)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand = _project(x + step)
-            r_cand = residual_vector(cand)
-            sse_cand = float(r_cand @ r_cand)
-            if sse_cand < sse:
-                x, r = cand, r_cand
-                drop = sse - sse_cand
-                sse = sse_cand
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                if drop < 1e-9 * max(sse, 1e-12):
-                    converged = True
-                break
-            lam *= 10.0
-        if not accepted:
-            converged = True
-            break
-        if converged:
-            break
-    return x, converged

@@ -198,24 +198,14 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
 
 
 def config_text(cfg: RunConfig) -> str:
-    """Serialize back to the flat key format (used by the synth command)."""
-    lines = [
-        f"data.monetary = {cfg.monetary_path}",
-        f"data.cpi = {cfg.cpi_path}",
-        f"out.dir = {cfg.out_dir}",
-        f"phase.cash_max = {cfg.cash_max!r}",
-        f"phase.reserve_min = {cfg.reserve_min!r}",
-        f"tanh.window_start = {cfg.tanh_start}",
-        f"tanh.window_end = {cfg.tanh_end}",
-        f"shock.kind = {cfg.shock_kind}",
-        f"shock.p = {cfg.shock_p}",
-        f"lp.horizon = {cfg.horizon}",
-        f"lp.lags = {cfg.lags}",
-        f"lp.hac_lag = {cfg.hac_lag}",
-        f"breaks.min_segment = {cfg.min_segment}",
-        f"irf.robustness = {'true' if cfg.robustness else 'false'}",
-        f"seed = {cfg.seed}",
-    ]
+    """Serialize to the flat key format (used by the synth command); parses back unchanged."""
+    lines = []
+    for key, (attr, _) in _SCALAR_KEYS.items():
+        value = getattr(cfg, attr)
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        if value is not None:
+            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     for name, windows in cfg.clusters.items():
         body = ",".join(f"{a}:{b}" for a, b in windows)
         lines.append(f"breaks.cluster.{name} = {body}")

@@ -25,7 +25,8 @@ def fmt(value) -> str:
     if isinstance(value, float):
         if math.isnan(value):
             return ""
-        return repr(value)
+        # repr of a numpy scalar is "np.float64(...)"; write the plain number
+        return repr(float(value))
     return str(value)
 
 

@@ -440,13 +440,17 @@ def _read_phase_means(out: Path) -> tuple[float, float]:
     return means[CASH], means[RESERVE]
 
 
-def cmd_calibrate(cfg: RunConfig) -> list[Path]:
-    out = _out(cfg)
+def _read_irfs(out: Path) -> tuple[dict, dict]:
+    """Baseline (price, order-parameter) IRF pairs that the irf command wrote."""
     for fname in (IRF_PI_FILE, IRF_PHI_FILE):
         if not (out / fname).exists():
             raise DataError(f"{out / fname} not found; run the irf command first")
-    pi_tables = read_irf_pair(out / IRF_PI_FILE)
-    phi_tables = read_irf_pair(out / IRF_PHI_FILE)
+    return read_irf_pair(out / IRF_PI_FILE), read_irf_pair(out / IRF_PHI_FILE)
+
+
+def cmd_calibrate(cfg: RunConfig) -> list[Path]:
+    out = _out(cfg)
+    pi_tables, phi_tables = _read_irfs(out)
     phi_bars = _read_phase_means(out)
     result = calibrate(
         irf_phi_cash=phi_tables[CASH],
@@ -454,7 +458,6 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
         irf_phi_reserve=phi_tables[RESERVE],
         irf_pi_reserve=pi_tables[RESERVE],
         phi_bars=phi_bars,
-        seed=cfg.seed,
     )
     written = write_calibration(out, result, phi_tables, pi_tables)
     print(f"phi_c = {result.coupling.phi_c!r}")
@@ -463,7 +466,8 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
         + ("holds" if result.ordering_holds() else "violated")
     )
     if result.degenerate:
-        raise ConvergenceError("calibration degenerate: fitted responses are null", partial=written)
+        msg = "calibration degenerate: fitted price responses are null, phi_c unidentified"
+        raise ConvergenceError(msg, partial=written)
     return written
 
 
@@ -499,6 +503,12 @@ def write_calibration(
                 ("converged", result.converged),
                 ("degenerate", result.degenerate),
                 ("ordering_holds", result.ordering_holds()),
+                ("binding_bounds", " ".join(result.binding) or "none"),
+                ("cash.kappa_min", result.cash.kappa_range[0]),
+                ("cash.kappa_max", result.cash.kappa_range[1]),
+                ("reserve.kappa_min", result.reserve.kappa_range[0]),
+                ("reserve.kappa_max", result.reserve.kappa_range[1]),
+                ("rate_evaluations", result.rate_evaluations),
             ],
         ),
     ]
@@ -592,8 +602,7 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
 
 def cmd_efficiency(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
-    pi_tables = read_irf_pair(out / IRF_PI_FILE)
-    phi_tables = read_irf_pair(out / IRF_PHI_FILE)
+    pi_tables, phi_tables = _read_irfs(out)
     rows = []
     for label in (CASH, RESERVE):
         rep = efficiencies(phi_tables[label], pi_tables[label], H=cfg.horizon)

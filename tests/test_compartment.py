@@ -1,10 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import rk4_compartments
+from monephase.cli import main
 from monephase.compartment import (
+    AMP_CAP,
+    KAPPA_MIN,
+    RATE_CAP,
     CompartmentParams,
     CouplingParams,
     calibrate,
@@ -15,8 +20,10 @@ from monephase.compartment import (
     steady_state_phi,
     x_response,
 )
+from monephase.csvio import read_csv
 from monephase.econometrics import IRFRow, IRFTable
 from monephase.errors import DataError
+from monephase.pipeline import IRF_PHI_FILE, IRF_PI_FILE, read_irf_pair
 
 P = CompartmentParams(A=1.0, B=2.0, delta=0.3, gamma=0.2, eta=0.15)
 
@@ -232,7 +239,7 @@ class TestCalibrate:
         t = planted_tables()
         out = calibrate(
             t["phi_cash"], t["pi_cash"], t["phi_reserve"], t["pi_reserve"],
-            phi_bars=PHI_BARS, seed=0,
+            phi_bars=PHI_BARS,
         )
         assert out.objective < 1e-6
         assert out.coupling.phi_c == pytest.approx(0.231, abs=0.02)
@@ -246,7 +253,7 @@ class TestCalibrate:
             exact_table(zero, "cash", "pi_core"),
             exact_table(zero, "reserve", "phi"),
             exact_table(zero, "reserve", "pi_core"),
-            phi_bars=PHI_BARS, seed=0, n_starts=8,
+            phi_bars=PHI_BARS,
         )
         assert out.degenerate
 
@@ -255,14 +262,14 @@ class TestCalibrate:
         bad = exact_table(np.zeros(25), "cash", "phi", se=0.0)
         with pytest.raises(DataError, match="standard error"):
             calibrate(bad, t["pi_cash"], t["phi_reserve"], t["pi_reserve"],
-                      phi_bars=PHI_BARS, seed=0)
+                      phi_bars=PHI_BARS)
 
     def test_mismatched_grids_rejected(self):
         t = planted_tables()
         short = planted_tables(h_max=12)
         with pytest.raises(DataError, match="horizon grid"):
             calibrate(t["phi_cash"], t["pi_cash"], short["phi_reserve"],
-                      t["pi_reserve"], phi_bars=PHI_BARS, seed=0)
+                      t["pi_reserve"], phi_bars=PHI_BARS)
 
     def test_objective_invariant_under_joint_rescale(self):
         # before the B = 1 gauge is imposed, (A, B) -> c (A, B) with
@@ -311,3 +318,122 @@ class TestCalibrate:
             CouplingParams(s_pi=off_coupling.s_pi / c, phi_c=off_coupling.phi_c),
         )
         assert rescaled == pytest.approx(base, rel=1e-12)
+
+
+def assert_inside_box(out):
+    for fit in (out.cash, out.reserve):
+        p = fit.params
+        assert 0.0 <= p.A <= AMP_CAP and p.B == 1.0 and 0.0 <= p.eta <= RATE_CAP
+        assert 0.0 <= p.delta <= RATE_CAP and 0.0 <= p.gamma <= RATE_CAP
+        assert KAPPA_MIN <= fit.kappa_range[0] == fit.kappa <= fit.kappa_range[1] <= AMP_CAP
+    assert abs(out.coupling.s_pi) <= AMP_CAP and 0.01 <= out.coupling.phi_c <= 0.99
+
+
+@pytest.fixture(scope="module")
+def default_economy(tmp_path_factory):
+    """Baseline IRF tables and phase means of the default synthetic economy, seed 1."""
+    out = tmp_path_factory.mktemp("default")
+    config = str(out / "synthetic_config.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # synthetic CPI is not 2020-based
+        for argv in (["synth", "--out", str(out), "--seed", "1"], ["transform", "--config", config]):
+            assert main(argv) == 0
+        assert main(["irf", "--config", config]) == 0
+    phi, pi = read_irf_pair(out / IRF_PHI_FILE), read_irf_pair(out / IRF_PI_FILE)
+    means = {cells[0]: float(cells[1]) for cells in read_csv(out / "phase_means.csv")[2]}
+    return (phi["cash"], pi["cash"], phi["reserve"], pi["reserve"]), (means["cash"], means["reserve"])
+
+
+def box_lsq(f0, fa, fb, y, hi_a, hi_b):
+    """min |f0 + a fa + b fb - y|^2 over a in [0, hi_a], b in [0, hi_b], per row of f0, fa, fb.
+
+    Brute-force oracle: the unconstrained point and the best point on each
+    side of the box, of which the best feasible one is the minimum.
+    """
+    r0 = f0 - y
+    saa, sbb, sab = (np.sum(u * v, -1) for u, v in ((fa, fa), (fb, fb), (fa, fb)))
+    ra, rb = np.sum(r0 * fa, -1), np.sum(r0 * fb, -1)
+    det = saa * sbb - sab**2
+    candidates = [((sab * rb - sbb * ra) / det, (sab * ra - saa * rb) / det)]
+    for a in (0.0, hi_a):
+        candidates.append((np.full_like(ra, a), np.clip(-(rb + a * sab) / sbb, 0.0, hi_b)))
+    for b in (0.0, hi_b):
+        candidates.append((np.clip(-(ra + b * sab) / saa, 0.0, hi_a), np.full_like(ra, b)))
+    best = np.inf
+    for a, b in candidates:
+        inside = (a >= 0) & (a <= hi_a) & (b >= 0) & (b <= hi_b)
+        r = r0 + a[:, None] * fa + b[:, None] * fb
+        best = np.minimum(best, np.where(inside, np.sum(r * r, -1), np.inf))
+    return best
+
+
+def dense_grid_objective(targets, phi_bars, rates, h):
+    """Unit-se objective minimized over grids of the rates, kappa and phi_c.
+
+    A and eta are exact for each grid point (box_lsq), s_pi is the clipped
+    least-squares scale; every model comes from the public closed forms.
+    """
+    kappas = np.geomspace(1e-4, AMP_CAP, 81)[:, None]
+    phi = []
+    for (y, _), phi_bar in zip(targets, phi_bars):
+        best = np.full(len(rates), np.inf)
+        for j, gamma in enumerate(rates):
+            for delta in rates:
+                f0, fa, fb = (
+                    phi_irf(h, CompartmentParams(A=a, B=1.0, delta=delta, gamma=gamma, eta=e), phi_bar, 1.0)
+                    for a, e in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+                )
+                sse = box_lsq(kappas * f0, kappas * (fa - f0), kappas * (fb - f0), y, AMP_CAP, RATE_CAP)
+                best[j] = min(best[j], sse.min())
+        phi.append(best)
+    x = np.array([x_response(h, CompartmentParams(A=0.0, B=1.0, delta=0.0, gamma=g, eta=0.0)) for g in rates])
+    chis = [np.array([chi(phi_bar, c) for c in np.linspace(0.01, 0.99, 197)]) for phi_bar in phi_bars]
+    # (gamma_cash, gamma_reserve, phi_c) grids of the price fit
+    xy = [(x @ y)[:, None, None] for _, y in targets]
+    xx = (x * x).sum(1)
+    num = chis[0] * xy[0] + chis[1] * xy[1].transpose(1, 0, 2)
+    den = chis[0] ** 2 * xx[:, None, None] + chis[1] ** 2 * xx[None, :, None]
+    s_pi = np.clip(num / den, -AMP_CAP, AMP_CAP)
+    yy = sum(y @ y for _, y in targets)
+    price = np.min(yy - 2.0 * s_pi * num + s_pi**2 * den, -1)
+    return float(np.min(phi[0][:, None] + phi[1][None, :] + price))
+
+
+class TestCalibrateConstrained:
+    def test_default_economy(self, default_economy):
+        tables, phi_bars = default_economy
+        out = calibrate(*tables, phi_bars=phi_bars)
+        assert out.objective <= 63.81370633093803  # a 50-start Nelder-Mead optimum here
+        assert_inside_box(out)
+        assert abs(out.coupling.phi_c - 0.231) <= 0.05
+        assert out.ordering_holds() and out.converged and not out.degenerate
+        again = calibrate(*tables, phi_bars=phi_bars)
+        fields = ("cash", "reserve", "coupling", "objective", "binding", "rate_evaluations")
+        assert all(getattr(again, f) == getattr(out, f) for f in fields)
+
+    def test_infeasible_reduced_form_no_worse_than_dense_grid(self):
+        # cash phi = p e^{-delta h} + q e^{-gamma h} with delta < gamma and
+        # p < 0, while the cash price response pins gamma: the exact
+        # reduced-form fit lies outside the box
+        h = np.arange(25.0)
+        cash = CompartmentParams(A=1.0, B=1.0, delta=0.02, gamma=0.06, eta=0.0)
+        phi_cash = -0.003 * np.exp(-cash.delta * h) + 0.006 * np.exp(-cash.gamma * h)
+        targets = [
+            (phi_cash, cpi_irf(h, cash, COUPLING_TRUE, PHI_BARS[0])),
+            (
+                phi_irf(h, RESERVE_TRUE, PHI_BARS[1], 0.0065),
+                cpi_irf(h, RESERVE_TRUE, COUPLING_TRUE, PHI_BARS[1]),
+            ),
+        ]
+        out = calibrate(
+            exact_table(targets[0][0], "cash", "phi"),
+            exact_table(targets[0][1], "cash", "pi_core"),
+            exact_table(targets[1][0], "reserve", "phi"),
+            exact_table(targets[1][1], "reserve", "pi_core"),
+            phi_bars=PHI_BARS,
+        )
+        assert_inside_box(out)
+        assert out.objective > 1e-9  # the planted reduced form is out of reach
+        rates = np.unique(np.concatenate([np.linspace(0.0, 0.2, 41), np.geomspace(0.2, RATE_CAP, 8)]))
+        reference = dense_grid_objective(targets, PHI_BARS, rates, h)
+        assert out.objective <= reference

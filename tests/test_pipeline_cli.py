@@ -1,17 +1,22 @@
+import shutil
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monephase.cli import main
-from monephase.config import RunConfig, apply_overrides, era_label, parse_config
-from monephase.csvio import read_csv
+from monephase.config import RunConfig, apply_overrides, config_text, era_label, parse_config
+from monephase.csvio import parse_float_cell, read_csv
 from monephase.errors import DataError
 from monephase.phase import CASH, RESERVE
 from monephase.pipeline import (
     IRF_PHI_FILE,
     IRF_PI_FILE,
     cmd_breakpoints,
+    cmd_calibrate,
     cmd_efficiency,
     cmd_fit_phase,
     cmd_irf,
@@ -24,6 +29,10 @@ from monephase.pipeline import (
 )
 from monephase.series import MonthIndex
 from monephase.synth import generate, two_compartment_spec, write_economy
+
+
+PATHS = st.text("abcXYZ019_-./", max_size=16)
+MONTHS = st.builds(MonthIndex, st.integers(1000, 9999), st.integers(1, 12))
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +87,40 @@ class TestConfig:
         path.write_text("no.such.key = 1\n")
         with pytest.raises(DataError, match="unknown configuration key"):
             parse_config(path)
+
+    @given(
+        st.builds(
+            RunConfig,
+            monetary_path=PATHS,
+            cpi_path=PATHS,
+            out_dir=PATHS,
+            cash_max=st.floats(0.01, 0.49),
+            reserve_min=st.floats(0.51, 0.99),
+            tanh_start=MONTHS,
+            tanh_end=MONTHS,
+            shock_kind=st.sampled_from(("ar_resid", "detrended")),
+            shock_p=st.integers(1, 36),
+            horizon=st.integers(0, 60),
+            lags=st.integers(0, 24),
+            hac_lag=st.integers(0, 24),
+            min_segment=st.integers(0, 60),
+            robustness=st.booleans(),
+            intermediate_diagnostic=st.booleans(),
+            landau_phi_c=st.none() | st.floats(0.01, 0.99),
+            synth_months=st.integers(1, 3000),
+            seed=st.integers(-(2**31), 2**31),
+            clusters=st.dictionaries(
+                st.text("abc0123456789_", min_size=1, max_size=6),
+                st.lists(st.tuples(MONTHS, MONTHS), max_size=3),
+                max_size=3,
+            ),
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_config_text_round_trip(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("config") / "run.conf"
+        path.write_text(config_text(cfg), encoding="utf-8")
+        assert parse_config(path) == cfg
 
     def test_era_labels(self):
         assert era_label(1975) == "1971-1989"
@@ -271,6 +314,13 @@ class TestCli:
         cfg.write_text("bogus.key = 1\n")
         assert main(["transform", "--config", str(cfg)]) == 1
 
+    def test_efficiency_without_irf_files_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["synth", "--out", str(out), "--seed", "3", "--set", "synth.months=240"]) == 0
+        assert main(["efficiency", "--config", str(out / "synthetic_config.txt")]) == 1
+        err = capsys.readouterr().err
+        assert "run the irf command first" in err and "Traceback" not in err
+
     def test_synth_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["synth", "--out", str(a), "--seed", "5", "--set", "synth.months=240"])
@@ -316,3 +366,49 @@ class TestReportEndToEnd:
         first = paths[0].read_bytes()
         again = cmd_report(cfg)[0].read_bytes()
         assert again == first
+
+
+class TestCalibrationOutputs:
+    def test_fit_cells_are_plain_numbers(self, mechanism_run):
+        for label in (CASH, RESERVE):
+            _, header, rows = read_csv(mechanism_run["out"] / f"fit_{label}_phase.csv")
+            for column in ("model_value", "residual"):
+                i = header.index(column)
+                assert all(np.isfinite(parse_float_cell(cells[i])) for cells in rows)
+
+    def test_diagnostics_in_summary_preamble(self, mechanism_run):
+        preamble, _, _ = read_csv(mechanism_run["out"] / "critical_point_summary.csv")
+        _, _, params = read_csv(mechanism_run["out"] / "two_compartment_parameters.csv")
+        kappa = {cells[0]: float(cells[6]) for cells in params}
+        for label in (CASH, RESERVE):
+            low = float(preamble[f"{label}.kappa_min"])
+            assert low == kappa[label] <= float(preamble[f"{label}.kappa_max"])
+        assert preamble["converged"] == "true"
+        assert int(preamble["rate_evaluations"]) > 0
+        for item in preamble["binding_bounds"].split():
+            name, _, value = item.partition("=")
+            assert name.split(".")[-1] in ("A", "delta", "gamma", "eta", "kappa", "s_pi", "phi_c")
+            float(value)
+
+    def test_rerun_byte_identical(self, mechanism_run, tmp_path):
+        out = mechanism_run["out"]
+        for name in (IRF_PI_FILE, IRF_PHI_FILE, "phase_means.csv"):
+            shutil.copy(out / name, tmp_path / name)
+        for path in cmd_calibrate(replace(mechanism_run["cfg"], out_dir=str(tmp_path))):
+            assert path.read_bytes() == (out / path.name).read_bytes()
+
+    def test_null_price_responses_degenerate_exit_code(self, mechanism_run, tmp_path):
+        out = mechanism_run["out"]
+        for name in (IRF_PHI_FILE, "phase_means.csv"):
+            shutil.copy(out / name, tmp_path / name)
+        zero = {
+            label: replace(
+                table,
+                rows=tuple(replace(r, beta=0.0, ci_low=-1.96 * r.se, ci_high=1.96 * r.se) for r in table.rows),
+            )
+            for label, table in mechanism_run["pi_tables"].items()
+        }
+        write_irf_pair(tmp_path / IRF_PI_FILE, zero[CASH], zero[RESERVE])
+        assert main(["calibrate", "--out", str(tmp_path)]) == 2
+        preamble, _, _ = read_csv(tmp_path / "critical_point_summary.csv")
+        assert preamble["degenerate"] == "true"
