@@ -22,8 +22,6 @@ from .econometrics import (
     breakpoint,
     detrended_shock,
     hac_covariance,
-    irf_from_csv,
-    irf_to_csv,
     local_projection,
     ols,
     standardize,

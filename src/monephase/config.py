@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import DataError
+from .phase import PhaseThresholds
 from .series import MonthIndex
 
 # Nested window clusters around the three candidate regime changes. The
@@ -109,8 +110,7 @@ class RunConfig:
             raise DataError(
                 f"shock kind must be one of {SHOCK_KINDS}, got {self.shock_kind!r}"
             )
-        if not 0.0 < self.cash_max < self.reserve_min < 1.0:
-            raise DataError("thresholds must satisfy 0 < cash_max < reserve_min < 1")
+        PhaseThresholds(self.cash_max, self.reserve_min)  # raises on invalid thresholds
         for name, value in (
             ("shock.p", self.shock_p),
             ("lp.horizon", self.horizon),

@@ -17,12 +17,10 @@ bit-for-bit where the contracts say so:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .csvio import parse_float_cell, read_csv, write_csv
 from .errors import CollinearityError, DataError
 from .series import MonthIndex, MonthlySeries
 
@@ -32,11 +30,10 @@ CI_MULTIPLIER = 1.96
 
 @dataclass(frozen=True)
 class RegressionResult:
-    """OLS output kept rich enough to feed the HAC sandwich afterwards."""
+    """OLS coefficients and residuals; hac_covariance takes X and the residuals."""
 
     coefficients: np.ndarray
     residuals: np.ndarray
-    xtx_inverse: np.ndarray
     n: int
     k: int
 
@@ -61,9 +58,7 @@ def ols(X: np.ndarray, y: np.ndarray) -> RegressionResult:
             f"rank-deficient design: singular values span {s[0]:.3e}..{s[-1]:.3e}"
         )
     coef = Vt.T @ ((U.T @ y) / s)
-    residuals = y - X @ coef
-    xtx_inverse = (Vt.T / s**2) @ Vt
-    return RegressionResult(coef, residuals, xtx_inverse, n, k)
+    return RegressionResult(coef, y - X @ coef, n, k)
 
 
 def hac_covariance(X: np.ndarray, residuals: np.ndarray, max_lag: int) -> np.ndarray:
@@ -255,55 +250,12 @@ class IRFTable:
         return np.array([r.se for r in self.rows])
 
 
-IRF_HEADER = ("h", "beta", "se", "ci_low", "ci_high", "n")
-
-
-def irf_to_csv(table: IRFTable, path: Path | str) -> Path:
-    preamble = [
-        ("phase", table.phase),
-        ("shock_definition", table.shock_definition),
-        ("response_variable", table.response),
-        ("H", table.horizon),
-        ("L", table.lags),
-    ]
-    rows = [(r.h, r.beta, r.se, r.ci_low, r.ci_high, r.n) for r in table.rows]
-    return write_csv(path, IRF_HEADER, rows, preamble=preamble)
-
-
-def irf_from_csv(path: Path | str) -> IRFTable:
-    preamble, header, raw = read_csv(path)
-    if tuple(header) != IRF_HEADER:
-        raise DataError(f"unexpected IRF header {header!r}")
-    for key in ("phase", "shock_definition", "response_variable", "H", "L"):
-        if key not in preamble:
-            raise DataError(f"IRF file missing metadata key {key!r}")
-    rows = tuple(
-        IRFRow(
-            h=int(cells[0]),
-            beta=parse_float_cell(cells[1]),
-            se=parse_float_cell(cells[2]),
-            ci_low=parse_float_cell(cells[3]),
-            ci_high=parse_float_cell(cells[4]),
-            n=int(cells[5]),
-        )
-        for cells in raw
-    )
-    return IRFTable(
-        rows=rows,
-        phase=preamble["phase"],
-        shock_definition=preamble["shock_definition"],
-        response=preamble["response_variable"],
-        horizon=int(preamble["H"]),
-        lags=int(preamble["L"]),
-    )
-
-
 def local_projection(
     y: MonthlySeries,
     shock: ShockSeries,
     H: int,
     L: int,
-    sample: Callable[[MonthIndex], bool] | np.ndarray | None = None,
+    sample: np.ndarray | None = None,
     hac_lag: int = 12,
     phase: str = "",
     response: str = "",
@@ -311,9 +263,11 @@ def local_projection(
     """Horizon-by-horizon projection of y on the shock with lag controls.
 
     For each h in 0..H, regress y_{t+h} on an intercept, u_t, L lags of y,
-    and L lags of u over rows where t passes the sample predicate and all
-    regressors and the outcome exist. The reported coefficient is the one
-    on u_t with a Newey-West standard error.
+    and L lags of u over rows where t is in the sample and all regressors
+    and the outcome exist. The sample is a boolean mask with one entry per
+    month of the overlap of y and the shock; None keeps every month. The
+    reported coefficient is the one on u_t with a Newey-West standard
+    error.
 
     The shock enters exactly as given; standardize first if unit-shock
     kernels are wanted.
@@ -331,8 +285,6 @@ def local_projection(
 
     if sample is None:
         keep = np.ones(n, dtype=bool)
-    elif callable(sample):
-        keep = np.array([bool(sample(start + t)) for t in range(n)])
     else:
         keep = np.asarray(sample, dtype=bool)
         if keep.shape != (n,):

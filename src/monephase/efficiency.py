@@ -2,9 +2,8 @@
 
 Reservation efficiency is the largest absolute order-parameter response
 within the horizon budget; CPI efficiency is the analogue for the core
-inflation response. Both use point estimates; an optional variant
-discards horizons whose confidence interval spans zero (an extension
-beyond the headline definition, off by default).
+inflation response. Both use point estimates, whatever their
+confidence intervals.
 """
 
 from __future__ import annotations
@@ -26,33 +25,25 @@ class EfficiencyReport:
     shock_definition: str = ""
 
 
-def _max_abs(table: IRFTable, H: int, discount_insignificant: bool) -> tuple[float, int]:
+def _max_abs(table: IRFTable, H: int) -> tuple[float, int]:
     rows = {r.h: r for r in table.rows}
     missing = [h for h in range(H + 1) if h not in rows]
     if missing:
         raise DataError(f"IRF table missing horizons {missing}; cannot cover 0..{H}")
     best_val, best_h = 0.0, 0
     for h in range(H + 1):
-        row = rows[h]
-        val = abs(row.beta)
-        if discount_insignificant and row.ci_low <= 0.0 <= row.ci_high:
-            val = 0.0
+        val = abs(rows[h].beta)
         if val > best_val:
             best_val, best_h = val, h
     return best_val, best_h
 
 
-def efficiencies(
-    irf_phi: IRFTable,
-    irf_pi: IRFTable,
-    H: int,
-    discount_insignificant: bool = False,
-) -> EfficiencyReport:
+def efficiencies(irf_phi: IRFTable, irf_pi: IRFTable, H: int) -> EfficiencyReport:
     """Max |beta| within horizons 0..H for each response; ties pick the smallest h."""
     if H < 0:
         raise DataError("H must be nonnegative")
-    eff_r, argmax_r = _max_abs(irf_phi, H, discount_insignificant)
-    eff_c, argmax_c = _max_abs(irf_pi, H, discount_insignificant)
+    eff_r, argmax_r = _max_abs(irf_phi, H)
+    eff_c, argmax_c = _max_abs(irf_pi, H)
     return EfficiencyReport(
         eff_r=eff_r,
         argmax_r=argmax_r,

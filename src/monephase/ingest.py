@@ -13,7 +13,6 @@ line, and column, and no partial panel is returned.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,21 +23,6 @@ from .series import MonthIndex, MonthlySeries, Panel
 
 MONETARY_COLUMNS = ("date", "MB", "BN", "CO", "RB", "MB_SA")
 CPI_COLUMNS = ("date", "CPI", "CPI_core")
-
-
-@dataclass(frozen=True)
-class DataManifest:
-    """The two canonical input files plus their expected shapes and units."""
-
-    monetary_path: Path
-    cpi_path: Path
-    monetary_columns: tuple[str, ...] = ("date", "MB", "BN", "CO", "RB", "MB_SA")
-    cpi_columns: tuple[str, ...] = ("date", "CPI", "CPI_core")
-    monetary_unit: str = "100 million yen"
-    cpi_unit: str = "index, 2020 = 100"
-
-    def load(self) -> tuple[Panel, Panel]:
-        return load_monetary(self.monetary_path), load_cpi(self.cpi_path)
 
 
 def _load_table(path: Path | str, columns: tuple[str, ...]) -> Panel:

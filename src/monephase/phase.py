@@ -65,12 +65,6 @@ class PhasePartition:
             out.append((self.start + run_start, self.start + (len(self.labels) - 1)))
         return out
 
-    def label_at(self, month: MonthIndex) -> str:
-        pos = month - self.start
-        if not 0 <= pos < len(self.labels):
-            raise DataError(f"{month} outside partition coverage")
-        return self.labels[pos]
-
 
 def classify(phi: MonthlySeries, thresholds: PhaseThresholds) -> PhasePartition:
     """Label each month from phi.

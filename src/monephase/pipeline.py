@@ -204,42 +204,50 @@ def cmd_fit_phase(cfg: RunConfig) -> list[Path]:
     return [path]
 
 
-def _phase_shock(
-    cfg: RunConfig, g: MonthlySeries, partition: PhasePartition, label: str
-) -> em.ShockSeries:
-    segments = partition.segments(label)
-    if not segments:
-        raise DataError(f"phase {label!r} is empty; cannot build shocks")
-    if cfg.shock_kind == "ar_resid":
-        _, shock = em.ar_fit(g, cfg.shock_p, segments, phase_label=label)
-    else:
-        shock = em.detrended_shock(g, cfg.shock_p, segments, phase_label=label)
-    return em.standardize(shock)
+def _phase_tables(
+    cfg: RunConfig, panel: Panel, partition: PhasePartition, label: str, memo: dict
+) -> dict[str, em.IRFTable]:
+    """The phase's pi_core and phi LP tables, each computed once per memo.
 
-
-def _phase_irfs(cfg: RunConfig, panel: Panel, thresholds: PhaseThresholds):
-    """Per-phase standardized shocks and the four baseline LP tables."""
-    partition = classify(panel["phi"], thresholds)
-    tables = {}
-    for label in (CASH, RESERVE):
-        shock = _phase_shock(cfg, panel["g_mb"], partition, label)
-        mask = partition.mask(label)
-        sample = MonthlySeries(panel.start, np.where(mask, 1.0, 0.0))
-
-        def predicate(month, _s=sample):
-            return _s.values[_s.position(month)] == 1.0
-
-        for response, series in (("pi_core", panel["pi_core"]), ("phi", panel["phi"])):
-            tables[(label, response)] = em.local_projection(
-                series,
+    The memo key holds everything a table depends on besides the panel:
+    the phase, its months, the shock definition and the LP settings.
+    """
+    mask = partition.mask(label)
+    key = (label, mask.tobytes(), cfg.shock_kind, cfg.shock_p, cfg.horizon, cfg.lags, cfg.hac_lag)
+    if key not in memo:
+        segments = partition.segments(label)
+        if not segments:
+            raise DataError(f"phase {label!r} is empty; cannot build shocks")
+        g = panel["g_mb"]
+        if cfg.shock_kind == "ar_resid":
+            _, shock = em.ar_fit(g, cfg.shock_p, segments, phase_label=label)
+        else:
+            shock = em.detrended_shock(g, cfg.shock_p, segments, phase_label=label)
+        shock = em.standardize(shock)
+        memo[key] = {
+            response: em.local_projection(
+                panel[response],
                 shock,
                 H=cfg.horizon,
                 L=cfg.lags,
-                sample=predicate,
+                sample=mask,
                 hac_lag=cfg.hac_lag,
                 phase=label,
                 response=response,
             )
+            for response in ("pi_core", "phi")
+        }
+    return memo[key]
+
+
+def _phase_irfs(cfg: RunConfig, panel: Panel, memo: dict):
+    """The phase partition and the four baseline LP tables, keyed (phase, response)."""
+    partition = classify(panel["phi"], PhaseThresholds(cfg.cash_max, cfg.reserve_min))
+    tables = {
+        (label, response): table
+        for label in (CASH, RESERVE)
+        for response, table in _phase_tables(cfg, panel, partition, label, memo).items()
+    }
     return partition, tables
 
 
@@ -319,8 +327,8 @@ def _robustness_variants(cfg: RunConfig):
 
 def cmd_irf(cfg: RunConfig) -> list[Path]:
     panel = _load_panel(cfg)
-    thresholds = PhaseThresholds(cfg.cash_max, cfg.reserve_min)
-    partition, tables = _phase_irfs(cfg, panel, thresholds)
+    memo: dict = {}  # shared by the baseline, the diagnostic and the sweep
+    partition, tables = _phase_irfs(cfg, panel, memo)
     out = _out(cfg)
     written = [
         write_irf_pair(
@@ -343,39 +351,24 @@ def cmd_irf(cfg: RunConfig) -> list[Path]:
     )
 
     if cfg.intermediate_diagnostic:
-        written.append(_intermediate_diagnostic(cfg, panel, partition, out))
+        written.append(_intermediate_diagnostic(cfg, panel, partition, memo, out))
     if cfg.robustness:
-        written.append(_robustness_sweep(cfg, panel, out))
+        written.append(_robustness_sweep(cfg, panel, memo, out))
     return written
 
 
-def _intermediate_diagnostic(cfg, panel, partition, out: Path) -> Path:
+def _intermediate_diagnostic(cfg, panel, partition, memo: dict, out: Path) -> Path:
     """LP inside the critical band; expected to be unstable, flagged as such."""
     preamble = [("unstable_region", True)]
     rows = []
     try:
-        shock = _phase_shock(cfg, panel["g_mb"], partition, INTERMEDIATE)
-        mask = partition.mask(INTERMEDIATE)
-        sample = MonthlySeries(panel.start, np.where(mask, 1.0, 0.0))
-
-        def predicate(month, _s=sample):
-            return _s.values[_s.position(month)] == 1.0
-
-        for response, series in (("pi_core", panel["pi_core"]), ("phi", panel["phi"])):
-            table = em.local_projection(
-                series,
-                shock,
-                H=cfg.horizon,
-                L=cfg.lags,
-                sample=predicate,
-                hac_lag=cfg.hac_lag,
-                phase=INTERMEDIATE,
-                response=response,
-            )
-            for r in table.rows:
-                rows.append((response, r.h, r.beta, r.se, r.ci_low, r.ci_high, r.n))
+        tables = _phase_tables(cfg, panel, partition, INTERMEDIATE, memo)
     except DataError as exc:
         preamble.append(("error", str(exc)))
+    else:
+        for response, table in tables.items():
+            for r in table.rows:
+                rows.append((response, r.h, r.beta, r.se, r.ci_low, r.ci_high, r.n))
     return write_csv(
         out / "IRF_intermediate_diagnostic.csv",
         ("response", "h", "beta", "se", "ci_low", "ci_high", "n"),
@@ -384,11 +377,10 @@ def _intermediate_diagnostic(cfg, panel, partition, out: Path) -> Path:
     )
 
 
-def _robustness_sweep(cfg: RunConfig, panel: Panel, out: Path) -> Path:
+def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Path:
     rows = []
     for name, variant in _robustness_variants(cfg):
-        thresholds = PhaseThresholds(variant.cash_max, variant.reserve_min)
-        _, tables = _phase_irfs(variant, panel, thresholds)
+        _, tables = _phase_irfs(variant, panel, memo)
         for (label, response), table in sorted(tables.items()):
             for r in table.rows:
                 rows.append(

@@ -142,12 +142,6 @@ class MonthlySeries:
     def defined_mask(self) -> np.ndarray:
         return ~np.isnan(self._values)
 
-    def first_defined(self) -> MonthIndex:
-        mask = self.defined_mask()
-        if not mask.any():
-            raise DataError("series has no defined values")
-        return self.start + int(np.argmax(mask))
-
     def months(self) -> list[MonthIndex]:
         return month_range(self.start, len(self))
 

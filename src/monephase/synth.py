@@ -4,9 +4,11 @@ The generator plants every quantity the pipeline later estimates: the
 order parameter follows a tanh profile, seasonally adjusted base growth
 follows a fixed AR process, and the outcome series embed phase-dependent
 impulse kernels applied to the unit-variance growth innovations. CPI
-levels are integrated from the generated inflation so the year-over-year
-transform inverts exactly, and levels are constructed so that RB <= MB
-and MB > 0 always hold.
+levels are integrated from the generated inflation, so the year-over-year
+transform recovers it up to rounding; when the economy covers 2020, both
+CPI indices are rescaled to average 100 over that year, the base the CPI
+ingest expects. Levels are constructed so that RB <= MB and MB > 0
+always hold.
 
 Kernels switch on the phase of the noise-free profile at the shock
 arrival date, so estimator error against ground truth stays measurable.
@@ -23,8 +25,8 @@ from .compartment import CompartmentParams, CouplingParams, cpi_irf, phi_irf
 from .csvio import write_csv
 from .errors import DataError
 from .ingest import write_cpi, write_monetary
-from .phase import CASH, INTERMEDIATE, RESERVE
-from .series import MonthIndex, MonthlySeries, Panel
+from .phase import CASH, RESERVE, PhasePartition, PhaseThresholds, classify
+from .series import MonthIndex, MonthlySeries, Panel, month_range
 
 BURN_IN = 240
 KERNEL_KEYS = ((CASH, "phi"), (CASH, "pi"), (RESERVE, "phi"), (RESERVE, "pi"))
@@ -104,31 +106,7 @@ class GroundTruth:
     innovations_unit: np.ndarray
     growth: np.ndarray
     profile: np.ndarray
-    phase_labels: tuple[str, ...]
-
-    def segments(self, label: str) -> list[tuple[MonthIndex, MonthIndex]]:
-        out, run = [], None
-        for i, l in enumerate(self.phase_labels):
-            if l == label and run is None:
-                run = i
-            elif l != label and run is not None:
-                out.append((self.spec.start + run, self.spec.start + (i - 1)))
-                run = None
-        if run is not None:
-            out.append((self.spec.start + run, self.spec.start + (len(self.phase_labels) - 1)))
-        return out
-
-
-def _true_phase(profile: np.ndarray, cash_max: float, reserve_min: float):
-    labels = []
-    for v in profile:
-        if v < cash_max:
-            labels.append(CASH)
-        elif v > reserve_min:
-            labels.append(RESERVE)
-        else:
-            labels.append(INTERMEDIATE)
-    return tuple(labels)
+    partition: PhasePartition  # phases of the noise-free profile
 
 
 def generate(spec: SynthSpec) -> tuple[Panel, GroundTruth]:
@@ -152,13 +130,15 @@ def generate(spec: SynthSpec) -> tuple[Panel, GroundTruth]:
     t_axis = np.arange(T, dtype=np.float64)
     t0_offset = float(spec.t0 - spec.start)
     profile = spec.phi_mid + spec.phi_amp * np.tanh((t_axis - t0_offset) / spec.w)
-    labels = _true_phase(profile, spec.cash_max, spec.reserve_min)
+    partition = classify(
+        MonthlySeries(spec.start, profile), PhaseThresholds(spec.cash_max, spec.reserve_min)
+    )
 
     def planted(outcome: str) -> np.ndarray:
         resp = np.zeros(T)
         for phase in (CASH, RESERVE):
             kern = spec.kernel(phase, outcome)
-            masked = np.where([l == phase for l in labels], e_unit, 0.0)
+            masked = np.where(partition.mask(phase), e_unit, 0.0)
             resp += np.convolve(masked, kern)[:T]
         return resp
 
@@ -180,12 +160,16 @@ def generate(spec: SynthSpec) -> tuple[Panel, GroundTruth]:
     if (rb > mb).any() or (bn < 0).any():
         raise DataError("generated composition violates RB + CO <= MB")
 
+    in_2020 = np.array([m.year == 2020 for m in month_range(spec.start, T)])
+
     def integrate_cpi(pi: np.ndarray, seed_growth: float) -> np.ndarray:
         out = np.empty(T)
         for t in range(12):
             out[t] = 100.0 * (1.0 + seed_growth) ** t
         for t in range(12, T):
             out[t] = out[t - 12] * (1.0 + pi[t] / 100.0)
+        if in_2020.any():
+            out *= 100.0 / np.mean(out[in_2020])
         return out
 
     cpi_core = integrate_cpi(pi_core, spec.cpi_seed_growth)
@@ -206,7 +190,7 @@ def generate(spec: SynthSpec) -> tuple[Panel, GroundTruth]:
         innovations_unit=e_unit,
         growth=g,
         profile=profile,
-        phase_labels=labels,
+        partition=partition,
     )
     return panel, truth
 
@@ -328,7 +312,7 @@ def write_ground_truth(path: Path | str, truth: GroundTruth) -> Path:
     for phase, outcome in KERNEL_KEYS:
         rows.append((f"kernel_{phase}_{outcome}", _join(spec.kernel(phase, outcome))))
     for label in (CASH, RESERVE):
-        segs = truth.segments(label)
+        segs = truth.partition.segments(label)
         rows.append((f"segments_{label}", ";".join(f"{a}:{b}" for a, b in segs)))
     rows.append(("innovations_unit", _join(truth.innovations_unit)))
     return write_csv(path, ("key", "value"), rows)

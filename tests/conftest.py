@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -42,11 +41,9 @@ def mechanism_run(tmp_path_factory):
         robustness=True,
         seed=MECHANISM_SEED,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # synthetic CPI is not 2020-based
-        cmd_transform(cfg)
-        cmd_irf(cfg)
-        cmd_calibrate(cfg)
+    cmd_transform(cfg)
+    cmd_irf(cfg)
+    cmd_calibrate(cfg)
     elapsed = time.time() - t_start
 
     pi_tables = read_irf_pair(out / "IRF_J6_core_inflation.csv")

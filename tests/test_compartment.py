@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -334,11 +333,9 @@ def default_economy(tmp_path_factory):
     """Baseline IRF tables and phase means of the default synthetic economy, seed 1."""
     out = tmp_path_factory.mktemp("default")
     config = str(out / "synthetic_config.txt")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # synthetic CPI is not 2020-based
-        for argv in (["synth", "--out", str(out), "--seed", "1"], ["transform", "--config", config]):
-            assert main(argv) == 0
-        assert main(["irf", "--config", config]) == 0
+    for argv in (["synth", "--out", str(out), "--seed", "1"], ["transform", "--config", config]):
+        assert main(argv) == 0
+    assert main(["irf", "--config", config]) == 0
     phi, pi = read_irf_pair(out / IRF_PHI_FILE), read_irf_pair(out / IRF_PI_FILE)
     means = {cells[0]: float(cells[1]) for cells in read_csv(out / "phase_means.csv")[2]}
     return (phi["cash"], pi["cash"], phi["reserve"], pi["reserve"]), (means["cash"], means["reserve"])

@@ -79,10 +79,3 @@ def test_missing_horizon_rows():
         efficiencies(table([0.1, 0.2]), table([0.1, 0.2]), H=5)
 
 
-def test_ci_discount_variant():
-    # h=1 is significant (|beta| >> 1.96 se), h=2 is larger but insignificant
-    betas = [0.0, 0.4, 0.6]
-    rep = efficiencies(table(betas, se=0.05), table(betas, se=0.5), H=2,
-                       discount_insignificant=True)
-    assert rep.eff_r == pytest.approx(0.6)  # phi table: both significant
-    assert rep.eff_c == pytest.approx(0.0)  # pi table: all CIs span zero

@@ -1,12 +1,18 @@
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monephase
+from monephase import econometrics as em
 from monephase.cli import main
 from monephase.config import RunConfig, apply_overrides, config_text, era_label, parse_config
 from monephase.csvio import parse_float_cell, read_csv
@@ -50,9 +56,7 @@ def econ_dir(tmp_path_factory):
         out_dir=str(out),
         seed=7,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cmd_transform(cfg)
+    cmd_transform(cfg)
     return out, cfg, spec
 
 
@@ -147,9 +151,7 @@ class TestTransform:
         from dataclasses import replace
 
         cfg2 = replace(cfg, out_dir=str(tmp_path))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cmd_transform(cfg2)
+        cmd_transform(cfg2)
         assert (tmp_path / "panel.csv").read_bytes() == first
 
     def test_missing_paths_error(self):
@@ -232,6 +234,21 @@ class TestIrfCommand:
         write_irf_pair(path, tables[CASH], tables[RESERVE])
         assert path.read_bytes() == (out / IRF_PHI_FILE).read_bytes()
 
+    def test_each_distinct_table_computed_once(self, econ_dir, tmp_path, monkeypatch):
+        # the baseline, the diagnostic and the sweep share one table memo
+        out, cfg, spec = econ_dir
+        shutil.copy(out / "panel.csv", tmp_path / "panel.csv")
+        tables = []
+        original = em.local_projection
+
+        def counted(*args, **kwargs):
+            tables.append(original(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(em, "local_projection", counted)
+        cmd_irf(replace(cfg, out_dir=str(tmp_path), robustness=True))
+        assert tables and len(set(tables)) == len(tables)
+
     def test_ci_identity_in_files(self, irf_out):
         out, cfg, spec = irf_out
         for fname in (IRF_PI_FILE, IRF_PHI_FILE):
@@ -299,12 +316,50 @@ class TestCli:
         assert main(["synth", "--out", str(out), "--seed", "3",
                      "--set", "synth.months=480"]) == 0
         config = str(out / "synthetic_config.txt")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["transform", "--config", config]) == 0
-            assert main(["fit-phase", "--config", config]) == 0
+        assert main(["transform", "--config", config]) == 0
+        assert main(["fit-phase", "--config", config]) == 0
         t0_line = (out / "tanh_fit.csv").read_text().splitlines()[-1]
         assert "2013-0" in t0_line  # transition found near 2013
+
+    def test_default_economy_transform_raises_no_warning(self, tmp_path):
+        # synthetic CPI is on the 2020 base that the CPI ingest checks
+        out = tmp_path / "run"
+        assert main(["synth", "--out", str(out), "--seed", "1"]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["transform", "--config", str(out / "synthetic_config.txt")]) == 0
+        assert [str(w.message) for w in caught] == []
+
+    def test_irf_outputs_identical_across_blas_threads(self, tmp_path):
+        src = str(Path(monephase.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        names = (
+            IRF_PI_FILE,
+            IRF_PHI_FILE,
+            "IRF_intermediate_diagnostic.csv",
+            "IRF_robustness.csv",
+            "phase_means.csv",
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
+            out = tmp_path / f"threads_{threads}"
+            config = str(out / "synthetic_config.txt")
+            for argv in (
+                ["synth", "--out", str(out), "--seed", "1"],
+                ["transform", "--config", config],
+                ["irf", "--config", config, "--robustness"],
+            ):
+                subprocess.run(
+                    [sys.executable, "-m", "monephase.cli", *argv],
+                    env=env,
+                    check=True,
+                    capture_output=True,
+                    timeout=300,
+                )
+            outputs.append({name: (out / name).read_bytes() for name in names})
+        for name in names:
+            assert outputs[0][name] == outputs[1][name], name
 
     def test_validation_error_exit_code(self, tmp_path):
         assert main(["transform", "--out", str(tmp_path)]) == 1

@@ -46,6 +46,17 @@ def test_growth_process_inverts_exactly(small_spec):
     assert np.allclose(g.values[12:], truth.growth[12:], atol=1e-9)
 
 
+def test_cpi_on_2020_base(small_spec):
+    panel, _ = generate(default_spec(seed=1))
+    in_2020 = np.array([m.year == 2020 for m in panel.months()])
+    for name in ("CPI", "CPI_core"):
+        assert np.mean(panel[name].values[in_2020]) == pytest.approx(100.0, rel=1e-12)
+    # an economy that ends before 2020 keeps its first month at 100
+    panel, _ = generate(small_spec)
+    assert panel.end < MonthIndex(2020, 1)
+    assert panel["CPI"].values[0] == panel["CPI_core"].values[0] == 100.0
+
+
 def test_phi_follows_profile(small_spec):
     panel, truth = generate(small_spec)
     phi = order_parameter(panel["RB"], panel["MB"])
@@ -99,7 +110,7 @@ def test_planted_kernel_recovered_by_lp(small_spec):
         shock,
         H=12,
         L=12,
-        sample=lambda m: bool(mask[m - phi.start]),
+        sample=mask,
         hac_lag=12,
     )
     kernel = np.asarray(small_spec.kernel(label, "pi"))[:13]
@@ -137,7 +148,7 @@ def test_generator_embeds_literal_kernel():
         shock,
         H=6,
         L=12,
-        sample=lambda m: bool(mask[m - phi.start]),
+        sample=mask,
         hac_lag=12,
     )
     expected = np.array(kernel + (0.0, 0.0, 0.0))

@@ -1,0 +1,35 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps monephase functions by name.
+
+A renamed or deleted function would make `perfbench/run.py --trace 1`
+fail at start-up; these checks catch that in the test suite instead.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_resolve():
+    missing = [
+        f"{home}.{attr}"
+        for home, attr, _ in load_tracing().FUNCTIONS
+        if not callable(getattr(importlib.import_module(home), attr, None))
+    ]
+    assert missing == []
+
+
+def test_traced_lookups_resolve():
+    # install() also wraps the command table and the SciPy minimizer
+    cli = importlib.import_module("monephase.cli")
+    compartment = importlib.import_module("monephase.compartment")
+    assert all(callable(fn) for fn in cli.COMMANDS.values())
+    assert callable(compartment.optimize.minimize)
