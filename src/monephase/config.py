@@ -88,7 +88,6 @@ class RunConfig:
     hac_lag: int = 12
     min_segment: int = 24
     robustness: bool = False
-    intermediate_diagnostic: bool = True
     landau_phi_c: float | None = None
     synth_months: int = 612
     seed: int = 1
@@ -137,10 +136,6 @@ _SCALAR_KEYS = {
     "lp.hac_lag": ("hac_lag", int),
     "breaks.min_segment": ("min_segment", int),
     "irf.robustness": ("robustness", lambda v: v.lower() in ("1", "true", "yes")),
-    "irf.intermediate_diagnostic": (
-        "intermediate_diagnostic",
-        lambda v: v.lower() in ("1", "true", "yes"),
-    ),
     "landau.phi_c": ("landau_phi_c", float),
     "synth.months": ("synth_months", int),
     "seed": ("seed", int),

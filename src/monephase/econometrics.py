@@ -97,33 +97,49 @@ class ShockSeries:
     standardized: bool = False
 
 
-def _usable_rows(
-    x: np.ndarray,
-    positions_by_segment: list[tuple[int, int]],
+def _lags(v: np.ndarray, p: int) -> np.ndarray:
+    """(n, p) matrix of v_{t-1}..v_{t-p}; NaN where a lag falls before the first month."""
+    out = np.full((v.size, p), np.nan)
+    for lag in range(1, p + 1):
+        out[lag:, lag - 1] = v[:-lag]
+    return out
+
+
+def _residual_shock(
+    x: MonthlySeries,
     p: int,
-) -> list[int]:
-    """Rows whose own value and all p lags are finite and inside one segment."""
-    rows = []
-    for a, b in positions_by_segment:
-        for t in range(a + p, b + 1):
-            window = x[t - p : t + 1]
-            if not np.isnan(window).any():
-                rows.append(t)
-    return rows
-
-
-def _segment_positions(
-    series: MonthlySeries,
     segments: Sequence[tuple[MonthIndex, MonthIndex]] | None,
-) -> list[tuple[int, int]]:
-    if segments is None:
-        return [(0, len(series) - 1)]
-    out = []
-    for a, b in segments:
+    trend: bool,
+    what: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """OLS of x on an intercept, an optional time trend and p own lags.
+
+    A row is usable when its value and its whole design row are defined
+    and its p lags stay inside the row's segment; rows are taken in month
+    order. Returns the coefficients and the residuals, NaN off the usable
+    rows.
+    """
+    vals = x.values
+    n = len(vals)
+    depth = np.full(n, -1)  # months since the start of the row's segment
+    for a, b in [(x.start, x.end)] if segments is None else segments:
         if a > b:
             raise DataError(f"segment {a}..{b} is empty")
-        out.append((series.position(a), series.position(b)))
-    return out
+        i, j = x.position(a), x.position(b)
+        if (depth[i : j + 1] >= 0).any():
+            raise DataError(f"segment {a}..{b} overlaps another segment")
+        depth[i : j + 1] = np.arange(j - i + 1)
+    cols = [np.ones(n)] + ([np.arange(n, dtype=np.float64)] if trend else [])
+    X = np.column_stack(cols + [_lags(vals, p)])
+    rows = np.flatnonzero((depth >= p) & ~np.isnan(vals) & ~np.isnan(X).any(axis=1))
+    if rows.size <= X.shape[1]:
+        raise DataError(
+            f"too few usable rows for {what}: {rows.size} (need > {X.shape[1]})"
+        )
+    fit = ols(X[rows], vals[rows])
+    resid = np.full_like(vals, np.nan)
+    resid[rows] = fit.residuals
+    return fit.coefficients, resid
 
 
 def ar_fit(
@@ -134,33 +150,15 @@ def ar_fit(
 ) -> tuple[np.ndarray, ShockSeries]:
     """AR(p) by OLS with intercept; residuals are the unexpected component.
 
-    Rows are pooled across the given contiguous segments; a row is usable
-    only when all its lags stay inside the same segment, so no dynamics
-    are fabricated across gaps. Residuals come back unstandardized and
-    defined only on usable rows.
+    Rows are pooled across the given contiguous, non-overlapping segments;
+    a row is usable only when all its lags stay inside the same segment,
+    so no dynamics are fabricated across gaps. Residuals come back
+    unstandardized and defined only on usable rows.
     """
     if p < 1:
         raise DataError(f"autoregressive order must be >= 1, got {p}")
-    vals = x.values
-    rows = _usable_rows(vals, _segment_positions(x, segments), p)
-    if len(rows) <= p + 1:
-        raise DataError(
-            f"too few usable rows for AR({p}): {len(rows)} (need > {p + 1})"
-        )
-    rows_arr = np.asarray(rows)
-    X = np.column_stack(
-        [np.ones(len(rows))] + [vals[rows_arr - lag] for lag in range(1, p + 1)]
-    )
-    fit = ols(X, vals[rows_arr])
-    resid = np.full_like(vals, np.nan)
-    resid[rows_arr] = fit.residuals
-    shock = ShockSeries(
-        values=MonthlySeries(x.start, resid),
-        definition=f"ar_resid({p})",
-        phase_label=phase_label,
-        standardized=False,
-    )
-    return fit.coefficients, shock
+    coef, resid = _residual_shock(x, p, segments, trend=False, what=f"AR({p})")
+    return coef, ShockSeries(MonthlySeries(x.start, resid), f"ar_resid({p})", phase_label)
 
 
 def detrended_shock(
@@ -172,25 +170,8 @@ def detrended_shock(
     """Residual of x on an intercept, linear time trend, and own lags."""
     if lags < 0:
         raise DataError(f"lag count must be >= 0, got {lags}")
-    vals = x.values
-    rows = _usable_rows(vals, _segment_positions(x, segments), lags)
-    if len(rows) <= lags + 2:
-        raise DataError(
-            f"too few usable rows for detrended shock: {len(rows)} "
-            f"(need > {lags + 2})"
-        )
-    rows_arr = np.asarray(rows)
-    cols = [np.ones(len(rows)), rows_arr.astype(np.float64)]
-    cols += [vals[rows_arr - lag] for lag in range(1, lags + 1)]
-    fit = ols(np.column_stack(cols), vals[rows_arr])
-    resid = np.full_like(vals, np.nan)
-    resid[rows_arr] = fit.residuals
-    return ShockSeries(
-        values=MonthlySeries(x.start, resid),
-        definition=f"detrended({lags})",
-        phase_label=phase_label,
-        standardized=False,
-    )
+    _, resid = _residual_shock(x, lags, segments, trend=True, what="detrended shock")
+    return ShockSeries(MonthlySeries(x.start, resid), f"detrended({lags})", phase_label)
 
 
 def standardize(shock: ShockSeries) -> ShockSeries:
@@ -290,24 +271,13 @@ def local_projection(
         if keep.shape != (n,):
             raise DataError("sample mask length must match the overlap range")
 
+    design = np.column_stack([np.ones(n), uv, _lags(yv, L), _lags(uv, L)])
+    base = keep & ~np.isnan(design).any(axis=1)
     y_ok = ~np.isnan(yv)
-    u_ok = ~np.isnan(uv)
-    base = keep & u_ok
-    for lag in range(1, L + 1):
-        lag_ok = np.zeros(n, dtype=bool)
-        lag_ok[lag:] = y_ok[:-lag] & u_ok[:-lag]
-        base &= lag_ok
 
     rows_out = []
     for h in range(H + 1):
-        usable = base.copy()
-        if h > 0:
-            ahead = np.zeros(n, dtype=bool)
-            ahead[:-h] = y_ok[h:]
-            usable &= ahead
-        else:
-            usable &= y_ok
-        t_idx = np.flatnonzero(usable)
+        t_idx = np.flatnonzero(base[: max(n - h, 0)] & y_ok[h:])
         if t_idx.size <= 2 * L + 2:
             raise DataError(
                 f"horizon h={h}: only {t_idx.size} usable rows "
@@ -316,10 +286,7 @@ def local_projection(
         outcome = yv[t_idx + h]
         if np.ptp(outcome) == 0.0:
             raise DataError(f"horizon h={h}: outcome has zero variance")
-        cols = [np.ones(t_idx.size), uv[t_idx]]
-        cols += [yv[t_idx - lag] for lag in range(1, L + 1)]
-        cols += [uv[t_idx - lag] for lag in range(1, L + 1)]
-        X = np.column_stack(cols)
+        X = design[t_idx]
         fit = ols(X, outcome)
         cov = hac_covariance(X, fit.residuals, hac_lag)
         beta = float(fit.coefficients[1])

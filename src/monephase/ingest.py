@@ -7,13 +7,15 @@ unambiguous. Monetary quantities are in 100 million yen; CPI columns are
 2020=100 index numbers. Dates are YYYY-MM, ascending, gap-free.
 
 Validation is total: a malformed input raises a DataError naming file,
-line, and column, and no partial panel is returned.
+line, and column, and no partial panel is returned. The same
+monthly-table reader and writer also carry the pipeline's panel.csv.
 """
 
 from __future__ import annotations
 
 import warnings
 from pathlib import Path
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -25,7 +27,13 @@ MONETARY_COLUMNS = ("date", "MB", "BN", "CO", "RB", "MB_SA")
 CPI_COLUMNS = ("date", "CPI", "CPI_core")
 
 
-def _load_table(path: Path | str, columns: tuple[str, ...]) -> Panel:
+MonthColumns = Mapping[str, Callable[[MonthIndex], str]]
+
+
+def load_table(
+    path: Path | str, columns: tuple[str, ...], month_columns: MonthColumns = {}
+) -> Panel:
+    """Read a monthly table; the month_columns, derived from the date, are not read."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
@@ -38,7 +46,7 @@ def _load_table(path: Path | str, columns: tuple[str, ...]) -> Panel:
         raise DataError(f"{path.name}: no data rows")
 
     months: list[MonthIndex] = []
-    data = {name: [] for name in columns[1:]}
+    data = {name: [] for name in columns[1:] if name not in month_columns}
     # line 1 is the header
     for i, cells in enumerate(rows):
         lineno = i + 2
@@ -57,6 +65,8 @@ def _load_table(path: Path | str, columns: tuple[str, ...]) -> Panel:
                 )
         months.append(month)
         for name, cell in zip(columns[1:], cells[1:]):
+            if name in month_columns:
+                continue
             try:
                 data[name].append(parse_float_cell(cell))
             except DataError as exc:
@@ -71,7 +81,7 @@ def _load_table(path: Path | str, columns: tuple[str, ...]) -> Panel:
 
 def load_monetary(path: Path | str) -> Panel:
     """Read the monetary file (MB, BN, CO, RB, MB_SA; 100 million yen)."""
-    return _load_table(path, MONETARY_COLUMNS)
+    return load_table(path, MONETARY_COLUMNS)
 
 
 def load_cpi(path: Path | str) -> Panel:
@@ -81,7 +91,7 @@ def load_cpi(path: Path | str) -> Panel:
     whose headline average strays outside [95, 105], a warning is issued:
     the data are probably not on the 2020 base the pipeline assumes.
     """
-    panel = _load_table(Path(path), CPI_COLUMNS)
+    panel = load_table(Path(path), CPI_COLUMNS)
     for name in ("CPI", "CPI_core"):
         vals = panel[name].values
         bad = ~np.isnan(vals) & (vals <= 0.0)
@@ -107,21 +117,30 @@ def load_cpi(path: Path | str) -> Panel:
     return panel
 
 
-def _write_table(path: Path | str, panel: Panel, columns: tuple[str, ...]) -> Path:
+def write_table(
+    path: Path | str,
+    panel: Panel,
+    columns: tuple[str, ...],
+    month_columns: MonthColumns = {},
+) -> Path:
+    """Write a monthly table; month_columns cells are computed from the month."""
     rows = []
     for i, month in enumerate(panel.months()):
         row = [str(month)]
         for name in columns[1:]:
-            row.append(fmt(float(panel[name].values[i])))
+            if name in month_columns:
+                row.append(month_columns[name](month))
+            else:
+                row.append(fmt(float(panel[name].values[i])))
         rows.append(row)
     return write_csv(path, columns, rows)
 
 
 def write_monetary(path: Path | str, panel: Panel) -> Path:
     """Inverse of load_monetary; round-trips bit-exactly."""
-    return _write_table(path, panel, MONETARY_COLUMNS)
+    return write_table(path, panel, MONETARY_COLUMNS)
 
 
 def write_cpi(path: Path | str, panel: Panel) -> Path:
     """Inverse of load_cpi; round-trips bit-exactly."""
-    return _write_table(path, panel, CPI_COLUMNS)
+    return write_table(path, panel, CPI_COLUMNS)

@@ -17,10 +17,10 @@ from . import econometrics as em
 from . import landau as ld
 from .compartment import CalibrationResult, calibrate, steady_state_phi
 from .config import RunConfig, config_text, era_label
-from .csvio import fmt, parse_float_cell, read_csv, write_csv
+from .csvio import parse_float_cell, read_csv, write_csv
 from .efficiency import efficiencies
 from .errors import ConvergenceError, DataError
-from .ingest import load_cpi, load_monetary
+from .ingest import load_cpi, load_monetary, load_table, write_table
 from .phase import (
     CASH,
     INTERMEDIATE,
@@ -52,6 +52,7 @@ PANEL_COLUMNS = (
     "idx_CPI_core",
     "era",
 )
+PANEL_MONTH_COLUMNS = {"era": lambda month: era_label(month.year)}  # written, not read
 
 IRF_PI_FILE = "IRF_J6_core_inflation.csv"
 IRF_PHI_FILE = "IRF_J7_phi.csv"
@@ -88,31 +89,11 @@ def build_panel(cfg: RunConfig) -> Panel:
 
 
 def write_panel_csv(path: Path, panel: Panel) -> Path:
-    rows = []
-    for i, month in enumerate(panel.months()):
-        row = [str(month)]
-        for name in PANEL_COLUMNS[1:-1]:
-            row.append(fmt(float(panel[name].values[i])))
-        row.append(era_label(month.year))
-        rows.append(row)
-    return write_csv(path, PANEL_COLUMNS, rows)
+    return write_table(path, panel, PANEL_COLUMNS, PANEL_MONTH_COLUMNS)
 
 
 def read_panel_csv(path: Path | str) -> Panel:
-    _, header, raw = read_csv(path)
-    if tuple(header) != PANEL_COLUMNS:
-        raise DataError(f"unexpected panel header in {path}")
-    if not raw:
-        raise DataError(f"panel file {path} is empty")
-    start = MonthIndex.parse(raw[0][0])
-    columns = {name: [] for name in PANEL_COLUMNS[1:-1]}
-    for cells in raw:
-        for name, cell in zip(PANEL_COLUMNS[1:-1], cells[1:-1]):
-            columns[name].append(parse_float_cell(cell))
-    series = {
-        name: MonthlySeries(start, np.asarray(vals)) for name, vals in columns.items()
-    }
-    return Panel(start, len(raw), series)
+    return load_table(path, PANEL_COLUMNS, PANEL_MONTH_COLUMNS)
 
 
 def cmd_transform(cfg: RunConfig) -> list[Path]:
@@ -350,8 +331,7 @@ def cmd_irf(cfg: RunConfig) -> list[Path]:
         )
     )
 
-    if cfg.intermediate_diagnostic:
-        written.append(_intermediate_diagnostic(cfg, panel, partition, memo, out))
+    written.append(_intermediate_diagnostic(cfg, panel, partition, memo, out))
     if cfg.robustness:
         written.append(_robustness_sweep(cfg, panel, memo, out))
     return written

@@ -25,7 +25,7 @@ from .errors import DataError
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=True)
 class MonthIndex:
     """A calendar month; ordering and month arithmetic are exact integers."""
 
@@ -62,18 +62,6 @@ class MonthIndex:
         if isinstance(other, MonthIndex):
             return self.ordinal - other.ordinal
         return MonthIndex.from_ordinal(self.ordinal - int(other))
-
-    def __lt__(self, other: "MonthIndex") -> bool:
-        return self.ordinal < other.ordinal
-
-    def __le__(self, other: "MonthIndex") -> bool:
-        return self.ordinal <= other.ordinal
-
-    def __gt__(self, other: "MonthIndex") -> bool:
-        return self.ordinal > other.ordinal
-
-    def __ge__(self, other: "MonthIndex") -> bool:
-        return self.ordinal >= other.ordinal
 
 
 def month_range(start: MonthIndex, length: int) -> list[MonthIndex]:

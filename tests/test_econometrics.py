@@ -261,6 +261,141 @@ class TestLocalProjection:
         assert tbl.rows[0].n <= 200
 
 
+def reference_rows(x, positions, p):
+    """Rows whose own value and p lags are finite and inside one segment, row by row."""
+    rows = []
+    for a, b in positions:
+        for t in range(a + p, b + 1):
+            if not np.isnan(x[t - p : t + 1]).any():
+                rows.append(t)
+    return np.asarray(rows, dtype=int)
+
+
+def reference_shock(x, p, positions, trend):
+    """Coefficients and residuals of the per-row shock regression, or None if too few rows."""
+    rows = reference_rows(x, positions, p)
+    cols = [np.ones(rows.size)] + ([rows.astype(np.float64)] if trend else [])
+    cols += [x[rows - lag] for lag in range(1, p + 1)]
+    if rows.size <= len(cols):
+        return None
+    fit = em.ols(np.column_stack(cols), x[rows])
+    resid = np.full_like(x, np.nan)
+    resid[rows] = fit.residuals
+    return fit.coefficients, resid
+
+
+def reference_lp(y, u, keep, H, L, hac_lag):
+    """(beta, se, n) per horizon from rows picked one by one, or None if a horizon is short."""
+    out = []
+    for h in range(H + 1):
+        rows = np.asarray(
+            [
+                t
+                for t in range(L, len(y) - h)
+                if keep[t]
+                and not np.isnan(y[t - L : t]).any()
+                and not np.isnan(u[t - L : t + 1]).any()
+                and not np.isnan(y[t + h])
+            ],
+            dtype=int,
+        )
+        if rows.size <= 2 * L + 2:
+            return None
+        cols = [np.ones(rows.size), u[rows]]
+        cols += [y[rows - lag] for lag in range(1, L + 1)]
+        cols += [u[rows - lag] for lag in range(1, L + 1)]
+        X = np.column_stack(cols)
+        fit = em.ols(X, y[rows + h])
+        cov = em.hac_covariance(X, fit.residuals, hac_lag)
+        se = float(np.sqrt(max(cov[1, 1], 0.0)))
+        out.append((float(fit.coefficients[1]), se, rows.size))
+    return out
+
+
+def random_segments(rng, n):
+    """Sorted, non-overlapping positions; some adjacent, some separated by gaps."""
+    out, t = [], 0
+    while True:
+        a = t + int(rng.integers(0, 6))
+        b = min(a + int(rng.integers(0, 60)), n - 1)
+        if a >= n:
+            return out
+        out.append((a, b))
+        t = b + 1
+
+
+def with_nans(rng, n, rate):
+    x = rng.standard_normal(n)
+    x[rng.random(n) < rate] = np.nan
+    return x
+
+
+class TestLaggedDesign:
+    """The shock and LP design equals a per-row selection of the same rows."""
+
+    @pytest.mark.parametrize("trend", [False, True])
+    def test_shock_matches_per_row_reference(self, trend):
+        rng = np.random.default_rng(40 + trend)
+        for _ in range(40):
+            n = int(rng.integers(40, 200))
+            x = with_nans(rng, n, float(rng.choice([0.0, 0.02, 0.1])))
+            p = int(rng.integers(0 if trend else 1, 6))
+            if rng.random() < 0.2:
+                positions, segments = [(0, n - 1)], None
+            else:
+                positions = random_segments(rng, n)
+                segments = [(START + a, START + b) for a, b in positions]
+            expected = reference_shock(x, p, positions, trend)
+            fit = em.detrended_shock if trend else em.ar_fit
+            if expected is None:
+                with pytest.raises(DataError, match="too few usable rows"):
+                    fit(ms(x), p, segments)
+                continue
+            shock = fit(ms(x), p, segments)
+            if not trend:
+                coef, shock = shock
+                assert np.array_equal(coef, expected[0])
+            assert np.array_equal(shock.values.values, expected[1], equal_nan=True)
+
+    def test_local_projection_matches_per_row_reference(self):
+        rng = np.random.default_rng(50)
+        checked = 0
+        for _ in range(30):
+            n = int(rng.integers(120, 260))
+            y = with_nans(rng, n, float(rng.choice([0.0, 0.02, 0.05])))
+            u = with_nans(rng, n, float(rng.choice([0.0, 0.05, 0.2])))
+            keep = rng.random(n) < float(rng.choice([1.0, 0.9, 0.6]))
+            sample = None if keep.all() else keep
+            H, L = int(rng.integers(0, 7)), int(rng.integers(0, 5))
+            hac_lag = int(rng.integers(0, 6))
+            expected = reference_lp(y, u, keep, H, L, hac_lag)
+            args = (ms(y), em.ShockSeries(ms(u), "iid"), H, L, sample, hac_lag)
+            if expected is None:
+                with pytest.raises(DataError, match="usable rows"):
+                    em.local_projection(*args)
+                continue
+            tbl = em.local_projection(*args)
+            assert [(r.beta, r.se, r.n) for r in tbl.rows] == expected
+            checked += 1
+        assert checked >= 20
+
+    def test_segment_order_does_not_matter(self):
+        rng = np.random.default_rng(60)
+        x = rng.standard_normal(120)
+        segs = [(START + 5, START + 50), (START + 60, START + 119)]
+        coef, shock = em.ar_fit(ms(x), 3, segs)
+        coef_rev, shock_rev = em.ar_fit(ms(x), 3, segs[::-1])
+        assert np.array_equal(coef, coef_rev)
+        assert shock.values == shock_rev.values
+
+    @pytest.mark.parametrize("trend", [False, True])
+    def test_overlapping_segments_rejected(self, trend):
+        x = ms(np.random.default_rng(61).standard_normal(100))
+        segs = [(START, START + 40), (START + 30, START + 80)]
+        with pytest.raises(DataError, match="overlaps"):
+            em.detrended_shock(x, 2, segs) if trend else em.ar_fit(x, 2, segs)
+
+
 class TestIrfTable:
     def make(self):
         rng = np.random.default_rng(0)

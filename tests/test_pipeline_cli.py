@@ -34,7 +34,7 @@ from monephase.pipeline import (
     write_irf_pair,
 )
 from monephase.series import MonthIndex
-from monephase.synth import generate, two_compartment_spec, write_economy
+from monephase.synth import default_spec, generate, two_compartment_spec, write_economy
 
 
 PATHS = st.text("abcXYZ019_-./", max_size=16)
@@ -109,7 +109,6 @@ class TestConfig:
             hac_lag=st.integers(0, 24),
             min_segment=st.integers(0, 60),
             robustness=st.booleans(),
-            intermediate_diagnostic=st.booleans(),
             landau_phi_c=st.none() | st.floats(0.01, 0.99),
             synth_months=st.integers(1, 3000),
             seed=st.integers(-(2**31), 2**31),
@@ -262,6 +261,25 @@ class TestIrfCommand:
         preamble, _, _ = read_csv(out / "IRF_intermediate_diagnostic.csv")
         assert preamble["unstable_region"] == "true"
 
+    def test_intermediate_diagnostic_estimates_on_wide_transition(self, tmp_path):
+        # a 60-month transition leaves intermediate runs long enough for AR(12)
+        panel, truth = generate(replace(default_spec(1), w=60.0))
+        write_economy(tmp_path, panel, truth)
+        cfg = RunConfig(
+            monetary_path=str(tmp_path / "monetary.csv"),
+            cpi_path=str(tmp_path / "cpi.csv"),
+            out_dir=str(tmp_path),
+        )
+        cmd_transform(cfg)
+        cmd_irf(cfg)
+        preamble, _, rows = read_csv(tmp_path / "IRF_intermediate_diagnostic.csv")
+        assert "error" not in preamble
+        assert [(cells[0], int(cells[1])) for cells in rows] == [
+            (response, h) for response in ("pi_core", "phi") for h in range(25)
+        ]
+        assert all(np.isfinite(parse_float_cell(cells[2])) for cells in rows)
+        assert int(rows[0][6]) == 38
+
     def test_phase_means_written(self, irf_out):
         out, cfg, spec = irf_out
         _, _, rows = read_csv(out / "phase_means.csv")
@@ -360,6 +378,28 @@ class TestCli:
             outputs.append({name: (out / name).read_bytes() for name in names})
         for name in names:
             assert outputs[0][name] == outputs[1][name], name
+
+    @pytest.mark.parametrize("edit", ["drop", "duplicate"])
+    def test_broken_panel_month_sequence_exit_code(self, econ_dir, tmp_path, capsys, edit):
+        out, cfg, spec = econ_dir
+        lines = (out / "panel.csv").read_text().splitlines(keepends=True)
+        k = 100  # lines[k] is file line k + 1
+        if edit == "drop":
+            del lines[k]  # its successor, now on line k + 1, skips a month
+            bad_line, message = k + 1, "months must ascend without gaps"
+        else:
+            lines.insert(k, lines[k])
+            bad_line, message = k + 2, "duplicate month"
+        (tmp_path / "panel.csv").write_text("".join(lines))
+        assert main(["irf", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"panel.csv:{bad_line}: {message}" in err and "Traceback" not in err
+
+    def test_old_diagnostic_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("irf.intermediate_diagnostic = true\n")
+        assert main(["transform", "--config", str(cfg)]) == 1
+        assert "unknown configuration key" in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, tmp_path):
         assert main(["transform", "--out", str(tmp_path)]) == 1
