@@ -117,7 +117,7 @@ class RunConfig:
             ("lp.hac_lag", self.hac_lag),
             ("breaks.min_segment", self.min_segment),
         ):
-            if value < 0 or (name in ("shock.p",) and value < 1):
+            if value < 0 or (name in ("shock.p", "breaks.min_segment") and value < 1):
                 raise DataError(f"{name} must be positive, got {value}")
 
 

@@ -60,16 +60,25 @@ def write_csv(
     return path
 
 
-def read_csv(path: Path | str) -> tuple[dict[str, str], list[str], list[list[str]]]:
+class Row(list):
+    """The string cells of one data row, with its physical line number."""
+
+    def __init__(self, cells: list[str], lineno: int):
+        super().__init__(cells)
+        self.lineno = lineno
+
+
+def read_csv(path: Path | str) -> tuple[dict[str, str], list[str], list[Row]]:
     """Read back (preamble dict, header, raw string rows).
 
     Accepts LF or CRLF endings; raises on ragged rows with the line number.
+    Each row keeps the line it was read from as its lineno.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8-sig")
     preamble: dict[str, str] = {}
     header: list[str] | None = None
-    rows: list[list[str]] = []
+    rows: list[Row] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
         if line == "" and header is not None:
@@ -88,7 +97,7 @@ def read_csv(path: Path | str) -> tuple[dict[str, str], list[str], list[list[str
             raise DataError(
                 f"{path.name}:{lineno}: expected {len(header)} columns, got {len(cells)}"
             )
-        rows.append(cells)
+        rows.append(Row(cells, lineno))
     if header is None:
         raise DataError(f"{path.name}: no header line found")
     return preamble, header, rows

@@ -328,14 +328,14 @@ class BreakResult:
 
 
 def _line_rss(sx, sy, sxx, sxy, syy, m):
-    """RSS and (intercept, slope) of a least-squares line from raw moments."""
+    """RSS, intercept and slope of least-squares lines from raw moments, elementwise."""
     det = m * sxx - sx * sx
-    if det <= 0.0:
-        return max(syy - sy * sy / m, 0.0), (sy / m, 0.0)
-    slope = (m * sxy - sx * sy) / det
+    flat = det <= 0.0  # one distinct month: the line is the mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(flat, 0.0, (m * sxy - sx * sy) / det)
     intercept = (sy - slope * sx) / m
-    rss = syy - intercept * sy - slope * sxy
-    return max(rss, 0.0), (intercept, slope)
+    rss = np.where(flat, syy - sy * sy / m, syy - intercept * sy - slope * sxy)
+    return np.where(0.0 > rss, 0.0, rss), intercept, slope
 
 
 TIE_TOLERANCE = 1e-10
@@ -349,10 +349,13 @@ def breakpoint(
     """Exhaustive single-break search minimizing two-segment RSS.
 
     tau is the last month of the left segment; both segments keep at
-    least min_seg months. Ties within an absolute slack of 1e-10 go to
-    the earliest tau and set the tie flag.
+    least min_seg months. Every candidate is scored at once from
+    cumulative moments. Ties within an absolute slack of 1e-10 go to the
+    earliest tau and set the tie flag.
     """
     a, b = window
+    if min_seg < 1:
+        raise DataError(f"breakpoint segments need at least 1 month, got min_seg={min_seg}")
     sliced = y.restrict(a, b)
     vals = sliced.values
     n = len(vals)
@@ -365,36 +368,20 @@ def breakpoint(
         raise DataError(f"breakpoint window has a missing value at {month}")
 
     t = np.arange(n, dtype=np.float64)
-    cx = np.concatenate([[0.0], np.cumsum(t)])
-    cy = np.concatenate([[0.0], np.cumsum(vals)])
-    cxx = np.concatenate([[0.0], np.cumsum(t * t)])
-    cxy = np.concatenate([[0.0], np.cumsum(t * vals)])
-    cyy = np.concatenate([[0.0], np.cumsum(vals * vals)])
-
-    candidates = range(min_seg - 1, n - min_seg)
-    scan = []
-    for c in candidates:
-        m_left = c + 1
-        rss_l, (a1, b1) = _line_rss(cx[c + 1], cy[c + 1], cxx[c + 1], cxy[c + 1], cyy[c + 1], m_left)
-        m_right = n - m_left
-        rss_r, (a2, b2) = _line_rss(
-            cx[n] - cx[c + 1],
-            cy[n] - cy[c + 1],
-            cxx[n] - cxx[c + 1],
-            cxy[n] - cxy[c + 1],
-            cyy[n] - cyy[c + 1],
-            m_right,
-        )
-        scan.append((rss_l + rss_r, c, (a1, b1, a2, b2)))
-
-    rss_min = min(entry[0] for entry in scan)
+    moments = np.cumsum([t, vals, t * t, t * vals, vals * vals], axis=1)
+    m = np.arange(min_seg, n - min_seg + 1)  # months in the left segment
+    left = moments[:, m - 1]
+    rss_l, a1, b1 = _line_rss(*left, m)
+    rss_r, a2, b2 = _line_rss(*(moments[:, -1:] - left), n - m)
+    rss = rss_l + rss_r
+    rss_min = rss.min()
     slack = TIE_TOLERANCE * (1.0 + rss_min)
-    near = [entry for entry in scan if entry[0] <= rss_min + slack]
-    rss_best, c_best, fits = near[0]  # earliest tau among ties
+    near = np.flatnonzero(rss <= rss_min + slack)
+    k = near[0]  # earliest tau among ties
     return BreakResult(
-        tau=a + c_best,
-        rss=float(rss_best),
-        segment_fits=tuple(float(v) for v in fits),
+        tau=a + int(m[k]) - 1,
+        rss=float(rss[k]),
+        segment_fits=(float(a1[k]), float(b1[k]), float(a2[k]), float(b2[k])),
         window=(a, b),
-        tie=len(near) > 1,
+        tie=near.size > 1,
     )

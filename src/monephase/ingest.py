@@ -47,9 +47,8 @@ def load_table(
 
     months: list[MonthIndex] = []
     data = {name: [] for name in columns[1:] if name not in month_columns}
-    # line 1 is the header
-    for i, cells in enumerate(rows):
-        lineno = i + 2
+    for cells in rows:
+        lineno = cells.lineno
         try:
             month = MonthIndex.parse(cells[0])
         except DataError as exc:

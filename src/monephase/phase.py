@@ -3,8 +3,9 @@
 Months are labeled cash, intermediate, or reserve from fixed thresholds
 on phi; the closed band between the thresholds is the critical region
 and is excluded from phase-conditional estimation downstream. The
-transition itself is summarized by a four-parameter tanh profile fitted
-with multi-start Gauss-Newton.
+transition itself is summarized by a four-parameter tanh profile: its
+linear coefficients are solved in closed form over a (t0, log w) grid,
+and one Gauss-Newton run polishes the best grid point.
 """
 
 from __future__ import annotations
@@ -49,21 +50,12 @@ class PhasePartition:
     def mask(self, label: str) -> np.ndarray:
         if label not in PHASE_LABELS:
             raise DataError(f"unknown phase label {label!r}")
-        return np.array([l == label for l in self.labels])
+        return np.array(self.labels) == label
 
     def segments(self, label: str) -> list[tuple[MonthIndex, MonthIndex]]:
         """Maximal contiguous runs carrying the given label."""
-        out = []
-        run_start = None
-        for i, l in enumerate(self.labels):
-            if l == label and run_start is None:
-                run_start = i
-            elif l != label and run_start is not None:
-                out.append((self.start + run_start, self.start + (i - 1)))
-                run_start = None
-        if run_start is not None:
-            out.append((self.start + run_start, self.start + (len(self.labels) - 1)))
-        return out
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], self.mask(label), [0]])))
+        return [(self.start + int(i), self.start + int(j) - 1) for i, j in edges.reshape(-1, 2)]
 
 
 def classify(phi: MonthlySeries, thresholds: PhaseThresholds) -> PhasePartition:
@@ -80,17 +72,11 @@ def classify(phi: MonthlySeries, thresholds: PhaseThresholds) -> PhasePartition:
     if out_of_range.any():
         month = phi.start + int(np.argmax(out_of_range))
         raise DataError(f"order parameter outside [0, 1] at {month}")
-    labels = []
-    for v in vals:
-        if np.isnan(v):
-            labels.append(INTERMEDIATE)
-        elif v < thresholds.cash_max:
-            labels.append(CASH)
-        elif v > thresholds.reserve_min:
-            labels.append(RESERVE)
-        else:
-            labels.append(INTERMEDIATE)
-    return PhasePartition(phi.start, tuple(labels), thresholds)
+    # NaN fails both comparisons and falls through to intermediate
+    labels = np.select(
+        [vals < thresholds.cash_max, vals > thresholds.reserve_min], [CASH, RESERVE], INTERMEDIATE
+    )
+    return PhasePartition(phi.start, tuple(labels.tolist()), thresholds)
 
 
 def phase_means(phi: MonthlySeries, partition: PhasePartition) -> tuple[float, float]:
@@ -141,8 +127,7 @@ class TanhFit:
         return self.phi0 + self.A * np.tanh((t - self.t0) / self.w)
 
 
-W_STARTS = (6.0, 12.0, 24.0)
-T0_GRID_POINTS = 10
+START_GRID = (25, 16)  # t0 points across the defined months, log w points from 1 month to the span
 MAX_ITERATIONS = 500
 SSE_RTOL = 1e-12
 STEP_TOL = 1e-10
@@ -206,9 +191,10 @@ def fit_tanh(
 ) -> TanhFit:
     """Nonlinear least squares of the tanh profile over the given window.
 
-    Runs a deterministic grid of starts (t0 spread across the window
-    crossed with coarse/medium/wide initial widths) and keeps the lowest
-    SSE; ties go to the earliest start. The width is optimized as log w,
+    For fixed (t0, w) the profile is linear in (phi0, A), so those two are
+    solved in closed form on a grid of START_GRID (t0, log w) points, and
+    Gauss-Newton polishes all four parameters once, from the grid point of
+    lowest SSE (the earliest on ties). The width is optimized as log w,
     which removes the sign degeneracy of tanh in w.
     """
     a, b = window
@@ -222,22 +208,19 @@ def fit_tanh(
     t = np.flatnonzero(mask).astype(np.float64)
     y = sliced.values[mask]
 
-    phi0_start = float(np.mean(y))
-    half_range = float(np.max(y) - np.min(y)) / 2.0
-    a_start = half_range if half_range > 0 else 1e-6
-    span = float(t[-1] - t[0])
-    t0_grid = [t[0] + span * frac for frac in np.linspace(0.05, 0.95, T0_GRID_POINTS)]
-
-    best = None
-    for idx_t0, t0_start in enumerate(t0_grid):
-        for idx_w, w_start in enumerate(W_STARTS):
-            theta0 = (phi0_start, a_start, t0_start, math.log(w_start))
-            theta, sse, conv, iters = _gauss_newton(t, y, theta0)
-            key = (sse, idx_t0, idx_w)
-            if best is None or key < best[0]:
-                best = (key, theta, conv, iters)
-
-    (sse, _, _), theta, conv, iters = best
+    n_t0, n_w = START_GRID
+    t0_grid = np.linspace(t[0], t[-1], n_t0)
+    logw_grid = np.linspace(0.0, math.log(t[-1] - t[0]), n_w)
+    s = np.tanh((t - t0_grid[:, None, None]) / np.exp(logw_grid)[:, None])
+    s_mean = s.mean(axis=-1)
+    s -= s_mean[..., None]  # centred: A is a one-column regression, phi0 follows
+    sy = s @ (y - y.mean())
+    ss = np.einsum("ijk,ijk->ij", s, s)
+    amp = np.divide(sy, ss, out=np.zeros_like(ss), where=ss > 0.0)
+    # SSE = sum (y - mean y)^2 - amp * sy, whose first term is the same everywhere
+    i, k = np.unravel_index(np.argmin(-amp * sy), amp.shape)
+    theta0 = (y.mean() - amp[i, k] * s_mean[i, k], amp[i, k], t0_grid[i], logw_grid[k])
+    theta, sse, conv, iters = _gauss_newton(t, y, theta0)
     phi0, A, t0, logw = (float(v) for v in theta)
     w = math.exp(min(max(logw, -LOGW_BOUND), LOGW_BOUND))
 

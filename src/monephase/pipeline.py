@@ -360,7 +360,10 @@ def _intermediate_diagnostic(cfg, panel, partition, memo: dict, out: Path) -> Pa
 def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Path:
     rows = []
     for name, variant in _robustness_variants(cfg):
-        _, tables = _phase_irfs(variant, panel, memo)
+        try:
+            _, tables = _phase_irfs(variant, panel, memo)
+        except DataError as exc:
+            raise DataError(f"robustness variant {name}: {exc}") from None
         for (label, response), table in sorted(tables.items()):
             for r in table.rows:
                 rows.append(

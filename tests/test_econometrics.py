@@ -458,6 +458,52 @@ class TestBreakpoint:
             c_oracle, rss_oracle = breakpoint_rescan_oracle(y)
             assert res.tau - START == c_oracle
             assert res.rss == pytest.approx(rss_oracle, rel=1e-8, abs=1e-8)
+        # the shortest admissible windows leave two candidates
+        for min_seg in (1, 6):
+            n = 2 * min_seg + 1
+            y = np.cumsum(rng.standard_normal(n))
+            res = em.breakpoint(ms(y), (START, START + n - 1), min_seg=min_seg)
+            c_oracle, rss_oracle = breakpoint_rescan_oracle(y, min_seg=min_seg)
+            assert res.rss == pytest.approx(rss_oracle, rel=1e-8, abs=1e-8)
+            if min_seg == 1:  # lines through one and two months fit exactly: a tie
+                assert res.tie and res.tau == START
+            else:
+                assert not res.tie and res.tau - START == c_oracle
+
+    def test_bit_identical_to_per_candidate_scan(self):
+        # the batched scan does the same elementwise IEEE operations as this
+        # per-candidate loop over cumulative moments, so results match exactly
+        def line(sx, sy, sxx, sxy, syy, m):
+            det = m * sxx - sx * sx
+            if det <= 0.0:
+                return max(syy - sy * sy / m, 0.0), sy / m, 0.0
+            slope = (m * sxy - sx * sy) / det
+            intercept = (sy - slope * sx) / m
+            return max(syy - intercept * sy - slope * sxy, 0.0), intercept, slope
+
+        rng = np.random.default_rng(16)
+        ties = 0
+        for trial in range(60):
+            min_seg = int(rng.integers(1, 12))
+            n = 2 * min_seg + 1 + int(rng.integers(0, 40))
+            t = np.arange(n, dtype=np.float64)
+            # exact lines round to tiny negative RSS, which both clamp to 0
+            noise = rng.standard_normal(n)
+            y = (noise, np.round(noise, 1), 0.1 + 0.3 * t)[trial % 3]
+            cum = np.cumsum([t, y, t * t, t * y, y * y], axis=1)
+            scan = []
+            for c in range(min_seg - 1, n - min_seg):
+                rss_l, a1, b1 = line(*cum[:, c], c + 1)
+                rss_r, a2, b2 = line(*(cum[:, -1] - cum[:, c]), n - c - 1)
+                scan.append((rss_l + rss_r, c, (a1, b1, a2, b2)))
+            rss_min = min(entry[0] for entry in scan)
+            near = [e for e in scan if e[0] <= rss_min + em.TIE_TOLERANCE * (1.0 + rss_min)]
+            res = em.breakpoint(ms(y), (START, START + n - 1), min_seg=min_seg)
+            assert res.tau - START == near[0][1]
+            assert res.rss == near[0][0] and res.segment_fits == near[0][2]
+            assert res.tie == (len(near) > 1)
+            ties += res.tie
+        assert ties > 0
 
     def test_rss_is_minimal_over_full_scan(self):
         rng = np.random.default_rng(14)
@@ -470,6 +516,11 @@ class TestBreakpoint:
     def test_window_too_short(self):
         with pytest.raises(DataError, match="needs at least"):
             em.breakpoint(ms(np.arange(48.0)), (START, START + 47))
+
+    @pytest.mark.parametrize("min_seg", [0, -3])
+    def test_min_seg_below_one_rejected(self, min_seg):
+        with pytest.raises(DataError, match="at least 1 month"):
+            em.breakpoint(ms(np.arange(60.0)), (START, START + 59), min_seg=min_seg)
 
     def test_missing_in_window_rejected(self):
         y = [1.0] * 60

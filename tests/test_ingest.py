@@ -46,6 +46,21 @@ def test_month_gap_is_ordering_error(tmp_path):
         load_monetary(path)
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["# note", "date,MB,BN,CO,RB,MB_SA", "1970-01,1,1,1,1,1", "1970-03,1,1,1,1,1"],
+        ["date,MB,BN,CO,RB,MB_SA", "", "1970-01,1,1,1,1,1", "1970-03,1,1,1,1,1"],
+    ],
+    ids=["comment-on-top", "blank-after-header"],
+)
+def test_error_names_physical_line(tmp_path, lines):
+    # skipped comment and blank lines still count: the gap is on line 4
+    path = write_lines(tmp_path / "m.csv", lines)
+    with pytest.raises(DataError, match="m.csv:4: months must ascend without gaps"):
+        load_monetary(path)
+
+
 def test_duplicate_month(tmp_path):
     path = write_lines(
         tmp_path / "m.csv",

@@ -139,12 +139,24 @@ class TestFitTanh:
         with pytest.raises(DataError, match="24"):
             fit_tanh(ms(np.full(96, 0.5)), (START, START + 20))
 
-    def test_asymptote_sanity_flag(self):
-        # profile whose data sit in [0, 1] but whose fitted plateaus escape
+    @pytest.mark.parametrize("w", [10.0, 30.0])
+    @pytest.mark.parametrize("t0", [58.0, 70.0, 90.0])
+    def test_partial_transition_recovered(self, t0, w):
+        # midpoint at the window's last month or past it: only one side shows
         t = np.arange(60.0)
-        y = 0.5 + 0.45 * np.tanh((t - 58.0) / 30.0)  # transition barely started
+        y = 0.5 + 0.45 * np.tanh((t - t0) / w)
         fit = fit_tanh(ms(y), (START, START + 59))
-        assert isinstance(fit.trustworthy, bool)
+        assert fit.converged
+        for name, true in (("phi0", 0.5), ("A", 0.45), ("t0", t0), ("w", w)):
+            assert getattr(fit, name) == pytest.approx(true, abs=1e-6), name
+
+    def test_linear_ramp_untrustworthy(self):
+        # a straight line is the wide-w limit of tanh: the fitted plateaus
+        # escape [0, 1] although every data point lies inside
+        y = np.linspace(0.2, 0.8, 60)
+        fit = fit_tanh(ms(y), (START, START + 59))
+        assert not fit.trustworthy
+        assert fit.phi0 - abs(fit.A) < 0.0 and fit.phi0 + abs(fit.A) > 1.0
 
     def test_downward_transition_negative_amplitude(self):
         y = self.planted(A=-0.25)

@@ -107,7 +107,7 @@ class TestConfig:
             horizon=st.integers(0, 60),
             lags=st.integers(0, 24),
             hac_lag=st.integers(0, 24),
-            min_segment=st.integers(0, 60),
+            min_segment=st.integers(1, 60),
             robustness=st.booleans(),
             landau_phi_c=st.none() | st.floats(0.01, 0.99),
             synth_months=st.integers(1, 3000),
@@ -189,6 +189,15 @@ class TestBreakpoints:
                     expected += 1
         assert len(rows) == expected
 
+    def test_min_segment_zero_exit_code(self, econ_dir, tmp_path, capsys):
+        out, cfg, spec = econ_dir
+        shutil.copy(out / "panel.csv", tmp_path / "panel.csv")
+        argv = ["breakpoints", "--out", str(tmp_path), "--set", "breaks.min_segment=0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "breaks.min_segment must be positive, got 0" in err and "Traceback" not in err
+        assert not (tmp_path / "breakpoints.csv").exists()
+
     def test_out_of_range_window_warns_not_aborts(self, econ_dir, tmp_path):
         out, cfg, spec = econ_dir
         from dataclasses import replace
@@ -210,6 +219,22 @@ def irf_out(econ_dir):
     out, cfg, spec = econ_dir
     cmd_irf(cfg)
     return out, cfg, spec
+
+
+@pytest.fixture(scope="module")
+def wide_econ(tmp_path_factory):
+    """The default economy with a 60-month transition, transformed."""
+    out = tmp_path_factory.mktemp("wide")
+    panel, truth = generate(replace(default_spec(1), w=60.0))
+    write_economy(out, panel, truth)
+    cmd_transform(
+        RunConfig(
+            monetary_path=str(out / "monetary.csv"),
+            cpi_path=str(out / "cpi.csv"),
+            out_dir=str(out),
+        )
+    )
+    return out
 
 
 class TestIrfCommand:
@@ -261,17 +286,10 @@ class TestIrfCommand:
         preamble, _, _ = read_csv(out / "IRF_intermediate_diagnostic.csv")
         assert preamble["unstable_region"] == "true"
 
-    def test_intermediate_diagnostic_estimates_on_wide_transition(self, tmp_path):
+    def test_intermediate_diagnostic_estimates_on_wide_transition(self, wide_econ, tmp_path):
         # a 60-month transition leaves intermediate runs long enough for AR(12)
-        panel, truth = generate(replace(default_spec(1), w=60.0))
-        write_economy(tmp_path, panel, truth)
-        cfg = RunConfig(
-            monetary_path=str(tmp_path / "monetary.csv"),
-            cpi_path=str(tmp_path / "cpi.csv"),
-            out_dir=str(tmp_path),
-        )
-        cmd_transform(cfg)
-        cmd_irf(cfg)
+        shutil.copy(wide_econ / "panel.csv", tmp_path / "panel.csv")
+        cmd_irf(RunConfig(out_dir=str(tmp_path)))
         preamble, _, rows = read_csv(tmp_path / "IRF_intermediate_diagnostic.csv")
         assert "error" not in preamble
         assert [(cells[0], int(cells[1])) for cells in rows] == [
@@ -279,6 +297,17 @@ class TestIrfCommand:
         ]
         assert all(np.isfinite(parse_float_cell(cells[2])) for cells in rows)
         assert int(rows[0][6]) == 38
+
+    def test_sweep_failure_names_variant(self, wide_econ, tmp_path, capsys):
+        # three threshold variants leave too few detrended-shock rows; the
+        # sweep is all-or-nothing and names the first of them
+        shutil.copy(wide_econ / "panel.csv", tmp_path / "panel.csv")
+        argv = ["irf", "--out", str(tmp_path), "--robustness", "--set", "shock.kind=detrended"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "robustness variant thresholds_0.25_0.65: horizon h=10" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "IRF_robustness.csv").exists()
 
     def test_phase_means_written(self, irf_out):
         out, cfg, spec = irf_out
