@@ -71,8 +71,9 @@ class Row(list):
 def read_csv(path: Path | str) -> tuple[dict[str, str], list[str], list[Row]]:
     """Read back (preamble dict, header, raw string rows).
 
-    Accepts LF or CRLF endings; raises on ragged rows with the line number.
-    Each row keeps the line it was read from as its lineno.
+    Accepts LF or CRLF endings and skips blank lines, before the header as
+    after it; raises on ragged rows with the line number. Each row keeps
+    the line it was read from as its lineno.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8-sig")
@@ -81,7 +82,7 @@ def read_csv(path: Path | str) -> tuple[dict[str, str], list[str], list[Row]]:
     rows: list[Row] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
-        if line == "" and header is not None:
+        if line == "":
             continue
         if line.startswith("#"):
             body = line[1:].strip()

@@ -9,6 +9,10 @@ bit-for-bit where the contracts say so:
   rejected as collinear.
 * The HAC sandwich uses Bartlett weights w_j = 1 - |j|/(L+1) and no
   small-sample degrees-of-freedom correction (denominator n).
+* A local projection's standard error is the Bartlett long-run variance
+  of the scalar series (x_t . b1) u_t, where b1 is row 1 of (X'X)^{-1}
+  taken from the OLS singular value decomposition; in exact arithmetic
+  it equals element [1, 1] of the hac_covariance sandwich.
 * Confidence intervals are beta +/- 1.96 * se.
 * Two-segment breakpoints are exhaustive grid searches; ties go to the
   earliest admissible month and are flagged.
@@ -30,12 +34,14 @@ CI_MULTIPLIER = 1.96
 
 @dataclass(frozen=True)
 class RegressionResult:
-    """OLS coefficients and residuals; hac_covariance takes X and the residuals."""
+    """OLS coefficients and residuals, with the singular values s and V' of X."""
 
     coefficients: np.ndarray
     residuals: np.ndarray
     n: int
     k: int
+    s: np.ndarray
+    vt: np.ndarray
 
 
 def ols(X: np.ndarray, y: np.ndarray) -> RegressionResult:
@@ -58,7 +64,22 @@ def ols(X: np.ndarray, y: np.ndarray) -> RegressionResult:
             f"rank-deficient design: singular values span {s[0]:.3e}..{s[-1]:.3e}"
         )
     coef = Vt.T @ ((U.T @ y) / s)
-    return RegressionResult(coef, y - X @ coef, n, k)
+    return RegressionResult(coef, y - X @ coef, n, k, s, Vt)
+
+
+def _bartlett(Z: np.ndarray, max_lag: int) -> np.ndarray:
+    """Z'WZ: the Bartlett-weighted sum of the autocovariances of Z's rows up to max_lag."""
+    n = Z.shape[0]
+    if max_lag < 0:
+        raise DataError(f"max_lag must be nonnegative, got {max_lag}")
+    if max_lag >= n:
+        raise DataError(f"max_lag {max_lag} must be below the sample size {n}")
+    S = Z.T @ Z
+    for j in range(1, max_lag + 1):
+        w = 1.0 - j / (max_lag + 1.0)
+        gamma = Z[j:].T @ Z[:-j]
+        S = S + w * (gamma + gamma.T)
+    return S
 
 
 def hac_covariance(X: np.ndarray, residuals: np.ndarray, max_lag: int) -> np.ndarray:
@@ -71,17 +92,7 @@ def hac_covariance(X: np.ndarray, residuals: np.ndarray, max_lag: int) -> np.nda
     u = np.asarray(residuals, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
-    n = X.shape[0]
-    if max_lag < 0:
-        raise DataError(f"max_lag must be nonnegative, got {max_lag}")
-    if max_lag >= n:
-        raise DataError(f"max_lag {max_lag} must be below the sample size {n}")
-    xu = X * u[:, None]
-    S = xu.T @ xu
-    for j in range(1, max_lag + 1):
-        w = 1.0 - j / (max_lag + 1.0)
-        gamma = xu[j:].T @ xu[:-j]
-        S = S + w * (gamma + gamma.T)
+    S = _bartlett(X * u[:, None], max_lag)
     bread = np.linalg.inv(X.T @ X)
     V = bread @ S @ bread
     return (V + V.T) / 2.0
@@ -248,7 +259,10 @@ def local_projection(
     and the outcome exist. The sample is a boolean mask with one entry per
     month of the overlap of y and the shock; None keeps every month. The
     reported coefficient is the one on u_t with a Newey-West standard
-    error.
+    error: the Bartlett long-run variance of (x_t . b1) u_t, where b1 is
+    row 1 of (X'X)^{-1} from the regression's own SVD. In exact arithmetic
+    it equals element [1, 1] of hac_covariance, without forming the k x k
+    sandwich.
 
     The shock enters exactly as given; standardize first if unit-shock
     kernels are wanted.
@@ -288,9 +302,11 @@ def local_projection(
             raise DataError(f"horizon h={h}: outcome has zero variance")
         X = design[t_idx]
         fit = ols(X, outcome)
-        cov = hac_covariance(X, fit.residuals, hac_lag)
+        b1 = fit.vt.T @ (fit.vt[:, 1] / fit.s**2)
+        z = (X @ b1) * fit.residuals
+        var = _bartlett(z[:, None], hac_lag)[0, 0]
         beta = float(fit.coefficients[1])
-        se = float(np.sqrt(max(cov[1, 1], 0.0)))
+        se = float(np.sqrt(max(var, 0.0)))
         rows_out.append(
             IRFRow(
                 h=h,
@@ -359,10 +375,8 @@ def breakpoint(
     sliced = y.restrict(a, b)
     vals = sliced.values
     n = len(vals)
-    if n < 2 * min_seg + 1:
-        raise DataError(
-            f"window {a}..{b} has {n} months, needs at least {2 * min_seg + 1}"
-        )
+    if n < 2 * min_seg:
+        raise DataError(f"window {a}..{b} has {n} months, needs at least {2 * min_seg}")
     if np.isnan(vals).any():
         month = a + int(np.argmax(np.isnan(vals)))
         raise DataError(f"breakpoint window has a missing value at {month}")

@@ -190,12 +190,15 @@ def _phase_tables(
 ) -> dict[str, em.IRFTable]:
     """The phase's pi_core and phi LP tables, each computed once per memo.
 
-    The memo key holds everything a table depends on besides the panel:
-    the phase, its months, the shock definition and the LP settings.
+    The memo key holds everything a table depends on besides the panel and
+    the horizon: the phase, its months, the shock definition, L and the HAC
+    lag. No horizon's regression depends on H, so a table for a shorter H
+    is the row prefix of a longer one; the memo keeps the longest.
     """
     mask = partition.mask(label)
-    key = (label, mask.tobytes(), cfg.shock_kind, cfg.shock_p, cfg.horizon, cfg.lags, cfg.hac_lag)
-    if key not in memo:
+    key = (label, mask.tobytes(), cfg.shock_kind, cfg.shock_p, cfg.lags, cfg.hac_lag)
+    H = cfg.horizon
+    if key not in memo or memo[key]["phi"].horizon < H:
         segments = partition.segments(label)
         if not segments:
             raise DataError(f"phase {label!r} is empty; cannot build shocks")
@@ -209,7 +212,7 @@ def _phase_tables(
             response: em.local_projection(
                 panel[response],
                 shock,
-                H=cfg.horizon,
+                H=H,
                 L=cfg.lags,
                 sample=mask,
                 hac_lag=cfg.hac_lag,
@@ -218,7 +221,10 @@ def _phase_tables(
             )
             for response in ("pi_core", "phi")
         }
-    return memo[key]
+    return {
+        response: replace(table, rows=table.rows[: H + 1], horizon=H)
+        for response, table in memo[key].items()
+    }
 
 
 def _phase_irfs(cfg: RunConfig, panel: Panel, memo: dict):

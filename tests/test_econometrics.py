@@ -260,6 +260,49 @@ class TestLocalProjection:
         )
         assert tbl.rows[0].n <= 200
 
+    def test_never_calls_hac_covariance(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("local_projection formed the k x k sandwich")
+
+        monkeypatch.setattr(em, "hac_covariance", forbidden)
+        rng = np.random.default_rng(14)
+        u, y = rng.standard_normal((2, 200))
+        tbl = em.local_projection(ms(y), em.ShockSeries(ms(u), "iid"), H=3, L=4, hac_lag=6)
+        assert np.all(tbl.se() > 0.0)
+
+    def test_se_matches_high_precision_sandwich(self):
+        # a persistent level with 12 own lags, like phi within a phase: cond(X) > 1e3,
+        # where inverting X'X a second time loses about 1e-12 of the se
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(0)
+        n, L, hac_lag = 125, 12, 12
+        e, u = rng.standard_normal((2, n))
+        y = np.empty(n)
+        y[0] = 0.4
+        for t in range(1, n):
+            y[t] = 0.4 + 0.97 * (y[t - 1] - 0.4) + 0.002 * e[t]
+        tbl = em.local_projection(ms(y), em.ShockSeries(ms(u), "iid"), H=1, L=L, hac_lag=hac_lag)
+        design = np.column_stack([np.ones(n), u, em._lags(y, L), em._lags(u, L)])
+        for r in tbl.rows:
+            X = design[L : n - r.h]
+            assert np.linalg.cond(X) > 1e3
+            with mpmath.workdps(40):
+                Xm = mpmath.matrix(X.tolist())
+                ym = mpmath.matrix(y[L + r.h :].tolist())
+                XtX = Xm.T * Xm
+                resid = ym - Xm * mpmath.lu_solve(XtX, Xm.T * ym)
+                # [bread S bread]_{11} = b1' S b1 with b1 = bread e1, expanded
+                # over the Bartlett lags of z_t = (x_t . b1) u_t
+                b1 = mpmath.lu_solve(XtX, mpmath.matrix([0, 1] + [0] * (X.shape[1] - 2)))
+                z = [xb * ut for xb, ut in zip(Xm * b1, resid)]
+                var = mpmath.fsum(v * v for v in z)
+                for j in range(1, hac_lag + 1):
+                    w = 1 - mpmath.mpf(j) / (hac_lag + 1)
+                    var += 2 * w * mpmath.fsum(z[t] * z[t - j] for t in range(j, len(z)))
+                se = float(mpmath.sqrt(var))
+            assert r.n == X.shape[0]
+            assert r.se == pytest.approx(se, rel=1e-12, abs=0.0)
+
 
 def reference_rows(x, positions, p):
     """Rows whose own value and p lags are finite and inside one segment, row by row."""
@@ -375,7 +418,11 @@ class TestLaggedDesign:
                     em.local_projection(*args)
                 continue
             tbl = em.local_projection(*args)
-            assert [(r.beta, r.se, r.n) for r in tbl.rows] == expected
+            # beta and n come from the same ols call; se takes the scalar
+            # Bartlett path instead of the k x k sandwich
+            assert [(r.beta, r.n) for r in tbl.rows] == [(b, n) for b, _, n in expected]
+            for r, (_, se, _) in zip(tbl.rows, expected):
+                assert r.se == pytest.approx(se, rel=1e-13, abs=0.0)
             checked += 1
         assert checked >= 20
 
@@ -458,7 +505,7 @@ class TestBreakpoint:
             c_oracle, rss_oracle = breakpoint_rescan_oracle(y)
             assert res.tau - START == c_oracle
             assert res.rss == pytest.approx(rss_oracle, rel=1e-8, abs=1e-8)
-        # the shortest admissible windows leave two candidates
+        # one month above the shortest admissible window leaves two candidates
         for min_seg in (1, 6):
             n = 2 * min_seg + 1
             y = np.cumsum(rng.standard_normal(n))
@@ -514,8 +561,15 @@ class TestBreakpoint:
         assert res.rss <= rss_oracle + 1e-9
 
     def test_window_too_short(self):
-        with pytest.raises(DataError, match="needs at least"):
-            em.breakpoint(ms(np.arange(48.0)), (START, START + 47))
+        with pytest.raises(DataError, match="has 47 months, needs at least 48"):
+            em.breakpoint(ms(np.arange(47.0)), (START, START + 46))
+        # n = 2 min_seg admits exactly one split, both segments at min_seg months
+        y = np.cumsum(np.random.default_rng(15).standard_normal(48))
+        res = em.breakpoint(ms(y), (START, START + 47))
+        c_oracle, rss_oracle = breakpoint_rescan_oracle(y)
+        assert res.tau == START + 23 == START + c_oracle
+        assert res.rss == pytest.approx(rss_oracle, rel=1e-8, abs=1e-8)
+        assert not res.tie
 
     @pytest.mark.parametrize("min_seg", [0, -3])
     def test_min_seg_below_one_rejected(self, min_seg):

@@ -51,13 +51,20 @@ def test_month_gap_is_ordering_error(tmp_path):
     [
         ["# note", "date,MB,BN,CO,RB,MB_SA", "1970-01,1,1,1,1,1", "1970-03,1,1,1,1,1"],
         ["date,MB,BN,CO,RB,MB_SA", "", "1970-01,1,1,1,1,1", "1970-03,1,1,1,1,1"],
+        ["", "date,MB,BN,CO,RB,MB_SA", "1970-01,1,1,1,1,1", "1970-03,1,1,1,1,1"],
     ],
-    ids=["comment-on-top", "blank-after-header"],
+    ids=["comment-on-top", "blank-after-header", "blank-before-header"],
 )
 def test_error_names_physical_line(tmp_path, lines):
     # skipped comment and blank lines still count: the gap is on line 4
     path = write_lines(tmp_path / "m.csv", lines)
     with pytest.raises(DataError, match="m.csv:4: months must ascend without gaps"):
+        load_monetary(path)
+
+
+def test_all_blank_file_has_no_header(tmp_path):
+    path = write_lines(tmp_path / "m.csv", ["", ""])
+    with pytest.raises(DataError, match="no header line found"):
         load_monetary(path)
 
 

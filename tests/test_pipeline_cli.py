@@ -259,7 +259,8 @@ class TestIrfCommand:
         assert path.read_bytes() == (out / IRF_PHI_FILE).read_bytes()
 
     def test_each_distinct_table_computed_once(self, econ_dir, tmp_path, monkeypatch):
-        # the baseline, the diagnostic and the sweep share one table memo
+        # the baseline, the diagnostic and the sweep share one table memo;
+        # the H_12 tables are row prefixes of the baseline's H = 24 tables
         out, cfg, spec = econ_dir
         shutil.copy(out / "panel.csv", tmp_path / "panel.csv")
         tables = []
@@ -271,7 +272,7 @@ class TestIrfCommand:
 
         monkeypatch.setattr(em, "local_projection", counted)
         cmd_irf(replace(cfg, out_dir=str(tmp_path), robustness=True))
-        assert tables and len(set(tables)) == len(tables)
+        assert len(tables) == 36 and len(set(tables)) == len(tables)
 
     def test_ci_identity_in_files(self, irf_out):
         out, cfg, spec = irf_out
