@@ -230,9 +230,12 @@ class IRFTable:
                 f"IRF table must cover h = 0..{self.horizon} without gaps, got {hs}"
             )
         for r in self.rows:
-            if abs(r.ci_low - (r.beta - CI_MULTIPLIER * r.se)) > 1e-12 or abs(
-                r.ci_high - (r.beta + CI_MULTIPLIER * r.se)
-            ) > 1e-12:
+            if not (np.isfinite(r.beta) and np.isfinite(r.se)):
+                raise DataError(f"non-finite beta or se at h={r.h}")
+            if not (
+                abs(r.ci_low - (r.beta - CI_MULTIPLIER * r.se)) <= 1e-12
+                and abs(r.ci_high - (r.beta + CI_MULTIPLIER * r.se)) <= 1e-12
+            ):
                 raise DataError(f"confidence bounds inconsistent at h={r.h}")
 
     def beta(self) -> np.ndarray:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .econometrics import IRFTable
 from .errors import DataError
 
@@ -21,21 +23,15 @@ class EfficiencyReport:
     eff_c: float
     argmax_c: int
     H: int
-    phase: str = ""
-    shock_definition: str = ""
 
 
 def _max_abs(table: IRFTable, H: int) -> tuple[float, int]:
-    rows = {r.h: r for r in table.rows}
-    missing = [h for h in range(H + 1) if h not in rows]
-    if missing:
+    if H > table.horizon:  # IRFTable holds h = 0..horizon without gaps
+        missing = list(range(table.horizon + 1, H + 1))
         raise DataError(f"IRF table missing horizons {missing}; cannot cover 0..{H}")
-    best_val, best_h = 0.0, 0
-    for h in range(H + 1):
-        val = abs(rows[h].beta)
-        if val > best_val:
-            best_val, best_h = val, h
-    return best_val, best_h
+    values = np.abs(table.beta()[: H + 1])
+    h = int(np.argmax(values))  # the first on ties
+    return float(values[h]), h
 
 
 def efficiencies(irf_phi: IRFTable, irf_pi: IRFTable, H: int) -> EfficiencyReport:
@@ -44,12 +40,4 @@ def efficiencies(irf_phi: IRFTable, irf_pi: IRFTable, H: int) -> EfficiencyRepor
         raise DataError("H must be nonnegative")
     eff_r, argmax_r = _max_abs(irf_phi, H)
     eff_c, argmax_c = _max_abs(irf_pi, H)
-    return EfficiencyReport(
-        eff_r=eff_r,
-        argmax_r=argmax_r,
-        eff_c=eff_c,
-        argmax_c=argmax_c,
-        H=H,
-        phase=irf_phi.phase,
-        shock_definition=irf_phi.shock_definition,
-    )
+    return EfficiencyReport(eff_r=eff_r, argmax_r=argmax_r, eff_c=eff_c, argmax_c=argmax_c, H=H)

@@ -2,13 +2,16 @@
 
 Identical inputs produce byte-identical outputs: seeds are fixed in the
 config, CSV row order is fixed (phase first, then horizon), and floats
-are written in shortest round-trip form.
+are written in shortest round-trip form. Every file that one command
+reads from another is declared once in ARTIFACTS and read back through
+read_artifact, which checks it before any cell is used.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,28 +37,105 @@ from .phase import (
 from .series import MonthIndex, MonthlySeries, Panel, index_to_base, merge, order_parameter, yoy
 from .synth import default_spec, generate, write_economy
 
-PANEL_COLUMNS = (
-    "date",
-    "MB",
-    "BN",
-    "CO",
-    "RB",
-    "MB_SA",
-    "CPI",
-    "CPI_core",
-    "phi",
-    "pi",
-    "pi_core",
-    "g_mb",
-    "idx_MB_SA",
-    "idx_CPI",
-    "idx_CPI_core",
-    "era",
-)
-PANEL_MONTH_COLUMNS = {"era": lambda month: era_label(month.year)}  # written, not read
-
 IRF_PI_FILE = "IRF_J6_core_inflation.csv"
 IRF_PHI_FILE = "IRF_J7_phi.csv"
+IRF_COLUMNS = tuple(f.name for f in fields(em.IRFRow))
+_irf_cells = attrgetter(*IRF_COLUMNS)  # cells in column order, without astuple's deep copy
+SUMMARY_FILE = "critical_point_summary.csv"
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """A file that one command writes and another reads."""
+
+    command: str  # the command that writes it
+    header: tuple[str, ...]
+    preamble: tuple[str, ...] = ()  # keys its readers require
+
+
+IRF_PAIR = Artifact(
+    "irf", ("phase", *IRF_COLUMNS), ("response_variable", "shock_definition", "H", "L")
+)
+ARTIFACTS = {
+    "panel.csv": Artifact(
+        "transform",
+        ("date", "MB", "BN", "CO", "RB", "MB_SA", "CPI", "CPI_core", "phi", "pi")
+        + ("pi_core", "g_mb", "idx_MB_SA", "idx_CPI", "idx_CPI_core", "era"),
+    ),
+    "breakpoints.csv": Artifact(
+        "breakpoints", ("series", "cluster", "window_start", "window_end", "tau", "rss", "tie")
+    ),
+    "tanh_fit.csv": Artifact(
+        "fit-phase", ("phi0", "A", "t0_calendar", "w_months", "sse", "converged")
+    ),
+    IRF_PI_FILE: IRF_PAIR,
+    IRF_PHI_FILE: IRF_PAIR,
+    "phase_means.csv": Artifact("irf", ("phase", "phi_bar", "n_months")),
+    SUMMARY_FILE: Artifact(
+        "calibrate",
+        ("phi_c", "s_pi", "phi_bar_cash", "phi_bar_reserve", "objective"),
+        ("degenerate", "ordering_holds"),
+    ),
+    "efficiency.csv": Artifact(
+        "efficiency", ("phase", "eff_r", "argmax_r", "eff_c", "argmax_c", "H")
+    ),
+}
+PANEL_MONTH_COLUMNS = {"era": lambda month: era_label(month.year)}  # written, not read
+
+
+class Record(dict):
+    """The cells of one upstream data row, keyed by column name."""
+
+    def __init__(self, cells: dict[str, str], where: str):
+        super().__init__(cells)
+        self.where = where  # file:line
+
+    def parse(self, column: str, kind=parse_float_cell):
+        try:
+            return kind(self[column])
+        except (ValueError, DataError):
+            raise DataError(f"{self.where}: cannot parse {column} {self[column]!r}") from None
+
+
+def _require(path: Path, artifact: Artifact) -> Path:
+    if not path.exists():
+        raise DataError(f"missing upstream {path}: run the {artifact.command} command first")
+    return path
+
+
+def read_artifact(
+    path: Path | str, artifact: Artifact | None = None
+) -> tuple[dict[str, str], list[Record]]:
+    """(preamble, records) of an upstream file, checked against its artifact.
+
+    The artifact defaults to the ARTIFACTS entry of the file's name. A
+    missing file, another header, a missing preamble key or no data rows
+    raise DataError naming the file and the command that writes it.
+    """
+    path = Path(path)
+    artifact = artifact or ARTIFACTS[path.name]
+    preamble, header, rows = read_csv(_require(path, artifact))
+    problem = None
+    if tuple(header) != artifact.header:
+        problem = f"header {','.join(header)}, expected {','.join(artifact.header)}"
+    elif missing := [key for key in artifact.preamble if key not in preamble]:
+        problem = f"no preamble key {', '.join(missing)}"
+    elif not rows:
+        problem = "no data rows"
+    if problem:
+        raise DataError(f"{path}: {problem}; rerun the {artifact.command} command")
+    return preamble, [Record(dict(zip(header, r)), f"{path.name}:{r.lineno}") for r in rows]
+
+
+def _write(out: Path, name: str, rows, preamble=()) -> Path:
+    return write_csv(out / name, ARTIFACTS[name].header, rows, preamble)
+
+
+def _both_phases(path: Path | str, by_phase: dict) -> dict:
+    if sorted(by_phase) != [CASH, RESERVE]:
+        got = ", ".join(sorted(by_phase))
+        raise DataError(f"{path}: expected rows of phases cash and reserve, got {got}")
+    return by_phase
 
 
 def _out(cfg: RunConfig) -> Path:
@@ -89,11 +169,12 @@ def build_panel(cfg: RunConfig) -> Panel:
 
 
 def write_panel_csv(path: Path, panel: Panel) -> Path:
-    return write_table(path, panel, PANEL_COLUMNS, PANEL_MONTH_COLUMNS)
+    return write_table(path, panel, ARTIFACTS["panel.csv"].header, PANEL_MONTH_COLUMNS)
 
 
 def read_panel_csv(path: Path | str) -> Panel:
-    return load_table(path, PANEL_COLUMNS, PANEL_MONTH_COLUMNS)
+    artifact = ARTIFACTS["panel.csv"]
+    return load_table(_require(Path(path), artifact), artifact.header, PANEL_MONTH_COLUMNS)
 
 
 def cmd_transform(cfg: RunConfig) -> list[Path]:
@@ -101,16 +182,9 @@ def cmd_transform(cfg: RunConfig) -> list[Path]:
     return [write_panel_csv(_out(cfg) / "panel.csv", panel)]
 
 
-def _load_panel(cfg: RunConfig) -> Panel:
-    path = _out(cfg) / "panel.csv"
-    if not path.exists():
-        raise DataError(f"{path} not found; run the transform command first")
-    return read_panel_csv(path)
-
-
 def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
     """Two-segment break search per (series, window) over the config clusters."""
-    panel = _load_panel(cfg)
+    panel = read_panel_csv(_out(cfg) / "panel.csv")
     mb_sa = panel["MB_SA"].values
     if (mb_sa[~np.isnan(mb_sa)] <= 0).any():
         raise DataError("MB_SA must be positive to take logs")
@@ -150,20 +224,15 @@ def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
                     )
                 )
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    path = write_csv(
-        _out(cfg) / "breakpoints.csv",
-        ("series", "cluster", "window_start", "window_end", "tau", "rss", "tie"),
-        rows,
-    )
-    return [path]
+    return [_write(_out(cfg), "breakpoints.csv", rows)]
 
 
 def cmd_fit_phase(cfg: RunConfig) -> list[Path]:
-    panel = _load_panel(cfg)
+    panel = read_panel_csv(_out(cfg) / "panel.csv")
     fit = fit_tanh(panel["phi"], (cfg.tanh_start, cfg.tanh_end))
-    path = write_csv(
-        _out(cfg) / "tanh_fit.csv",
-        ("phi0", "A", "t0_calendar", "w_months", "sse", "converged"),
+    path = _write(
+        _out(cfg),
+        "tanh_fit.csv",
         [
             (
                 fit.phi0,
@@ -244,47 +313,35 @@ def write_irf_pair(
     reserve: em.IRFTable,
     extra_preamble: tuple = (),
 ) -> Path:
-    preamble = [
-        ("response_variable", cash.response),
-        ("shock_definition", cash.shock_definition),
-        ("H", cash.horizon),
-        ("L", cash.lags),
-    ] + list(extra_preamble)
-    rows = []
-    for table in (cash, reserve):  # fixed order: phase, then horizon
-        for r in table.rows:
-            rows.append((table.phase, r.h, r.beta, r.se, r.ci_low, r.ci_high, r.n))
-    return write_csv(
-        path, ("phase", "h", "beta", "se", "ci_low", "ci_high", "n"), rows, preamble
-    )
+    values = (cash.response, cash.shock_definition, cash.horizon, cash.lags)
+    preamble = list(zip(IRF_PAIR.preamble, values)) + list(extra_preamble)
+    rows = [(t.phase, *_irf_cells(r)) for t in (cash, reserve) for r in t.rows]
+    return write_csv(path, IRF_PAIR.header, rows, preamble)  # phase, then horizon
 
 
 def read_irf_pair(path: Path | str) -> dict[str, em.IRFTable]:
-    preamble, header, raw = read_csv(path)
-    if tuple(header) != ("phase", "h", "beta", "se", "ci_low", "ci_high", "n"):
-        raise DataError(f"unexpected IRF header in {path}")
+    """The cash and reserve tables of an IRF file that write_irf_pair wrote."""
+    preamble, records = read_artifact(path, IRF_PAIR)
+    kinds = {"h": int, "n": int}
     by_phase: dict[str, list[em.IRFRow]] = {}
-    for cells in raw:
-        row = em.IRFRow(
-            h=int(cells[1]),
-            beta=parse_float_cell(cells[2]),
-            se=parse_float_cell(cells[3]),
-            ci_low=parse_float_cell(cells[4]),
-            ci_high=parse_float_cell(cells[5]),
-            n=int(cells[6]),
-        )
-        by_phase.setdefault(cells[0], []).append(row)
-    out = {}
-    for phase, rows in by_phase.items():
-        out[phase] = em.IRFTable(
-            rows=tuple(sorted(rows, key=lambda r: r.h)),
-            phase=phase,
-            shock_definition=preamble["shock_definition"],
-            response=preamble["response_variable"],
-            horizon=int(preamble["H"]),
-            lags=int(preamble["L"]),
-        )
-    return out
+    for rec in records:
+        row = em.IRFRow(*(rec.parse(c, kinds.get(c, parse_float_cell)) for c in IRF_COLUMNS))
+        by_phase.setdefault(rec["phase"], []).append(row)
+    _both_phases(path, by_phase)
+    try:
+        return {
+            phase: em.IRFTable(
+                rows=tuple(sorted(rows, key=lambda r: r.h)),
+                phase=phase,
+                shock_definition=preamble["shock_definition"],
+                response=preamble["response_variable"],
+                horizon=int(preamble["H"]),
+                lags=int(preamble["L"]),
+            )
+            for phase, rows in by_phase.items()
+        }
+    except (ValueError, DataError) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _robustness_variants(cfg: RunConfig):
@@ -313,7 +370,7 @@ def _robustness_variants(cfg: RunConfig):
 
 
 def cmd_irf(cfg: RunConfig) -> list[Path]:
-    panel = _load_panel(cfg)
+    panel = read_panel_csv(_out(cfg) / "panel.csv")
     memo: dict = {}  # shared by the baseline, the diagnostic and the sweep
     partition, tables = _phase_irfs(cfg, panel, memo)
     out = _out(cfg)
@@ -327,9 +384,9 @@ def cmd_irf(cfg: RunConfig) -> list[Path]:
     ]
     phi_bar_cash, phi_bar_reserve = phase_means(panel["phi"], partition)
     written.append(
-        write_csv(
-            out / "phase_means.csv",
-            ("phase", "phi_bar", "n_months"),
+        _write(
+            out,
+            "phase_means.csv",
             [
                 (CASH, phi_bar_cash, int(partition.mask(CASH).sum())),
                 (RESERVE, phi_bar_reserve, int(partition.mask(RESERVE).sum())),
@@ -352,14 +409,9 @@ def _intermediate_diagnostic(cfg, panel, partition, memo: dict, out: Path) -> Pa
     except DataError as exc:
         preamble.append(("error", str(exc)))
     else:
-        for response, table in tables.items():
-            for r in table.rows:
-                rows.append((response, r.h, r.beta, r.se, r.ci_low, r.ci_high, r.n))
+        rows = [(response, *_irf_cells(r)) for response, t in tables.items() for r in t.rows]
     return write_csv(
-        out / "IRF_intermediate_diagnostic.csv",
-        ("response", "h", "beta", "se", "ci_low", "ci_high", "n"),
-        rows,
-        preamble,
+        out / "IRF_intermediate_diagnostic.csv", ("response", *IRF_COLUMNS), rows, preamble
     )
 
 
@@ -370,69 +422,20 @@ def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Pa
             _, tables = _phase_irfs(variant, panel, memo)
         except DataError as exc:
             raise DataError(f"robustness variant {name}: {exc}") from None
+        shock = f"{variant.shock_kind}({variant.shock_p})"
+        settings = (name, variant.cash_max, variant.reserve_min, variant.horizon, variant.lags)
         for (label, response), table in sorted(tables.items()):
-            for r in table.rows:
-                rows.append(
-                    (
-                        name,
-                        variant.cash_max,
-                        variant.reserve_min,
-                        variant.horizon,
-                        variant.lags,
-                        f"{variant.shock_kind}({variant.shock_p})",
-                        label,
-                        response,
-                        r.h,
-                        r.beta,
-                        r.se,
-                        r.ci_low,
-                        r.ci_high,
-                        r.n,
-                    )
-                )
-    return write_csv(
-        out / "IRF_robustness.csv",
-        (
-            "variant",
-            "cash_max",
-            "reserve_min",
-            "H",
-            "L",
-            "shock",
-            "phase",
-            "response",
-            "h",
-            "beta",
-            "se",
-            "ci_low",
-            "ci_high",
-            "n",
-        ),
-        rows,
-    )
-
-
-def _read_phase_means(out: Path) -> tuple[float, float]:
-    path = out / "phase_means.csv"
-    if not path.exists():
-        raise DataError(f"{path} not found; run the irf command first")
-    _, _, raw = read_csv(path)
-    means = {cells[0]: parse_float_cell(cells[1]) for cells in raw}
-    return means[CASH], means[RESERVE]
-
-
-def _read_irfs(out: Path) -> tuple[dict, dict]:
-    """Baseline (price, order-parameter) IRF pairs that the irf command wrote."""
-    for fname in (IRF_PI_FILE, IRF_PHI_FILE):
-        if not (out / fname).exists():
-            raise DataError(f"{out / fname} not found; run the irf command first")
-    return read_irf_pair(out / IRF_PI_FILE), read_irf_pair(out / IRF_PHI_FILE)
+            rows += [(*settings, shock, label, response, *_irf_cells(r)) for r in table.rows]
+    header = ("variant", "cash_max", "reserve_min", "H", "L", "shock", "phase", "response")
+    return write_csv(out / "IRF_robustness.csv", header + IRF_COLUMNS, rows)
 
 
 def cmd_calibrate(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
-    pi_tables, phi_tables = _read_irfs(out)
-    phi_bars = _read_phase_means(out)
+    pi_tables, phi_tables = read_irf_pair(out / IRF_PI_FILE), read_irf_pair(out / IRF_PHI_FILE)
+    path = out / "phase_means.csv"
+    means = _both_phases(path, {r["phase"]: r.parse("phi_bar") for r in read_artifact(path)[1]})
+    phi_bars = (means[CASH], means[RESERVE])
     result = calibrate(
         irf_phi_cash=phi_tables[CASH],
         irf_pi_cash=pi_tables[CASH],
@@ -468,9 +471,9 @@ def write_calibration(
             ("phase", "A", "B", "delta", "gamma", "eta", "kappa"),
             params_rows,
         ),
-        write_csv(
-            out / "critical_point_summary.csv",
-            ("phi_c", "s_pi", "phi_bar_cash", "phi_bar_reserve", "objective"),
+        _write(
+            out,
+            SUMMARY_FILE,
             [
                 (
                     result.coupling.phi_c,
@@ -509,21 +512,22 @@ def write_calibration(
     return paths
 
 
-def _phi_c_for_landau(cfg: RunConfig, out: Path) -> float:
-    if cfg.landau_phi_c is not None:
-        return cfg.landau_phi_c
-    path = out / "critical_point_summary.csv"
-    if not path.exists():
-        raise DataError(
-            "phi_c unavailable: run the calibrate command or set landau.phi_c"
-        )
-    _, _, raw = read_csv(path)
-    return parse_float_cell(raw[0][0])
+def _calibration(out: Path) -> tuple[dict, Record]:
+    """The calibration summary's preamble and row; a degenerate one is refused."""
+    preamble, records = read_artifact(out / SUMMARY_FILE)
+    if preamble["degenerate"] != "false":
+        raise DataError(f"{out / SUMMARY_FILE}: degenerate calibration, phi_c unidentified")
+    return preamble, records[0]
 
 
 def cmd_landau(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
-    phi_c = _phi_c_for_landau(cfg, out)
+    phi_c = cfg.landau_phi_c
+    if phi_c is None:
+        try:
+            phi_c = _calibration(out)[1].parse("phi_c")
+        except DataError as exc:
+            raise DataError(f"phi_c unavailable: {exc}; or set landau.phi_c") from None
 
     sweep_rows = []
     for a in np.linspace(1.0, -1.0, 81):
@@ -583,18 +587,12 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
 
 def cmd_efficiency(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
-    pi_tables, phi_tables = _read_irfs(out)
+    pi_tables, phi_tables = read_irf_pair(out / IRF_PI_FILE), read_irf_pair(out / IRF_PHI_FILE)
     rows = []
     for label in (CASH, RESERVE):
         rep = efficiencies(phi_tables[label], pi_tables[label], H=cfg.horizon)
         rows.append((label, rep.eff_r, rep.argmax_r, rep.eff_c, rep.argmax_c, rep.H))
-    return [
-        write_csv(
-            out / "efficiency.csv",
-            ("phase", "eff_r", "argmax_r", "eff_c", "argmax_c", "H"),
-            rows,
-        )
-    ]
+    return [_write(out, "efficiency.csv", rows)]
 
 
 def cmd_synth(cfg: RunConfig) -> list[Path]:
@@ -620,48 +618,25 @@ def cmd_synth(cfg: RunConfig) -> list[Path]:
 
 def cmd_report(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
-    needed = {
-        "tanh_fit.csv": "fit-phase",
-        "breakpoints.csv": "breakpoints",
-        "efficiency.csv": "efficiency",
-        "critical_point_summary.csv": "calibrate",
-    }
-    missing = [name for name in needed if not (out / name).exists()]
-    if missing:
-        raise DataError(
-            "missing upstream outputs: " + ", ".join(sorted(missing))
-        )
+    tanh = read_artifact(out / "tanh_fit.csv")[1][0]
+    _, breaks = read_artifact(out / "breakpoints.csv")
+    _, effs = read_artifact(out / "efficiency.csv")
+    summary, calibration = _calibration(out)
 
-    lines = []
-    _, _, tanh_rows = read_csv(out / "tanh_fit.csv")
-    lines.append(f"tanh.phi0 = {tanh_rows[0][0]}")
-    lines.append(f"tanh.A = {tanh_rows[0][1]}")
-    lines.append(f"tanh.t0_calendar = {tanh_rows[0][2]}")
-    lines.append(f"tanh.w_months = {tanh_rows[0][3]}")
-
-    _, _, break_rows = read_csv(out / "breakpoints.csv")
+    lines = [f"tanh.{c} = {tanh[c]}" for c in ("phi0", "A", "t0_calendar", "w_months")]
     by_key: dict[tuple[str, str], list[int]] = {}
-    for cells in break_rows:
-        series, cluster, tau = cells[0], cells[1], cells[4]
-        by_key.setdefault((series, cluster), []).append(MonthIndex.parse(tau).ordinal)
+    for rec in breaks:
+        tau = rec.parse("tau", MonthIndex.parse).ordinal
+        by_key.setdefault((rec["series"], rec["cluster"]), []).append(tau)
     for (series, cluster), taus in sorted(by_key.items()):
         taus.sort()
         median = MonthIndex.from_ordinal(taus[(len(taus) - 1) // 2])
         lines.append(f"breakpoints.{cluster}.{series}.median = {median}")
-
-    _, _, eff_rows = read_csv(out / "efficiency.csv")
-    for cells in eff_rows:
-        label = cells[0]
-        lines.append(f"efficiency.{label}.eff_r = {cells[1]}")
-        lines.append(f"efficiency.{label}.argmax_r = {cells[2]}")
-        lines.append(f"efficiency.{label}.eff_c = {cells[3]}")
-        lines.append(f"efficiency.{label}.argmax_c = {cells[4]}")
-
-    preamble, _, crit_rows = read_csv(out / "critical_point_summary.csv")
-    lines.append(f"calibration.phi_c = {crit_rows[0][0]}")
-    lines.append(f"calibration.s_pi = {crit_rows[0][1]}")
-    lines.append(f"calibration.objective = {crit_rows[0][4]}")
-    lines.append(f"calibration.ordering_holds = {preamble.get('ordering_holds', '')}")
+    for rec in effs:
+        for c in ("eff_r", "argmax_r", "eff_c", "argmax_c"):
+            lines.append(f"efficiency.{rec['phase']}.{c} = {rec[c]}")
+    lines += [f"calibration.{c} = {calibration[c]}" for c in ("phi_c", "s_pi", "objective")]
+    lines.append(f"calibration.ordering_holds = {summary['ordering_holds']}")
 
     path = out / "report.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -472,6 +472,24 @@ class TestIrfTable:
                 horizon=1, lags=1,
             )
 
+    @pytest.mark.parametrize(
+        "beta, se, message",
+        [
+            (np.nan, 1.0, "non-finite beta or se at h=0"),
+            (0.0, np.nan, "non-finite beta or se at h=0"),
+            (np.inf, 1.0, "non-finite beta or se at h=0"),
+            (0.0, 1.0, "confidence bounds inconsistent at h=0"),  # ci bounds NaN
+        ],
+    )
+    def test_non_finite_cells_rejected(self, beta, se, message):
+        ci = np.nan if message.startswith("confidence") else 0.0
+        row = em.IRFRow(h=0, beta=beta, se=se, ci_low=ci, ci_high=ci, n=10)
+        with pytest.raises(DataError, match=message):
+            em.IRFTable(
+                rows=(row,), phase="cash", shock_definition="x", response="y",
+                horizon=0, lags=1,
+            )
+
 
 class TestBreakpoint:
     def test_planted_break_found_exactly(self):

@@ -13,14 +13,16 @@ from hypothesis import strategies as st
 
 import monephase
 from monephase import econometrics as em
-from monephase.cli import main
+from monephase.cli import COMMANDS, main
 from monephase.config import RunConfig, apply_overrides, config_text, era_label, parse_config
 from monephase.csvio import parse_float_cell, read_csv
 from monephase.errors import DataError
 from monephase.phase import CASH, RESERVE
 from monephase.pipeline import (
+    ARTIFACTS,
     IRF_PHI_FILE,
     IRF_PI_FILE,
+    SUMMARY_FILE,
     cmd_breakpoints,
     cmd_calibrate,
     cmd_efficiency,
@@ -537,3 +539,122 @@ class TestCalibrationOutputs:
         assert main(["calibrate", "--out", str(tmp_path)]) == 2
         preamble, _, _ = read_csv(tmp_path / "critical_point_summary.csv")
         assert preamble["degenerate"] == "true"
+
+
+CHAIN_COMMANDS = (
+    "transform", "breakpoints", "fit-phase", "irf", "calibrate", "landau", "efficiency", "report"
+)
+
+
+@pytest.fixture(scope="module")
+def default_chain(tmp_path_factory):
+    """The README chain on the default economy (seed 1): out dir and each command's files."""
+    out = tmp_path_factory.mktemp("chain")
+    written = {"synth": COMMANDS["synth"](RunConfig(out_dir=str(out), seed=1))}
+    cfg = parse_config(out / "synthetic_config.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # windows outside the data
+        for command in CHAIN_COMMANDS:
+            written[command] = COMMANDS[command](cfg)
+    return out, written
+
+
+def _header_only(lines):
+    return lines[: next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1]
+
+
+def _swap_phi_bar_n_months(lines):
+    return [",".join((c[0], c[2], c[1])) for c in (line.split(",") for line in lines)]
+
+
+def _edit_row(lines, prefix, edit):
+    return [edit(line) if line.startswith(prefix) else line for line in lines]
+
+
+def _drop(lines, prefix):
+    return [line for line in lines if not line.startswith(prefix)]
+
+
+def _empty_cells(lines):
+    return _edit_row(lines, "cash,3,", lambda line: "cash,3,,,,,99")
+
+
+def _degenerate(lines):
+    return [line.replace("# degenerate: false", "# degenerate: true") for line in lines]
+
+
+MALFORMED = {
+    # case: (file, edit of its lines, command that reads it, text expected in stderr)
+    "phase_means_no_cash_row": (
+        "phase_means.csv", lambda lines: _drop(lines, "cash,"),
+        "calibrate", "expected rows of phases cash and reserve, got reserve",
+    ),
+    "phase_means_swapped_columns": (
+        "phase_means.csv", _swap_phi_bar_n_months, "calibrate", "rerun the irf command",
+    ),
+    "phase_means_non_number": (
+        "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,abc,1"),
+        "calibrate", "phase_means.csv:2: cannot parse phi_bar 'abc'",
+    ),
+    "summary_header_only_landau": (
+        SUMMARY_FILE, _header_only, "landau", "no data rows; rerun the calibrate command",
+    ),
+    "summary_header_only_report": (
+        SUMMARY_FILE, _header_only, "report", "no data rows; rerun the calibrate command",
+    ),
+    "tanh_fit_header_only": (
+        "tanh_fit.csv", _header_only, "report", "no data rows; rerun the fit-phase command",
+    ),
+    "irf_no_preamble": (
+        IRF_PHI_FILE, lambda lines: _drop(lines, "#"),
+        "calibrate", "no preamble key response_variable, shock_definition, H, L",
+    ),
+    "irf_fractional_h": (
+        IRF_PI_FILE,
+        lambda lines: _edit_row(lines, "cash,3,", lambda line: "cash,3.5," + line[7:]),
+        "efficiency", "cannot parse h '3.5'",
+    ),
+    "irf_empty_cells_efficiency": (
+        IRF_PHI_FILE, _empty_cells, "efficiency", "non-finite beta or se at h=3",
+    ),
+    "irf_empty_cells_calibrate": (
+        IRF_PI_FILE, _empty_cells, "calibrate", "non-finite beta or se at h=3",
+    ),
+    "efficiency_no_rows": (
+        "efficiency.csv", _header_only, "report", "no data rows; rerun the efficiency command",
+    ),
+    "summary_degenerate_landau": (SUMMARY_FILE, _degenerate, "landau", "degenerate calibration"),
+    "summary_degenerate_report": (SUMMARY_FILE, _degenerate, "report", "degenerate calibration"),
+}
+
+
+class TestUpstreamArtifacts:
+    def test_each_artifact_written_by_its_command_with_its_header(self, default_chain):
+        out, written = default_chain
+        for name, artifact in ARTIFACTS.items():
+            assert out / name in written[artifact.command], name
+            preamble, header, rows = read_csv(out / name)
+            assert tuple(header) == artifact.header, name
+            assert set(artifact.preamble) <= set(preamble), name
+            assert rows, name
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_upstream_exit_code(self, default_chain, tmp_path, capsys, case):
+        name, edit, command, message = MALFORMED[case]
+        out, _ = default_chain
+        for path in out.glob("*.csv"):
+            shutil.copy(path, tmp_path / path.name)
+        lines = (out / name).read_text().splitlines()
+        edited = edit(lines)
+        assert edited != lines
+        (tmp_path / name).write_text("\n".join(edited) + "\n")
+        capsys.readouterr()
+        assert main([command, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert name in err and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", CHAIN_COMMANDS)
+    def test_empty_out_dir_exit_code(self, tmp_path, capsys, command):
+        assert main([command, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "monephase: error:" in err and "Traceback" not in err
