@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-from scipy import optimize
 
 from .econometrics import IRFTable
 from .errors import DataError
@@ -285,13 +285,13 @@ def _pi_fits(gammas, h, wys, ws, phi_bars):
     return _lsq2(np.concatenate(x, -1), b, np.concatenate(wys), segments, feasible)
 
 
-def _pattern_search(fun, x0, bounds, step, xtol=1e-9, maxiter=500, **_):
-    """Bounded pattern search, a method for `scipy.optimize.minimize` on a batched `fun`.
+def _pattern_search(fun, x0, bounds, step, xtol=1e-9, maxiter=500):
+    """Bounded pattern search for the minimum of a batched `fun`, from x0.
 
     Each iteration evaluates the 3^n points x + s e, e in {-1, 0, 1}^n, clipped
     to the bounds, in one call of `fun`; it moves to the best if that improves
     on x (ties to the first) and halves the steps s otherwise, until every step
-    is below xtol * max(1, |x|).
+    is below xtol * max(1, |x|). Returns x, fun, nfev, nit and success.
     """
     low, high = np.asarray(bounds, dtype=np.float64).T
     stencil = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=len(x0))))
@@ -307,7 +307,10 @@ def _pattern_search(fun, x0, bounds, step, xtol=1e-9, maxiter=500, **_):
             s = s / 2.0
         if converged := bool(np.all(s <= xtol * np.maximum(1.0, np.abs(x)))):
             break
-    return optimize.OptimizeResult(x=x, fun=fx, nfev=nfev, nit=nit, success=converged)
+    return SimpleNamespace(x=x, fun=fx, nfev=nfev, nit=nit, success=converged)
+
+
+optimize = SimpleNamespace(minimize=_pattern_search)  # perfbench traces this lookup
 
 
 def _snap(value, low, high):
@@ -375,9 +378,7 @@ def calibrate(
     i, j = np.unravel_index(np.argmin(total), total.shape)
     start = [grid[np.argmin(phi["cash"][i])], grid[i], grid[np.argmin(phi["reserve"][j])], grid[j]]
     step = (grid[2] / grid[1] - 1.0) * np.maximum(start, grid[1])  # one grid cell
-    polish = optimize.minimize(
-        profile, start, method=_pattern_search, bounds=[(0.0, RATE_CAP)] * 4, options={"step": step}
-    )
+    polish = optimize.minimize(profile, start, [(0.0, RATE_CAP)] * 4, step)
 
     fits = {}
     for phase, (delta, gamma) in zip(phases, polish.x.reshape(2, 2)):

@@ -83,6 +83,13 @@ ARTIFACTS = {
 PANEL_MONTH_COLUMNS = {"era": lambda month: era_label(month.year)}  # written, not read
 
 
+def _number(cell: str) -> float:
+    """parse_float_cell for a cell that must hold a number: an empty cell is an error, not NaN."""
+    if not cell.strip():
+        raise DataError("empty cell")
+    return parse_float_cell(cell)
+
+
 class Record(dict):
     """The cells of one upstream data row, keyed by column name."""
 
@@ -90,7 +97,7 @@ class Record(dict):
         super().__init__(cells)
         self.where = where  # file:line
 
-    def parse(self, column: str, kind=parse_float_cell):
+    def parse(self, column: str, kind=_number):
         try:
             return kind(self[column])
         except (ValueError, DataError):
@@ -198,31 +205,16 @@ def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
         for a, b in windows:
             for name, series in targets.items():
                 if a < series.start or b > series.end:
-                    warnings.warn(
-                        f"window {a}..{b} outside data range "
-                        f"{series.start}..{series.end}; skipped",
-                        stacklevel=2,
-                    )
+                    problem = f"window {a}..{b} outside data range {series.start}..{series.end}"
+                elif np.isnan(series.restrict(a, b).values).any():
+                    problem = f"series {name} not fully defined on {a}..{b}"
+                else:
+                    res = em.breakpoint(series, (a, b), min_seg=cfg.min_segment)
+                    rows.append((name, cluster, str(a), str(b), str(res.tau), res.rss, res.tie))
                     continue
-                sliced = series.restrict(a, b)
-                if np.isnan(sliced.values).any():
-                    warnings.warn(
-                        f"series {name} not fully defined on {a}..{b}; skipped",
-                        stacklevel=2,
-                    )
-                    continue
-                res = em.breakpoint(series, (a, b), min_seg=cfg.min_segment)
-                rows.append(
-                    (
-                        name,
-                        cluster,
-                        str(a),
-                        str(b),
-                        str(res.tau),
-                        res.rss,
-                        res.tie,
-                    )
-                )
+                warnings.warn(f"{problem}; skipped", stacklevel=2)
+    if not rows:
+        raise DataError("no breakpoint window could be scanned; every window was skipped")
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return [_write(_out(cfg), "breakpoints.csv", rows)]
 

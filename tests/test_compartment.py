@@ -408,6 +408,15 @@ class TestCalibrateConstrained:
         fields = ("cash", "reserve", "coupling", "objective", "binding", "rate_evaluations")
         assert all(getattr(again, f) == getattr(out, f) for f in fields)
 
+    def test_default_economy_pinned(self, default_economy):
+        # seed 1, 612 months: 3 * 65^2 = 12,675 evaluations on the grid and 4,132
+        # in the pattern search; a change to the search or its start moves these
+        tables, phi_bars = default_economy
+        out = calibrate(*tables, phi_bars=phi_bars)
+        assert out.rate_evaluations == 16807
+        assert out.coupling.phi_c == pytest.approx(0.2400894129746245, rel=1e-12, abs=0)
+        assert out.objective == pytest.approx(63.78293816051734, rel=1e-12, abs=0)
+
     def test_infeasible_reduced_form_no_worse_than_dense_grid(self):
         # cash phi = p e^{-delta h} + q e^{-gamma h} with delta < gamma and
         # p < 0, while the cash price response pins gamma: the exact

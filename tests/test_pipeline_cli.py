@@ -204,16 +204,26 @@ class TestBreakpoints:
         out, cfg, spec = econ_dir
         from dataclasses import replace
 
-        cfg2 = replace(
-            cfg,
-            out_dir=str(tmp_path),
-            clusters={"x": [(MonthIndex(1900, 1), MonthIndex(1910, 1))]},
-        )
+        outside = (MonthIndex(1900, 1), MonthIndex(1910, 1))
+        inside = (MonthIndex(2008, 1), MonthIndex(2019, 12))
+        cfg2 = replace(cfg, out_dir=str(tmp_path), clusters={"x": [outside, inside]})
         (tmp_path / "panel.csv").write_bytes((out / "panel.csv").read_bytes())
         with pytest.warns(UserWarning, match="outside data range"):
             paths = cmd_breakpoints(cfg2)
         _, _, rows = read_csv(paths[0])
-        assert rows == []
+        names = ("log_MB_SA", "phi", "pi_core")
+        assert [list(r[:4]) for r in rows] == [[n, "x", "2008-01", "2019-12"] for n in names]
+
+    def test_every_window_skipped_exit_code(self, econ_dir, tmp_path, capsys):
+        out, cfg, spec = econ_dir
+        shutil.copy(out / "panel.csv", tmp_path / "panel.csv")
+        config = tmp_path / "config.txt"
+        config.write_text(f"out.dir = {tmp_path}\nbreaks.cluster.x = 1900-01:1910-01\n")
+        with pytest.warns(UserWarning, match="outside data range"):
+            assert main(["breakpoints", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "no breakpoint window could be scanned" in err and "Traceback" not in err
+        assert not (tmp_path / "breakpoints.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -411,6 +421,20 @@ class TestCli:
         for name in names:
             assert outputs[0][name] == outputs[1][name], name
 
+    def test_cli_import_loads_no_scipy(self):
+        # SciPy is no runtime dependency: importing it would triple each command's start-up
+        src = str(Path(monephase.__file__).resolve().parents[1])
+        code = "import sys, monephase.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("edit", ["drop", "duplicate"])
     def test_broken_panel_month_sequence_exit_code(self, econ_dir, tmp_path, capsys, edit):
         out, cfg, spec = econ_dir
@@ -591,6 +615,14 @@ MALFORMED = {
     ),
     "phase_means_swapped_columns": (
         "phase_means.csv", _swap_phi_bar_n_months, "calibrate", "rerun the irf command",
+    ),
+    "phase_means_empty_phi_bar": (
+        "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,,1"),
+        "calibrate", "phase_means.csv:2: cannot parse phi_bar ''",
+    ),
+    "summary_empty_phi_c": (
+        SUMMARY_FILE, lambda lines: lines[:-1] + ["," + lines[-1].split(",", 1)[1]],
+        "landau", "cannot parse phi_c ''",
     ),
     "phase_means_non_number": (
         "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,abc,1"),

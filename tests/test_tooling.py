@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -28,8 +30,14 @@ def test_traced_functions_resolve():
 
 
 def test_traced_lookups_resolve():
-    # install() also wraps the command table and the SciPy minimizer
+    # install() also wraps the command table and, through a copy of
+    # vars(compartment.optimize), the pattern search that calibrate polishes with;
+    # it reads nfev from that search's result
     cli = importlib.import_module("monephase.cli")
     compartment = importlib.import_module("monephase.compartment")
     assert all(callable(fn) for fn in cli.COMMANDS.values())
-    assert callable(compartment.optimize.minimize)
+    assert vars(compartment.optimize)["minimize"] is compartment._pattern_search
+    result = compartment.optimize.minimize(
+        lambda x: np.sum(x**2, axis=1), [0.5, -0.25], [(-1.0, 1.0)] * 2, [0.1, 0.1]
+    )
+    assert isinstance(result.nfev, int) and result.nfev > 1
