@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .config import RunConfig, apply_overrides, parse_config
 from .errors import ConvergenceError, MonephaseError
@@ -82,6 +83,8 @@ def load_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    shown = warnings.formatwarning  # one stderr line per warning, without a source line
+    warnings.formatwarning = lambda message, *_: f"monephase: warning: {message}\n"
     try:
         cfg = load_config(args)
         written = COMMANDS[args.command](cfg)
@@ -91,6 +94,8 @@ def main(argv=None) -> int:
     except MonephaseError as exc:
         print(f"monephase: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = shown
     for path in written:
         print(path)
     return 0

@@ -14,6 +14,9 @@ bit-for-bit where the contracts say so:
   taken from the OLS singular value decomposition; in exact arithmetic
   it equals element [1, 1] of the hac_covariance sandwich.
 * Confidence intervals are beta +/- 1.96 * se.
+* A phase enters as a boolean month mask on the shock, whose lags never
+  cross a gap in it; the shock is NaN off its rows, so a projection on
+  it keeps exactly the phase months where the shock is defined.
 * Two-segment breakpoints are exhaustive grid searches; ties go to the
   earliest admissible month and are flagged.
 """
@@ -21,7 +24,6 @@ bit-for-bit where the contracts say so:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,8 +40,6 @@ class RegressionResult:
 
     coefficients: np.ndarray
     residuals: np.ndarray
-    n: int
-    k: int
     s: np.ndarray
     vt: np.ndarray
 
@@ -64,7 +64,7 @@ def ols(X: np.ndarray, y: np.ndarray) -> RegressionResult:
             f"rank-deficient design: singular values span {s[0]:.3e}..{s[-1]:.3e}"
         )
     coef = Vt.T @ ((U.T @ y) / s)
-    return RegressionResult(coef, y - X @ coef, n, k, s, Vt)
+    return RegressionResult(coef, y - X @ coef, s, Vt)
 
 
 def _bartlett(Z: np.ndarray, max_lag: int) -> np.ndarray:
@@ -104,7 +104,6 @@ class ShockSeries:
 
     values: MonthlySeries
     definition: str
-    phase_label: str = ""
     standardized: bool = False
 
 
@@ -117,30 +116,24 @@ def _lags(v: np.ndarray, p: int) -> np.ndarray:
 
 
 def _residual_shock(
-    x: MonthlySeries,
-    p: int,
-    segments: Sequence[tuple[MonthIndex, MonthIndex]] | None,
-    trend: bool,
-    what: str,
+    x: MonthlySeries, p: int, sample: np.ndarray | None, trend: bool, what: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """OLS of x on an intercept, an optional time trend and p own lags.
 
-    A row is usable when its value and its whole design row are defined
-    and its p lags stay inside the row's segment; rows are taken in month
-    order. Returns the coefficients and the residuals, NaN off the usable
-    rows.
+    A row is usable when its month is in the sample, its value and its
+    whole design row are defined, and its p lags stay inside the row's run
+    of consecutive sample months; rows are taken in month order. Returns
+    the coefficients and the residuals, NaN off the usable rows.
     """
     vals = x.values
     n = len(vals)
-    depth = np.full(n, -1)  # months since the start of the row's segment
-    for a, b in [(x.start, x.end)] if segments is None else segments:
-        if a > b:
-            raise DataError(f"segment {a}..{b} is empty")
-        i, j = x.position(a), x.position(b)
-        if (depth[i : j + 1] >= 0).any():
-            raise DataError(f"segment {a}..{b} overlaps another segment")
-        depth[i : j + 1] = np.arange(j - i + 1)
-    cols = [np.ones(n)] + ([np.arange(n, dtype=np.float64)] if trend else [])
+    inside = np.ones(n, dtype=bool) if sample is None else np.asarray(sample, dtype=bool)
+    if inside.shape != (n,):
+        raise DataError(f"sample mask has {inside.size} entries, the series {n} months")
+    t = np.arange(n)
+    run_start = np.maximum.accumulate(np.where(inside & ~np.r_[False, inside[:-1]], t, 0))
+    depth = np.where(inside, t - run_start, -1)  # months since the start of the row's run
+    cols = [np.ones(n)] + ([t.astype(np.float64)] if trend else [])
     X = np.column_stack(cols + [_lags(vals, p)])
     rows = np.flatnonzero((depth >= p) & ~np.isnan(vals) & ~np.isnan(X).any(axis=1))
     if rows.size <= X.shape[1]:
@@ -154,35 +147,31 @@ def _residual_shock(
 
 
 def ar_fit(
-    x: MonthlySeries,
-    p: int,
-    segments: Sequence[tuple[MonthIndex, MonthIndex]] | None = None,
-    phase_label: str = "",
+    x: MonthlySeries, p: int, sample: np.ndarray | None = None
 ) -> tuple[np.ndarray, ShockSeries]:
     """AR(p) by OLS with intercept; residuals are the unexpected component.
 
-    Rows are pooled across the given contiguous, non-overlapping segments;
-    a row is usable only when all its lags stay inside the same segment,
-    so no dynamics are fabricated across gaps. Residuals come back
-    unstandardized and defined only on usable rows.
+    sample is a boolean mask with one entry per month of x, such as a
+    phase's PhasePartition.mask; None keeps every month. Rows are pooled
+    across the mask's runs of consecutive months; a row is usable only
+    when all its lags stay inside its own run, so no dynamics are
+    fabricated across gaps. Residuals come back unstandardized and
+    defined only on usable rows.
     """
     if p < 1:
         raise DataError(f"autoregressive order must be >= 1, got {p}")
-    coef, resid = _residual_shock(x, p, segments, trend=False, what=f"AR({p})")
-    return coef, ShockSeries(MonthlySeries(x.start, resid), f"ar_resid({p})", phase_label)
+    coef, resid = _residual_shock(x, p, sample, trend=False, what=f"AR({p})")
+    return coef, ShockSeries(MonthlySeries(x.start, resid), f"ar_resid({p})")
 
 
 def detrended_shock(
-    x: MonthlySeries,
-    lags: int,
-    segments: Sequence[tuple[MonthIndex, MonthIndex]] | None = None,
-    phase_label: str = "",
+    x: MonthlySeries, lags: int, sample: np.ndarray | None = None
 ) -> ShockSeries:
-    """Residual of x on an intercept, linear time trend, and own lags."""
+    """Residual of x on an intercept, a linear time trend and own lags, over rows as in ar_fit."""
     if lags < 0:
         raise DataError(f"lag count must be >= 0, got {lags}")
-    _, resid = _residual_shock(x, lags, segments, trend=True, what="detrended shock")
-    return ShockSeries(MonthlySeries(x.start, resid), f"detrended({lags})", phase_label)
+    _, resid = _residual_shock(x, lags, sample, trend=True, what="detrended shock")
+    return ShockSeries(MonthlySeries(x.start, resid), f"detrended({lags})")
 
 
 def standardize(shock: ShockSeries) -> ShockSeries:
@@ -197,7 +186,6 @@ def standardize(shock: ShockSeries) -> ShockSeries:
     return ShockSeries(
         values=shock.values.with_values(vals / sd),
         definition=shock.definition,
-        phase_label=shock.phase_label,
         standardized=True,
     )
 
@@ -250,7 +238,6 @@ def local_projection(
     shock: ShockSeries,
     H: int,
     L: int,
-    sample: np.ndarray | None = None,
     hac_lag: int = 12,
     phase: str = "",
     response: str = "",
@@ -258,10 +245,9 @@ def local_projection(
     """Horizon-by-horizon projection of y on the shock with lag controls.
 
     For each h in 0..H, regress y_{t+h} on an intercept, u_t, L lags of y,
-    and L lags of u over rows where t is in the sample and all regressors
-    and the outcome exist. The sample is a boolean mask with one entry per
-    month of the overlap of y and the shock; None keeps every month. The
-    reported coefficient is the one on u_t with a Newey-West standard
+    and L lags of u over rows where all regressors and the outcome exist.
+    A phase shock is NaN off its phase, so those rows lie in the phase.
+    The reported coefficient is the one on u_t with a Newey-West standard
     error: the Bartlett long-run variance of (x_t . b1) u_t, where b1 is
     row 1 of (X'X)^{-1} from the regression's own SVD. In exact arithmetic
     it equals element [1, 1] of hac_covariance, without forming the k x k
@@ -281,15 +267,8 @@ def local_projection(
     uv = u_series.restrict(start, end).values
     n = len(yv)
 
-    if sample is None:
-        keep = np.ones(n, dtype=bool)
-    else:
-        keep = np.asarray(sample, dtype=bool)
-        if keep.shape != (n,):
-            raise DataError("sample mask length must match the overlap range")
-
     design = np.column_stack([np.ones(n), uv, _lags(yv, L), _lags(uv, L)])
-    base = keep & ~np.isnan(design).any(axis=1)
+    base = ~np.isnan(design).any(axis=1)
     y_ok = ~np.isnan(yv)
 
     rows_out = []
@@ -322,7 +301,7 @@ def local_projection(
         )
     return IRFTable(
         rows=tuple(rows_out),
-        phase=phase or shock.phase_label,
+        phase=phase,
         shock_definition=shock.definition,
         response=response,
         horizon=H,

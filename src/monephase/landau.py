@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import DataError
 
-ROOT_RESIDUAL_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class LandauParams:
@@ -29,7 +27,6 @@ class LandauParams:
     b: float
     h_field: float
     tau: float = 1.0
-    phi_c: float = 0.5
 
     def __post_init__(self):
         if self.b <= 0:
@@ -65,7 +62,6 @@ class StationarySet:
     kinds: tuple[str, ...]
     global_minimum: float
     degenerate_pair: bool = False
-    collapsed: bool = False
 
 
 def stationary_points(p: LandauParams) -> StationarySet:
@@ -73,8 +69,8 @@ def stationary_points(p: LandauParams) -> StationarySet:
 
     The depressed cubic m^3 + (a/b) m - h/b = 0 is solved by the
     trigonometric formula when three real roots exist and by Cardano's
-    formula otherwise; every root receives one Newton step. Roots merging
-    within tolerance set the collapsed flag. For h = 0 and a < 0 the two
+    formula otherwise; every root receives one Newton step, and roots that
+    merge within tolerance are kept once. For h = 0 and a < 0 the two
     symmetric minima are energy-degenerate: the positive branch is
     designated the global minimum and the degeneracy is flagged.
     """
@@ -84,12 +80,10 @@ def stationary_points(p: LandauParams) -> StationarySet:
 
     if pc == 0.0 and qc == 0.0:
         raw = [0.0]
-        collapsed = True
     elif disc > 0.0:
         s = math.sqrt(disc)
         raw = [math.copysign(abs(-qc / 2.0 + s) ** (1 / 3), -qc / 2.0 + s)
                + math.copysign(abs(-qc / 2.0 - s) ** (1 / 3), -qc / 2.0 - s)]
-        collapsed = False
     else:
         # three real roots (disc <= 0 forces pc < 0)
         rho = 2.0 * math.sqrt(-pc / 3.0)
@@ -99,7 +93,6 @@ def stationary_points(p: LandauParams) -> StationarySet:
         raw = sorted(
             rho * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)
         )
-        collapsed = disc == 0.0
 
     polished = []
     for m in raw:
@@ -112,10 +105,8 @@ def stationary_points(p: LandauParams) -> StationarySet:
     scale = max(1.0, max(abs(m) for m in polished))
     roots: list[float] = []
     for m in sorted(polished):
-        if roots and abs(m - roots[-1]) <= 1e-9 * scale:
-            collapsed = True
-            continue
-        roots.append(m)
+        if not roots or abs(m - roots[-1]) > 1e-9 * scale:
+            roots.append(m)
 
     kinds = tuple(MINIMUM if _curvature(m, p) >= 0.0 else MAXIMUM for m in roots)
     minima = [m for m, kind in zip(roots, kinds) if kind == MINIMUM]
@@ -133,7 +124,6 @@ def stationary_points(p: LandauParams) -> StationarySet:
         kinds=kinds,
         global_minimum=float(global_minimum),
         degenerate_pair=degenerate_pair,
-        collapsed=collapsed,
     )
 
 

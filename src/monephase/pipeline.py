@@ -90,6 +90,12 @@ def _number(cell: str) -> float:
     return parse_float_cell(cell)
 
 
+def _month_fraction(cell: str) -> tuple[MonthIndex, float]:
+    """A YYYY-MM+fraction cell, as TanhFit.t0_calendar_str writes it."""
+    month, _, fraction = cell.partition("+")
+    return MonthIndex.parse(month), _number(fraction)
+
+
 class Record(dict):
     """The cells of one upstream data row, keyed by column name."""
 
@@ -260,14 +266,13 @@ def _phase_tables(
     key = (label, mask.tobytes(), cfg.shock_kind, cfg.shock_p, cfg.lags, cfg.hac_lag)
     H = cfg.horizon
     if key not in memo or memo[key]["phi"].horizon < H:
-        segments = partition.segments(label)
-        if not segments:
+        if not mask.any():
             raise DataError(f"phase {label!r} is empty; cannot build shocks")
         g = panel["g_mb"]
         if cfg.shock_kind == "ar_resid":
-            _, shock = em.ar_fit(g, cfg.shock_p, segments, phase_label=label)
+            _, shock = em.ar_fit(g, cfg.shock_p, mask)
         else:
-            shock = em.detrended_shock(g, cfg.shock_p, segments, phase_label=label)
+            shock = em.detrended_shock(g, cfg.shock_p, mask)
         shock = em.standardize(shock)
         memo[key] = {
             response: em.local_projection(
@@ -275,7 +280,6 @@ def _phase_tables(
                 shock,
                 H=H,
                 L=cfg.lags,
-                sample=mask,
                 hac_lag=cfg.hac_lag,
                 phase=label,
                 response=response,
@@ -299,14 +303,9 @@ def _phase_irfs(cfg: RunConfig, panel: Panel, memo: dict):
     return partition, tables
 
 
-def write_irf_pair(
-    path: Path,
-    cash: em.IRFTable,
-    reserve: em.IRFTable,
-    extra_preamble: tuple = (),
-) -> Path:
+def write_irf_pair(path: Path, cash: em.IRFTable, reserve: em.IRFTable) -> Path:
     values = (cash.response, cash.shock_definition, cash.horizon, cash.lags)
-    preamble = list(zip(IRF_PAIR.preamble, values)) + list(extra_preamble)
+    preamble = list(zip(IRF_PAIR.preamble, values))
     rows = [(t.phase, *_irf_cells(r)) for t in (cash, reserve) for r in t.rows]
     return write_csv(path, IRF_PAIR.header, rows, preamble)  # phase, then horizon
 
@@ -414,10 +413,10 @@ def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Pa
             _, tables = _phase_irfs(variant, panel, memo)
         except DataError as exc:
             raise DataError(f"robustness variant {name}: {exc}") from None
-        shock = f"{variant.shock_kind}({variant.shock_p})"
         settings = (name, variant.cash_max, variant.reserve_min, variant.horizon, variant.lags)
         for (label, response), table in sorted(tables.items()):
-            rows += [(*settings, shock, label, response, *_irf_cells(r)) for r in table.rows]
+            head = (*settings, table.shock_definition, label, response)
+            rows += [(*head, *_irf_cells(r)) for r in table.rows]
     header = ("variant", "cash_max", "reserve_min", "H", "L", "shock", "phase", "response")
     return write_csv(out / "IRF_robustness.csv", header + IRF_COLUMNS, rows)
 
@@ -523,7 +522,7 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
 
     sweep_rows = []
     for a in np.linspace(1.0, -1.0, 81):
-        params = ld.LandauParams(a=float(a), b=1.0, h_field=0.0, phi_c=phi_c)
+        params = ld.LandauParams(a=float(a), b=1.0, h_field=0.0)
         stat = ld.stationary_points(params)
         sweep_rows.append(
             (
@@ -544,7 +543,7 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
     m_grid = np.linspace(-1.5, 1.5, 121)
     pot_rows = []
     for a in (0.5, -0.5):
-        params = ld.LandauParams(a=a, b=1.0, h_field=0.0, phi_c=phi_c)
+        params = ld.LandauParams(a=a, b=1.0, h_field=0.0)
         for m in m_grid:
             pot_rows.append((a, float(m), ld.free_energy(float(m), params)))
     paths.append(
@@ -614,8 +613,13 @@ def cmd_report(cfg: RunConfig) -> list[Path]:
     _, breaks = read_artifact(out / "breakpoints.csv")
     _, effs = read_artifact(out / "efficiency.csv")
     summary, calibration = _calibration(out)
+    kinds = {"t0_calendar": _month_fraction, "argmax_r": int, "argmax_c": int}
 
-    lines = [f"tanh.{c} = {tanh[c]}" for c in ("phi0", "A", "t0_calendar", "w_months")]
+    def cell(rec: Record, column: str) -> str:  # copied as written, once it parses
+        rec.parse(column, kinds.get(column, _number))
+        return rec[column]
+
+    lines = [f"tanh.{c} = {cell(tanh, c)}" for c in ("phi0", "A", "t0_calendar", "w_months")]
     by_key: dict[tuple[str, str], list[int]] = {}
     for rec in breaks:
         tau = rec.parse("tau", MonthIndex.parse).ordinal
@@ -626,8 +630,8 @@ def cmd_report(cfg: RunConfig) -> list[Path]:
         lines.append(f"breakpoints.{cluster}.{series}.median = {median}")
     for rec in effs:
         for c in ("eff_r", "argmax_r", "eff_c", "argmax_c"):
-            lines.append(f"efficiency.{rec['phase']}.{c} = {rec[c]}")
-    lines += [f"calibration.{c} = {calibration[c]}" for c in ("phi_c", "s_pi", "objective")]
+            lines.append(f"efficiency.{rec['phase']}.{c} = {cell(rec, c)}")
+    lines += [f"calibration.{c} = {cell(calibration, c)}" for c in ("phi_c", "s_pi", "objective")]
     lines.append(f"calibration.ordering_holds = {summary['ordering_holds']}")
 
     path = out / "report.txt"

@@ -79,9 +79,7 @@ class MonthlySeries:
     __slots__ = ("start", "_values")
 
     def __init__(self, start: MonthIndex, values: Sequence[float | None]):
-        arr = np.array(
-            [np.nan if v is None else float(v) for v in values], dtype=np.float64
-        )
+        arr = np.array(values, dtype=np.float64)  # None becomes NaN
         if arr.ndim != 1 or arr.size < 1:
             raise DataError("series needs at least one month of coverage")
         finite_or_nan = np.isfinite(arr) | np.isnan(arr)
@@ -122,10 +120,6 @@ class MonthlySeries:
         if not 0 <= pos < len(self):
             raise DataError(f"{month} outside coverage {self.start}..{self.end}")
         return pos
-
-    def at(self, month: MonthIndex) -> float | None:
-        v = self._values[self.position(month)]
-        return None if np.isnan(v) else float(v)
 
     def defined_mask(self) -> np.ndarray:
         return ~np.isnan(self._values)

@@ -132,10 +132,11 @@ class TestArFit:
     def test_residuals_only_on_usable_rows(self):
         rng = np.random.default_rng(30)
         x = rng.standard_normal(100)
-        seg = [(START + 10, START + 40), (START + 60, START + 99)]
-        _, shock = em.ar_fit(ms(x), 3, seg)
+        mask = np.zeros(100, dtype=bool)
+        mask[10:41] = mask[60:] = True
+        _, shock = em.ar_fit(ms(x), 3, mask)
         vals = shock.values.values
-        assert np.isnan(vals[:13]).all()  # first 3 rows of segment 1 are lags
+        assert np.isnan(vals[:13]).all()  # first 3 rows of run 1 are lags
         assert not np.isnan(vals[13:41]).any()
         assert np.isnan(vals[41:63]).all()
         assert not np.isnan(vals[63:]).any()
@@ -148,8 +149,8 @@ class TestArFit:
         for t in range(1, 50):
             half[t] = 0.5 * half[t - 1] + rng.standard_normal()
         x = np.concatenate([half, 1e6 + half])
-        segs = [(START, START + 49), (START + 50, START + 99)]
-        coef, shock = em.ar_fit(ms(x), 1, segs)
+        mask = np.arange(100) != 50  # the first month after the jump is the gap
+        coef, shock = em.ar_fit(ms(x), 1, mask)
         assert np.nanmax(np.abs(shock.values.values)) < 10.0
         assert abs(coef[1]) < 1.5
 
@@ -250,12 +251,12 @@ class TestLocalProjection:
         T = 400
         u = rng.standard_normal(T)
         y = np.convolve(u, [0.5])[:T] + rng.normal(0, 0.1, T)
+        u[:200] = np.nan  # a shock estimated on months 200.. only
         tbl = em.local_projection(
             ms(y),
             em.ShockSeries(ms(u), "iid"),
             H=1,
             L=2,
-            sample=np.arange(T) >= 200,
             hac_lag=2,
         )
         assert tbl.rows[0].n <= 200
@@ -305,7 +306,7 @@ class TestLocalProjection:
 
 
 def reference_rows(x, positions, p):
-    """Rows whose own value and p lags are finite and inside one segment, row by row."""
+    """Rows whose own value and p lags are finite and inside one run, row by row."""
     rows = []
     for a, b in positions:
         for t in range(a + p, b + 1):
@@ -327,7 +328,7 @@ def reference_shock(x, p, positions, trend):
     return fit.coefficients, resid
 
 
-def reference_lp(y, u, keep, H, L, hac_lag):
+def reference_lp(y, u, H, L, hac_lag):
     """(beta, se, n) per horizon from rows picked one by one, or None if a horizon is short."""
     out = []
     for h in range(H + 1):
@@ -335,8 +336,7 @@ def reference_lp(y, u, keep, H, L, hac_lag):
             [
                 t
                 for t in range(L, len(y) - h)
-                if keep[t]
-                and not np.isnan(y[t - L : t]).any()
+                if not np.isnan(y[t - L : t]).any()
                 and not np.isnan(u[t - L : t + 1]).any()
                 and not np.isnan(y[t + h])
             ],
@@ -367,6 +367,17 @@ def random_segments(rng, n):
         t = b + 1
 
 
+def mask_runs(mask):
+    """(first, last) positions of the maximal runs of True, found month by month."""
+    runs = []
+    for t, inside in enumerate(mask):
+        if inside and t > 0 and mask[t - 1]:
+            runs[-1] = (runs[-1][0], t)
+        elif inside:
+            runs.append((t, t))
+    return runs
+
+
 def with_nans(rng, n, rate):
     x = rng.standard_normal(n)
     x[rng.random(n) < rate] = np.nan
@@ -384,17 +395,20 @@ class TestLaggedDesign:
             x = with_nans(rng, n, float(rng.choice([0.0, 0.02, 0.1])))
             p = int(rng.integers(0 if trend else 1, 6))
             if rng.random() < 0.2:
-                positions, segments = [(0, n - 1)], None
+                mask, runs = None, [(0, n - 1)]
             else:
-                positions = random_segments(rng, n)
-                segments = [(START + a, START + b) for a, b in positions]
-            expected = reference_shock(x, p, positions, trend)
+                # adjacent segments draw one longer run of the mask
+                mask = np.zeros(n, dtype=bool)
+                for a, b in random_segments(rng, n):
+                    mask[a : b + 1] = True
+                runs = mask_runs(mask)
+            expected = reference_shock(x, p, runs, trend)
             fit = em.detrended_shock if trend else em.ar_fit
             if expected is None:
                 with pytest.raises(DataError, match="too few usable rows"):
-                    fit(ms(x), p, segments)
+                    fit(ms(x), p, mask)
                 continue
-            shock = fit(ms(x), p, segments)
+            shock = fit(ms(x), p, mask)
             if not trend:
                 coef, shock = shock
                 assert np.array_equal(coef, expected[0])
@@ -407,12 +421,10 @@ class TestLaggedDesign:
             n = int(rng.integers(120, 260))
             y = with_nans(rng, n, float(rng.choice([0.0, 0.02, 0.05])))
             u = with_nans(rng, n, float(rng.choice([0.0, 0.05, 0.2])))
-            keep = rng.random(n) < float(rng.choice([1.0, 0.9, 0.6]))
-            sample = None if keep.all() else keep
             H, L = int(rng.integers(0, 7)), int(rng.integers(0, 5))
             hac_lag = int(rng.integers(0, 6))
-            expected = reference_lp(y, u, keep, H, L, hac_lag)
-            args = (ms(y), em.ShockSeries(ms(u), "iid"), H, L, sample, hac_lag)
+            expected = reference_lp(y, u, H, L, hac_lag)
+            args = (ms(y), em.ShockSeries(ms(u), "iid"), H, L, hac_lag)
             if expected is None:
                 with pytest.raises(DataError, match="usable rows"):
                     em.local_projection(*args)
@@ -426,21 +438,25 @@ class TestLaggedDesign:
             checked += 1
         assert checked >= 20
 
-    def test_segment_order_does_not_matter(self):
+    def test_adjacent_mask_runs_pooled_as_one_run(self):
+        # months 5..49 and 50..119 form one run: rows 50..52 keep their lags
         rng = np.random.default_rng(60)
         x = rng.standard_normal(120)
-        segs = [(START + 5, START + 50), (START + 60, START + 119)]
-        coef, shock = em.ar_fit(ms(x), 3, segs)
-        coef_rev, shock_rev = em.ar_fit(ms(x), 3, segs[::-1])
-        assert np.array_equal(coef, coef_rev)
-        assert shock.values == shock_rev.values
+        mask = np.zeros(120, dtype=bool)
+        mask[5:50] = True
+        mask[50:] = True
+        coef, shock = em.ar_fit(ms(x), 3, mask)
+        coef_tail, shock_tail = em.ar_fit(ms(x[5:], START + 5), 3)
+        assert np.array_equal(coef, coef_tail)
+        assert shock.values.restrict(START + 5, START + 119) == shock_tail.values
+        assert np.isnan(shock.values.values[:8]).all()
 
     @pytest.mark.parametrize("trend", [False, True])
-    def test_overlapping_segments_rejected(self, trend):
+    def test_wrong_length_mask_rejected(self, trend):
         x = ms(np.random.default_rng(61).standard_normal(100))
-        segs = [(START, START + 40), (START + 30, START + 80)]
-        with pytest.raises(DataError, match="overlaps"):
-            em.detrended_shock(x, 2, segs) if trend else em.ar_fit(x, 2, segs)
+        mask = np.ones(99, dtype=bool)
+        with pytest.raises(DataError, match="sample mask has 99 entries, the series 100 months"):
+            em.detrended_shock(x, 2, mask) if trend else em.ar_fit(x, 2, mask)
 
 
 class TestIrfTable:
@@ -450,7 +466,7 @@ class TestIrfTable:
         y = np.convolve(u, [0.4, 0.1])[:300] + rng.normal(0, 0.2, 300)
         return em.local_projection(
             ms(y),
-            em.ShockSeries(ms(u), "ar_resid(12)", phase_label="cash"),
+            em.ShockSeries(ms(u), "ar_resid(12)"),
             H=6,
             L=3,
             hac_lag=6,

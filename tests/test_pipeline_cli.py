@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -435,6 +436,25 @@ class TestCli:
         )
         assert run.stdout.strip() == "[]"
 
+    def test_warning_is_one_stderr_line(self, tmp_path):
+        # the 240-month economy starts in 2006, so the 1990 cluster's windows are skipped
+        out = tmp_path / "run"
+        assert main(["synth", "--out", str(out), "--seed", "1", "--set", "synth.months=240"]) == 0
+        config = str(out / "synthetic_config.txt")
+        assert main(["transform", "--config", config]) == 0
+        src = str(Path(monephase.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "monephase.cli", "breakpoints", "--config", config],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0
+        lines = run.stderr.splitlines()
+        assert lines and all(line.startswith("monephase: warning: window ") for line in lines)
+        assert "COMMANDS[" not in run.stderr
+
     @pytest.mark.parametrize("edit", ["drop", "duplicate"])
     def test_broken_panel_month_sequence_exit_code(self, econ_dir, tmp_path, capsys, edit):
         out, cfg, spec = econ_dir
@@ -624,6 +644,10 @@ MALFORMED = {
         SUMMARY_FILE, lambda lines: lines[:-1] + ["," + lines[-1].split(",", 1)[1]],
         "landau", "cannot parse phi_c ''",
     ),
+    "summary_empty_phi_c_report": (
+        SUMMARY_FILE, lambda lines: lines[:-1] + ["," + lines[-1].split(",", 1)[1]],
+        "report", "critical_point_summary.csv:11: cannot parse phi_c ''",
+    ),
     "phase_means_non_number": (
         "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,abc,1"),
         "calibrate", "phase_means.csv:2: cannot parse phi_bar 'abc'",
@@ -633,6 +657,10 @@ MALFORMED = {
     ),
     "summary_header_only_report": (
         SUMMARY_FILE, _header_only, "report", "no data rows; rerun the calibrate command",
+    ),
+    "tanh_fit_empty_fraction": (
+        "tanh_fit.csv", lambda lines: [re.sub(r"\+[0-9.]+,", "+,", line) for line in lines],
+        "report", "tanh_fit.csv:5: cannot parse t0_calendar",
     ),
     "tanh_fit_header_only": (
         "tanh_fit.csv", _header_only, "report", "no data rows; rerun the fit-phase command",

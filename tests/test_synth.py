@@ -102,17 +102,9 @@ def test_planted_kernel_recovered_by_lp(small_spec):
     g = yoy(panel["MB_SA"])
     part = classify(phi, PhaseThresholds())
     label = CASH
-    _, shock = em.ar_fit(g, 12, part.segments(label), phase_label=label)
+    _, shock = em.ar_fit(g, 12, part.mask(label))
     shock = em.standardize(shock)
-    mask = part.mask(label)
-    tbl = em.local_projection(
-        pi_core,
-        shock,
-        H=12,
-        L=12,
-        sample=mask,
-        hac_lag=12,
-    )
+    tbl = em.local_projection(pi_core, shock, H=12, L=12, hac_lag=12)
     kernel = np.asarray(small_spec.kernel(label, "pi"))[:13]
     dev = np.abs(tbl.beta() - kernel)
     assert np.mean(dev <= 2.0 * tbl.se()) >= 0.85
@@ -140,17 +132,9 @@ def test_generator_embeds_literal_kernel():
     pi_core = yoy(panel["CPI_core"])
     g = yoy(panel["MB_SA"])
     part = classify(phi, PhaseThresholds())
-    _, shock = em.ar_fit(g, 12, part.segments(CASH), phase_label=CASH)
+    _, shock = em.ar_fit(g, 12, part.mask(CASH))
     shock = em.standardize(shock)
-    mask = part.mask(CASH)
-    tbl = em.local_projection(
-        pi_core,
-        shock,
-        H=6,
-        L=12,
-        sample=mask,
-        hac_lag=12,
-    )
+    tbl = em.local_projection(pi_core, shock, H=6, L=12, hac_lag=12)
     expected = np.array(kernel + (0.0, 0.0, 0.0))
     dev = np.abs(tbl.beta() - expected)
     assert np.all(dev <= 2.0 * tbl.se())
