@@ -63,6 +63,7 @@ ERA_BOUNDS = (
 )
 
 SHOCK_KINDS = ("ar_resid", "detrended")
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _parse_window(text: str) -> tuple[MonthIndex, MonthIndex]:
@@ -110,15 +111,19 @@ class RunConfig:
                 f"shock kind must be one of {SHOCK_KINDS}, got {self.shock_kind!r}"
             )
         PhaseThresholds(self.cash_max, self.reserve_min)  # raises on invalid thresholds
-        for name, value in (
-            ("shock.p", self.shock_p),
-            ("lp.horizon", self.horizon),
-            ("lp.lags", self.lags),
-            ("lp.hac_lag", self.hac_lag),
-            ("breaks.min_segment", self.min_segment),
+        for name, value, least in (
+            ("shock.p", self.shock_p, 1),
+            ("lp.horizon", self.horizon, 0),
+            ("lp.lags", self.lags, 0),
+            ("lp.hac_lag", self.hac_lag, 0),
+            ("breaks.min_segment", self.min_segment, 1),
+            ("seed", self.seed, 0),
         ):
-            if value < 0 or (name in ("shock.p", "breaks.min_segment") and value < 1):
-                raise DataError(f"{name} must be positive, got {value}")
+            if value < least:
+                sign = "positive" if least else "nonnegative"
+                raise DataError(f"{name} must be {sign}, got {value}")
+        if self.landau_phi_c is not None and not 0.0 < self.landau_phi_c < 1.0:
+            raise DataError(f"landau.phi_c must lie in (0, 1), got {self.landau_phi_c}")
 
 
 _SCALAR_KEYS = {
@@ -135,7 +140,7 @@ _SCALAR_KEYS = {
     "lp.lags": ("lags", int),
     "lp.hac_lag": ("hac_lag", int),
     "breaks.min_segment": ("min_segment", int),
-    "irf.robustness": ("robustness", lambda v: v.lower() in ("1", "true", "yes")),
+    "irf.robustness": ("robustness", lambda v: _BOOLS[v.lower()]),
     "landau.phi_c": ("landau_phi_c", float),
     "synth.months": ("synth_months", int),
     "seed": ("seed", int),
@@ -156,7 +161,7 @@ def _apply_key(values: dict, clusters: dict, key: str, raw: str):
         values[attr] = convert(raw)
     except DataError:
         raise
-    except ValueError:
+    except (KeyError, ValueError):  # KeyError: a word that is not in _BOOLS
         raise DataError(f"cannot parse value {raw!r} for key {key!r}") from None
 
 

@@ -1,13 +1,16 @@
-"""Deterministic CSV reading/writing helpers.
+"""Deterministic CSV reading/writing helpers, and the one checked reader.
 
 Floats are serialized with Python's shortest round-trip representation,
 so write-then-read reproduces every value bit-exactly and repeated runs
-produce byte-identical files. Missing values are empty cells.
+produce byte-identical files. Missing values are empty cells. Every CSV
+a command reads, input or hand-off, is declared as an Artifact and read
+through read_artifact, which checks it before any cell is used.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -102,3 +105,59 @@ def read_csv(path: Path | str) -> tuple[dict[str, str], list[str], list[Row]]:
     if header is None:
         raise DataError(f"{path.name}: no header line found")
     return preamble, header, rows
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """A CSV that a command reads: an input file, or one another command writes."""
+
+    command: str | None  # the command that writes it; None for an input file
+    header: tuple[str, ...]
+    preamble: tuple[str, ...] = ()  # keys its readers require
+
+
+def parse_number(cell: str) -> float:
+    """parse_float_cell for a cell that must hold a number: an empty cell is an error, not NaN."""
+    if not cell.strip():
+        raise DataError("empty cell")
+    return parse_float_cell(cell)
+
+
+class Record(dict):
+    """The cells of one data row, keyed by column name."""
+
+    def __init__(self, cells: dict[str, str], where: str):
+        super().__init__(cells)
+        self.where = where  # file:line
+
+    def parse(self, column: str, kind=parse_number):
+        try:
+            return kind(self[column])
+        except (ValueError, DataError):
+            raise DataError(f"{self.where}: cannot parse {column} {self[column]!r}") from None
+
+
+def read_artifact(path: Path | str, artifact: Artifact) -> tuple[dict[str, str], list[Record]]:
+    """(preamble, records) of a CSV, checked against its artifact.
+
+    A missing file, another header, a missing preamble key or no data rows
+    raise DataError naming the file and, unless it is an input, the
+    command that writes it.
+    """
+    path = Path(path)
+    if not path.exists():
+        if artifact.command is None:
+            raise DataError(f"input file not found: {path}")
+        raise DataError(f"missing upstream {path}: run the {artifact.command} command first")
+    preamble, header, rows = read_csv(path)
+    problem = None
+    if tuple(header) != artifact.header:
+        problem = f"header {','.join(header)}, expected {','.join(artifact.header)}"
+    elif missing := [key for key in artifact.preamble if key not in preamble]:
+        problem = f"no preamble key {', '.join(missing)}"
+    elif not rows:
+        problem = "no data rows"
+    if problem:
+        rerun = f"; rerun the {artifact.command} command" if artifact.command else ""
+        raise DataError(f"{path}: {problem}{rerun}")
+    return preamble, [Record(dict(zip(header, r)), f"{path.name}:{r.lineno}") for r in rows]

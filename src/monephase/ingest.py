@@ -7,8 +7,9 @@ unambiguous. Monetary quantities are in 100 million yen; CPI columns are
 2020=100 index numbers. Dates are YYYY-MM, ascending, gap-free.
 
 Validation is total: a malformed input raises a DataError naming file,
-line, and column, and no partial panel is returned. The same
-monthly-table reader and writer also carry the pipeline's panel.csv.
+line, and column, and no partial panel is returned. read_artifact checks
+both inputs as it checks every CSV a command reads; the same monthly-table
+reader and writer also carry the pipeline's panel.csv.
 """
 
 from __future__ import annotations
@@ -19,57 +20,36 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .csvio import fmt, parse_float_cell, read_csv, write_csv
+from .csvio import Artifact, fmt, parse_float_cell, read_artifact, write_csv
 from .errors import DataError
 from .series import MonthIndex, MonthlySeries, Panel
 
-MONETARY_COLUMNS = ("date", "MB", "BN", "CO", "RB", "MB_SA")
-CPI_COLUMNS = ("date", "CPI", "CPI_core")
+MONETARY = Artifact(None, ("date", "MB", "BN", "CO", "RB", "MB_SA"))
+CPI = Artifact(None, ("date", "CPI", "CPI_core"))
 
 
 MonthColumns = Mapping[str, Callable[[MonthIndex], str]]
 
 
-def load_table(
-    path: Path | str, columns: tuple[str, ...], month_columns: MonthColumns = {}
-) -> Panel:
+def load_table(path: Path | str, artifact: Artifact, month_columns: MonthColumns = {}) -> Panel:
     """Read a monthly table; the month_columns, derived from the date, are not read."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
-    _, header, rows = read_csv(path)
-    if tuple(header) != columns:
-        raise DataError(
-            f"{path.name}: header must be {','.join(columns)!r}, got {','.join(header)!r}"
-        )
-    if not rows:
-        raise DataError(f"{path.name}: no data rows")
-
+    _, records = read_artifact(path, artifact)
+    names = [name for name in artifact.header[1:] if name not in month_columns]
     months: list[MonthIndex] = []
-    data = {name: [] for name in columns[1:] if name not in month_columns}
-    for cells in rows:
-        lineno = cells.lineno
-        try:
-            month = MonthIndex.parse(cells[0])
-        except DataError as exc:
-            raise DataError(f"{path.name}:{lineno}: column date: {exc}") from None
+    data: dict[str, list[float]] = {name: [] for name in names}
+    for rec in records:
+        month = rec.parse("date", MonthIndex.parse)
         if months:
             step = month - months[-1]
             if step == 0:
-                raise DataError(f"{path.name}:{lineno}: duplicate month {month}")
+                raise DataError(f"{rec.where}: duplicate month {month}")
             if step != 1:
                 raise DataError(
-                    f"{path.name}:{lineno}: months must ascend without gaps "
-                    f"({months[-1]} -> {month})"
+                    f"{rec.where}: months must ascend without gaps ({months[-1]} -> {month})"
                 )
         months.append(month)
-        for name, cell in zip(columns[1:], cells[1:]):
-            if name in month_columns:
-                continue
-            try:
-                data[name].append(parse_float_cell(cell))
-            except DataError as exc:
-                raise DataError(f"{path.name}:{lineno}: column {name}: {exc}") from None
+        for name in names:
+            data[name].append(rec.parse(name, parse_float_cell))
 
     start = months[0]
     series = {
@@ -80,7 +60,7 @@ def load_table(
 
 def load_monetary(path: Path | str) -> Panel:
     """Read the monetary file (MB, BN, CO, RB, MB_SA; 100 million yen)."""
-    return load_table(path, MONETARY_COLUMNS)
+    return load_table(path, MONETARY)
 
 
 def load_cpi(path: Path | str) -> Panel:
@@ -90,7 +70,7 @@ def load_cpi(path: Path | str) -> Panel:
     whose headline average strays outside [95, 105], a warning is issued:
     the data are probably not on the 2020 base the pipeline assumes.
     """
-    panel = load_table(Path(path), CPI_COLUMNS)
+    panel = load_table(path, CPI)
     for name in ("CPI", "CPI_core"):
         vals = panel[name].values
         bad = ~np.isnan(vals) & (vals <= 0.0)
@@ -137,9 +117,9 @@ def write_table(
 
 def write_monetary(path: Path | str, panel: Panel) -> Path:
     """Inverse of load_monetary; round-trips bit-exactly."""
-    return write_table(path, panel, MONETARY_COLUMNS)
+    return write_table(path, panel, MONETARY.header)
 
 
 def write_cpi(path: Path | str, panel: Panel) -> Path:
     """Inverse of load_cpi; round-trips bit-exactly."""
-    return write_table(path, panel, CPI_COLUMNS)
+    return write_table(path, panel, CPI.header)

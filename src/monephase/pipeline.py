@@ -4,13 +4,13 @@ Identical inputs produce byte-identical outputs: seeds are fixed in the
 config, CSV row order is fixed (phase first, then horizon), and floats
 are written in shortest round-trip form. Every file that one command
 reads from another is declared once in ARTIFACTS and read back through
-read_artifact, which checks it before any cell is used.
+csvio.read_artifact, which checks it before any cell is used.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -20,7 +20,7 @@ from . import econometrics as em
 from . import landau as ld
 from .compartment import CalibrationResult, calibrate, steady_state_phi
 from .config import RunConfig, config_text, era_label
-from .csvio import parse_float_cell, read_csv, write_csv
+from .csvio import Artifact, Record, parse_float_cell, parse_number, read_artifact, write_csv
 from .efficiency import efficiencies
 from .errors import ConvergenceError, DataError
 from .ingest import load_cpi, load_monetary, load_table, write_table
@@ -42,16 +42,6 @@ IRF_PHI_FILE = "IRF_J7_phi.csv"
 IRF_COLUMNS = tuple(f.name for f in fields(em.IRFRow))
 _irf_cells = attrgetter(*IRF_COLUMNS)  # cells in column order, without astuple's deep copy
 SUMMARY_FILE = "critical_point_summary.csv"
-
-
-@dataclass(frozen=True)
-class Artifact:
-    """A file that one command writes and another reads."""
-
-    command: str  # the command that writes it
-    header: tuple[str, ...]
-    preamble: tuple[str, ...] = ()  # keys its readers require
-
 
 IRF_PAIR = Artifact(
     "irf", ("phase", *IRF_COLUMNS), ("response_variable", "shock_definition", "H", "L")
@@ -83,61 +73,14 @@ ARTIFACTS = {
 PANEL_MONTH_COLUMNS = {"era": lambda month: era_label(month.year)}  # written, not read
 
 
-def _number(cell: str) -> float:
-    """parse_float_cell for a cell that must hold a number: an empty cell is an error, not NaN."""
-    if not cell.strip():
-        raise DataError("empty cell")
-    return parse_float_cell(cell)
-
-
 def _month_fraction(cell: str) -> tuple[MonthIndex, float]:
     """A YYYY-MM+fraction cell, as TanhFit.t0_calendar_str writes it."""
     month, _, fraction = cell.partition("+")
-    return MonthIndex.parse(month), _number(fraction)
+    return MonthIndex.parse(month), parse_number(fraction)
 
 
-class Record(dict):
-    """The cells of one upstream data row, keyed by column name."""
-
-    def __init__(self, cells: dict[str, str], where: str):
-        super().__init__(cells)
-        self.where = where  # file:line
-
-    def parse(self, column: str, kind=_number):
-        try:
-            return kind(self[column])
-        except (ValueError, DataError):
-            raise DataError(f"{self.where}: cannot parse {column} {self[column]!r}") from None
-
-
-def _require(path: Path, artifact: Artifact) -> Path:
-    if not path.exists():
-        raise DataError(f"missing upstream {path}: run the {artifact.command} command first")
-    return path
-
-
-def read_artifact(
-    path: Path | str, artifact: Artifact | None = None
-) -> tuple[dict[str, str], list[Record]]:
-    """(preamble, records) of an upstream file, checked against its artifact.
-
-    The artifact defaults to the ARTIFACTS entry of the file's name. A
-    missing file, another header, a missing preamble key or no data rows
-    raise DataError naming the file and the command that writes it.
-    """
-    path = Path(path)
-    artifact = artifact or ARTIFACTS[path.name]
-    preamble, header, rows = read_csv(_require(path, artifact))
-    problem = None
-    if tuple(header) != artifact.header:
-        problem = f"header {','.join(header)}, expected {','.join(artifact.header)}"
-    elif missing := [key for key in artifact.preamble if key not in preamble]:
-        problem = f"no preamble key {', '.join(missing)}"
-    elif not rows:
-        problem = "no data rows"
-    if problem:
-        raise DataError(f"{path}: {problem}; rerun the {artifact.command} command")
-    return preamble, [Record(dict(zip(header, r)), f"{path.name}:{r.lineno}") for r in rows]
+def _read(out: Path, name: str) -> tuple[dict[str, str], list[Record]]:
+    return read_artifact(out / name, ARTIFACTS[name])
 
 
 def _write(out: Path, name: str, rows, preamble=()) -> Path:
@@ -186,8 +129,7 @@ def write_panel_csv(path: Path, panel: Panel) -> Path:
 
 
 def read_panel_csv(path: Path | str) -> Panel:
-    artifact = ARTIFACTS["panel.csv"]
-    return load_table(_require(Path(path), artifact), artifact.header, PANEL_MONTH_COLUMNS)
+    return load_table(path, ARTIFACTS["panel.csv"], PANEL_MONTH_COLUMNS)
 
 
 def cmd_transform(cfg: RunConfig) -> list[Path]:
@@ -424,8 +366,8 @@ def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Pa
 def cmd_calibrate(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
     pi_tables, phi_tables = read_irf_pair(out / IRF_PI_FILE), read_irf_pair(out / IRF_PHI_FILE)
-    path = out / "phase_means.csv"
-    means = _both_phases(path, {r["phase"]: r.parse("phi_bar") for r in read_artifact(path)[1]})
+    records = _read(out, "phase_means.csv")[1]
+    means = _both_phases(out / "phase_means.csv", {r["phase"]: r.parse("phi_bar") for r in records})
     phi_bars = (means[CASH], means[RESERVE])
     result = calibrate(
         irf_phi_cash=phi_tables[CASH],
@@ -505,7 +447,7 @@ def write_calibration(
 
 def _calibration(out: Path) -> tuple[dict, Record]:
     """The calibration summary's preamble and row; a degenerate one is refused."""
-    preamble, records = read_artifact(out / SUMMARY_FILE)
+    preamble, records = _read(out, SUMMARY_FILE)
     if preamble["degenerate"] != "false":
         raise DataError(f"{out / SUMMARY_FILE}: degenerate calibration, phi_c unidentified")
     return preamble, records[0]
@@ -609,14 +551,14 @@ def cmd_synth(cfg: RunConfig) -> list[Path]:
 
 def cmd_report(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
-    tanh = read_artifact(out / "tanh_fit.csv")[1][0]
-    _, breaks = read_artifact(out / "breakpoints.csv")
-    _, effs = read_artifact(out / "efficiency.csv")
+    tanh = _read(out, "tanh_fit.csv")[1][0]
+    _, breaks = _read(out, "breakpoints.csv")
+    _, effs = _read(out, "efficiency.csv")
     summary, calibration = _calibration(out)
     kinds = {"t0_calendar": _month_fraction, "argmax_r": int, "argmax_c": int}
 
     def cell(rec: Record, column: str) -> str:  # copied as written, once it parses
-        rec.parse(column, kinds.get(column, _number))
+        rec.parse(column, kinds.get(column, parse_number))
         return rec[column]
 
     lines = [f"tanh.{c} = {cell(tanh, c)}" for c in ("phi0", "A", "t0_calendar", "w_months")]

@@ -89,7 +89,7 @@ def test_unparseable_cell_names_line_and_column(tmp_path):
             "1970-01,1,1,1,oops,1",
         ],
     )
-    with pytest.raises(DataError, match="m.csv:2: column RB"):
+    with pytest.raises(DataError, match="m.csv:2: cannot parse RB"):
         load_monetary(path)
 
 
