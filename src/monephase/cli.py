@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"monephase: non-convergence: {exc}", file=sys.stderr)
         return 2
-    except MonephaseError as exc:
+    except (MonephaseError, OSError) as exc:  # OSError: a directory or unreadable file
         print(f"monephase: error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .csvio import read_utf8
 from .errors import DataError
 from .phase import PhaseThresholds
 from .series import MonthIndex
@@ -171,7 +172,7 @@ def parse_config(path: Path | str) -> RunConfig:
         raise DataError(f"config file not found: {path}")
     values: dict = {}
     clusters: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -63,6 +63,17 @@ def write_csv(
     return path
 
 
+def read_utf8(path: Path) -> str:
+    """The text of a UTF-8 file, without a leading BOM; other bytes raise DataError."""
+    try:
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: byte {exc.start} (0x{exc.object[exc.start]:02x}) is not UTF-8; "
+            "save the file as UTF-8"
+        ) from None
+
+
 class Row(list):
     """The string cells of one data row, with its physical line number."""
 
@@ -75,11 +86,11 @@ def read_csv(path: Path | str) -> tuple[dict[str, str], list[str], list[Row]]:
     """Read back (preamble dict, header, raw string rows).
 
     Accepts LF or CRLF endings and skips blank lines, before the header as
-    after it; raises on ragged rows with the line number. Each row keeps
-    the line it was read from as its lineno.
+    after it; raises on ragged rows with the path and line number. Each
+    row keeps the line it was read from as its lineno.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8-sig")
+    text = read_utf8(path)
     preamble: dict[str, str] = {}
     header: list[str] | None = None
     rows: list[Row] = []
@@ -99,11 +110,11 @@ def read_csv(path: Path | str) -> tuple[dict[str, str], list[str], list[Row]]:
             continue
         if len(cells) != len(header):
             raise DataError(
-                f"{path.name}:{lineno}: expected {len(header)} columns, got {len(cells)}"
+                f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}"
             )
         rows.append(Row(cells, lineno))
     if header is None:
-        raise DataError(f"{path.name}: no header line found")
+        raise DataError(f"{path}: no header line found")
     return preamble, header, rows
 
 
@@ -140,16 +151,20 @@ class Record(dict):
 def read_artifact(path: Path | str, artifact: Artifact) -> tuple[dict[str, str], list[Record]]:
     """(preamble, records) of a CSV, checked against its artifact.
 
-    A missing file, another header, a missing preamble key or no data rows
-    raise DataError naming the file and, unless it is an input, the
-    command that writes it.
+    A missing file, text that is not UTF-8, a ragged row, another header,
+    a missing preamble key or no data rows raise DataError naming the file
+    and, unless it is an input, the command that writes it.
     """
     path = Path(path)
     if not path.exists():
         if artifact.command is None:
             raise DataError(f"input file not found: {path}")
         raise DataError(f"missing upstream {path}: run the {artifact.command} command first")
-    preamble, header, rows = read_csv(path)
+    rerun = f"; rerun the {artifact.command} command" if artifact.command else ""
+    try:
+        preamble, header, rows = read_csv(path)
+    except DataError as exc:
+        raise DataError(f"{exc}{rerun}") from None
     problem = None
     if tuple(header) != artifact.header:
         problem = f"header {','.join(header)}, expected {','.join(artifact.header)}"
@@ -158,6 +173,5 @@ def read_artifact(path: Path | str, artifact: Artifact) -> tuple[dict[str, str],
     elif not rows:
         problem = "no data rows"
     if problem:
-        rerun = f"; rerun the {artifact.command} command" if artifact.command else ""
         raise DataError(f"{path}: {problem}{rerun}")
     return preamble, [Record(dict(zip(header, r)), f"{path.name}:{r.lineno}") for r in rows]

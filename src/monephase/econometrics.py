@@ -53,8 +53,6 @@ def ols(X: np.ndarray, y: np.ndarray) -> RegressionResult:
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
     n, k = X.shape
     if n <= k:
         raise DataError(f"need more observations than regressors (n={n}, k={k})")
@@ -90,8 +88,6 @@ def hac_covariance(X: np.ndarray, residuals: np.ndarray, max_lag: int) -> np.nda
     """
     X = np.asarray(X, dtype=np.float64)
     u = np.asarray(residuals, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
     S = _bartlett(X * u[:, None], max_lag)
     bread = np.linalg.inv(X.T @ X)
     V = bread @ S @ bread
@@ -321,7 +317,6 @@ class BreakResult:
     tau: MonthIndex
     rss: float
     segment_fits: tuple[float, float, float, float]
-    window: tuple[MonthIndex, MonthIndex]
     tie: bool = False
 
 
@@ -378,6 +373,5 @@ def breakpoint(
         tau=a + int(m[k]) - 1,
         rss=float(rss[k]),
         segment_fits=(float(a1[k]), float(b1[k]), float(a2[k]), float(b2[k])),
-        window=(a, b),
         tie=near.size > 1,
     )

@@ -2,7 +2,7 @@
 
 Two branches matter to callers: DataError covers every validation,
 alignment, and domain failure (CLI exit code 1), ConvergenceError covers
-numerical non-convergence with partial results available (exit code 2).
+numerical non-convergence, with partial outputs left on disk (exit code 2).
 """
 
 
@@ -19,8 +19,4 @@ class CollinearityError(DataError):
 
 
 class ConvergenceError(MonephaseError):
-    """An iterative routine failed to converge; partial results may be attached."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """An iterative routine failed to converge."""

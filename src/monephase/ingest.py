@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .csvio import Artifact, fmt, parse_float_cell, read_artifact, write_csv
+from .csvio import Artifact, parse_float_cell, read_artifact, write_csv
 from .errors import DataError
 from .series import MonthIndex, MonthlySeries, Panel
 
@@ -103,16 +103,14 @@ def write_table(
     month_columns: MonthColumns = {},
 ) -> Path:
     """Write a monthly table; month_columns cells are computed from the month."""
-    rows = []
-    for i, month in enumerate(panel.months()):
-        row = [str(month)]
-        for name in columns[1:]:
-            if name in month_columns:
-                row.append(month_columns[name](month))
-            else:
-                row.append(fmt(float(panel[name].values[i])))
-        rows.append(row)
-    return write_csv(path, columns, rows)
+    months = panel.months()
+    cells = [[str(month) for month in months]]
+    for name in columns[1:]:
+        if name in month_columns:
+            cells.append([month_columns[name](month) for month in months])
+        else:
+            cells.append(panel[name].values.tolist())
+    return write_csv(path, columns, zip(*cells))
 
 
 def write_monetary(path: Path | str, panel: Panel) -> Path:

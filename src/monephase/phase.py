@@ -41,11 +41,10 @@ class PhaseThresholds:
 
 @dataclass(frozen=True)
 class PhasePartition:
-    """Per-month phase labels plus the thresholds that produced them."""
+    """Per-month phase labels from start on."""
 
     start: MonthIndex
     labels: tuple[str, ...]
-    thresholds: PhaseThresholds
 
     def mask(self, label: str) -> np.ndarray:
         if label not in PHASE_LABELS:
@@ -76,7 +75,7 @@ def classify(phi: MonthlySeries, thresholds: PhaseThresholds) -> PhasePartition:
     labels = np.select(
         [vals < thresholds.cash_max, vals > thresholds.reserve_min], [CASH, RESERVE], INTERMEDIATE
     )
-    return PhasePartition(phi.start, tuple(labels.tolist()), thresholds)
+    return PhasePartition(phi.start, tuple(labels.tolist()))
 
 
 def phase_means(phi: MonthlySeries, partition: PhasePartition) -> tuple[float, float]:

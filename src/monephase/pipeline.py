@@ -79,6 +79,13 @@ def _month_fraction(cell: str) -> tuple[MonthIndex, float]:
     return MonthIndex.parse(month), parse_number(fraction)
 
 
+def _flag(cell: str) -> bool:
+    """A true or false cell, as fmt writes a bool."""
+    if cell not in ("true", "false"):
+        raise ValueError(cell)
+    return cell == "true"
+
+
 def _read(out: Path, name: str) -> tuple[dict[str, str], list[Record]]:
     return read_artifact(out / name, ARTIFACTS[name])
 
@@ -106,12 +113,9 @@ def build_panel(cfg: RunConfig) -> Panel:
         raise DataError("config must set data.monetary and data.cpi")
     monetary = load_monetary(cfg.monetary_path)
     cpi = load_cpi(cfg.cpi_path)
-    named = {name: monetary[name] for name in monetary.names}
-    named.update({name: cpi[name] for name in cpi.names})
-    panel = merge(named)
-    phi = order_parameter(panel["RB"], panel["MB"])
+    panel = merge({**monetary.series, **cpi.series})
     derived = {
-        "phi": phi,
+        "phi": order_parameter(panel["RB"], panel["MB"]),
         "pi": yoy(panel["CPI"]),
         "pi_core": yoy(panel["CPI_core"]),
         "g_mb": yoy(panel["MB_SA"]),
@@ -119,9 +123,7 @@ def build_panel(cfg: RunConfig) -> Panel:
         "idx_CPI": index_to_base(panel["CPI"]),
         "idx_CPI_core": index_to_base(panel["CPI_core"]),
     }
-    for name, s in derived.items():
-        panel = panel.with_series(name, s)
-    return panel
+    return Panel(panel.start, panel.length, {**panel.series, **derived})
 
 
 def write_panel_csv(path: Path, panel: Panel) -> Path:
@@ -190,7 +192,7 @@ def cmd_fit_phase(cfg: RunConfig) -> list[Path]:
         ],
     )
     if not fit.converged:
-        raise ConvergenceError("tanh fit did not converge", partial=path)
+        raise ConvergenceError("tanh fit did not converge")
     return [path]
 
 
@@ -384,7 +386,7 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
     )
     if result.degenerate:
         msg = "calibration degenerate: fitted price responses are null, phi_c unidentified"
-        raise ConvergenceError(msg, partial=written)
+        raise ConvergenceError(msg)
     return written
 
 
@@ -552,6 +554,10 @@ def cmd_synth(cfg: RunConfig) -> list[Path]:
 def cmd_report(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
     tanh = _read(out, "tanh_fit.csv")[1][0]
+    if not tanh.parse("converged", _flag):
+        raise DataError(
+            f"{out / 'tanh_fit.csv'}: tanh fit did not converge; rerun the fit-phase command"
+        )
     _, breaks = _read(out, "breakpoints.csv")
     _, effs = _read(out, "efficiency.csv")
     summary, calibration = _calibration(out)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -124,9 +124,6 @@ class MonthlySeries:
     def defined_mask(self) -> np.ndarray:
         return ~np.isnan(self._values)
 
-    def months(self) -> list[MonthIndex]:
-        return month_range(self.start, len(self))
-
     def restrict(self, start: MonthIndex, end: MonthIndex) -> "MonthlySeries":
         """Slice to the inclusive month range [start, end]."""
         if start > end:
@@ -186,11 +183,6 @@ class Panel:
     def months(self) -> list[MonthIndex]:
         return month_range(self.start, self.length)
 
-    def with_series(self, name: str, s: MonthlySeries) -> "Panel":
-        new = dict(self.series)
-        new[name] = s.restrict(self.start, self.end)
-        return Panel(self.start, self.length, new)
-
 
 def yoy(series: MonthlySeries) -> MonthlySeries:
     """Year-over-year growth in percent: 100 * (x_t / x_{t-12} - 1).
@@ -246,17 +238,16 @@ def index_to_base(series: MonthlySeries) -> MonthlySeries:
     return MonthlySeries(series.start, 100.0 * (series.values / base))
 
 
-def merge(named: Mapping[str, MonthlySeries] | Iterable[tuple[str, MonthlySeries]]) -> Panel:
+def merge(named: Mapping[str, MonthlySeries]) -> Panel:
     """Restrict the given series to their common month range.
 
     Values inside the intersection are carried over bit-exactly.
     """
-    items = list(named.items()) if isinstance(named, Mapping) else list(named)
-    if not items:
+    if not named:
         raise DataError("merge needs at least one series")
-    start = max(s.start for _, s in items)
-    end = min(s.end for _, s in items)
+    start = max(s.start for s in named.values())
+    end = min(s.end for s in named.values())
     if start > end:
         raise DataError("series have no overlapping months")
     length = end - start + 1
-    return Panel(start, length, {name: s.restrict(start, end) for name, s in items})
+    return Panel(start, length, {name: s.restrict(start, end) for name, s in named.items()})

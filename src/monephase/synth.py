@@ -29,6 +29,13 @@ from .phase import CASH, RESERVE, PhasePartition, PhaseThresholds, classify
 from .series import MonthIndex, MonthlySeries, Panel, month_range
 
 BURN_IN = 240
+AR_COEFFS = (3.5, 0.3)  # base growth g_t = 3.5 + 0.3 g_{t-1} + e_t, yoy percent
+INNOVATION_SD = 1.5  # sd of e_t
+PI_BASE = 1.5  # core inflation before the planted responses, yoy percent
+MB0 = 1000.0  # first monetary base level, 100 million yen
+MB_SEED_GROWTH = 0.004  # monthly growth over the first year of base levels
+CPI_SEED_GROWTH = 0.0015  # monthly growth over the first year of CPI levels
+CO_SHARE = 0.03  # coins as a share of the base
 KERNEL_KEYS = ((CASH, "phi"), (CASH, "pi"), (RESERVE, "phi"), (RESERVE, "pi"))
 
 
@@ -42,17 +49,10 @@ class SynthSpec:
     phi_high: float = 0.694
     t0: MonthIndex = MonthIndex(2000, 1)
     w: float = 6.0
-    ar_coeffs: tuple[float, ...] = (3.5, 0.3)
-    innovation_sd: float = 1.5
     kernels: dict = field(default_factory=dict)
     phi_noise_sd: float = 0.004
     pi_noise_sd: float = 0.25
     pi_headline_extra_sd: float = 0.1
-    pi_base: float = 1.5
-    mb0: float = 1000.0
-    mb_seed_growth: float = 0.004
-    cpi_seed_growth: float = 0.0015
-    co_share: float = 0.03
     cash_max: float = 0.30
     reserve_min: float = 0.60
     truth: dict = field(default_factory=dict)
@@ -74,10 +74,6 @@ class SynthSpec:
             raise DataError(f"need at least 120 months, got {self.months}")
         if not 0 < self.w:
             raise DataError("transition width must be positive")
-        if self.innovation_sd <= 0:
-            raise DataError("innovation sd must be positive")
-        if len(self.ar_coeffs) < 2:
-            raise DataError("ar_coeffs needs an intercept and at least one lag")
         if not self.start <= self.t0 <= self.start + (self.months - 1):
             raise DataError("transition midpoint t0 must lie inside the sample")
         for key in self.kernels:
@@ -91,10 +87,10 @@ class SynthSpec:
         margin = 4.0 * (resp_sd + self.phi_noise_sd)
         low = min(self.phi_low, self.phi_high)
         high = max(self.phi_low, self.phi_high)
-        if low - margin <= 0.0 or high + margin >= 1.0 - self.co_share:
+        if low - margin <= 0.0 or high + margin >= 1.0 - CO_SHARE:
             raise DataError(
                 f"phi profile {low:.3f}..{high:.3f} with margin {margin:.3f} "
-                f"escapes (0, {1.0 - self.co_share:.2f}); reduce kernels or noise"
+                f"escapes (0, {1.0 - CO_SHARE:.2f}); reduce kernels or noise"
             )
 
 
@@ -114,18 +110,18 @@ def generate(spec: SynthSpec) -> tuple[Panel, GroundTruth]:
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     T = spec.months
-    a0, *acoef = spec.ar_coeffs
+    a0, *acoef = AR_COEFFS
     p = len(acoef)
 
     total = BURN_IN + T
-    e = rng.normal(0.0, spec.innovation_sd, total)
+    e = rng.normal(0.0, INNOVATION_SD, total)
     g_full = np.zeros(total)
     mean_g = a0 / max(1e-12, 1.0 - sum(acoef))
     g_full[:p] = mean_g
     for t in range(p, total):
         g_full[t] = a0 + sum(acoef[i] * g_full[t - 1 - i] for i in range(p)) + e[t]
     g = g_full[BURN_IN:]
-    e_unit = e[BURN_IN:] / spec.innovation_sd
+    e_unit = e[BURN_IN:] / INNOVATION_SD
 
     t_axis = np.arange(T, dtype=np.float64)
     t0_offset = float(spec.t0 - spec.start)
@@ -143,37 +139,37 @@ def generate(spec: SynthSpec) -> tuple[Panel, GroundTruth]:
         return resp
 
     phi = profile + planted("phi") + rng.normal(0.0, spec.phi_noise_sd, T)
-    pi_core = spec.pi_base + planted("pi") + rng.normal(0.0, spec.pi_noise_sd, T)
+    pi_core = PI_BASE + planted("pi") + rng.normal(0.0, spec.pi_noise_sd, T)
     pi_head = pi_core + rng.normal(0.0, spec.pi_headline_extra_sd, T)
 
     mb_sa = np.empty(T)
     for t in range(12):
-        mb_sa[t] = spec.mb0 * (1.0 + spec.mb_seed_growth) ** t
+        mb_sa[t] = MB0 * (1.0 + MB_SEED_GROWTH) ** t
     for t in range(12, T):
         mb_sa[t] = mb_sa[t - 12] * (1.0 + g[t] / 100.0)
     if (mb_sa <= 0).any():
-        raise DataError("generated monetary base hit zero; lower the innovation sd")
+        raise DataError("generated monetary base hit zero")
     mb = mb_sa.copy()
     rb = phi * mb
-    co = spec.co_share * mb
+    co = CO_SHARE * mb
     bn = mb - rb - co
     if (rb > mb).any() or (bn < 0).any():
         raise DataError("generated composition violates RB + CO <= MB")
 
     in_2020 = np.array([m.year == 2020 for m in month_range(spec.start, T)])
 
-    def integrate_cpi(pi: np.ndarray, seed_growth: float) -> np.ndarray:
+    def integrate_cpi(pi: np.ndarray) -> np.ndarray:
         out = np.empty(T)
         for t in range(12):
-            out[t] = 100.0 * (1.0 + seed_growth) ** t
+            out[t] = 100.0 * (1.0 + CPI_SEED_GROWTH) ** t
         for t in range(12, T):
             out[t] = out[t - 12] * (1.0 + pi[t] / 100.0)
         if in_2020.any():
             out *= 100.0 / np.mean(out[in_2020])
         return out
 
-    cpi_core = integrate_cpi(pi_core, spec.cpi_seed_growth)
-    cpi_head = integrate_cpi(pi_head, spec.cpi_seed_growth)
+    cpi_core = integrate_cpi(pi_core)
+    cpi_head = integrate_cpi(pi_head)
 
     series = {
         "MB": MonthlySeries(spec.start, mb),
@@ -294,11 +290,11 @@ def write_ground_truth(path: Path | str, truth: GroundTruth) -> Path:
         ("phi_high", spec.phi_high),
         ("t0", str(spec.t0)),
         ("w", spec.w),
-        ("ar_coeffs", _join(spec.ar_coeffs)),
-        ("innovation_sd", spec.innovation_sd),
+        ("ar_coeffs", _join(AR_COEFFS)),
+        ("innovation_sd", INNOVATION_SD),
         ("phi_noise_sd", spec.phi_noise_sd),
         ("pi_noise_sd", spec.pi_noise_sd),
-        ("pi_base", spec.pi_base),
+        ("pi_base", PI_BASE),
         ("cash_max", spec.cash_max),
         ("reserve_min", spec.reserve_min),
     ]

@@ -90,6 +90,12 @@ class TestConfig:
         cfg2 = apply_overrides(cfg, ["lp.horizon=36", "shock.kind=detrended"])
         assert cfg2.horizon == 36 and cfg2.shock_kind == "detrended"
 
+    def test_non_utf8_config_rejected(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes("# 設定\nseed = 3\n".encode("cp932"))
+        with pytest.raises(DataError, match=r"c\.txt: byte 2 \(0x90\) is not UTF-8; save the file"):
+            parse_config(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("no.such.key = 1\n")
@@ -470,6 +476,43 @@ class TestCli:
         )
         assert run.stdout.strip() == "[]"
 
+    def test_package_root_imports_no_module(self):
+        # the package root exports nothing; each name is imported from its own module
+        src = str(Path(monephase.__file__).resolve().parents[1])
+        code = (
+            "import monephase, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('monephase.')))"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.stdout.strip() == "[]"
+
+    def test_cp932_input_exit_code(self, econ_dir, tmp_path, capsys):
+        # a Shift-JIS comment line, as Japanese statistics exports often carry
+        out, cfg, _ = econ_dir
+        cpi = tmp_path / "cpi.csv"
+        cpi.write_bytes("# 消費者物価指数\n".encode("cp932") + (out / "cpi.csv").read_bytes())
+        argv = ["transform", "--monetary", cfg.monetary_path, "--cpi", str(cpi)]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cpi}: byte 2 (0x8f) is not UTF-8; save the file as UTF-8" in err
+        assert "Traceback" not in err and not (tmp_path / "panel.csv").exists()
+
+    @pytest.mark.parametrize("option", ["--monetary", "--config"])
+    def test_directory_as_file_exit_code(self, econ_dir, tmp_path, capsys, option):
+        _, cfg, _ = econ_dir
+        argv = ["transform", "--monetary", cfg.monetary_path, "--cpi", cfg.cpi_path]
+        assert main([*argv, option, str(tmp_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("monephase: error: ") and str(tmp_path) in err
+        assert "Traceback" not in err
+
     def test_warning_is_one_stderr_line(self, tmp_path):
         # the 240-month economy starts in 2006, so the 1990 cluster's windows are skipped
         out = tmp_path / "run"
@@ -726,6 +769,18 @@ MALFORMED = {
     ),
     "summary_degenerate_landau": (SUMMARY_FILE, _degenerate, "landau", "degenerate calibration"),
     "summary_degenerate_report": (SUMMARY_FILE, _degenerate, "report", "degenerate calibration"),
+    "panel_blank_lines": (
+        "panel.csv", lambda lines: ["", ""],
+        "irf", "panel.csv: no header line found; rerun the transform command",
+    ),
+    "breakpoints_ragged_row": (
+        "breakpoints.csv", lambda lines: lines[:2] + ["phi"] + lines[3:],
+        "report", "breakpoints.csv:3: expected 7 columns, got 1; rerun the breakpoints command",
+    ),
+    "tanh_fit_not_converged": (
+        "tanh_fit.csv", lambda lines: [re.sub(",true$", ",false", line) for line in lines],
+        "report", "tanh_fit.csv: tanh fit did not converge; rerun the fit-phase command",
+    ),
 }
 
 
