@@ -341,11 +341,10 @@ def calibrate(
     """
     tables = {("cash", "phi"): irf_phi_cash, ("cash", "pi"): irf_pi_cash}
     tables.update({("reserve", "phi"): irf_phi_reserve, ("reserve", "pi"): irf_pi_reserve})
-    horizons = tuple(r.h for r in irf_phi_cash.rows)
     for key, tbl in tables.items():
-        if tuple(r.h for r in tbl.rows) != horizons:
+        if tbl.horizon != irf_phi_cash.horizon:
             raise DataError(f"IRF tables must share one horizon grid, {key} differs")
-        if any(r.se <= 0 for r in tbl.rows):
+        if (tbl.se <= 0).any():
             raise DataError(f"IRF table {key} has a zero or negative standard error")
     for v in phi_bars:
         if not 0.0 < v < 1.0:
@@ -353,9 +352,9 @@ def calibrate(
     if phi_bars[0] >= phi_bars[1]:
         raise DataError("phase means must satisfy cash < reserve")
 
-    h = np.asarray(horizons, dtype=np.float64)
-    beta = {k: t.beta() for k, t in tables.items()}
-    weight = {k: 1.0 / t.se() for k, t in tables.items()}
+    h = np.arange(irf_phi_cash.horizon + 1.0)
+    beta = {k: t.beta for k, t in tables.items()}
+    weight = {k: 1.0 / t.se for k, t in tables.items()}
     phases = dict(zip(("cash", "reserve"), phi_bars))
 
     def phi_fits(phase, delta, gamma):

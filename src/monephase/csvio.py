@@ -137,15 +137,20 @@ def parse_number(cell: str) -> float:
 class Record(dict):
     """The cells of one data row, keyed by column name."""
 
-    def __init__(self, cells: dict[str, str], where: str):
+    def __init__(self, cells: dict[str, str], where: str, rerun: str):
         super().__init__(cells)
-        self.where = where  # file:line
+        self.where = where  # path:line
+        self.rerun = rerun  # the rerun hint of an upstream file; empty for an input
+
+    def error(self, problem: str) -> DataError:
+        """A DataError for this row, naming its path and line and, upstream, the rerun."""
+        return DataError(f"{self.where}: {problem}{self.rerun}")
 
     def parse(self, column: str, kind=parse_number):
         try:
             return kind(self[column])
         except (ValueError, DataError):
-            raise DataError(f"{self.where}: cannot parse {column} {self[column]!r}") from None
+            raise self.error(f"cannot parse {column} {self[column]!r}") from None
 
 
 def read_artifact(path: Path | str, artifact: Artifact) -> tuple[dict[str, str], list[Record]]:
@@ -153,7 +158,8 @@ def read_artifact(path: Path | str, artifact: Artifact) -> tuple[dict[str, str],
 
     A missing file, text that is not UTF-8, a ragged row, another header,
     a missing preamble key or no data rows raise DataError naming the file
-    and, unless it is an input, the command that writes it.
+    and, unless it is an input, the command that writes it; each Record
+    reports a cell that does not parse the same way, with its line.
     """
     path = Path(path)
     if not path.exists():
@@ -174,4 +180,4 @@ def read_artifact(path: Path | str, artifact: Artifact) -> tuple[dict[str, str],
         problem = "no data rows"
     if problem:
         raise DataError(f"{path}: {problem}{rerun}")
-    return preamble, [Record(dict(zip(header, r)), f"{path.name}:{r.lineno}") for r in rows]
+    return preamble, [Record(dict(zip(header, r)), f"{path}:{r.lineno}", rerun) for r in rows]

@@ -13,7 +13,10 @@ bit-for-bit where the contracts say so:
   of the scalar series (x_t . b1) u_t, where b1 is row 1 of (X'X)^{-1}
   taken from the OLS singular value decomposition; in exact arithmetic
   it equals element [1, 1] of the hac_covariance sandwich.
-* Confidence intervals are beta +/- 1.96 * se.
+* An IRFTable holds only beta, se and n by horizon; labels are the caller's, and
+  IRFTable.cells computes the bands beta -/+ 1.96 * se when a table is written.
+* numpy's bundled OpenBLAS runs on one thread: threaded kernels split sums by
+  thread count, which moves the last bits of a long design's SVD.
 * A phase enters as a boolean month mask on the shock, whose lags never
   cross a gap in it; the shock is NaN off its rows, so a projection on
   it keeps exactly the phase months where the shock is defined.
@@ -23,7 +26,9 @@ bit-for-bit where the contracts say so:
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +37,18 @@ from .series import MonthIndex, MonthlySeries
 
 RANK_TOLERANCE = 1e-10
 CI_MULTIPLIER = 1.96
+
+
+def _pin_blas_threads() -> None:
+    """Set the OpenBLAS of a numpy wheel to one thread; another BLAS is left as it is."""
+    site = Path(np.__file__).parent.parent
+    for lib in [*site.glob("numpy.libs/*openblas*"), *site.glob("numpy/.dylibs/*openblas*")]:
+        setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter(1)
+
+
+_pin_blas_threads()
 
 
 @dataclass(frozen=True)
@@ -94,15 +111,6 @@ def hac_covariance(X: np.ndarray, residuals: np.ndarray, max_lag: int) -> np.nda
     return (V + V.T) / 2.0
 
 
-@dataclass(frozen=True)
-class ShockSeries:
-    """A residual shock aligned to the calendar it was estimated on."""
-
-    values: MonthlySeries
-    definition: str
-    standardized: bool = False
-
-
 def _lags(v: np.ndarray, p: int) -> np.ndarray:
     """(n, p) matrix of v_{t-1}..v_{t-p}; NaN where a lag falls before the first month."""
     out = np.full((v.size, p), np.nan)
@@ -144,7 +152,7 @@ def _residual_shock(
 
 def ar_fit(
     x: MonthlySeries, p: int, sample: np.ndarray | None = None
-) -> tuple[np.ndarray, ShockSeries]:
+) -> tuple[np.ndarray, MonthlySeries]:
     """AR(p) by OLS with intercept; residuals are the unexpected component.
 
     sample is a boolean mask with one entry per month of x, such as a
@@ -157,91 +165,69 @@ def ar_fit(
     if p < 1:
         raise DataError(f"autoregressive order must be >= 1, got {p}")
     coef, resid = _residual_shock(x, p, sample, trend=False, what=f"AR({p})")
-    return coef, ShockSeries(MonthlySeries(x.start, resid), f"ar_resid({p})")
+    return coef, x.with_values(resid)
 
 
 def detrended_shock(
     x: MonthlySeries, lags: int, sample: np.ndarray | None = None
-) -> ShockSeries:
+) -> MonthlySeries:
     """Residual of x on an intercept, a linear time trend and own lags, over rows as in ar_fit."""
     if lags < 0:
         raise DataError(f"lag count must be >= 0, got {lags}")
     _, resid = _residual_shock(x, lags, sample, trend=True, what="detrended shock")
-    return ShockSeries(MonthlySeries(x.start, resid), f"detrended({lags})")
+    return x.with_values(resid)
 
 
-def standardize(shock: ShockSeries) -> ShockSeries:
+def standardize(shock: MonthlySeries) -> MonthlySeries:
     """Scale to unit sample variance (ddof=1); the mean is left untouched."""
-    vals = shock.values.values
+    vals = shock.values
     mask = ~np.isnan(vals)
     if mask.sum() < 2:
         raise DataError("standardize needs at least two defined values")
     sd = float(np.std(vals[mask], ddof=1))
     if sd == 0.0:
         raise DataError("degenerate shock: zero sample variance")
-    return ShockSeries(
-        values=shock.values.with_values(vals / sd),
-        definition=shock.definition,
-        standardized=True,
-    )
+    return shock.with_values(vals / sd)
 
 
-@dataclass(frozen=True)
-class IRFRow:
-    h: int
-    beta: float
-    se: float
-    ci_low: float
-    ci_high: float
-    n: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IRFTable:
-    """Per-horizon impulse-response estimates plus run metadata."""
+    """Per-horizon estimates, indexed by h = 0..horizon: beta, its HAC se, and rows n."""
 
-    rows: tuple[IRFRow, ...]
-    phase: str
-    shock_definition: str
-    response: str
-    horizon: int
-    lags: int
+    beta: np.ndarray
+    se: np.ndarray
+    n: np.ndarray
 
     def __post_init__(self):
-        hs = [r.h for r in self.rows]
-        if hs != list(range(self.horizon + 1)):
-            raise DataError(
-                f"IRF table must cover h = 0..{self.horizon} without gaps, got {hs}"
-            )
-        for r in self.rows:
-            if not (np.isfinite(r.beta) and np.isfinite(r.se)):
-                raise DataError(f"non-finite beta or se at h={r.h}")
-            if not (
-                abs(r.ci_low - (r.beta - CI_MULTIPLIER * r.se)) <= 1e-12
-                and abs(r.ci_high - (r.beta + CI_MULTIPLIER * r.se)) <= 1e-12
-            ):
-                raise DataError(f"confidence bounds inconsistent at h={r.h}")
+        bad = ~(np.isfinite(self.beta) & np.isfinite(self.se))
+        if bad.any():
+            raise DataError(f"non-finite beta or se at h={int(np.argmax(bad))}")
 
-    def beta(self) -> np.ndarray:
-        return np.array([r.beta for r in self.rows])
+    @property
+    def horizon(self) -> int:
+        return self.beta.size - 1
 
-    def se(self) -> np.ndarray:
-        return np.array([r.se for r in self.rows])
+    def head(self, H: int) -> IRFTable:
+        """The estimates for h = 0..H."""
+        return IRFTable(self.beta[: H + 1], self.se[: H + 1], self.n[: H + 1])
+
+    def cells(self):
+        """One (h, beta, se, ci_low, ci_high, n) tuple per horizon, as IRF_COLUMNS names them."""
+        for h, (b, s, n) in enumerate(zip(self.beta.tolist(), self.se.tolist(), self.n.tolist())):
+            yield h, b, s, b - CI_MULTIPLIER * s, b + CI_MULTIPLIER * s, n
+
+
+IRF_COLUMNS = ("h", "beta", "se", "ci_low", "ci_high", "n")
 
 
 def local_projection(
-    y: MonthlySeries,
-    shock: ShockSeries,
-    H: int,
-    L: int,
-    hac_lag: int = 12,
-    phase: str = "",
-    response: str = "",
+    y: MonthlySeries, shock: MonthlySeries, H: int, L: int, hac_lag: int = 12
 ) -> IRFTable:
     """Horizon-by-horizon projection of y on the shock with lag controls.
 
-    For each h in 0..H, regress y_{t+h} on an intercept, u_t, L lags of y,
-    and L lags of u over rows where all regressors and the outcome exist.
+    y and the shock cover the same months. For each h in 0..H, regress
+    y_{t+h} on an intercept, u_t, L lags of y, and L lags of u over rows
+    where all regressors and the outcome exist.
     A phase shock is NaN off its phase, so those rows lie in the phase.
     The reported coefficient is the one on u_t with a Newey-West standard
     error: the Bartlett long-run variance of (x_t . b1) u_t, where b1 is
@@ -254,20 +240,19 @@ def local_projection(
     """
     if H < 0 or L < 0:
         raise DataError("H and L must be nonnegative")
-    u_series = shock.values
-    start = max(y.start, u_series.start)
-    end = min(y.end, u_series.end)
-    if start > end:
-        raise DataError("outcome and shock do not overlap")
-    yv = y.restrict(start, end).values
-    uv = u_series.restrict(start, end).values
+    if y.start != shock.start or len(y) != len(shock):
+        raise DataError(
+            f"outcome covers {y.start}..{y.end}, the shock {shock.start}..{shock.end}; "
+            "they must cover the same months"
+        )
+    yv, uv = y.values, shock.values
     n = len(yv)
 
     design = np.column_stack([np.ones(n), uv, _lags(yv, L), _lags(uv, L)])
     base = ~np.isnan(design).any(axis=1)
     y_ok = ~np.isnan(yv)
 
-    rows_out = []
+    beta, se, rows = [], [], []
     for h in range(H + 1):
         t_idx = np.flatnonzero(base[: max(n - h, 0)] & y_ok[h:])
         if t_idx.size <= 2 * L + 2:
@@ -283,26 +268,10 @@ def local_projection(
         b1 = fit.vt.T @ (fit.vt[:, 1] / fit.s**2)
         z = (X @ b1) * fit.residuals
         var = _bartlett(z[:, None], hac_lag)[0, 0]
-        beta = float(fit.coefficients[1])
-        se = float(np.sqrt(max(var, 0.0)))
-        rows_out.append(
-            IRFRow(
-                h=h,
-                beta=beta,
-                se=se,
-                ci_low=beta - CI_MULTIPLIER * se,
-                ci_high=beta + CI_MULTIPLIER * se,
-                n=int(t_idx.size),
-            )
-        )
-    return IRFTable(
-        rows=tuple(rows_out),
-        phase=phase,
-        shock_definition=shock.definition,
-        response=response,
-        horizon=H,
-        lags=L,
-    )
+        beta.append(fit.coefficients[1])
+        se.append(np.sqrt(max(var, 0.0)))
+        rows.append(t_idx.size)
+    return IRFTable(np.array(beta), np.array(se), np.array(rows))
 
 
 @dataclass(frozen=True)

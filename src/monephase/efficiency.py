@@ -29,7 +29,7 @@ def _max_abs(table: IRFTable, H: int) -> tuple[float, int]:
     if H > table.horizon:  # IRFTable holds h = 0..horizon without gaps
         missing = list(range(table.horizon + 1, H + 1))
         raise DataError(f"IRF table missing horizons {missing}; cannot cover 0..{H}")
-    values = np.abs(table.beta()[: H + 1])
+    values = np.abs(table.beta[: H + 1])
     h = int(np.argmax(values))  # the first on ties
     return float(values[h]), h
 

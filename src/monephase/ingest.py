@@ -42,11 +42,9 @@ def load_table(path: Path | str, artifact: Artifact, month_columns: MonthColumns
         if months:
             step = month - months[-1]
             if step == 0:
-                raise DataError(f"{rec.where}: duplicate month {month}")
+                raise rec.error(f"duplicate month {month}")
             if step != 1:
-                raise DataError(
-                    f"{rec.where}: months must ascend without gaps ({months[-1]} -> {month})"
-                )
+                raise rec.error(f"months must ascend without gaps ({months[-1]} -> {month})")
         months.append(month)
         for name in names:
             data[name].append(rec.parse(name, parse_float_cell))
@@ -77,7 +75,7 @@ def load_cpi(path: Path | str) -> Panel:
         if bad.any():
             month = panel.start + int(np.argmax(bad))
             raise DataError(
-                f"{Path(path).name}: column {name}: index numbers must be positive, "
+                f"{path}: column {name}: index numbers must be positive, "
                 f"offending month {month}"
             )
     y2020 = [
@@ -89,7 +87,7 @@ def load_cpi(path: Path | str) -> Panel:
         mean = float(np.mean(y2020))
         if not 95.0 <= mean <= 105.0:
             warnings.warn(
-                f"{Path(path).name}: 2020 average of CPI is {mean:.2f}, expected "
+                f"{path}: 2020 average of CPI is {mean:.2f}, expected "
                 f"about 100 for a 2020-base index",
                 stacklevel=2,
             )

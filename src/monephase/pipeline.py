@@ -10,8 +10,7 @@ csvio.read_artifact, which checks it before any cell is used.
 from __future__ import annotations
 
 import warnings
-from dataclasses import fields, replace
-from operator import attrgetter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +38,10 @@ from .synth import default_spec, generate, write_economy
 
 IRF_PI_FILE = "IRF_J6_core_inflation.csv"
 IRF_PHI_FILE = "IRF_J7_phi.csv"
-IRF_COLUMNS = tuple(f.name for f in fields(em.IRFRow))
-_irf_cells = attrgetter(*IRF_COLUMNS)  # cells in column order, without astuple's deep copy
 SUMMARY_FILE = "critical_point_summary.csv"
 
 IRF_PAIR = Artifact(
-    "irf", ("phase", *IRF_COLUMNS), ("response_variable", "shock_definition", "H", "L")
+    "irf", ("phase", *em.IRF_COLUMNS), ("response_variable", "shock_definition", "H", "L")
 )
 ARTIFACTS = {
     "panel.csv": Artifact(
@@ -196,6 +193,10 @@ def cmd_fit_phase(cfg: RunConfig) -> list[Path]:
     return [path]
 
 
+def _shock_definition(cfg: RunConfig) -> str:
+    return f"{cfg.shock_kind}({cfg.shock_p})"
+
+
 def _phase_tables(
     cfg: RunConfig, panel: Panel, partition: PhasePartition, label: str, memo: dict
 ) -> dict[str, em.IRFTable]:
@@ -219,21 +220,10 @@ def _phase_tables(
             shock = em.detrended_shock(g, cfg.shock_p, mask)
         shock = em.standardize(shock)
         memo[key] = {
-            response: em.local_projection(
-                panel[response],
-                shock,
-                H=H,
-                L=cfg.lags,
-                hac_lag=cfg.hac_lag,
-                phase=label,
-                response=response,
-            )
+            response: em.local_projection(panel[response], shock, H, cfg.lags, cfg.hac_lag)
             for response in ("pi_core", "phi")
         }
-    return {
-        response: replace(table, rows=table.rows[: H + 1], horizon=H)
-        for response, table in memo[key].items()
-    }
+    return {response: table.head(H) for response, table in memo[key].items()}
 
 
 def _phase_irfs(cfg: RunConfig, panel: Panel, memo: dict):
@@ -247,36 +237,39 @@ def _phase_irfs(cfg: RunConfig, panel: Panel, memo: dict):
     return partition, tables
 
 
-def write_irf_pair(path: Path, cash: em.IRFTable, reserve: em.IRFTable) -> Path:
-    values = (cash.response, cash.shock_definition, cash.horizon, cash.lags)
+def write_irf_pair(
+    path: Path, cfg: RunConfig, response: str, cash: em.IRFTable, reserve: em.IRFTable
+) -> Path:
+    """One response's cash and reserve tables, estimated under cfg; phase, then horizon."""
+    values = (response, _shock_definition(cfg), cfg.horizon, cfg.lags)
     preamble = list(zip(IRF_PAIR.preamble, values))
-    rows = [(t.phase, *_irf_cells(r)) for t in (cash, reserve) for r in t.rows]
-    return write_csv(path, IRF_PAIR.header, rows, preamble)  # phase, then horizon
+    rows = [(phase, *c) for phase, t in ((CASH, cash), (RESERVE, reserve)) for c in t.cells()]
+    return write_csv(path, IRF_PAIR.header, rows, preamble)
 
 
 def read_irf_pair(path: Path | str) -> dict[str, em.IRFTable]:
-    """The cash and reserve tables of an IRF file that write_irf_pair wrote."""
+    """The cash and reserve tables of an IRF file that write_irf_pair wrote, rows in any order."""
     preamble, records = read_artifact(path, IRF_PAIR)
     kinds = {"h": int, "n": int}
-    by_phase: dict[str, list[em.IRFRow]] = {}
+    by_phase: dict[str, list[tuple]] = {}
     for rec in records:
-        row = em.IRFRow(*(rec.parse(c, kinds.get(c, parse_float_cell)) for c in IRF_COLUMNS))
+        row = tuple(rec.parse(c, kinds.get(c, parse_float_cell)) for c in em.IRF_COLUMNS)
         by_phase.setdefault(rec["phase"], []).append(row)
     _both_phases(path, by_phase)
+    tables = {}
     try:
-        return {
-            phase: em.IRFTable(
-                rows=tuple(sorted(rows, key=lambda r: r.h)),
-                phase=phase,
-                shock_definition=preamble["shock_definition"],
-                response=preamble["response_variable"],
-                horizon=int(preamble["H"]),
-                lags=int(preamble["L"]),
-            )
-            for phase, rows in by_phase.items()
-        }
+        H, _ = int(preamble["H"]), int(preamble["L"])
+        for phase, rows in by_phase.items():
+            hs, beta, se, ci_low, ci_high, n = zip(*sorted(rows, key=lambda r: r[0]))
+            if list(hs) != list(range(H + 1)):
+                raise DataError(f"IRF table must cover h = 0..{H} without gaps, got {list(hs)}")
+            tables[phase] = em.IRFTable(np.array(beta), np.array(se), np.array(n))
+            for h, _, _, low, high, _ in tables[phase].cells():  # the file's bands, recomputed
+                if not (abs(ci_low[h] - low) <= 1e-12 and abs(ci_high[h] - high) <= 1e-12):
+                    raise DataError(f"confidence bounds inconsistent at h={h}")
     except (ValueError, DataError) as exc:
         raise DataError(f"{path}: {exc}") from None
+    return tables
 
 
 def _robustness_variants(cfg: RunConfig):
@@ -310,12 +303,8 @@ def cmd_irf(cfg: RunConfig) -> list[Path]:
     partition, tables = _phase_irfs(cfg, panel, memo)
     out = _out(cfg)
     written = [
-        write_irf_pair(
-            out / IRF_PI_FILE, tables[(CASH, "pi_core")], tables[(RESERVE, "pi_core")]
-        ),
-        write_irf_pair(
-            out / IRF_PHI_FILE, tables[(CASH, "phi")], tables[(RESERVE, "phi")]
-        ),
+        write_irf_pair(out / name, cfg, response, *(tables[(p, response)] for p in (CASH, RESERVE)))
+        for name, response in ((IRF_PI_FILE, "pi_core"), (IRF_PHI_FILE, "phi"))
     ]
     phi_bar_cash, phi_bar_reserve = phase_means(panel["phi"], partition)
     written.append(
@@ -344,9 +333,9 @@ def _intermediate_diagnostic(cfg, panel, partition, memo: dict, out: Path) -> Pa
     except DataError as exc:
         preamble.append(("error", str(exc)))
     else:
-        rows = [(response, *_irf_cells(r)) for response, t in tables.items() for r in t.rows]
+        rows = [(response, *c) for response, t in tables.items() for c in t.cells()]
     return write_csv(
-        out / "IRF_intermediate_diagnostic.csv", ("response", *IRF_COLUMNS), rows, preamble
+        out / "IRF_intermediate_diagnostic.csv", ("response", *em.IRF_COLUMNS), rows, preamble
     )
 
 
@@ -359,10 +348,10 @@ def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Pa
             raise DataError(f"robustness variant {name}: {exc}") from None
         settings = (name, variant.cash_max, variant.reserve_min, variant.horizon, variant.lags)
         for (label, response), table in sorted(tables.items()):
-            head = (*settings, table.shock_definition, label, response)
-            rows += [(*head, *_irf_cells(r)) for r in table.rows]
+            head = (*settings, _shock_definition(variant), label, response)
+            rows += [(*head, *c) for c in table.cells()]
     header = ("variant", "cash_max", "reserve_min", "H", "L", "shock", "phase", "response")
-    return write_csv(out / "IRF_robustness.csv", header + IRF_COLUMNS, rows)
+    return write_csv(out / "IRF_robustness.csv", header + em.IRF_COLUMNS, rows)
 
 
 def cmd_calibrate(cfg: RunConfig) -> list[Path]:
@@ -435,8 +424,8 @@ def write_calibration(
         rows = []
         for target, table in (("phi", phi_tables[label]), ("pi_core", pi_tables[label])):
             resid = result.residuals[(label, "phi" if target == "phi" else "pi")]
-            for r, dev in zip(table.rows, resid):
-                rows.append((r.h, target, r.beta, r.beta + dev, dev))
+            for h, (beta, dev) in enumerate(zip(table.beta.tolist(), resid.tolist())):
+                rows.append((h, target, beta, beta + dev, dev))
         paths.append(
             write_csv(
                 out / f"fit_{label}_phase.csv",

@@ -146,9 +146,6 @@ class Panel:
     series: Mapping[str, MonthlySeries] = field(default_factory=dict)
 
     def __post_init__(self):
-        names = list(self.series)
-        if len(set(names)) != len(names):
-            raise DataError("duplicate series names in panel")
         for name, s in self.series.items():
             if s.start != self.start or len(s) != self.length:
                 raise DataError(

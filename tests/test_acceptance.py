@@ -122,15 +122,15 @@ def test_criterion_3_local_projection_correctness():
     y[12:] = 0.7 * u[:-12]
     tbl = em.local_projection(
         MonthlySeries(START, y),
-        em.ShockSeries(MonthlySeries(START, u), "iid", standardized=True),
+        MonthlySeries(START, u),
         H=H,
         L=L,
         hac_lag=12,
     )
-    beta = tbl.beta()
+    beta = tbl.beta
     assert np.max(np.abs(beta[:12])) < 1e-8
     assert beta[12] == pytest.approx(0.7, abs=1e-8)
-    assert np.all(np.abs(beta[13:]) <= 4.0 * tbl.se()[13:])
+    assert np.all(np.abs(beta[13:]) <= 4.0 * tbl.se[13:])
 
     # noisy: pooled coverage of the planted kernel at 2 se over 200 seeds
     T = 2400
@@ -144,12 +144,12 @@ def test_criterion_3_local_projection_correctness():
         y = np.convolve(u, theta)[:T] + noise
         tbl = em.local_projection(
             MonthlySeries(START, y),
-            em.ShockSeries(MonthlySeries(START, u), "iid", standardized=True),
+            MonthlySeries(START, u),
             H=H,
             L=L,
             hac_lag=12,
         )
-        inside += int(np.sum(np.abs(tbl.beta() - theta) <= 2.0 * tbl.se()))
+        inside += int(np.sum(np.abs(tbl.beta - theta) <= 2.0 * tbl.se))
         total += H + 1
     coverage = inside / total
     assert coverage >= 0.95, f"pooled 2-se coverage {coverage:.4f} < 0.95"
@@ -208,18 +208,18 @@ class TestCriterion6MechanismLoop:
         # least one significantly positive medium horizon each
         for phase in (CASH, RESERVE):
             tbl = mechanism_run["phi_tables"][phase]
-            betas = tbl.beta()[med]
-            rows = tbl.rows[med]
+            betas = tbl.beta[med]
+            rows = list(tbl.cells())[med]
             assert betas.mean() > 0, f"{phase} phi response not positive"
-            assert any(r.ci_low > 0 for r in rows), f"{phase} phi never significant"
+            assert any(ci_low > 0 for _, _, _, ci_low, _, _ in rows), f"{phase} phi never significant"
 
         # (ii) price kernel: positive in the cash phase, significantly
         # negative at medium horizons in the reserve phase
         cash_pi = mechanism_run["pi_tables"][CASH]
         res_pi = mechanism_run["pi_tables"][RESERVE]
-        assert cash_pi.beta()[med].mean() > 0
-        assert res_pi.beta()[med].mean() < 0
-        assert any(r.ci_high < 0 for r in res_pi.rows[med])
+        assert cash_pi.beta[med].mean() > 0
+        assert res_pi.beta[med].mean() < 0
+        assert any(ci_high < 0 for *_, ci_high, _ in list(res_pi.cells())[med])
 
         # (iii) calibrated critical point close to truth, correct ordering
         phi_c = mechanism_run["phi_c"]

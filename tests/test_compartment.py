@@ -20,7 +20,7 @@ from monephase.compartment import (
     x_response,
 )
 from monephase.csvio import read_csv
-from monephase.econometrics import IRFRow, IRFTable
+from monephase.econometrics import IRFTable
 from monephase.errors import DataError
 from monephase.pipeline import IRF_PHI_FILE, IRF_PI_FILE, read_irf_pair
 
@@ -195,26 +195,9 @@ class TestSteadyState:
             steady_state_phi(0.0, ctrl=(1.0, 0.0), rates=self.RATES, injection=0.0)
 
 
-def exact_table(values, phase, resp, se=1.0):
-    rows = tuple(
-        IRFRow(
-            h=i,
-            beta=float(v),
-            se=se,
-            ci_low=float(v) - 1.96 * se,
-            ci_high=float(v) + 1.96 * se,
-            n=100,
-        )
-        for i, v in enumerate(values)
-    )
-    return IRFTable(
-        rows=rows,
-        phase=phase,
-        shock_definition="ar_resid(12)",
-        response=resp,
-        horizon=len(values) - 1,
-        lags=12,
-    )
+def exact_table(values, se=1.0):
+    beta = np.array(values, dtype=np.float64)
+    return IRFTable(beta, np.full(beta.size, se), np.full(beta.size, 100))
 
 
 CASH_TRUE = CompartmentParams(A=1.5, B=1.0, delta=0.06, gamma=0.04, eta=0.05)
@@ -226,10 +209,10 @@ PHI_BARS = (0.127, 0.694)
 def planted_tables(h_max=24):
     h = np.arange(h_max + 1.0)
     return dict(
-        phi_cash=exact_table(phi_irf(h, CASH_TRUE, PHI_BARS[0], 0.005), "cash", "phi"),
-        pi_cash=exact_table(cpi_irf(h, CASH_TRUE, COUPLING_TRUE, PHI_BARS[0]), "cash", "pi_core"),
-        phi_reserve=exact_table(phi_irf(h, RESERVE_TRUE, PHI_BARS[1], 0.0065), "reserve", "phi"),
-        pi_reserve=exact_table(cpi_irf(h, RESERVE_TRUE, COUPLING_TRUE, PHI_BARS[1]), "reserve", "pi_core"),
+        phi_cash=exact_table(phi_irf(h, CASH_TRUE, PHI_BARS[0], 0.005)),
+        pi_cash=exact_table(cpi_irf(h, CASH_TRUE, COUPLING_TRUE, PHI_BARS[0])),
+        phi_reserve=exact_table(phi_irf(h, RESERVE_TRUE, PHI_BARS[1], 0.0065)),
+        pi_reserve=exact_table(cpi_irf(h, RESERVE_TRUE, COUPLING_TRUE, PHI_BARS[1])),
     )
 
 
@@ -248,17 +231,17 @@ class TestCalibrate:
     def test_all_zero_targets_degenerate(self):
         zero = np.zeros(25)
         out = calibrate(
-            exact_table(zero, "cash", "phi"),
-            exact_table(zero, "cash", "pi_core"),
-            exact_table(zero, "reserve", "phi"),
-            exact_table(zero, "reserve", "pi_core"),
+            exact_table(zero),
+            exact_table(zero),
+            exact_table(zero),
+            exact_table(zero),
             phi_bars=PHI_BARS,
         )
         assert out.degenerate
 
     def test_zero_se_rejected(self):
         t = planted_tables()
-        bad = exact_table(np.zeros(25), "cash", "phi", se=0.0)
+        bad = exact_table(np.zeros(25), se=0.0)
         with pytest.raises(DataError, match="standard error"):
             calibrate(bad, t["pi_cash"], t["phi_reserve"], t["pi_reserve"],
                       phi_bars=PHI_BARS)
@@ -277,10 +260,10 @@ class TestCalibrate:
         # representative from that ray
         t = planted_tables()
         targets = {
-            ("cash", "phi"): t["phi_cash"].beta(),
-            ("cash", "pi"): t["pi_cash"].beta(),
-            ("reserve", "phi"): t["phi_reserve"].beta(),
-            ("reserve", "pi"): t["pi_reserve"].beta(),
+            ("cash", "phi"): t["phi_cash"].beta,
+            ("cash", "pi"): t["pi_cash"].beta,
+            ("reserve", "phi"): t["phi_reserve"].beta,
+            ("reserve", "pi"): t["pi_reserve"].beta,
         }
         h = np.arange(25.0)
 
@@ -432,10 +415,10 @@ class TestCalibrateConstrained:
             ),
         ]
         out = calibrate(
-            exact_table(targets[0][0], "cash", "phi"),
-            exact_table(targets[0][1], "cash", "pi_core"),
-            exact_table(targets[1][0], "reserve", "phi"),
-            exact_table(targets[1][1], "reserve", "pi_core"),
+            exact_table(targets[0][0]),
+            exact_table(targets[0][1]),
+            exact_table(targets[1][0]),
+            exact_table(targets[1][1]),
             phi_bars=PHI_BARS,
         )
         assert_inside_box(out)

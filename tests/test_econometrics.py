@@ -113,12 +113,11 @@ class TestArFit:
             x[t] = 0.5 * x[t - 1] + rng.standard_normal()
         coef, shock = em.ar_fit(ms(x), 1)
         assert coef[1] == pytest.approx(0.5, abs=0.05)
-        assert not shock.standardized
 
     def test_deterministic_recursion_zero_residuals(self):
         x = np.arange(1.0, 101.0)  # x_t = x_{t-1} + 1
         _, shock = em.ar_fit(ms(x), 1)
-        resid = shock.values.values
+        resid = shock.values
         assert np.nanmax(np.abs(resid)) < 1e-10
 
     def test_white_noise_ar12(self):
@@ -126,7 +125,7 @@ class TestArFit:
         x = rng.standard_normal(5000)
         coef, shock = em.ar_fit(ms(x), 12)
         assert np.max(np.abs(coef[1:])) < 0.05
-        resid = shock.values.values
+        resid = shock.values
         assert np.nanvar(resid, ddof=1) == pytest.approx(1.0, abs=0.1)
 
     def test_residuals_only_on_usable_rows(self):
@@ -135,7 +134,7 @@ class TestArFit:
         mask = np.zeros(100, dtype=bool)
         mask[10:41] = mask[60:] = True
         _, shock = em.ar_fit(ms(x), 3, mask)
-        vals = shock.values.values
+        vals = shock.values
         assert np.isnan(vals[:13]).all()  # first 3 rows of run 1 are lags
         assert not np.isnan(vals[13:41]).any()
         assert np.isnan(vals[41:63]).all()
@@ -151,7 +150,7 @@ class TestArFit:
         x = np.concatenate([half, 1e6 + half])
         mask = np.arange(100) != 50  # the first month after the jump is the gap
         coef, shock = em.ar_fit(ms(x), 1, mask)
-        assert np.nanmax(np.abs(shock.values.values)) < 10.0
+        assert np.nanmax(np.abs(shock.values)) < 10.0
         assert abs(coef[1]) < 1.5
 
     def test_too_few_rows(self):
@@ -161,30 +160,28 @@ class TestArFit:
 
 class TestStandardize:
     def test_two_point(self):
-        shock = em.ShockSeries(ms([-1.0, 1.0]), "ar_resid(1)")
-        out = em.standardize(shock)
+        out = em.standardize(ms([-1.0, 1.0]))
         sd = np.std([-1.0, 1.0], ddof=1)
-        assert np.allclose(out.values.values, [-1.0 / sd, 1.0 / sd])
-        assert out.standardized
+        assert np.allclose(out.values, [-1.0 / sd, 1.0 / sd])
 
     def test_unit_variance_untouched(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(500)
         v = v / v.std(ddof=1)
-        out = em.standardize(em.ShockSeries(ms(v), "x"))
-        assert np.allclose(out.values.values, v, atol=1e-12)
+        out = em.standardize(ms(v))
+        assert np.allclose(out.values, v, atol=1e-12)
 
     def test_output_variance_is_one(self):
         rng = np.random.default_rng(1)
         v = 3.0 + 5.0 * rng.standard_normal(200)
-        out = em.standardize(em.ShockSeries(ms(v), "x"))
-        assert np.var(out.values.values, ddof=1) == pytest.approx(1.0, abs=1e-10)
+        out = em.standardize(ms(v))
+        assert np.var(out.values, ddof=1) == pytest.approx(1.0, abs=1e-10)
         # mean is scaled, not removed
-        assert out.values.values.mean() != pytest.approx(0.0, abs=1e-3)
+        assert out.values.mean() != pytest.approx(0.0, abs=1e-3)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(DataError, match="degenerate"):
-            em.standardize(em.ShockSeries(ms([2.0, 2.0, 2.0]), "x"))
+            em.standardize(ms([2.0, 2.0, 2.0]))
 
 
 class TestLocalProjection:
@@ -196,9 +193,9 @@ class TestLocalProjection:
         y = np.zeros(T)
         y[2:] = 0.7 * u[:-2]
         tbl = em.local_projection(
-            ms(y), em.ShockSeries(ms(u), "iid"), H=2, L=2, hac_lag=2
+            ms(y), ms(u), H=2, L=2, hac_lag=2
         )
-        beta = tbl.beta()
+        beta = tbl.beta
         assert abs(beta[0]) < 1e-8 and abs(beta[1]) < 1e-8
         assert beta[2] == pytest.approx(0.7, abs=1e-8)
 
@@ -207,7 +204,7 @@ class TestLocalProjection:
         u = rng.standard_normal(200)
         with pytest.raises(DataError, match="zero variance"):
             em.local_projection(
-                ms(np.zeros(200)), em.ShockSeries(ms(u), "iid"), H=2, L=2, hac_lag=2
+                ms(np.zeros(200)), ms(u), H=2, L=2, hac_lag=2
             )
 
     def test_insufficient_sample_names_horizon(self):
@@ -216,7 +213,7 @@ class TestLocalProjection:
         y = rng.standard_normal(30)
         with pytest.raises(DataError, match="h=0"):
             em.local_projection(
-                ms(y), em.ShockSeries(ms(u), "iid"), H=4, L=12, hac_lag=2
+                ms(y), ms(u), H=4, L=12, hac_lag=2
             )
 
     def test_bilinearity_in_shock_scale(self):
@@ -225,13 +222,13 @@ class TestLocalProjection:
         u = rng.standard_normal(T)
         y = np.convolve(u, [0.3, 0.2])[:T] + rng.normal(0, 0.1, T)
         base = em.local_projection(
-            ms(y), em.ShockSeries(ms(u), "iid"), H=4, L=3, hac_lag=3
+            ms(y), ms(u), H=4, L=3, hac_lag=3
         )
         c = 3.7
         scaled = em.local_projection(
-            ms(y), em.ShockSeries(ms(c * u), "iid"), H=4, L=3, hac_lag=3
+            ms(y), ms(c * u), H=4, L=3, hac_lag=3
         )
-        assert np.allclose(scaled.beta(), base.beta() / c, atol=1e-10)
+        assert np.allclose(scaled.beta, base.beta / c, atol=1e-10)
 
     def test_white_noise_size_pooled(self):
         inside = total = 0
@@ -240,9 +237,9 @@ class TestLocalProjection:
             u = rng.standard_normal(2400)
             y = rng.standard_normal(2400)
             tbl = em.local_projection(
-                ms(y), em.ShockSeries(ms(u), "iid"), H=12, L=12, hac_lag=12
+                ms(y), ms(u), H=12, L=12, hac_lag=12
             )
-            inside += int(np.sum(np.abs(tbl.beta()) < 2.0 * tbl.se()))
+            inside += int(np.sum(np.abs(tbl.beta) < 2.0 * tbl.se))
             total += 13
         assert inside / total >= 0.95
 
@@ -254,12 +251,19 @@ class TestLocalProjection:
         u[:200] = np.nan  # a shock estimated on months 200.. only
         tbl = em.local_projection(
             ms(y),
-            em.ShockSeries(ms(u), "iid"),
+            ms(u),
             H=1,
             L=2,
             hac_lag=2,
         )
-        assert tbl.rows[0].n <= 200
+        assert tbl.n[0] <= 200
+
+    def test_misaligned_shock_rejected(self):
+        rng = np.random.default_rng(13)
+        y, u = rng.standard_normal((2, 200))
+        for shock in (ms(u, START + 1), ms(u[:-1])):
+            with pytest.raises(DataError, match="must cover the same months"):
+                em.local_projection(ms(y), shock, H=1, L=2, hac_lag=2)
 
     def test_never_calls_hac_covariance(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -268,8 +272,8 @@ class TestLocalProjection:
         monkeypatch.setattr(em, "hac_covariance", forbidden)
         rng = np.random.default_rng(14)
         u, y = rng.standard_normal((2, 200))
-        tbl = em.local_projection(ms(y), em.ShockSeries(ms(u), "iid"), H=3, L=4, hac_lag=6)
-        assert np.all(tbl.se() > 0.0)
+        tbl = em.local_projection(ms(y), ms(u), H=3, L=4, hac_lag=6)
+        assert np.all(tbl.se > 0.0)
 
     def test_se_matches_high_precision_sandwich(self):
         # a persistent level with 12 own lags, like phi within a phase: cond(X) > 1e3,
@@ -282,14 +286,14 @@ class TestLocalProjection:
         y[0] = 0.4
         for t in range(1, n):
             y[t] = 0.4 + 0.97 * (y[t - 1] - 0.4) + 0.002 * e[t]
-        tbl = em.local_projection(ms(y), em.ShockSeries(ms(u), "iid"), H=1, L=L, hac_lag=hac_lag)
+        tbl = em.local_projection(ms(y), ms(u), H=1, L=L, hac_lag=hac_lag)
         design = np.column_stack([np.ones(n), u, em._lags(y, L), em._lags(u, L)])
-        for r in tbl.rows:
-            X = design[L : n - r.h]
+        for h, (se_h, n_h) in enumerate(zip(tbl.se, tbl.n)):
+            X = design[L : n - h]
             assert np.linalg.cond(X) > 1e3
             with mpmath.workdps(40):
                 Xm = mpmath.matrix(X.tolist())
-                ym = mpmath.matrix(y[L + r.h :].tolist())
+                ym = mpmath.matrix(y[L + h :].tolist())
                 XtX = Xm.T * Xm
                 resid = ym - Xm * mpmath.lu_solve(XtX, Xm.T * ym)
                 # [bread S bread]_{11} = b1' S b1 with b1 = bread e1, expanded
@@ -301,8 +305,8 @@ class TestLocalProjection:
                     w = 1 - mpmath.mpf(j) / (hac_lag + 1)
                     var += 2 * w * mpmath.fsum(z[t] * z[t - j] for t in range(j, len(z)))
                 se = float(mpmath.sqrt(var))
-            assert r.n == X.shape[0]
-            assert r.se == pytest.approx(se, rel=1e-12, abs=0.0)
+            assert n_h == X.shape[0]
+            assert se_h == pytest.approx(se, rel=1e-12, abs=0.0)
 
 
 def reference_rows(x, positions, p):
@@ -412,7 +416,7 @@ class TestLaggedDesign:
             if not trend:
                 coef, shock = shock
                 assert np.array_equal(coef, expected[0])
-            assert np.array_equal(shock.values.values, expected[1], equal_nan=True)
+            assert np.array_equal(shock.values, expected[1], equal_nan=True)
 
     def test_local_projection_matches_per_row_reference(self):
         rng = np.random.default_rng(50)
@@ -424,7 +428,7 @@ class TestLaggedDesign:
             H, L = int(rng.integers(0, 7)), int(rng.integers(0, 5))
             hac_lag = int(rng.integers(0, 6))
             expected = reference_lp(y, u, H, L, hac_lag)
-            args = (ms(y), em.ShockSeries(ms(u), "iid"), H, L, hac_lag)
+            args = (ms(y), ms(u), H, L, hac_lag)
             if expected is None:
                 with pytest.raises(DataError, match="usable rows"):
                     em.local_projection(*args)
@@ -432,9 +436,9 @@ class TestLaggedDesign:
             tbl = em.local_projection(*args)
             # beta and n come from the same ols call; se takes the scalar
             # Bartlett path instead of the k x k sandwich
-            assert [(r.beta, r.n) for r in tbl.rows] == [(b, n) for b, _, n in expected]
-            for r, (_, se, _) in zip(tbl.rows, expected):
-                assert r.se == pytest.approx(se, rel=1e-13, abs=0.0)
+            assert list(zip(tbl.beta, tbl.n)) == [(b, n) for b, _, n in expected]
+            for se_h, (_, se, _) in zip(tbl.se, expected):
+                assert se_h == pytest.approx(se, rel=1e-13, abs=0.0)
             checked += 1
         assert checked >= 20
 
@@ -448,8 +452,8 @@ class TestLaggedDesign:
         coef, shock = em.ar_fit(ms(x), 3, mask)
         coef_tail, shock_tail = em.ar_fit(ms(x[5:], START + 5), 3)
         assert np.array_equal(coef, coef_tail)
-        assert shock.values.restrict(START + 5, START + 119) == shock_tail.values
-        assert np.isnan(shock.values.values[:8]).all()
+        assert shock.restrict(START + 5, START + 119) == shock_tail
+        assert np.isnan(shock.values[:8]).all()
 
     @pytest.mark.parametrize("trend", [False, True])
     def test_wrong_length_mask_rejected(self, trend):
@@ -466,27 +470,17 @@ class TestIrfTable:
         y = np.convolve(u, [0.4, 0.1])[:300] + rng.normal(0, 0.2, 300)
         return em.local_projection(
             ms(y),
-            em.ShockSeries(ms(u), "ar_resid(12)"),
+            ms(u),
             H=6,
             L=3,
             hac_lag=6,
-            phase="cash",
-            response="pi_core",
         )
 
     def test_ci_identity_holds(self):
         tbl = self.make()
-        for r in tbl.rows:
-            assert r.ci_low == pytest.approx(r.beta - 1.96 * r.se, abs=1e-12)
-            assert r.ci_high == pytest.approx(r.beta + 1.96 * r.se, abs=1e-12)
-
-    def test_gap_rejected(self):
-        row = em.IRFRow(h=1, beta=0.0, se=1.0, ci_low=-1.96, ci_high=1.96, n=10)
-        with pytest.raises(DataError, match="without gaps"):
-            em.IRFTable(
-                rows=(row,), phase="cash", shock_definition="x", response="y",
-                horizon=1, lags=1,
-            )
+        for _, beta, se, ci_low, ci_high, _ in tbl.cells():
+            assert ci_low == pytest.approx(beta - 1.96 * se, abs=1e-12)
+            assert ci_high == pytest.approx(beta + 1.96 * se, abs=1e-12)
 
     @pytest.mark.parametrize(
         "beta, se, message",
@@ -494,17 +488,11 @@ class TestIrfTable:
             (np.nan, 1.0, "non-finite beta or se at h=0"),
             (0.0, np.nan, "non-finite beta or se at h=0"),
             (np.inf, 1.0, "non-finite beta or se at h=0"),
-            (0.0, 1.0, "confidence bounds inconsistent at h=0"),  # ci bounds NaN
         ],
     )
     def test_non_finite_cells_rejected(self, beta, se, message):
-        ci = np.nan if message.startswith("confidence") else 0.0
-        row = em.IRFRow(h=0, beta=beta, se=se, ci_low=ci, ci_high=ci, n=10)
         with pytest.raises(DataError, match=message):
-            em.IRFTable(
-                rows=(row,), phase="cash", shock_definition="x", response="y",
-                horizon=0, lags=1,
-            )
+            em.IRFTable(np.array([beta]), np.array([se]), np.array([10]))
 
 
 class TestBreakpoint:
@@ -621,8 +609,7 @@ class TestDetrendedShock:
     def test_pure_trend_absorbed(self):
         x = 3.0 + 0.1 * np.arange(200.0)
         shock = em.detrended_shock(ms(x), 0)
-        assert np.nanmax(np.abs(shock.values.values)) < 1e-10
-        assert shock.definition == "detrended(0)"
+        assert np.nanmax(np.abs(shock.values)) < 1e-10
 
     def test_variance_reduced_on_trended_ar(self):
         rng = np.random.default_rng(15)
@@ -632,7 +619,7 @@ class TestDetrendedShock:
             x[t] = 0.6 * x[t - 1] + rng.standard_normal()
         x = x + 0.05 * np.arange(T)
         shock = em.detrended_shock(ms(x), 1)
-        assert np.nanvar(shock.values.values) < np.var(x)
+        assert np.nanvar(shock.values) < np.var(x)
 
     def test_close_to_ar_fit_when_no_trend(self):
         rng = np.random.default_rng(16)
@@ -642,8 +629,8 @@ class TestDetrendedShock:
             x[t] = 0.4 * x[t - 1] + rng.standard_normal()
         _, ar_shock = em.ar_fit(ms(x), 12)
         de_shock = em.detrended_shock(ms(x), 12)
-        a = ar_shock.values.values
-        d = de_shock.values.values
+        a = ar_shock.values
+        d = de_shock.values
         mask = ~np.isnan(a) & ~np.isnan(d)
         sd = np.std(a[mask])
         assert np.max(np.abs(a[mask] - d[mask])) < 2.0 * sd

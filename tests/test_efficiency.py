@@ -7,25 +7,14 @@ from monephase.compartment import (
     cpi_irf,
     phi_irf,
 )
-from monephase.econometrics import IRFRow, IRFTable
+from monephase.econometrics import IRFTable
 from monephase.efficiency import efficiencies
 from monephase.errors import DataError
 
 
-def table(betas, phase="cash", resp="phi", se=0.05):
-    rows = tuple(
-        IRFRow(
-            h=i,
-            beta=float(b),
-            se=se,
-            ci_low=float(b) - 1.96 * se,
-            ci_high=float(b) + 1.96 * se,
-            n=50,
-        )
-        for i, b in enumerate(betas)
-    )
-    return IRFTable(rows=rows, phase=phase, shock_definition="ar_resid(12)",
-                    response=resp, horizon=len(betas) - 1, lags=12)
+def table(betas, se=0.05):
+    beta = np.array(betas, dtype=np.float64)
+    return IRFTable(beta, np.full(beta.size, se), np.full(beta.size, 50))
 
 
 def test_max_abs_with_sign_ignored():

@@ -43,6 +43,9 @@ from monephase.synth import default_spec, generate, two_compartment_spec, write_
 
 PATHS = st.text("abcXYZ019_-./", max_size=16)
 MONTHS = st.builds(MonthIndex, st.integers(1000, 9999), st.integers(1, 12))
+CHAIN_COMMANDS = (
+    "transform", "breakpoints", "fit-phase", "irf", "calibrate", "landau", "efficiency", "report"
+)
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +298,7 @@ class TestIrfCommand:
         out, cfg, spec = irf_out
         tables = read_irf_pair(out / IRF_PHI_FILE)
         path = tmp_path / "again.csv"
-        write_irf_pair(path, tables[CASH], tables[RESERVE])
+        write_irf_pair(path, cfg, "phi", tables[CASH], tables[RESERVE])
         assert path.read_bytes() == (out / IRF_PHI_FILE).read_bytes()
 
     def test_each_distinct_table_computed_once(self, econ_dir, tmp_path, monkeypatch):
@@ -312,15 +315,26 @@ class TestIrfCommand:
 
         monkeypatch.setattr(em, "local_projection", counted)
         cmd_irf(replace(cfg, out_dir=str(tmp_path), robustness=True))
-        assert len(tables) == 36 and len(set(tables)) == len(tables)
+        distinct = {(t.beta.tobytes(), t.se.tobytes(), t.n.tobytes()) for t in tables}
+        assert len(tables) == 36 and len(distinct) == len(tables)
 
     def test_ci_identity_in_files(self, irf_out):
         out, cfg, spec = irf_out
         for fname in (IRF_PI_FILE, IRF_PHI_FILE):
-            tables = read_irf_pair(out / fname)
-            for tbl in tables.values():
-                for r in tbl.rows:
-                    assert r.ci_low == pytest.approx(r.beta - 1.96 * r.se, abs=1e-12)
+            for cells in read_csv(out / fname)[2]:
+                beta, se, ci_low = (float(c) for c in cells[2:5])
+                assert ci_low == pytest.approx(beta - 1.96 * se, abs=1e-12)
+
+    def test_shock_definition_from_config(self, econ_dir, mechanism_run, tmp_path):
+        out, cfg, spec = econ_dir
+        shutil.copy(out / "panel.csv", tmp_path / "panel.csv")
+        cmd_irf(replace(cfg, out_dir=str(tmp_path), shock_kind="detrended"))
+        for name in (IRF_PI_FILE, IRF_PHI_FILE):
+            assert read_csv(tmp_path / name)[0]["shock_definition"] == "detrended(12)"
+        _, header, rows = read_csv(mechanism_run["out"] / "IRF_robustness.csv")
+        shocks = {cells[0]: cells[header.index("shock")] for cells in rows}
+        assert shocks["shock_detrended"] == "detrended(12)"
+        assert shocks["shock_ar6"] == "ar_resid(6)"
 
     def test_intermediate_diagnostic_flagged(self, irf_out):
         out, cfg, spec = irf_out
@@ -431,26 +445,24 @@ class TestCli:
             assert main(["transform", "--config", str(out / "synthetic_config.txt")]) == 0
         assert [str(w.message) for w in caught] == []
 
-    def test_irf_outputs_identical_across_blas_threads(self, tmp_path):
+    @pytest.mark.parametrize(
+        "months, commands",
+        [(612, ("transform", "irf")), (2400, CHAIN_COMMANDS)],
+        ids=["612_through_irf", "2400_through_report"],
+    )
+    def test_irf_outputs_identical_across_blas_threads(self, tmp_path, months, commands):
+        # at 2,400 months a threaded OpenBLAS moves the last bits of the cash
+        # LP regressions, and from there the calibration, unless it is pinned
         src = str(Path(monephase.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        names = (
-            IRF_PI_FILE,
-            IRF_PHI_FILE,
-            "IRF_intermediate_diagnostic.csv",
-            "IRF_robustness.csv",
-            "phase_means.csv",
-        )
         outputs = []
         for threads in ("1", "2"):
             env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
             out = tmp_path / f"threads_{threads}"
             config = str(out / "synthetic_config.txt")
-            for argv in (
-                ["synth", "--out", str(out), "--seed", "1"],
-                ["transform", "--config", config],
-                ["irf", "--config", config, "--robustness"],
-            ):
+            runs = [["synth", "--out", str(out), "--seed", "1", "--set", f"synth.months={months}"]]
+            runs += [[c, "--config", config, *(["--robustness"] * (c == "irf"))] for c in commands]
+            for argv in runs:
                 subprocess.run(
                     [sys.executable, "-m", "monephase.cli", *argv],
                     env=env,
@@ -458,8 +470,10 @@ class TestCli:
                     capture_output=True,
                     timeout=300,
                 )
-            outputs.append({name: (out / name).read_bytes() for name in names})
-        for name in names:
+            # synthetic_config.txt names the out directory; every byte else must agree
+            outputs.append({p.name: p.read_bytes().replace(bytes(out), b"") for p in out.iterdir()})
+        assert sorted(outputs[0]) == sorted(outputs[1])
+        for name in outputs[0]:
             assert outputs[0][name] == outputs[1][name], name
 
     def test_cli_import_loads_no_scipy(self):
@@ -650,21 +664,14 @@ class TestCalibrationOutputs:
         for name in (IRF_PHI_FILE, "phase_means.csv"):
             shutil.copy(out / name, tmp_path / name)
         zero = {
-            label: replace(
-                table,
-                rows=tuple(replace(r, beta=0.0, ci_low=-1.96 * r.se, ci_high=1.96 * r.se) for r in table.rows),
-            )
+            label: replace(table, beta=np.zeros_like(table.beta))
             for label, table in mechanism_run["pi_tables"].items()
         }
-        write_irf_pair(tmp_path / IRF_PI_FILE, zero[CASH], zero[RESERVE])
+        cfg = mechanism_run["cfg"]
+        write_irf_pair(tmp_path / IRF_PI_FILE, cfg, "pi_core", zero[CASH], zero[RESERVE])
         assert main(["calibrate", "--out", str(tmp_path)]) == 2
         preamble, _, _ = read_csv(tmp_path / "critical_point_summary.csv")
         assert preamble["degenerate"] == "true"
-
-
-CHAIN_COMMANDS = (
-    "transform", "breakpoints", "fit-phase", "irf", "calibrate", "landau", "efficiency", "report"
-)
 
 
 @pytest.fixture(scope="module")
@@ -698,6 +705,12 @@ def _drop(lines, prefix):
 
 def _empty_cells(lines):
     return _edit_row(lines, "cash,3,", lambda line: "cash,3,,,,,99")
+
+
+def _set_cell(line, index, value):
+    cells = line.split(",")
+    cells[index] = value
+    return ",".join(cells)
 
 
 def _degenerate(lines):
@@ -751,6 +764,14 @@ MALFORMED = {
         lambda lines: _edit_row(lines, "cash,3,", lambda line: "cash,3.5," + line[7:]),
         "efficiency", "cannot parse h '3.5'",
     ),
+    "irf_ci_low_off": (
+        IRF_PI_FILE, lambda lines: _edit_row(lines, "cash,3,", lambda r: _set_cell(r, 4, "-99")),
+        "calibrate", "confidence bounds inconsistent at h=3",
+    ),
+    "irf_missing_horizon": (
+        IRF_PHI_FILE, lambda lines: _drop(lines, "reserve,5,"),
+        "efficiency", "IRF table must cover h = 0..24 without gaps",
+    ),
     "irf_empty_cells_efficiency": (
         IRF_PHI_FILE, _empty_cells, "efficiency", "non-finite beta or se at h=3",
     ),
@@ -776,6 +797,14 @@ MALFORMED = {
     "breakpoints_ragged_row": (
         "breakpoints.csv", lambda lines: lines[:2] + ["phi"] + lines[3:],
         "report", "breakpoints.csv:3: expected 7 columns, got 1; rerun the breakpoints command",
+    ),
+    "tanh_fit_converged_maybe": (
+        "tanh_fit.csv", lambda lines: [re.sub(",true$", ",maybe", line) for line in lines],
+        "report", "cannot parse converged 'maybe'; rerun the fit-phase command",
+    ),
+    "phase_means_non_number_full_path": (
+        "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,abc,1"),
+        "calibrate", "/phase_means.csv:2: cannot parse phi_bar 'abc'; rerun the irf command",
     ),
     "tanh_fit_not_converged": (
         "tanh_fit.csv", lambda lines: [re.sub(",true$", ",false", line) for line in lines],

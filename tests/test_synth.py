@@ -106,8 +106,8 @@ def test_planted_kernel_recovered_by_lp(small_spec):
     shock = em.standardize(shock)
     tbl = em.local_projection(pi_core, shock, H=12, L=12, hac_lag=12)
     kernel = np.asarray(small_spec.kernel(label, "pi"))[:13]
-    dev = np.abs(tbl.beta() - kernel)
-    assert np.mean(dev <= 2.0 * tbl.se()) >= 0.85
+    dev = np.abs(tbl.beta - kernel)
+    assert np.mean(dev <= 2.0 * tbl.se) >= 0.85
 
 
 def test_generator_embeds_literal_kernel():
@@ -136,8 +136,8 @@ def test_generator_embeds_literal_kernel():
     shock = em.standardize(shock)
     tbl = em.local_projection(pi_core, shock, H=6, L=12, hac_lag=12)
     expected = np.array(kernel + (0.0, 0.0, 0.0))
-    dev = np.abs(tbl.beta() - expected)
-    assert np.all(dev <= 2.0 * tbl.se())
+    dev = np.abs(tbl.beta - expected)
+    assert np.all(dev <= 2.0 * tbl.se)
 
 
 def test_validation_rejects_escaping_profile():
