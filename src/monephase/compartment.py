@@ -320,16 +320,15 @@ def _snap(value, low, high):
 
 
 def calibrate(
-    irf_phi_cash: IRFTable,
-    irf_pi_cash: IRFTable,
-    irf_phi_reserve: IRFTable,
-    irf_pi_reserve: IRFTable,
-    phi_bars: tuple[float, float],
+    tables: dict[tuple[str, str], IRFTable], phi_bars: dict[str, float]
 ) -> CalibrationResult:
     """Fit both phases and the shared coupling to four empirical IRF tables.
 
-    Minimizes the se-weighted squared deviation between the model responses
-    and the estimated coefficients, over per-phase (A, delta, gamma, eta, kappa)
+    `tables` is keyed (phase, response), for the phases cash and reserve
+    and the responses phi and pi_core, and so are the residuals; `phi_bars`
+    holds each phase's mean order parameter. Minimizes the se-weighted
+    squared deviation between the model responses and the estimated
+    coefficients, over per-phase (A, delta, gamma, eta, kappa)
     and shared (s_pi, phi_c), B = 1 fixed in each phase, within the box:
     A, kappa in [KAPPA_MIN or 0, AMP_CAP], delta, gamma, eta in [0, RATE_CAP],
     |s_pi| <= AMP_CAP and phi_c in [PHI_C_MIN, PHI_C_MAX]. For fixed rates every
@@ -339,31 +338,32 @@ def calibrate(
     bounded pattern search, with nothing random. `degenerate` flags null fitted
     price responses, which leave phi_c unidentified.
     """
-    tables = {("cash", "phi"): irf_phi_cash, ("cash", "pi"): irf_pi_cash}
-    tables.update({("reserve", "phi"): irf_phi_reserve, ("reserve", "pi"): irf_pi_reserve})
+    phases = {p: phi_bars[p] for p in ("cash", "reserve")}
+    tables = {(p, r): tables[(p, r)] for p in phases for r in ("phi", "pi_core")}
+    H = tables[("cash", "phi")].horizon
     for key, tbl in tables.items():
-        if tbl.horizon != irf_phi_cash.horizon:
+        if tbl.horizon != H:
             raise DataError(f"IRF tables must share one horizon grid, {key} differs")
         if (tbl.se <= 0).any():
             raise DataError(f"IRF table {key} has a zero or negative standard error")
-    for v in phi_bars:
+    for v in phases.values():
         if not 0.0 < v < 1.0:
             raise DataError(f"phase mean {v} outside (0, 1)")
-    if phi_bars[0] >= phi_bars[1]:
+    if phases["cash"] >= phases["reserve"]:
         raise DataError("phase means must satisfy cash < reserve")
 
-    h = np.arange(irf_phi_cash.horizon + 1.0)
+    h = np.arange(H + 1.0)
     beta = {k: t.beta for k, t in tables.items()}
     weight = {k: 1.0 / t.se for k, t in tables.items()}
-    phases = dict(zip(("cash", "reserve"), phi_bars))
 
     def phi_fits(phase, delta, gamma):
         w = weight[(phase, "phi")]
         return _phi_fits(delta, gamma, h, w * beta[(phase, "phi")], w, phases[phase])
 
     def pi_fits(gammas):
-        ws, wys = zip(*((weight[(p, "pi")], weight[(p, "pi")] * beta[(p, "pi")]) for p in phases))
-        return _pi_fits(gammas, h, wys, ws, phi_bars)
+        keys = [(p, "pi_core") for p in phases]
+        ws, wys = [weight[k] for k in keys], [weight[k] * beta[k] for k in keys]
+        return _pi_fits(gammas, h, wys, ws, phases.values())
 
     def profile(x):  # the objective at each row (delta_c, gamma_c, delta_r, gamma_r)
         phi = phi_fits("cash", x[:, 0], x[:, 1])[1] + phi_fits("reserve", x[:, 2], x[:, 3])[1]
@@ -393,11 +393,11 @@ def calibrate(
     identified = a * b > 0  # else a = b = 0
     coupling = CouplingParams(
         s_pi=_snap(a, -AMP_CAP, AMP_CAP),
-        phi_c=_snap(a / b, PHI_C_MIN, PHI_C_MAX) if identified else 0.5 * sum(phi_bars),
+        phi_c=_snap(a / b, PHI_C_MIN, PHI_C_MAX) if identified else 0.5 * sum(phases.values()),
     )
 
     models = {(p, "phi"): phi_irf(h, f.params, f.phi_bar, f.kappa) for p, f in fits.items()}
-    models.update({(p, "pi"): cpi_irf(h, f.params, coupling, f.phi_bar) for p, f in fits.items()})
+    models |= {(p, "pi_core"): cpi_irf(h, f.params, coupling, f.phi_bar) for p, f in fits.items()}
     residuals = {k: models[k] - beta[k] for k in tables}
     box = dict(A=(0.0, AMP_CAP), delta=(0.0, RATE_CAP), gamma=(0.0, RATE_CAP), eta=(0.0, RATE_CAP))
     values = [(f"{p}.{n}", getattr(fit.params, n), box[n]) for p, fit in fits.items() for n in box]

@@ -126,6 +126,11 @@ class Artifact:
     header: tuple[str, ...]
     preamble: tuple[str, ...] = ()  # keys its readers require
 
+    @property
+    def rerun(self) -> str:
+        """The hint that ends an error in the file: the command that writes it, if any."""
+        return f"; rerun the {self.command} command" if self.command else ""
+
 
 def parse_number(cell: str) -> float:
     """parse_float_cell for a cell that must hold a number: an empty cell is an error, not NaN."""
@@ -166,7 +171,7 @@ def read_artifact(path: Path | str, artifact: Artifact) -> tuple[dict[str, str],
         if artifact.command is None:
             raise DataError(f"input file not found: {path}")
         raise DataError(f"missing upstream {path}: run the {artifact.command} command first")
-    rerun = f"; rerun the {artifact.command} command" if artifact.command else ""
+    rerun = artifact.rerun
     try:
         preamble, header, rows = read_csv(path)
     except DataError as exc:

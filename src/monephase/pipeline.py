@@ -38,9 +38,10 @@ from .synth import default_spec, generate, write_economy
 
 IRF_PI_FILE = "IRF_J6_core_inflation.csv"
 IRF_PHI_FILE = "IRF_J7_phi.csv"
+IRF_FILES = {"pi_core": IRF_PI_FILE, "phi": IRF_PHI_FILE}  # each response's file
 SUMMARY_FILE = "critical_point_summary.csv"
 
-IRF_PAIR = Artifact(
+IRF_FILE = Artifact(
     "irf", ("phase", *em.IRF_COLUMNS), ("response_variable", "shock_definition", "H", "L")
 )
 ARTIFACTS = {
@@ -55,8 +56,7 @@ ARTIFACTS = {
     "tanh_fit.csv": Artifact(
         "fit-phase", ("phi0", "A", "t0_calendar", "w_months", "sse", "converged")
     ),
-    IRF_PI_FILE: IRF_PAIR,
-    IRF_PHI_FILE: IRF_PAIR,
+    **{name: IRF_FILE for name in IRF_FILES.values()},
     "phase_means.csv": Artifact("irf", ("phase", "phi_bar", "n_months")),
     SUMMARY_FILE: Artifact(
         "calibrate",
@@ -91,11 +91,30 @@ def _write(out: Path, name: str, rows, preamble=()) -> Path:
     return write_csv(out / name, ARTIFACTS[name].header, rows, preamble)
 
 
-def _both_phases(path: Path | str, by_phase: dict) -> dict:
+def _error(path: Path, problem) -> DataError:
+    """A DataError for the hand-off file at path, with its rerun hint."""
+    return DataError(f"{path}: {problem}{ARTIFACTS[path.name].rerun}")
+
+
+def _phase_records(out: Path, name: str) -> tuple[dict[str, str], dict[str, list[Record]]]:
+    """(preamble, the records of each phase) of a file of cash and reserve rows."""
+    preamble, records = _read(out, name)
+    by_phase: dict[str, list[Record]] = {}
+    for rec in records:
+        by_phase.setdefault(rec["phase"], []).append(rec)
     if sorted(by_phase) != [CASH, RESERVE]:
         got = ", ".join(sorted(by_phase))
-        raise DataError(f"{path}: expected rows of phases cash and reserve, got {got}")
-    return by_phase
+        raise _error(out / name, f"expected rows of phases cash and reserve, got {got}")
+    return preamble, by_phase
+
+
+def _both_phases(out: Path, name: str) -> dict[str, Record]:
+    """The one record of each phase of a file, cash then reserve."""
+    by_phase = _phase_records(out, name)[1]
+    for phase, records in by_phase.items():
+        if len(records) > 1:
+            raise records[1].error(f"repeated phase {phase}")
+    return {phase: by_phase[phase][0] for phase in (CASH, RESERVE)}
 
 
 def _out(cfg: RunConfig) -> Path:
@@ -237,38 +256,49 @@ def _phase_irfs(cfg: RunConfig, panel: Panel, memo: dict):
     return partition, tables
 
 
-def write_irf_pair(
-    path: Path, cfg: RunConfig, response: str, cash: em.IRFTable, reserve: em.IRFTable
-) -> Path:
-    """One response's cash and reserve tables, estimated under cfg; phase, then horizon."""
-    values = (response, _shock_definition(cfg), cfg.horizon, cfg.lags)
-    preamble = list(zip(IRF_PAIR.preamble, values))
-    rows = [(phase, *c) for phase, t in ((CASH, cash), (RESERVE, reserve)) for c in t.cells()]
-    return write_csv(path, IRF_PAIR.header, rows, preamble)
+def write_irfs(out: Path, cfg: RunConfig, tables: dict) -> list[Path]:
+    """The (phase, response) tables estimated under cfg, one file per response; phase, then h."""
+    paths = []
+    for response, name in IRF_FILES.items():
+        values = (response, _shock_definition(cfg), cfg.horizon, cfg.lags)
+        rows = [(p, *c) for p in (CASH, RESERVE) for c in tables[(p, response)].cells()]
+        paths.append(write_csv(out / name, IRF_FILE.header, rows, zip(IRF_FILE.preamble, values)))
+    return paths
 
 
-def read_irf_pair(path: Path | str) -> dict[str, em.IRFTable]:
-    """The cash and reserve tables of an IRF file that write_irf_pair wrote, rows in any order."""
-    preamble, records = read_artifact(path, IRF_PAIR)
+def read_irfs(out: Path) -> dict[tuple[str, str], em.IRFTable]:
+    """The (phase, response) tables that write_irfs wrote, rows in any order.
+
+    Each file must hold h = 0..H in both phases, with the same H in both files.
+    """
     kinds = {"h": int, "n": int}
-    by_phase: dict[str, list[tuple]] = {}
-    for rec in records:
-        row = tuple(rec.parse(c, kinds.get(c, parse_float_cell)) for c in em.IRF_COLUMNS)
-        by_phase.setdefault(rec["phase"], []).append(row)
-    _both_phases(path, by_phase)
-    tables = {}
-    try:
-        H, _ = int(preamble["H"]), int(preamble["L"])
-        for phase, rows in by_phase.items():
-            hs, beta, se, ci_low, ci_high, n = zip(*sorted(rows, key=lambda r: r[0]))
-            if list(hs) != list(range(H + 1)):
-                raise DataError(f"IRF table must cover h = 0..{H} without gaps, got {list(hs)}")
-            tables[phase] = em.IRFTable(np.array(beta), np.array(se), np.array(n))
-            for h, _, _, low, high, _ in tables[phase].cells():  # the file's bands, recomputed
-                if not (abs(ci_low[h] - low) <= 1e-12 and abs(ci_high[h] - high) <= 1e-12):
-                    raise DataError(f"confidence bounds inconsistent at h={h}")
-    except (ValueError, DataError) as exc:
-        raise DataError(f"{path}: {exc}") from None
+    tables, first = {}, None  # first: the name and H of the first file read
+    for response, name in IRF_FILES.items():
+        preamble, by_phase = _phase_records(out, name)
+        parsed = {
+            phase: [tuple(r.parse(c, kinds.get(c, parse_float_cell)) for c in em.IRF_COLUMNS)
+                    for r in records]
+            for phase, records in by_phase.items()
+        }
+        try:
+            H, _ = int(preamble["H"]), int(preamble["L"])
+            first = first or (name, H)
+            if H != first[1]:
+                raise DataError(
+                    "IRF files must share one horizon grid, "
+                    f"got H = {H} here and H = {first[1]} in {first[0]}"
+                )
+            for phase, rows in parsed.items():
+                hs, beta, se, ci_low, ci_high, n = zip(*sorted(rows, key=lambda r: r[0]))
+                if list(hs) != list(range(H + 1)):
+                    raise DataError(f"IRF table must cover h = 0..{H} without gaps, got {list(hs)}")
+                table = em.IRFTable(np.array(beta), np.array(se), np.array(n))
+                for h, _, _, low, high, _ in table.cells():  # the file's bands, recomputed
+                    if not (abs(ci_low[h] - low) <= 1e-12 and abs(ci_high[h] - high) <= 1e-12):
+                        raise DataError(f"confidence bounds inconsistent at h={h}")
+                tables[(phase, response)] = table
+        except (ValueError, DataError) as exc:
+            raise _error(out / name, exc) from None
     return tables
 
 
@@ -302,10 +332,7 @@ def cmd_irf(cfg: RunConfig) -> list[Path]:
     memo: dict = {}  # shared by the baseline, the diagnostic and the sweep
     partition, tables = _phase_irfs(cfg, panel, memo)
     out = _out(cfg)
-    written = [
-        write_irf_pair(out / name, cfg, response, *(tables[(p, response)] for p in (CASH, RESERVE)))
-        for name, response in ((IRF_PI_FILE, "pi_core"), (IRF_PHI_FILE, "phi"))
-    ]
+    written = write_irfs(out, cfg, tables)
     phi_bar_cash, phi_bar_reserve = phase_means(panel["phi"], partition)
     written.append(
         _write(
@@ -356,35 +383,17 @@ def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Pa
 
 def cmd_calibrate(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
-    pi_tables, phi_tables = read_irf_pair(out / IRF_PI_FILE), read_irf_pair(out / IRF_PHI_FILE)
-    records = _read(out, "phase_means.csv")[1]
-    means = _both_phases(out / "phase_means.csv", {r["phase"]: r.parse("phi_bar") for r in records})
-    phi_bars = (means[CASH], means[RESERVE])
-    result = calibrate(
-        irf_phi_cash=phi_tables[CASH],
-        irf_pi_cash=pi_tables[CASH],
-        irf_phi_reserve=phi_tables[RESERVE],
-        irf_pi_reserve=pi_tables[RESERVE],
-        phi_bars=phi_bars,
-    )
-    written = write_calibration(out, result, phi_tables, pi_tables)
-    print(f"phi_c = {result.coupling.phi_c!r}")
-    print(
-        "ordering phi_bar_cash < phi_c < phi_bar_reserve: "
-        + ("holds" if result.ordering_holds() else "violated")
-    )
+    tables = read_irfs(out)
+    means = _both_phases(out, "phase_means.csv")
+    result = calibrate(tables, {phase: rec.parse("phi_bar") for phase, rec in means.items()})
+    written = write_calibration(out, result, tables)
     if result.degenerate:
         msg = "calibration degenerate: fitted price responses are null, phi_c unidentified"
         raise ConvergenceError(msg)
     return written
 
 
-def write_calibration(
-    out: Path,
-    result: CalibrationResult,
-    phi_tables: dict,
-    pi_tables: dict,
-) -> list[Path]:
+def write_calibration(out: Path, result: CalibrationResult, tables: dict) -> list[Path]:
     params_rows = []
     for label, fit in (("cash", result.cash), ("reserve", result.reserve)):
         p = fit.params
@@ -422,9 +431,9 @@ def write_calibration(
     ]
     for label in (CASH, RESERVE):
         rows = []
-        for target, table in (("phi", phi_tables[label]), ("pi_core", pi_tables[label])):
-            resid = result.residuals[(label, "phi" if target == "phi" else "pi")]
-            for h, (beta, dev) in enumerate(zip(table.beta.tolist(), resid.tolist())):
+        for target in ("phi", "pi_core"):
+            betas, resid = tables[(label, target)].beta, result.residuals[(label, target)]
+            for h, (beta, dev) in enumerate(zip(betas.tolist(), resid.tolist())):
                 rows.append((h, target, beta, beta + dev, dev))
         paths.append(
             write_csv(
@@ -511,10 +520,10 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
 
 def cmd_efficiency(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
-    pi_tables, phi_tables = read_irf_pair(out / IRF_PI_FILE), read_irf_pair(out / IRF_PHI_FILE)
+    tables = read_irfs(out)
     rows = []
     for label in (CASH, RESERVE):
-        rep = efficiencies(phi_tables[label], pi_tables[label], H=cfg.horizon)
+        rep = efficiencies(tables[(label, "phi")], tables[(label, "pi_core")], H=cfg.horizon)
         rows.append((label, rep.eff_r, rep.argmax_r, rep.eff_c, rep.argmax_c, rep.H))
     return [_write(out, "efficiency.csv", rows)]
 
@@ -544,11 +553,9 @@ def cmd_report(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
     tanh = _read(out, "tanh_fit.csv")[1][0]
     if not tanh.parse("converged", _flag):
-        raise DataError(
-            f"{out / 'tanh_fit.csv'}: tanh fit did not converge; rerun the fit-phase command"
-        )
+        raise _error(out / "tanh_fit.csv", "tanh fit did not converge")
     _, breaks = _read(out, "breakpoints.csv")
-    _, effs = _read(out, "efficiency.csv")
+    effs = _both_phases(out, "efficiency.csv")
     summary, calibration = _calibration(out)
     kinds = {"t0_calendar": _month_fraction, "argmax_r": int, "argmax_c": int}
 
@@ -565,7 +572,7 @@ def cmd_report(cfg: RunConfig) -> list[Path]:
         taus.sort()
         median = MonthIndex.from_ordinal(taus[(len(taus) - 1) // 2])
         lines.append(f"breakpoints.{cluster}.{series}.median = {median}")
-    for rec in effs:
+    for rec in effs.values():
         for c in ("eff_r", "argmax_r", "eff_c", "argmax_c"):
             lines.append(f"efficiency.{rec['phase']}.{c} = {cell(rec, c)}")
     lines += [f"calibration.{c} = {cell(calibration, c)}" for c in ("phi_c", "s_pi", "objective")]

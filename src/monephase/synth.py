@@ -191,28 +191,6 @@ def generate(spec: SynthSpec) -> tuple[Panel, GroundTruth]:
     return panel, truth
 
 
-def compartment_kernels(
-    cash_params: CompartmentParams,
-    cash_kappa: float,
-    reserve_params: CompartmentParams,
-    reserve_kappa: float,
-    coupling: CouplingParams,
-    phi_bars: tuple[float, float],
-    n_horizons: int = 37,
-) -> dict:
-    """Impulse kernels implied by a two-compartment truth, per unit shock."""
-    h = np.arange(n_horizons, dtype=np.float64)
-    phi_bar_cash, phi_bar_reserve = phi_bars
-    return {
-        (CASH, "phi"): tuple(phi_irf(h, cash_params, phi_bar_cash, cash_kappa)),
-        (CASH, "pi"): tuple(cpi_irf(h, cash_params, coupling, phi_bar_cash)),
-        (RESERVE, "phi"): tuple(
-            phi_irf(h, reserve_params, phi_bar_reserve, reserve_kappa)
-        ),
-        (RESERVE, "pi"): tuple(cpi_irf(h, reserve_params, coupling, phi_bar_reserve)),
-    }
-
-
 # reference truth used by the default economy; B = 1 is the calibration gauge
 TRUTH_PHI_C = 0.231
 TRUTH_S_PI = 0.18
@@ -230,16 +208,17 @@ def two_compartment_spec(
     t0: MonthIndex = MonthIndex(2000, 1),
     w: float = 6.0,
 ) -> SynthSpec:
-    """An economy whose kernels come from the reference two-compartment truth."""
+    """An economy whose kernels, h = 0..36 per unit shock, come from the reference
+    two-compartment truth."""
     coupling = CouplingParams(s_pi=TRUTH_S_PI, phi_c=TRUTH_PHI_C)
-    kernels = compartment_kernels(
-        TRUTH_CASH,
-        TRUTH_CASH_KAPPA,
-        TRUTH_RESERVE,
-        TRUTH_RESERVE_KAPPA,
-        coupling,
-        TRUTH_PHI_BARS,
-    )
+    h = np.arange(37.0)
+    kernels = {}
+    for phase, params, kappa, phi_bar in (
+        (CASH, TRUTH_CASH, TRUTH_CASH_KAPPA, TRUTH_PHI_BARS[0]),
+        (RESERVE, TRUTH_RESERVE, TRUTH_RESERVE_KAPPA, TRUTH_PHI_BARS[1]),
+    ):
+        kernels[(phase, "phi")] = tuple(phi_irf(h, params, phi_bar, kappa))
+        kernels[(phase, "pi")] = tuple(cpi_irf(h, params, coupling, phi_bar))
     truth = {
         "phi_c": TRUTH_PHI_C,
         "s_pi": TRUTH_S_PI,

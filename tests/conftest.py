@@ -13,7 +13,7 @@ from monephase.pipeline import (
     cmd_calibrate,
     cmd_irf,
     cmd_transform,
-    read_irf_pair,
+    read_irfs,
     read_panel_csv,
 )
 from monephase.synth import generate, two_compartment_spec, write_economy
@@ -46,8 +46,6 @@ def mechanism_run(tmp_path_factory):
     cmd_calibrate(cfg)
     elapsed = time.time() - t_start
 
-    pi_tables = read_irf_pair(out / "IRF_J6_core_inflation.csv")
-    phi_tables = read_irf_pair(out / "IRF_J7_phi.csv")
     _, _, crit_rows = read_csv(out / "critical_point_summary.csv")
     _, _, mean_rows = read_csv(out / "phase_means.csv")
     return {
@@ -56,8 +54,7 @@ def mechanism_run(tmp_path_factory):
         "cfg": cfg,
         "out": out,
         "panel": read_panel_csv(out / "panel.csv"),
-        "pi_tables": pi_tables,
-        "phi_tables": phi_tables,
+        "tables": read_irfs(out),
         "phi_c": float(crit_rows[0][0]),
         "s_pi": float(crit_rows[0][1]),
         "phase_means": {cells[0]: float(cells[1]) for cells in mean_rows},

@@ -207,7 +207,7 @@ class TestCriterion6MechanismLoop:
         # (i) order-parameter responses positive in both phases, with at
         # least one significantly positive medium horizon each
         for phase in (CASH, RESERVE):
-            tbl = mechanism_run["phi_tables"][phase]
+            tbl = mechanism_run["tables"][(phase, "phi")]
             betas = tbl.beta[med]
             rows = list(tbl.cells())[med]
             assert betas.mean() > 0, f"{phase} phi response not positive"
@@ -215,8 +215,8 @@ class TestCriterion6MechanismLoop:
 
         # (ii) price kernel: positive in the cash phase, significantly
         # negative at medium horizons in the reserve phase
-        cash_pi = mechanism_run["pi_tables"][CASH]
-        res_pi = mechanism_run["pi_tables"][RESERVE]
+        cash_pi = mechanism_run["tables"][(CASH, "pi_core")]
+        res_pi = mechanism_run["tables"][(RESERVE, "pi_core")]
         assert cash_pi.beta[med].mean() > 0
         assert res_pi.beta[med].mean() < 0
         assert any(ci_high < 0 for *_, ci_high, _ in list(res_pi.cells())[med])

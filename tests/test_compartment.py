@@ -22,7 +22,7 @@ from monephase.compartment import (
 from monephase.csvio import read_csv
 from monephase.econometrics import IRFTable
 from monephase.errors import DataError
-from monephase.pipeline import IRF_PHI_FILE, IRF_PI_FILE, read_irf_pair
+from monephase.pipeline import read_irfs
 
 P = CompartmentParams(A=1.0, B=2.0, delta=0.3, gamma=0.2, eta=0.15)
 
@@ -204,54 +204,43 @@ CASH_TRUE = CompartmentParams(A=1.5, B=1.0, delta=0.06, gamma=0.04, eta=0.05)
 RESERVE_TRUE = CompartmentParams(A=3.0, B=1.0, delta=0.05, gamma=0.045, eta=0.04)
 COUPLING_TRUE = CouplingParams(s_pi=0.18, phi_c=0.231)
 PHI_BARS = (0.127, 0.694)
+PHASE_MEANS = {"cash": PHI_BARS[0], "reserve": PHI_BARS[1]}
 
 
 def planted_tables(h_max=24):
     h = np.arange(h_max + 1.0)
-    return dict(
-        phi_cash=exact_table(phi_irf(h, CASH_TRUE, PHI_BARS[0], 0.005)),
-        pi_cash=exact_table(cpi_irf(h, CASH_TRUE, COUPLING_TRUE, PHI_BARS[0])),
-        phi_reserve=exact_table(phi_irf(h, RESERVE_TRUE, PHI_BARS[1], 0.0065)),
-        pi_reserve=exact_table(cpi_irf(h, RESERVE_TRUE, COUPLING_TRUE, PHI_BARS[1])),
-    )
+    return {
+        ("cash", "phi"): exact_table(phi_irf(h, CASH_TRUE, PHI_BARS[0], 0.005)),
+        ("cash", "pi_core"): exact_table(cpi_irf(h, CASH_TRUE, COUPLING_TRUE, PHI_BARS[0])),
+        ("reserve", "phi"): exact_table(phi_irf(h, RESERVE_TRUE, PHI_BARS[1], 0.0065)),
+        ("reserve", "pi_core"): exact_table(cpi_irf(h, RESERVE_TRUE, COUPLING_TRUE, PHI_BARS[1])),
+    }
 
 
 class TestCalibrate:
     def test_planted_recovery(self):
-        t = planted_tables()
-        out = calibrate(
-            t["phi_cash"], t["pi_cash"], t["phi_reserve"], t["pi_reserve"],
-            phi_bars=PHI_BARS,
-        )
+        out = calibrate(planted_tables(), PHASE_MEANS)
         assert out.objective < 1e-6
         assert out.coupling.phi_c == pytest.approx(0.231, abs=0.02)
         assert out.ordering_holds()
         assert not out.degenerate
 
     def test_all_zero_targets_degenerate(self):
-        zero = np.zeros(25)
-        out = calibrate(
-            exact_table(zero),
-            exact_table(zero),
-            exact_table(zero),
-            exact_table(zero),
-            phi_bars=PHI_BARS,
-        )
+        zero = {key: exact_table(np.zeros(25)) for key in planted_tables()}
+        out = calibrate(zero, PHASE_MEANS)
         assert out.degenerate
 
     def test_zero_se_rejected(self):
         t = planted_tables()
         bad = exact_table(np.zeros(25), se=0.0)
         with pytest.raises(DataError, match="standard error"):
-            calibrate(bad, t["pi_cash"], t["phi_reserve"], t["pi_reserve"],
-                      phi_bars=PHI_BARS)
+            calibrate({**t, ("cash", "phi"): bad}, PHASE_MEANS)
 
     def test_mismatched_grids_rejected(self):
         t = planted_tables()
         short = planted_tables(h_max=12)
         with pytest.raises(DataError, match="horizon grid"):
-            calibrate(t["phi_cash"], t["pi_cash"], short["phi_reserve"],
-                      t["pi_reserve"], phi_bars=PHI_BARS)
+            calibrate({**t, ("reserve", "phi"): short[("reserve", "phi")]}, PHASE_MEANS)
 
     def test_objective_invariant_under_joint_rescale(self):
         # before the B = 1 gauge is imposed, (A, B) -> c (A, B) with
@@ -259,12 +248,7 @@ class TestCalibrate:
         # weighted objective unchanged; the gauge then picks one
         # representative from that ray
         t = planted_tables()
-        targets = {
-            ("cash", "phi"): t["phi_cash"].beta,
-            ("cash", "pi"): t["pi_cash"].beta,
-            ("reserve", "phi"): t["phi_reserve"].beta,
-            ("reserve", "pi"): t["pi_reserve"].beta,
-        }
+        targets = {key: table.beta for key, table in t.items()}
         h = np.arange(25.0)
 
         def objective(cash_p, cash_k, res_p, res_k, coup):
@@ -277,7 +261,7 @@ class TestCalibrate:
                     np.sum((phi_irf(h, p, phi_bar, kappa) - targets[(label, "phi")]) ** 2)
                 )
                 total += float(
-                    np.sum((cpi_irf(h, p, coup, phi_bar) - targets[(label, "pi")]) ** 2)
+                    np.sum((cpi_irf(h, p, coup, phi_bar) - targets[(label, "pi_core")]) ** 2)
                 )
             return total
 
@@ -319,9 +303,8 @@ def default_economy(tmp_path_factory):
     for argv in (["synth", "--out", str(out), "--seed", "1"], ["transform", "--config", config]):
         assert main(argv) == 0
     assert main(["irf", "--config", config]) == 0
-    phi, pi = read_irf_pair(out / IRF_PHI_FILE), read_irf_pair(out / IRF_PI_FILE)
     means = {cells[0]: float(cells[1]) for cells in read_csv(out / "phase_means.csv")[2]}
-    return (phi["cash"], pi["cash"], phi["reserve"], pi["reserve"]), (means["cash"], means["reserve"])
+    return read_irfs(out), means
 
 
 def box_lsq(f0, fa, fb, y, hi_a, hi_b):
@@ -382,12 +365,12 @@ def dense_grid_objective(targets, phi_bars, rates, h):
 class TestCalibrateConstrained:
     def test_default_economy(self, default_economy):
         tables, phi_bars = default_economy
-        out = calibrate(*tables, phi_bars=phi_bars)
+        out = calibrate(tables, phi_bars)
         assert out.objective <= 63.81370633093803  # a 50-start Nelder-Mead optimum here
         assert_inside_box(out)
         assert abs(out.coupling.phi_c - 0.231) <= 0.05
         assert out.ordering_holds() and out.converged and not out.degenerate
-        again = calibrate(*tables, phi_bars=phi_bars)
+        again = calibrate(tables, phi_bars)
         fields = ("cash", "reserve", "coupling", "objective", "binding", "rate_evaluations")
         assert all(getattr(again, f) == getattr(out, f) for f in fields)
 
@@ -395,7 +378,7 @@ class TestCalibrateConstrained:
         # seed 1, 612 months: 3 * 65^2 = 12,675 evaluations on the grid and 4,132
         # in the pattern search; a change to the search or its start moves these
         tables, phi_bars = default_economy
-        out = calibrate(*tables, phi_bars=phi_bars)
+        out = calibrate(tables, phi_bars)
         assert out.rate_evaluations == 16807
         assert out.coupling.phi_c == pytest.approx(0.2400894129746245, rel=1e-12, abs=0)
         assert out.objective == pytest.approx(63.78293816051734, rel=1e-12, abs=0)
@@ -415,11 +398,12 @@ class TestCalibrateConstrained:
             ),
         ]
         out = calibrate(
-            exact_table(targets[0][0]),
-            exact_table(targets[0][1]),
-            exact_table(targets[1][0]),
-            exact_table(targets[1][1]),
-            phi_bars=PHI_BARS,
+            {
+                (phase, response): exact_table(y)
+                for phase, pair in zip(("cash", "reserve"), targets)
+                for response, y in zip(("phi", "pi_core"), pair)
+            },
+            PHASE_MEANS,
         )
         assert_inside_box(out)
         assert out.objective > 1e-9  # the planted reduced form is out of reach

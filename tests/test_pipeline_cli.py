@@ -33,9 +33,9 @@ from monephase.pipeline import (
     cmd_landau,
     cmd_report,
     cmd_transform,
-    read_irf_pair,
+    read_irfs,
     read_panel_csv,
-    write_irf_pair,
+    write_irfs,
 )
 from monephase.series import MonthIndex
 from monephase.synth import default_spec, generate, two_compartment_spec, write_economy
@@ -296,10 +296,10 @@ class TestIrfCommand:
 
     def test_roundtrip_zero_loss(self, irf_out, tmp_path):
         out, cfg, spec = irf_out
-        tables = read_irf_pair(out / IRF_PHI_FILE)
-        path = tmp_path / "again.csv"
-        write_irf_pair(path, cfg, "phi", tables[CASH], tables[RESERVE])
-        assert path.read_bytes() == (out / IRF_PHI_FILE).read_bytes()
+        paths = write_irfs(tmp_path, cfg, read_irfs(out))
+        assert [p.name for p in paths] == [IRF_PI_FILE, IRF_PHI_FILE]
+        for path in paths:
+            assert path.read_bytes() == (out / path.name).read_bytes()
 
     def test_each_distinct_table_computed_once(self, econ_dir, tmp_path, monkeypatch):
         # the baseline, the diagnostic and the sweep share one table memo;
@@ -618,8 +618,8 @@ class TestReportEndToEnd:
         from monephase.efficiency import efficiencies
 
         rep = efficiencies(
-            mechanism_run["phi_tables"][CASH],
-            mechanism_run["pi_tables"][CASH],
+            mechanism_run["tables"][(CASH, "phi")],
+            mechanism_run["tables"][(CASH, "pi_core")],
             H=cfg.horizon,
         )
         assert f"efficiency.cash.eff_r = {rep.eff_r!r}" in text
@@ -661,14 +661,11 @@ class TestCalibrationOutputs:
 
     def test_null_price_responses_degenerate_exit_code(self, mechanism_run, tmp_path):
         out = mechanism_run["out"]
-        for name in (IRF_PHI_FILE, "phase_means.csv"):
-            shutil.copy(out / name, tmp_path / name)
-        zero = {
-            label: replace(table, beta=np.zeros_like(table.beta))
-            for label, table in mechanism_run["pi_tables"].items()
-        }
-        cfg = mechanism_run["cfg"]
-        write_irf_pair(tmp_path / IRF_PI_FILE, cfg, "pi_core", zero[CASH], zero[RESERVE])
+        shutil.copy(out / "phase_means.csv", tmp_path / "phase_means.csv")
+        tables = dict(mechanism_run["tables"])
+        for key in ((CASH, "pi_core"), (RESERVE, "pi_core")):
+            tables[key] = replace(tables[key], beta=np.zeros_like(tables[key].beta))
+        write_irfs(tmp_path, mechanism_run["cfg"], tables)
         assert main(["calibrate", "--out", str(tmp_path)]) == 2
         preamble, _, _ = read_csv(tmp_path / "critical_point_summary.csv")
         assert preamble["degenerate"] == "true"
@@ -715,6 +712,17 @@ def _set_cell(line, index, value):
 
 def _degenerate(lines):
     return [line.replace("# degenerate: false", "# degenerate: true") for line in lines]
+
+
+def _preamble(key, value):
+    return lambda lines: [f"# {key}: {value}" if line.startswith(f"# {key}:") else line
+                          for line in lines]
+
+
+def _horizon_20(lines):
+    """An IRF file cut to H = 20, each phase's rows h = 0..20."""
+    cut = [line for line in lines if not re.match(r"(cash|reserve),2[1-4],", line)]
+    return _preamble("H", 20)(cut)
 
 
 MALFORMED = {
@@ -806,6 +814,54 @@ MALFORMED = {
         "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,abc,1"),
         "calibrate", "/phase_means.csv:2: cannot parse phi_bar 'abc'; rerun the irf command",
     ),
+    "irf_missing_horizon_rerun": (
+        IRF_PHI_FILE, lambda lines: _drop(lines, "reserve,5,"),
+        "efficiency", "22, 23, 24]; rerun the irf command",
+    ),
+    "irf_empty_cells_rerun": (
+        IRF_PI_FILE, _empty_cells, "calibrate", "non-finite beta or se at h=3; rerun the irf command",
+    ),
+    "irf_ci_low_off_rerun": (
+        IRF_PI_FILE, lambda lines: _edit_row(lines, "cash,3,", lambda r: _set_cell(r, 4, "-99")),
+        "efficiency", "confidence bounds inconsistent at h=3; rerun the irf command",
+    ),
+    "irf_unparsable_H": (
+        IRF_PHI_FILE, _preamble("H", "x"), "calibrate", "'x'; rerun the irf command",
+    ),
+    "irf_unparsable_L": (
+        IRF_PI_FILE, _preamble("L", "12.5"), "efficiency", "'12.5'; rerun the irf command",
+    ),
+    "irf_no_cash_rows": (
+        IRF_PI_FILE, lambda lines: _drop(lines, "cash,"), "calibrate",
+        "expected rows of phases cash and reserve, got reserve; rerun the irf command",
+    ),
+    "phase_means_no_cash_row_rerun": (
+        "phase_means.csv", lambda lines: _drop(lines, "cash,"), "calibrate",
+        "expected rows of phases cash and reserve, got reserve; rerun the irf command",
+    ),
+    "irf_horizon_mismatch_calibrate": (
+        IRF_PHI_FILE, _horizon_20, "calibrate",
+        f"{IRF_PHI_FILE}: IRF files must share one horizon grid, got H = 20 here and H = 24 "
+        f"in {IRF_PI_FILE}; rerun the irf command",
+    ),
+    "irf_horizon_mismatch_efficiency": (
+        IRF_PHI_FILE, _horizon_20, "efficiency",
+        f"{IRF_PHI_FILE}: IRF files must share one horizon grid, got H = 20 here and H = 24 "
+        f"in {IRF_PI_FILE}; rerun the irf command",
+    ),
+    "phase_means_repeated_cash": (
+        "phase_means.csv", lambda lines: lines + ["cash,0.5,3"], "calibrate",
+        "phase_means.csv:4: repeated phase cash; rerun the irf command",
+    ),
+    "efficiency_no_reserve_row": (
+        "efficiency.csv", lambda lines: _drop(lines, "reserve,"), "report",
+        "efficiency.csv: expected rows of phases cash and reserve, got cash; "
+        "rerun the efficiency command",
+    ),
+    "efficiency_repeated_cash": (
+        "efficiency.csv", lambda lines: lines + [lines[1]], "report",
+        "efficiency.csv:4: repeated phase cash; rerun the efficiency command",
+    ),
     "tanh_fit_not_converged": (
         "tanh_fit.csv", lambda lines: [re.sub(",true$", ",false", line) for line in lines],
         "report", "tanh_fit.csv: tanh fit did not converge; rerun the fit-phase command",
@@ -837,6 +893,20 @@ class TestUpstreamArtifacts:
         assert main([command, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert name in err and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", CHAIN_COMMANDS)
+    def test_stdout_lists_written_paths(self, default_chain, tmp_path, capsys, command):
+        out, _ = default_chain
+        for path in out.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        config = str(tmp_path / "synthetic_config.txt")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # windows outside the data
+            assert main([command, "--config", config, "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(Path(line).parent == tmp_path for line in lines), lines
+        assert all(Path(line).is_file() for line in lines)
 
     def test_only_csvio_names_read_csv(self):
         # every other module reads a CSV through read_artifact, so none skips its checks
