@@ -13,6 +13,9 @@ bit-for-bit where the contracts say so:
   of the scalar series (x_t . b1) u_t, where b1 is row 1 of (X'X)^{-1}
   taken from the OLS singular value decomposition; in exact arithmetic
   it equals element [1, 1] of the hac_covariance sandwich.
+* Horizons of a local projection that share their rows share one SVD of
+  their design. This is exact: every float operation sees the inputs that
+  one ols per horizon would.
 * An IRFTable holds only beta, se and n by horizon; labels are the caller's, and
   IRFTable.cells computes the bands beta -/+ 1.96 * se when a table is written.
 * numpy's bundled OpenBLAS runs on one thread: threaded kernels split sums by
@@ -53,23 +56,19 @@ _pin_blas_threads()
 
 @dataclass(frozen=True)
 class RegressionResult:
-    """OLS coefficients and residuals, with the singular values s and V' of X."""
+    """OLS coefficients and residuals."""
 
     coefficients: np.ndarray
     residuals: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
 
 
-def ols(X: np.ndarray, y: np.ndarray) -> RegressionResult:
-    """Least squares via SVD.
+def _svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD U, s, V' of a design X.
 
-    Raises CollinearityError when X is rank deficient at the relative
-    tolerance above, and DataError when there are not more rows than
-    columns.
+    Raises DataError unless X has more rows than columns, and
+    CollinearityError when X is rank deficient at the relative tolerance
+    above.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     n, k = X.shape
     if n <= k:
         raise DataError(f"need more observations than regressors (n={n}, k={k})")
@@ -78,8 +77,16 @@ def ols(X: np.ndarray, y: np.ndarray) -> RegressionResult:
         raise CollinearityError(
             f"rank-deficient design: singular values span {s[0]:.3e}..{s[-1]:.3e}"
         )
+    return U, s, Vt
+
+
+def ols(X: np.ndarray, y: np.ndarray) -> RegressionResult:
+    """Least squares via SVD; X is checked as _svd checks it."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    U, s, Vt = _svd(X)
     coef = Vt.T @ ((U.T @ y) / s)
-    return RegressionResult(coef, y - X @ coef, s, Vt)
+    return RegressionResult(coef, y - X @ coef)
 
 
 def _bartlett(Z: np.ndarray, max_lag: int) -> np.ndarray:
@@ -221,7 +228,12 @@ IRF_COLUMNS = ("h", "beta", "se", "ci_low", "ci_high", "n")
 
 
 def local_projection(
-    y: MonthlySeries, shock: MonthlySeries, H: int, L: int, hac_lag: int = 12
+    y: MonthlySeries,
+    shock: MonthlySeries,
+    H: int,
+    L: int,
+    hac_lag: int = 12,
+    prefix: IRFTable | None = None,
 ) -> IRFTable:
     """Horizon-by-horizon projection of y on the shock with lag controls.
 
@@ -233,7 +245,9 @@ def local_projection(
     error: the Bartlett long-run variance of (x_t . b1) u_t, where b1 is
     row 1 of (X'X)^{-1} from the regression's own SVD. In exact arithmetic
     it equals element [1, 1] of hac_covariance, without forming the k x k
-    sandwich.
+    sandwich. A horizon whose rows are the previous horizon's reuses its
+    SVD and x_t . b1, bit for bit. prefix, a table of the same inputs for
+    h = 0..H0 with H0 < H, is continued: only h = H0+1..H are estimated.
 
     The shock enters exactly as given; standardize first if unit-shock
     kernels are wanted.
@@ -253,7 +267,10 @@ def local_projection(
     y_ok = ~np.isnan(yv)
 
     beta, se, rows = [], [], []
-    for h in range(H + 1):
+    if prefix is not None:
+        beta, se, rows = list(prefix.beta), list(prefix.se), list(prefix.n)
+    t_prev = np.empty(0)  # the rows of the design last factored
+    for h in range(len(beta), H + 1):
         t_idx = np.flatnonzero(base[: max(n - h, 0)] & y_ok[h:])
         if t_idx.size <= 2 * L + 2:
             raise DataError(
@@ -263,12 +280,15 @@ def local_projection(
         outcome = yv[t_idx + h]
         if np.ptp(outcome) == 0.0:
             raise DataError(f"horizon h={h}: outcome has zero variance")
-        X = design[t_idx]
-        fit = ols(X, outcome)
-        b1 = fit.vt.T @ (fit.vt[:, 1] / fit.s**2)
-        z = (X @ b1) * fit.residuals
+        if not np.array_equal(t_idx, t_prev):
+            X = design[t_idx]
+            U, s, Vt = _svd(X)
+            xb1 = X @ (Vt.T @ (Vt[:, 1] / s**2))
+            t_prev = t_idx
+        coef = Vt.T @ ((U.T @ outcome) / s)
+        z = xb1 * (outcome - X @ coef)
         var = _bartlett(z[:, None], hac_lag)[0, 0]
-        beta.append(fit.coefficients[1])
+        beta.append(coef[1])
         se.append(np.sqrt(max(var, 0.0)))
         rows.append(t_idx.size)
     return IRFTable(np.array(beta), np.array(se), np.array(rows))

@@ -219,17 +219,17 @@ def _shock_definition(cfg: RunConfig) -> str:
 def _phase_tables(
     cfg: RunConfig, panel: Panel, partition: PhasePartition, label: str, memo: dict
 ) -> dict[str, em.IRFTable]:
-    """The phase's pi_core and phi LP tables, each computed once per memo.
+    """The phase's pi_core and phi LP tables, each horizon computed once per memo.
 
     The memo key holds everything a table depends on besides the panel and
     the horizon: the phase, its months, the shock definition, L and the HAC
     lag. No horizon's regression depends on H, so a table for a shorter H
-    is the row prefix of a longer one; the memo keeps the longest.
+    is the row prefix of a longer one; the memo keeps the shock and the
+    longest tables, and a longer H estimates only the horizons they lack.
     """
     mask = partition.mask(label)
     key = (label, mask.tobytes(), cfg.shock_kind, cfg.shock_p, cfg.lags, cfg.hac_lag)
-    H = cfg.horizon
-    if key not in memo or memo[key]["phi"].horizon < H:
+    if key not in memo:
         if not mask.any():
             raise DataError(f"phase {label!r} is empty; cannot build shocks")
         g = panel["g_mb"]
@@ -237,12 +237,17 @@ def _phase_tables(
             _, shock = em.ar_fit(g, cfg.shock_p, mask)
         else:
             shock = em.detrended_shock(g, cfg.shock_p, mask)
-        shock = em.standardize(shock)
-        memo[key] = {
-            response: em.local_projection(panel[response], shock, H, cfg.lags, cfg.hac_lag)
+        memo[key] = em.standardize(shock), {}
+    shock, tables = memo[key]
+    H = cfg.horizon
+    if not tables or tables["phi"].horizon < H:
+        tables.update({
+            response: em.local_projection(
+                panel[response], shock, H, cfg.lags, cfg.hac_lag, tables.get(response)
+            )
             for response in ("pi_core", "phi")
-        }
-    return {response: table.head(H) for response, table in memo[key].items()}
+        })
+    return {response: table.head(H) for response, table in tables.items()}
 
 
 def _phase_irfs(cfg: RunConfig, panel: Panel, memo: dict):
@@ -266,13 +271,14 @@ def write_irfs(out: Path, cfg: RunConfig, tables: dict) -> list[Path]:
     return paths
 
 
-def read_irfs(out: Path) -> dict[tuple[str, str], em.IRFTable]:
-    """The (phase, response) tables that write_irfs wrote, rows in any order.
+def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
+    """The (phase, response) tables that write_irfs wrote under cfg, rows in any order.
 
-    Each file must hold h = 0..H in both phases, with the same H in both files.
+    Each file must hold h = 0..H in both phases, with H and L cfg's
+    lp.horizon and lp.lags.
     """
     kinds = {"h": int, "n": int}
-    tables, first = {}, None  # first: the name and H of the first file read
+    tables = {}
     for response, name in IRF_FILES.items():
         preamble, by_phase = _phase_records(out, name)
         parsed = {
@@ -281,12 +287,11 @@ def read_irfs(out: Path) -> dict[tuple[str, str], em.IRFTable]:
             for phase, records in by_phase.items()
         }
         try:
-            H, _ = int(preamble["H"]), int(preamble["L"])
-            first = first or (name, H)
-            if H != first[1]:
+            H, L = int(preamble["H"]), int(preamble["L"])
+            if (H, L) != (cfg.horizon, cfg.lags):
                 raise DataError(
-                    "IRF files must share one horizon grid, "
-                    f"got H = {H} here and H = {first[1]} in {first[0]}"
+                    f"estimated with H = {H} and L = {L}, but the config sets "
+                    f"lp.horizon = {cfg.horizon} and lp.lags = {cfg.lags}"
                 )
             for phase, rows in parsed.items():
                 hs, beta, se, ci_low, ci_high, n = zip(*sorted(rows, key=lambda r: r[0]))
@@ -383,7 +388,7 @@ def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Pa
 
 def cmd_calibrate(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
-    tables = read_irfs(out)
+    tables = read_irfs(out, cfg)
     means = _both_phases(out, "phase_means.csv")
     result = calibrate(tables, {phase: rec.parse("phi_bar") for phase, rec in means.items()})
     written = write_calibration(out, result, tables)
@@ -520,7 +525,7 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
 
 def cmd_efficiency(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
-    tables = read_irfs(out)
+    tables = read_irfs(out, cfg)
     rows = []
     for label in (CASH, RESERVE):
         rep = efficiencies(tables[(label, "phi")], tables[(label, "pi_core")], H=cfg.horizon)

@@ -54,7 +54,7 @@ def mechanism_run(tmp_path_factory):
         "cfg": cfg,
         "out": out,
         "panel": read_panel_csv(out / "panel.csv"),
-        "tables": read_irfs(out),
+        "tables": read_irfs(out, cfg),
         "phi_c": float(crit_rows[0][0]),
         "s_pi": float(crit_rows[0][1]),
         "phase_means": {cells[0]: float(cells[1]) for cells in mean_rows},

@@ -19,6 +19,7 @@ from monephase.compartment import (
     steady_state_phi,
     x_response,
 )
+from monephase.config import RunConfig
 from monephase.csvio import read_csv
 from monephase.econometrics import IRFTable
 from monephase.errors import DataError
@@ -304,7 +305,7 @@ def default_economy(tmp_path_factory):
         assert main(argv) == 0
     assert main(["irf", "--config", config]) == 0
     means = {cells[0]: float(cells[1]) for cells in read_csv(out / "phase_means.csv")[2]}
-    return read_irfs(out), means
+    return read_irfs(out, RunConfig()), means
 
 
 def box_lsq(f0, fa, fb, y, hi_a, hi_b):

@@ -308,6 +308,58 @@ class TestLocalProjection:
             assert n_h == X.shape[0]
             assert se_h == pytest.approx(se, rel=1e-12, abs=0.0)
 
+    @staticmethod
+    def phase_like(to_end):
+        """y and a shock defined on months 100..239 of 300, as in the cash phase, or on
+        months 100..299, as in a reserve phase that runs to the series end."""
+        rng = np.random.default_rng(15)
+        n = 300
+        u, e = rng.standard_normal((2, n))
+        y = np.convolve(u, [0.5, 0.3, 0.1])[:n] + 0.2 * e
+        mask = np.zeros(n, dtype=bool)
+        mask[100 : n if to_end else 240] = True
+        return ms(y), ms(np.where(mask, u, np.nan))
+
+    @pytest.mark.parametrize("to_end", [False, True])
+    def test_matches_per_horizon_ols_bit_for_bit(self, to_end):
+        # horizons that share their rows share one SVD; the numbers are a fresh ols's
+        y, shock = self.phase_like(to_end)
+        H, L, hac_lag = 8, 3, 4
+        tbl = em.local_projection(y, shock, H, L, hac_lag)
+        yv, uv = y.values, shock.values
+        design = np.column_stack([np.ones(yv.size), uv, em._lags(yv, L), em._lags(uv, L)])
+        defined = np.flatnonzero(~np.isnan(design).any(axis=1))
+        beta, se = [], []
+        for h in range(H + 1):
+            rows = defined[defined + h < yv.size]
+            X = design[rows]
+            fit = em.ols(X, yv[rows + h])
+            _, s, Vt = np.linalg.svd(X, full_matrices=False)
+            z = (X @ (Vt.T @ (Vt[:, 1] / s**2))) * fit.residuals
+            beta.append(fit.coefficients[1])
+            se.append(np.sqrt(em._bartlett(z[:, None], hac_lag)[0, 0]))
+        assert np.array_equal(tbl.beta, beta) and np.array_equal(tbl.se, se)
+        continued = em.local_projection(y, shock, H, L, hac_lag, prefix=tbl.head(3))
+        for column in ("beta", "se", "n"):
+            assert np.array_equal(getattr(continued, column), getattr(tbl, column))
+
+    @pytest.mark.parametrize("to_end, factorizations, continued", [(False, 1, 1), (True, 9, 5)])
+    def test_one_svd_per_distinct_row_set(self, monkeypatch, to_end, factorizations, continued):
+        y, shock = self.phase_like(to_end)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        tbl = em.local_projection(y, shock, H=8, L=3, hac_lag=4)
+        assert len(calls) == factorizations == len(set(tbl.n.tolist()))
+        calls.clear()  # continuing h = 0..3 factors only the designs of h = 4..8
+        em.local_projection(y, shock, H=8, L=3, hac_lag=4, prefix=tbl.head(3))
+        assert len(calls) == continued
+
 
 def reference_rows(x, positions, p):
     """Rows whose own value and p lags are finite and inside one run, row by row."""

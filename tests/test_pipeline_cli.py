@@ -1,4 +1,5 @@
 import ast
+import inspect
 import os
 import re
 import shutil
@@ -296,27 +297,32 @@ class TestIrfCommand:
 
     def test_roundtrip_zero_loss(self, irf_out, tmp_path):
         out, cfg, spec = irf_out
-        paths = write_irfs(tmp_path, cfg, read_irfs(out))
+        paths = write_irfs(tmp_path, cfg, read_irfs(out, cfg))
         assert [p.name for p in paths] == [IRF_PI_FILE, IRF_PHI_FILE]
         for path in paths:
             assert path.read_bytes() == (out / path.name).read_bytes()
 
     def test_each_distinct_table_computed_once(self, econ_dir, tmp_path, monkeypatch):
         # the baseline, the diagnostic and the sweep share one table memo;
-        # the H_12 tables are row prefixes of the baseline's H = 24 tables
+        # the H_12 tables are row prefixes of the baseline's H = 24 tables,
+        # and H_36 estimates only the horizons 25..36 they lack
         out, cfg, spec = econ_dir
         shutil.copy(out / "panel.csv", tmp_path / "panel.csv")
-        tables = []
+        tables, estimated = [], []
         original = em.local_projection
+        signature = inspect.signature(original)
 
         def counted(*args, **kwargs):
+            prefix = signature.bind(*args, **kwargs).arguments.get("prefix")
             tables.append(original(*args, **kwargs))
+            estimated.append(tables[-1].horizon - (-1 if prefix is None else prefix.horizon))
             return tables[-1]
 
         monkeypatch.setattr(em, "local_projection", counted)
         cmd_irf(replace(cfg, out_dir=str(tmp_path), robustness=True))
         distinct = {(t.beta.tobytes(), t.se.tobytes(), t.n.tobytes()) for t in tables}
         assert len(tables) == 36 and len(distinct) == len(tables)
+        assert sum(estimated) == 848  # 948 when H_36 redid h = 0..24
 
     def test_ci_identity_in_files(self, irf_out):
         out, cfg, spec = irf_out
@@ -363,6 +369,24 @@ class TestIrfCommand:
         assert "robustness variant thresholds_0.25_0.65: horizon h=10" in err
         assert "Traceback" not in err
         assert not (tmp_path / "IRF_robustness.csv").exists()
+
+    def test_sweep_failure_past_the_baseline_horizon_names_variant(
+        self, default_chain, tmp_path, capsys
+    ):
+        # without the last 66 months the reserve tables keep 58 rows at h = 0:
+        # enough through the baseline's h = 24, and H_36, which estimates only
+        # h = 25..36, runs short at h = 32
+        out, _ = default_chain
+        lines = (out / "panel.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "panel.csv").write_text("".join(lines[:-66]))
+        assert main(["irf", "--out", str(tmp_path)]) == 0
+        baseline = {name: (tmp_path / name).read_bytes() for name in (IRF_PI_FILE, IRF_PHI_FILE)}
+        capsys.readouterr()
+        assert main(["irf", "--out", str(tmp_path), "--robustness"]) == 1
+        err = capsys.readouterr().err
+        assert "robustness variant H_36: horizon h=32: only 26 usable rows (need > 26)" in err
+        assert not (tmp_path / "IRF_robustness.csv").exists()
+        assert all((tmp_path / name).read_bytes() == b for name, b in baseline.items())
 
     def test_phase_means_written(self, irf_out):
         out, cfg, spec = irf_out
@@ -841,13 +865,13 @@ MALFORMED = {
     ),
     "irf_horizon_mismatch_calibrate": (
         IRF_PHI_FILE, _horizon_20, "calibrate",
-        f"{IRF_PHI_FILE}: IRF files must share one horizon grid, got H = 20 here and H = 24 "
-        f"in {IRF_PI_FILE}; rerun the irf command",
+        f"{IRF_PHI_FILE}: estimated with H = 20 and L = 12, but the config sets "
+        "lp.horizon = 24 and lp.lags = 12; rerun the irf command",
     ),
     "irf_horizon_mismatch_efficiency": (
         IRF_PHI_FILE, _horizon_20, "efficiency",
-        f"{IRF_PHI_FILE}: IRF files must share one horizon grid, got H = 20 here and H = 24 "
-        f"in {IRF_PI_FILE}; rerun the irf command",
+        f"{IRF_PHI_FILE}: estimated with H = 20 and L = 12, but the config sets "
+        "lp.horizon = 24 and lp.lags = 12; rerun the irf command",
     ),
     "phase_means_repeated_cash": (
         "phase_means.csv", lambda lines: lines + ["cash,0.5,3"], "calibrate",
@@ -907,6 +931,25 @@ class TestUpstreamArtifacts:
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(Path(line).parent == tmp_path for line in lines), lines
         assert all(Path(line).is_file() for line in lines)
+
+    @pytest.mark.parametrize("command", ["calibrate", "efficiency"])
+    @pytest.mark.parametrize("setting, H, L", [("lp.horizon=20", 20, 12), ("lp.lags=6", 24, 6)])
+    def test_irf_files_of_other_lp_settings_refused(
+        self, default_chain, tmp_path, capsys, command, setting, H, L
+    ):
+        out, _ = default_chain
+        for path in out.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        config = str(tmp_path / "synthetic_config.txt")
+        assert main(["irf", "--config", config, "--out", str(tmp_path), "--set", setting]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", config, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert (
+            f"{tmp_path / IRF_PI_FILE}: estimated with H = {H} and L = {L}, but the config "
+            "sets lp.horizon = 24 and lp.lags = 12; rerun the irf command"
+        ) in err
+        assert "Traceback" not in err
 
     def test_only_csvio_names_read_csv(self):
         # every other module reads a CSV through read_artifact, so none skips its checks
