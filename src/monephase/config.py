@@ -5,12 +5,15 @@ the two data paths reproduces the headline setup: thresholds 0.30/0.60,
 AR(12) shocks, horizon 24, 12 lags, HAC lag 12, tanh window 2010-01 to
 2018-12, and the standard breakpoint window clusters.
 
-File format: one ``key = value`` per line, ``#`` comments allowed.
-Window lists are comma-separated ``start:end`` month ranges.
+File format: one ``key = value`` per line. A ``#`` starts a comment at
+the start of a line or after whitespace within a value, so a value such
+as ``out#1`` keeps its ``#``. Window lists are comma-separated
+``start:end`` month ranges.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -64,6 +67,7 @@ ERA_BOUNDS = (
 )
 
 SHOCK_KINDS = ("ar_resid", "detrended")
+_INLINE_COMMENT = re.compile(r"\s#")  # within a value; a '#' not after whitespace is kept
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -173,12 +177,13 @@ def parse_config(path: Path | str) -> RunConfig:
     values: dict = {}
     clusters: dict = {}
     for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise DataError(f"{path.name}:{lineno}: expected 'key = value'")
+        value = _INLINE_COMMENT.split(value.strip(), maxsplit=1)[0]
         _apply_key(values, clusters, key.strip(), value.strip())
     if clusters:
         values["clusters"] = clusters
@@ -199,18 +204,24 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
 
 
 def config_text(cfg: RunConfig) -> str:
-    """Serialize to the flat key format (used by the synth command); parses back unchanged."""
-    lines = []
+    """Serialize to the flat key format (used by the synth command); parses back unchanged.
+
+    A value that would not read back as written (surrounding whitespace, a
+    line break, or whitespace followed by '#') raises DataError naming its key.
+    """
+    pairs = []
     for key, (attr, _) in _SCALAR_KEYS.items():
         value = getattr(cfg, attr)
         if isinstance(value, bool):
             value = "true" if value else "false"
         if value is not None:
-            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+            pairs.append((key, repr(value) if isinstance(value, float) else str(value)))
     for name, windows in cfg.clusters.items():
-        body = ",".join(f"{a}:{b}" for a, b in windows)
-        lines.append(f"breaks.cluster.{name} = {body}")
-    return "\n".join(lines) + "\n"
+        pairs.append((f"breaks.cluster.{name}", ",".join(f"{a}:{b}" for a, b in windows)))
+    for key, value in pairs:
+        if value != value.strip() or len(value.splitlines()) > 1 or _INLINE_COMMENT.search(value):
+            raise DataError(f"{key} = {value!r} would not read back from a config file unchanged")
+    return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
 def era_label(year: int) -> str:

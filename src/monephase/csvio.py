@@ -120,10 +120,10 @@ def read_csv(path: Path | str) -> tuple[dict[str, str], list[str], list[Row]]:
 
 @dataclass(frozen=True)
 class Artifact:
-    """A CSV that a command reads: an input file, or one another command writes."""
+    """A file a command writes, or an input."""
 
     command: str | None  # the command that writes it; None for an input file
-    header: tuple[str, ...]
+    header: tuple[str, ...]  # empty for a file that is not a CSV
     preamble: tuple[str, ...] = ()  # keys its readers require
 
     @property

@@ -9,7 +9,7 @@ unambiguous. Monetary quantities are in 100 million yen; CPI columns are
 Validation is total: a malformed input raises a DataError naming file,
 line, and column, and no partial panel is returned. read_artifact checks
 both inputs as it checks every CSV a command reads; the same monthly-table
-reader and writer also carry the pipeline's panel.csv.
+reader and table_rows also carry the pipeline's panel.csv.
 """
 
 from __future__ import annotations
@@ -94,13 +94,8 @@ def load_cpi(path: Path | str) -> Panel:
     return panel
 
 
-def write_table(
-    path: Path | str,
-    panel: Panel,
-    columns: tuple[str, ...],
-    month_columns: MonthColumns = {},
-) -> Path:
-    """Write a monthly table; month_columns cells are computed from the month."""
+def table_rows(panel: Panel, columns: tuple[str, ...], month_columns: MonthColumns = {}):
+    """The rows of a monthly table; month_columns cells are computed from the month."""
     months = panel.months()
     cells = [[str(month) for month in months]]
     for name in columns[1:]:
@@ -108,14 +103,14 @@ def write_table(
             cells.append([month_columns[name](month) for month in months])
         else:
             cells.append(panel[name].values.tolist())
-    return write_csv(path, columns, zip(*cells))
+    return zip(*cells)
 
 
 def write_monetary(path: Path | str, panel: Panel) -> Path:
     """Inverse of load_monetary; round-trips bit-exactly."""
-    return write_table(path, panel, MONETARY.header)
+    return write_csv(path, MONETARY.header, table_rows(panel, MONETARY.header))
 
 
 def write_cpi(path: Path | str, panel: Panel) -> Path:
     """Inverse of load_cpi; round-trips bit-exactly."""
-    return write_table(path, panel, CPI.header)
+    return write_csv(path, CPI.header, table_rows(panel, CPI.header))

@@ -2,9 +2,11 @@
 
 Identical inputs produce byte-identical outputs: seeds are fixed in the
 config, CSV row order is fixed (phase first, then horizon), and floats
-are written in shortest round-trip form. Every file that one command
-reads from another is declared once in ARTIFACTS and read back through
-csvio.read_artifact, which checks it before any cell is used.
+are written in shortest round-trip form. ARTIFACTS declares every file
+a command writes, once: the command, the header and the preamble keys
+its readers require. Every CSV written here goes through _write with
+that header, and every file one command reads from another is read back
+through csvio.read_artifact, which checks it before any cell is used.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .config import RunConfig, config_text, era_label
 from .csvio import Artifact, Record, parse_float_cell, parse_number, read_artifact, write_csv
 from .efficiency import efficiencies
 from .errors import ConvergenceError, DataError
-from .ingest import load_cpi, load_monetary, load_table, write_table
+from .ingest import CPI, MONETARY, load_cpi, load_monetary, load_table, table_rows
 from .phase import (
     CASH,
     INTERMEDIATE,
@@ -34,7 +36,7 @@ from .phase import (
     phase_means,
 )
 from .series import MonthIndex, MonthlySeries, Panel, index_to_base, merge, order_parameter, yoy
-from .synth import default_spec, generate, write_economy
+from .synth import GROUND_TRUTH_HEADER, default_spec, generate, write_economy
 
 IRF_PI_FILE = "IRF_J6_core_inflation.csv"
 IRF_PHI_FILE = "IRF_J7_phi.csv"
@@ -45,6 +47,10 @@ IRF_FILE = Artifact(
     "irf", ("phase", *em.IRF_COLUMNS), ("response_variable", "shock_definition", "H", "L")
 )
 ARTIFACTS = {
+    "monetary.csv": Artifact("synth", MONETARY.header),
+    "cpi.csv": Artifact("synth", CPI.header),
+    "ground_truth.csv": Artifact("synth", GROUND_TRUTH_HEADER),
+    "synthetic_config.txt": Artifact("synth", ()),
     "panel.csv": Artifact(
         "transform",
         ("date", "MB", "BN", "CO", "RB", "MB_SA", "CPI", "CPI_core", "phi", "pi")
@@ -58,14 +64,34 @@ ARTIFACTS = {
     ),
     **{name: IRF_FILE for name in IRF_FILES.values()},
     "phase_means.csv": Artifact("irf", ("phase", "phi_bar", "n_months")),
+    "IRF_intermediate_diagnostic.csv": Artifact("irf", ("response", *em.IRF_COLUMNS)),
+    "IRF_robustness.csv": Artifact(
+        "irf",
+        ("variant", "cash_max", "reserve_min", "H", "L", "shock", "phase", "response")
+        + em.IRF_COLUMNS,
+    ),
+    "two_compartment_parameters.csv": Artifact(
+        "calibrate", ("phase", "A", "B", "delta", "gamma", "eta", "kappa")
+    ),
     SUMMARY_FILE: Artifact(
         "calibrate",
         ("phi_c", "s_pi", "phi_bar_cash", "phi_bar_reserve", "objective"),
         ("degenerate", "ordering_holds"),
     ),
+    **{
+        f"fit_{label}_phase.csv": Artifact(
+            "calibrate", ("h", "target", "empirical_beta", "model_value", "residual")
+        )
+        for label in (CASH, RESERVE)
+    },
+    "landau_sweep.csv": Artifact("landau", ("theta_or_a", "m_star", "F_min", "degenerate_flag")),
+    "landau_potential.csv": Artifact("landau", ("a", "m", "F")),
+    "steady_state_sweep.csv": Artifact("landau", ("theta", "phi_star")),
+    "susceptibility.csv": Artifact("landau", ("phi", "S")),
     "efficiency.csv": Artifact(
         "efficiency", ("phase", "eff_r", "argmax_r", "eff_c", "argmax_c", "H")
     ),
+    "report.txt": Artifact("report", ()),
 }
 PANEL_MONTH_COLUMNS = {"era": lambda month: era_label(month.year)}  # written, not read
 
@@ -142,17 +168,13 @@ def build_panel(cfg: RunConfig) -> Panel:
     return Panel(panel.start, panel.length, {**panel.series, **derived})
 
 
-def write_panel_csv(path: Path, panel: Panel) -> Path:
-    return write_table(path, panel, ARTIFACTS["panel.csv"].header, PANEL_MONTH_COLUMNS)
-
-
 def read_panel_csv(path: Path | str) -> Panel:
     return load_table(path, ARTIFACTS["panel.csv"], PANEL_MONTH_COLUMNS)
 
 
 def cmd_transform(cfg: RunConfig) -> list[Path]:
-    panel = build_panel(cfg)
-    return [write_panel_csv(_out(cfg) / "panel.csv", panel)]
+    rows = table_rows(build_panel(cfg), ARTIFACTS["panel.csv"].header, PANEL_MONTH_COLUMNS)
+    return [_write(_out(cfg), "panel.csv", rows)]
 
 
 def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
@@ -221,14 +243,15 @@ def _phase_tables(
 ) -> dict[str, em.IRFTable]:
     """The phase's pi_core and phi LP tables, each horizon computed once per memo.
 
-    The memo key holds everything a table depends on besides the panel and
-    the horizon: the phase, its months, the shock definition, L and the HAC
-    lag. No horizon's regression depends on H, so a table for a shorter H
-    is the row prefix of a longer one; the memo keeps the shock and the
-    longest tables, and a longer H estimates only the horizons they lack.
+    The memo keeps each shock under what it depends on: the phase, its
+    months and the shock definition. It keeps the tables under that key
+    plus L and the HAC lag. No horizon's regression depends on H, so a
+    table for a shorter H is the row prefix of a longer one; the memo
+    keeps the longest tables, and a longer H estimates only the horizons
+    they lack.
     """
     mask = partition.mask(label)
-    key = (label, mask.tobytes(), cfg.shock_kind, cfg.shock_p, cfg.lags, cfg.hac_lag)
+    key = (label, mask.tobytes(), cfg.shock_kind, cfg.shock_p)
     if key not in memo:
         if not mask.any():
             raise DataError(f"phase {label!r} is empty; cannot build shocks")
@@ -237,8 +260,9 @@ def _phase_tables(
             _, shock = em.ar_fit(g, cfg.shock_p, mask)
         else:
             shock = em.detrended_shock(g, cfg.shock_p, mask)
-        memo[key] = em.standardize(shock), {}
-    shock, tables = memo[key]
+        memo[key] = em.standardize(shock)
+    shock = memo[key]
+    tables = memo.setdefault((*key, cfg.lags, cfg.hac_lag), {})
     H = cfg.horizon
     if not tables or tables["phi"].horizon < H:
         tables.update({
@@ -267,15 +291,15 @@ def write_irfs(out: Path, cfg: RunConfig, tables: dict) -> list[Path]:
     for response, name in IRF_FILES.items():
         values = (response, _shock_definition(cfg), cfg.horizon, cfg.lags)
         rows = [(p, *c) for p in (CASH, RESERVE) for c in tables[(p, response)].cells()]
-        paths.append(write_csv(out / name, IRF_FILE.header, rows, zip(IRF_FILE.preamble, values)))
+        paths.append(_write(out, name, rows, zip(IRF_FILE.preamble, values)))
     return paths
 
 
 def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
     """The (phase, response) tables that write_irfs wrote under cfg, rows in any order.
 
-    Each file must hold h = 0..H in both phases, with H and L cfg's
-    lp.horizon and lp.lags.
+    Each file must hold h = 0..H in both phases, with H, L and the
+    shock definition cfg's.
     """
     kinds = {"h": int, "n": int}
     tables = {}
@@ -292,6 +316,11 @@ def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
                 raise DataError(
                     f"estimated with H = {H} and L = {L}, but the config sets "
                     f"lp.horizon = {cfg.horizon} and lp.lags = {cfg.lags}"
+                )
+            if preamble["shock_definition"] != _shock_definition(cfg):
+                raise DataError(
+                    f"estimated with shock_definition {preamble['shock_definition']}, but the "
+                    f"config sets shock.kind = {cfg.shock_kind} and shock.p = {cfg.shock_p}"
                 )
             for phase, rows in parsed.items():
                 hs, beta, se, ci_low, ci_high, n = zip(*sorted(rows, key=lambda r: r[0]))
@@ -366,9 +395,7 @@ def _intermediate_diagnostic(cfg, panel, partition, memo: dict, out: Path) -> Pa
         preamble.append(("error", str(exc)))
     else:
         rows = [(response, *c) for response, t in tables.items() for c in t.cells()]
-    return write_csv(
-        out / "IRF_intermediate_diagnostic.csv", ("response", *em.IRF_COLUMNS), rows, preamble
-    )
+    return _write(out, "IRF_intermediate_diagnostic.csv", rows, preamble)
 
 
 def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Path:
@@ -382,8 +409,7 @@ def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Pa
         for (label, response), table in sorted(tables.items()):
             head = (*settings, _shock_definition(variant), label, response)
             rows += [(*head, *c) for c in table.cells()]
-    header = ("variant", "cash_max", "reserve_min", "H", "L", "shock", "phase", "response")
-    return write_csv(out / "IRF_robustness.csv", header + em.IRF_COLUMNS, rows)
+    return _write(out, "IRF_robustness.csv", rows)
 
 
 def cmd_calibrate(cfg: RunConfig) -> list[Path]:
@@ -404,11 +430,7 @@ def write_calibration(out: Path, result: CalibrationResult, tables: dict) -> lis
         p = fit.params
         params_rows.append((label, p.A, p.B, p.delta, p.gamma, p.eta, fit.kappa))
     paths = [
-        write_csv(
-            out / "two_compartment_parameters.csv",
-            ("phase", "A", "B", "delta", "gamma", "eta", "kappa"),
-            params_rows,
-        ),
+        _write(out, "two_compartment_parameters.csv", params_rows),
         _write(
             out,
             SUMMARY_FILE,
@@ -440,13 +462,7 @@ def write_calibration(out: Path, result: CalibrationResult, tables: dict) -> lis
             betas, resid = tables[(label, target)].beta, result.residuals[(label, target)]
             for h, (beta, dev) in enumerate(zip(betas.tolist(), resid.tolist())):
                 rows.append((h, target, beta, beta + dev, dev))
-        paths.append(
-            write_csv(
-                out / f"fit_{label}_phase.csv",
-                ("h", "target", "empirical_beta", "model_value", "residual"),
-                rows,
-            )
-        )
+        paths.append(_write(out, f"fit_{label}_phase.csv", rows))
     return paths
 
 
@@ -479,13 +495,7 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
                 stat.degenerate_pair,
             )
         )
-    paths = [
-        write_csv(
-            out / "landau_sweep.csv",
-            ("theta_or_a", "m_star", "F_min", "degenerate_flag"),
-            sweep_rows,
-        )
-    ]
+    paths = [_write(out, "landau_sweep.csv", sweep_rows)]
 
     m_grid = np.linspace(-1.5, 1.5, 121)
     pot_rows = []
@@ -493,9 +503,7 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
         params = ld.LandauParams(a=a, b=1.0, h_field=0.0)
         for m in m_grid:
             pot_rows.append((a, float(m), ld.free_energy(float(m), params)))
-    paths.append(
-        write_csv(out / "landau_potential.csv", ("a", "m", "F"), pot_rows)
-    )
+    paths.append(_write(out, "landau_potential.csv", pot_rows))
 
     theta_grid = np.linspace(-6.0, 6.0, 121)
     steady_rows = [
@@ -507,18 +515,12 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
         )
         for th in theta_grid
     ]
-    paths.append(
-        write_csv(out / "steady_state_sweep.csv", ("theta", "phi_star"), steady_rows)
-    )
+    paths.append(_write(out, "steady_state_sweep.csv", steady_rows))
 
     phi_grid = np.linspace(0.0, 1.0, 201)
     sus = ld.susceptibility(phi_grid, phi_c, epsilon=0.05)
     paths.append(
-        write_csv(
-            out / "susceptibility.csv",
-            ("phi", "S"),
-            [(float(p), float(s)) for p, s in zip(phi_grid, sus)],
-        )
+        _write(out, "susceptibility.csv", [(float(p), float(s)) for p, s in zip(phi_grid, sus)])
     )
     return paths
 
@@ -534,7 +536,10 @@ def cmd_efficiency(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_synth(cfg: RunConfig) -> list[Path]:
-    out = _out(cfg)
+    out = Path(cfg.out_dir)
+    cfg_text = config_text(  # first: a value it refuses leaves no file behind
+        replace(cfg, monetary_path=str(out / "monetary.csv"), cpi_path=str(out / "cpi.csv"))
+    )
     spec = default_spec(seed=cfg.seed)
     if cfg.synth_months != spec.months:
         # shrink or grow from the front so the transition stays in sample
@@ -542,13 +547,6 @@ def cmd_synth(cfg: RunConfig) -> list[Path]:
         spec = replace(spec, months=cfg.synth_months, start=start)
     panel, truth = generate(spec)
     paths = write_economy(out, panel, truth)
-    cfg_text = config_text(
-        replace(
-            cfg,
-            monetary_path=str(out / "monetary.csv"),
-            cpi_path=str(out / "cpi.csv"),
-        )
-    )
     config_path = out / "synthetic_config.txt"
     config_path.write_text(cfg_text, encoding="utf-8")
     return [paths["monetary"], paths["cpi"], paths["ground_truth"], config_path]

@@ -37,6 +37,7 @@ MB_SEED_GROWTH = 0.004  # monthly growth over the first year of base levels
 CPI_SEED_GROWTH = 0.0015  # monthly growth over the first year of CPI levels
 CO_SHARE = 0.03  # coins as a share of the base
 KERNEL_KEYS = ((CASH, "phi"), (CASH, "pi"), (RESERVE, "phi"), (RESERVE, "pi"))
+GROUND_TRUTH_HEADER = ("key", "value")
 
 
 @dataclass(frozen=True)
@@ -290,7 +291,7 @@ def write_ground_truth(path: Path | str, truth: GroundTruth) -> Path:
         segs = truth.partition.segments(label)
         rows.append((f"segments_{label}", ";".join(f"{a}:{b}" for a, b in segs)))
     rows.append(("innovations_unit", _join(truth.innovations_unit)))
-    return write_csv(path, ("key", "value"), rows)
+    return write_csv(path, GROUND_TRUTH_HEADER, rows)
 
 
 def write_economy(out_dir: Path | str, panel: Panel, truth: GroundTruth) -> dict[str, Path]:

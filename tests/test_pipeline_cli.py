@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import monephase
 from monephase import econometrics as em
+from monephase import pipeline
 from monephase.cli import COMMANDS, main
 from monephase.config import RunConfig, apply_overrides, config_text, era_label, parse_config
 from monephase.csvio import parse_float_cell, read_csv
@@ -42,7 +43,7 @@ from monephase.series import MonthIndex
 from monephase.synth import default_spec, generate, two_compartment_spec, write_economy
 
 
-PATHS = st.text("abcXYZ019_-./", max_size=16)
+PATHS = st.text("abcXYZ019_-./#", max_size=16)
 MONTHS = st.builds(MonthIndex, st.integers(1000, 9999), st.integers(1, 12))
 CHAIN_COMMANDS = (
     "transform", "breakpoints", "fit-phase", "irf", "calibrate", "landau", "efficiency", "report"
@@ -93,6 +94,29 @@ class TestConfig:
         assert [str(a) for a, _ in cfg.clusters["custom"]] == ["2000-01", "2001-01"]
         cfg2 = apply_overrides(cfg, ["lp.horizon=36", "shock.kind=detrended"])
         assert cfg2.horizon == 36 and cfg2.shock_kind == "detrended"
+
+    def test_hash_starts_a_comment_only_after_whitespace(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text(
+            "  # indented comment\n"
+            "phase.cash_max = 0.25  # inline comment\n"
+            "out.dir = runs/h#1\n"
+            "data.cpi = #cpi.csv\n"
+            "data.monetary = m.csv\t# after a tab\n"
+        )
+        cfg = parse_config(path)
+        assert cfg.cash_max == 0.25 and cfg.out_dir == "runs/h#1"
+        assert cfg.cpi_path == "#cpi.csv" and cfg.monetary_path == "m.csv"
+
+    @pytest.mark.parametrize(
+        "attr, key, value",
+        [("cpi_path", "data.cpi", " cpi.csv"), ("monetary_path", "data.monetary", "m.csv "),
+         ("out_dir", "out.dir", "a\nb"), ("out_dir", "out.dir", "a #b"),
+         ("out_dir", "out.dir", "a\t#b")],
+    )
+    def test_config_text_refuses_values_that_do_not_read_back(self, attr, key, value):
+        with pytest.raises(DataError, match=f"^{re.escape(f'{key} = {value!r}')} would not read"):
+            config_text(RunConfig(**{attr: value}))
 
     def test_non_utf8_config_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -324,6 +348,25 @@ class TestIrfCommand:
         assert len(tables) == 36 and len(distinct) == len(tables)
         assert sum(estimated) == 848  # 948 when H_36 redid h = 0..24
 
+    def test_each_shock_fitted_once(self, default_chain, tmp_path, monkeypatch):
+        # a shock depends on its phase, the phase's months and the shock
+        # definition, not on L or the HAC lag, so the L_6 and L_18 variants
+        # reuse the baseline's shocks
+        out, _ = default_chain
+        shutil.copy(out / "panel.csv", tmp_path / "panel.csv")
+        shocks = []
+        for name, shock_of in (("ar_fit", lambda r: r[1]), ("detrended_shock", lambda r: r)):
+            def fitted(*args, original=getattr(em, name), shock_of=shock_of, **kwargs):
+                result = original(*args, **kwargs)
+                shocks.append(shock_of(result).values.tobytes())
+                return result
+
+            monkeypatch.setattr(em, name, fitted)
+        cfg = parse_config(out / "synthetic_config.txt")
+        cmd_irf(replace(cfg, out_dir=str(tmp_path), robustness=True))
+        # 16 fits when L_6 and L_18 refit the baseline's shocks
+        assert len(set(shocks)) == len(shocks) == 12
+
     def test_ci_identity_in_files(self, irf_out):
         out, cfg, spec = irf_out
         for fname in (IRF_PI_FILE, IRF_PHI_FILE):
@@ -449,6 +492,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "seed must be nonnegative, got -1" in err and "Traceback" not in err
         assert not (tmp_path / "monetary.csv").exists()
+
+    @pytest.mark.parametrize("name", ["h #1", "h\n1"])
+    def test_synth_refuses_out_dir_config_cannot_hold(self, tmp_path, capsys, name):
+        assert main(["synth", "--out", str(tmp_path / name)]) == 1
+        err = capsys.readouterr().err
+        # the first value written holds the out dir too
+        assert f"data.monetary = {str(tmp_path / name / 'monetary.csv')!r} would not" in err
+        assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+    def test_hash_in_out_dir_survives_synthetic_config(self, tmp_path):
+        out = tmp_path / "h#1"
+        assert main(["synth", "--out", str(out), "--set", "synth.months=240"]) == 0
+        assert main(["transform", "--config", str(out / "synthetic_config.txt")]) == 0
+        assert (out / "panel.csv").is_file()
 
     def test_synth_then_full_run(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -708,6 +765,24 @@ def default_chain(tmp_path_factory):
     return out, written
 
 
+@pytest.fixture(scope="module")
+def robust_chain(default_chain, tmp_path_factory):
+    """A copy of default_chain's files with irf rerun with --robustness: every declared file."""
+    out, written = default_chain
+    copy = tmp_path_factory.mktemp("robust")
+    for path in out.iterdir():
+        shutil.copy(path, copy / path.name)
+    cfg = replace(parse_config(out / "synthetic_config.txt"), out_dir=str(copy), robustness=True)
+    return copy, {**written, "irf": COMMANDS["irf"](cfg)}
+
+
+# the files one command reads back from another; each must hold data rows
+HANDOFF_FILES = (
+    "panel.csv", "breakpoints.csv", "tanh_fit.csv", IRF_PI_FILE, IRF_PHI_FILE,
+    "phase_means.csv", SUMMARY_FILE, "efficiency.csv",
+)
+
+
 def _header_only(lines):
     return lines[: next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1]
 
@@ -886,6 +961,16 @@ MALFORMED = {
         "efficiency.csv", lambda lines: lines + [lines[1]], "report",
         "efficiency.csv:4: repeated phase cash; rerun the efficiency command",
     ),
+    "irf_shock_mismatch_calibrate": (
+        IRF_PI_FILE, _preamble("shock_definition", "detrended(12)"), "calibrate",
+        f"{IRF_PI_FILE}: estimated with shock_definition detrended(12), but the config sets "
+        "shock.kind = ar_resid and shock.p = 12; rerun the irf command",
+    ),
+    "irf_shock_mismatch_efficiency": (
+        IRF_PHI_FILE, _preamble("shock_definition", "ar_resid(6)"), "efficiency",
+        f"{IRF_PHI_FILE}: estimated with shock_definition ar_resid(6), but the config sets "
+        "shock.kind = ar_resid and shock.p = 12; rerun the irf command",
+    ),
     "tanh_fit_not_converged": (
         "tanh_fit.csv", lambda lines: [re.sub(",true$", ",false", line) for line in lines],
         "report", "tanh_fit.csv: tanh fit did not converge; rerun the fit-phase command",
@@ -894,14 +979,46 @@ MALFORMED = {
 
 
 class TestUpstreamArtifacts:
-    def test_each_artifact_written_by_its_command_with_its_header(self, default_chain):
-        out, written = default_chain
+    def test_each_artifact_written_by_its_command_with_its_header(self, robust_chain):
+        out, written = robust_chain
         for name, artifact in ARTIFACTS.items():
-            assert out / name in written[artifact.command], name
+            if not name.endswith(".csv"):
+                continue
             preamble, header, rows = read_csv(out / name)
             assert tuple(header) == artifact.header, name
             assert set(artifact.preamble) <= set(preamble), name
-            assert rows, name
+            assert rows or name not in HANDOFF_FILES, name
+
+    def test_each_command_writes_exactly_its_declared_files(self, robust_chain):
+        out, written = robust_chain
+        assert set(written) == {artifact.command for artifact in ARTIFACTS.values()}
+        for command, paths in written.items():
+            declared = sorted(name for name, a in ARTIFACTS.items() if a.command == command)
+            assert sorted(path.name for path in paths) == declared, command
+        assert sorted(path.name for path in out.iterdir()) == sorted(ARTIFACTS)
+
+    def test_readme_command_table_names_the_declared_files(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| `([a-z-]+)` +\|(.*)\|$", readme.read_text(encoding="utf-8"), re.M)
+        table = {
+            command: sorted(re.findall(r"`(\w+\.(?:csv|txt))`", cell)) for command, cell in rows
+        }
+        declared: dict[str, list[str]] = {}
+        for name, artifact in sorted(ARTIFACTS.items()):
+            declared.setdefault(artifact.command, []).append(name)
+        assert table == declared
+
+    def test_pipeline_names_write_csv_only_in_write(self):
+        # every CSV the pipeline writes takes its header from ARTIFACTS
+        tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
+        (write,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_write"]
+        inside = {id(node) for node in ast.walk(write)}
+        naming = [
+            node
+            for node in ast.walk(tree)
+            if "write_csv" in (getattr(node, "id", None), getattr(node, "attr", None))
+        ]
+        assert naming and [node.lineno for node in naming if id(node) not in inside] == []
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_upstream_exit_code(self, default_chain, tmp_path, capsys, case):
