@@ -4,11 +4,14 @@
 Generates the default economy (transition around 2013-04), then walks the
 whole command chain into one output directory. Every artifact the
 pipeline can produce ends up there, including the robustness sweep.
+Each command's line shows its wall time, followed by the paths it wrote.
 
     python3 scripts/run_synthetic_pipeline.py [--out out_synth] [--seed 1]
 """
 
 import argparse
+import contextlib
+import io
 import sys
 import time
 
@@ -30,8 +33,12 @@ def run(args):
         ["report", "--config", f"{out}/synthetic_config.txt"],
     ]
     for step in steps:
-        print(f"== monephase {' '.join(step)}")
-        rc = cli(step)
+        written = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(written):
+            rc = cli(step)
+        print(f"== monephase {' '.join(step)}  ({time.perf_counter() - start:.2f} s)")
+        print(written.getvalue(), end="")
         if rc != 0:
             print(f"command failed with exit code {rc}", file=sys.stderr)
             return rc
@@ -40,7 +47,9 @@ def run(args):
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--out", default="out_synth")
     parser.add_argument("--seed", type=int, default=1)
     sys.exit(run(parser.parse_args()))

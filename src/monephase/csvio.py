@@ -53,14 +53,23 @@ def write_csv(
     rows: Iterable[Sequence],
     preamble: Sequence[tuple[str, object]] = (),
 ) -> Path:
-    """Write a comma-delimited UTF-8 file with optional '# key: value' preamble."""
+    """Write a comma-delimited UTF-8 file, a column at a time, after a '# key: value' preamble."""
     path = Path(path)
     lines = [f"# {key}: {fmt(value)}" for key, value in preamble]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    lines += map(",".join, zip(*map(_column_cells, zip(*rows, strict=True))))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def _column_cells(column: tuple) -> list[str]:
+    """fmt of each value of a column; a column of plain floats, ints or str skips fmt's tests."""
+    types = set(map(type, column))
+    if types == {float}:
+        return [repr(v) if v == v else "" for v in column]
+    if types <= {int, str}:
+        return list(map(str, column))
+    return [fmt(v) for v in column]
 
 
 def read_utf8(path: Path) -> str:
@@ -140,12 +149,12 @@ def parse_number(cell: str) -> float:
 
 
 class Record(dict):
-    """The cells of one data row, keyed by column name."""
+    """The cells of one row of a file read_artifact checked, keyed by column name."""
 
-    def __init__(self, cells: dict[str, str], where: str, rerun: str):
-        super().__init__(cells)
-        self.where = where  # path:line
-        self.rerun = rerun  # the rerun hint of an upstream file; empty for an input
+    def __init__(self, path: Path, artifact: Artifact, row: Row):
+        super().__init__(zip(artifact.header, row))
+        self.where = f"{path}:{row.lineno}"
+        self.rerun = artifact.rerun  # the rerun hint of an upstream file; empty for an input
 
     def error(self, problem: str) -> DataError:
         """A DataError for this row, naming its path and line and, upstream, the rerun."""
@@ -158,12 +167,12 @@ class Record(dict):
             raise self.error(f"cannot parse {column} {self[column]!r}") from None
 
 
-def read_artifact(path: Path | str, artifact: Artifact) -> tuple[dict[str, str], list[Record]]:
-    """(preamble, records) of a CSV, checked against its artifact.
+def read_artifact(path: Path | str, artifact: Artifact) -> tuple[dict[str, str], list[Row]]:
+    """(preamble, rows) of a CSV, checked against its artifact.
 
     A missing file, text that is not UTF-8, a ragged row, another header,
     a missing preamble key or no data rows raise DataError naming the file
-    and, unless it is an input, the command that writes it; each Record
+    and, unless it is an input, the command that writes it; a row's Record
     reports a cell that does not parse the same way, with its line.
     """
     path = Path(path)
@@ -185,4 +194,4 @@ def read_artifact(path: Path | str, artifact: Artifact) -> tuple[dict[str, str],
         problem = "no data rows"
     if problem:
         raise DataError(f"{path}: {problem}{rerun}")
-    return preamble, [Record(dict(zip(header, r)), f"{path}:{r.lineno}", rerun) for r in rows]
+    return preamble, rows

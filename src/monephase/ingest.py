@@ -20,40 +20,63 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .csvio import Artifact, parse_float_cell, read_artifact, write_csv
+from .csvio import Artifact, Record, parse_float_cell, read_artifact, write_csv
 from .errors import DataError
-from .series import MonthIndex, MonthlySeries, Panel
+from .series import MonthIndex, MonthlySeries, Panel, month_labels
 
 MONETARY = Artifact(None, ("date", "MB", "BN", "CO", "RB", "MB_SA"))
 CPI = Artifact(None, ("date", "CPI", "CPI_core"))
 
 
-MonthColumns = Mapping[str, Callable[[MonthIndex], str]]
+MonthColumns = Mapping[str, Callable[[int], str]]  # column -> its cell for a year
 
 
 def load_table(path: Path | str, artifact: Artifact, month_columns: MonthColumns = {}) -> Panel:
-    """Read a monthly table; the month_columns, derived from the date, are not read."""
-    _, records = read_artifact(path, artifact)
-    names = [name for name in artifact.header[1:] if name not in month_columns]
-    months: list[MonthIndex] = []
-    data: dict[str, list[float]] = {name: [] for name in names}
-    for rec in records:
-        month = rec.parse("date", MonthIndex.parse)
-        if months:
-            step = month - months[-1]
-            if step == 0:
-                raise rec.error(f"duplicate month {month}")
-            if step != 1:
-                raise rec.error(f"months must ascend without gaps ({months[-1]} -> {month})")
-        months.append(month)
-        for name in names:
-            data[name].append(rec.parse(name, parse_float_cell))
+    """Read a monthly table a column at a time; month_columns, derived from the date, are not read.
 
-    start = months[0]
-    series = {
-        name: MonthlySeries(start, np.asarray(vals)) for name, vals in data.items()
-    }
-    return Panel(start, len(months), series)
+    Of several bad cells, the first in file order is reported: the earliest
+    line, and in it the date, then the columns in header order.
+    """
+    path = Path(path)
+    _, rows = read_artifact(path, artifact)
+    try:
+        start = MonthIndex.parse(rows[0][0])
+    except DataError:
+        expected = []
+    else:  # each date must be the month after the one above it
+        expected = month_labels(start, len(rows))
+    bad = next((i for i, e in enumerate(expected) if rows[i][0].strip() != e), len(expected))
+    series = {}
+    for j, name in enumerate(artifact.header):
+        if j and name not in month_columns:
+            series[name], first_bad = _numbers([row[j] for row in rows])
+            bad = min(bad, first_bad)
+    if bad < len(rows):  # raise through that row's Record; the rows above it are sound
+        rec = Record(path, artifact, rows[bad])
+        month = rec.parse("date", MonthIndex.parse)
+        if bad and (previous := MonthIndex.parse(rows[bad - 1][0])) != month - 1:
+            gap = f"months must ascend without gaps ({previous} -> {month})"
+            raise rec.error(f"duplicate month {month}" if month == previous else gap)
+        for name in series:
+            rec.parse(name, parse_float_cell)
+    return Panel(start, len(rows), {name: MonthlySeries(start, v) for name, v in series.items()})
+
+
+def _numbers(cells: list[str]) -> tuple[np.ndarray | None, int]:
+    """(values, len(cells)), or (None, the row of the first cell parse_float_cell refuses)."""
+    try:
+        values = np.array([float(c) if c else np.nan for c in cells])
+        if np.count_nonzero(np.isfinite(values)) + cells.count("") == len(cells):
+            return values, len(cells)
+    except ValueError:  # a cell float refuses, such as a blank one, which reads as NaN
+        pass
+    values = []
+    for cell in cells:
+        try:
+            values.append(parse_float_cell(cell))
+        except DataError:
+            return None, len(values)
+    return np.array(values), len(cells)
 
 
 def load_monetary(path: Path | str) -> Panel:
@@ -78,12 +101,10 @@ def load_cpi(path: Path | str) -> Panel:
                 f"{path}: column {name}: index numbers must be positive, "
                 f"offending month {month}"
             )
-    y2020 = [
-        panel["CPI"].values[i]
-        for i, m in enumerate(panel.months())
-        if m.year == 2020 and not np.isnan(panel["CPI"].values[i])
-    ]
-    if y2020:
+    first = 2020 * 12 - panel.start.ordinal  # the position of 2020-01
+    y2020 = panel["CPI"].values[max(first, 0) : max(first + 12, 0)]
+    y2020 = y2020[~np.isnan(y2020)]
+    if y2020.size:
         mean = float(np.mean(y2020))
         if not 95.0 <= mean <= 105.0:
             warnings.warn(
@@ -95,22 +116,22 @@ def load_cpi(path: Path | str) -> Panel:
 
 
 def table_rows(panel: Panel, columns: tuple[str, ...], month_columns: MonthColumns = {}):
-    """The rows of a monthly table; month_columns cells are computed from the month."""
-    months = panel.months()
-    cells = [[str(month) for month in months]]
+    """The rows of a monthly table; month_columns cells are computed from the year."""
+    years = [o // 12 for o in range(panel.start.ordinal, panel.start.ordinal + panel.length)]
+    cells = [month_labels(panel.start, panel.length)]
     for name in columns[1:]:
         if name in month_columns:
-            cells.append([month_columns[name](month) for month in months])
+            cells.append(list(map(month_columns[name], years)))
         else:
             cells.append(panel[name].values.tolist())
     return zip(*cells)
 
 
 def write_monetary(path: Path | str, panel: Panel) -> Path:
-    """Inverse of load_monetary; round-trips bit-exactly."""
+    """The panel's monetary columns; load_monetary reads them back bit-exactly."""
     return write_csv(path, MONETARY.header, table_rows(panel, MONETARY.header))
 
 
 def write_cpi(path: Path | str, panel: Panel) -> Path:
-    """Inverse of load_cpi; round-trips bit-exactly."""
+    """The panel's CPI columns; load_cpi reads them back bit-exactly."""
     return write_csv(path, CPI.header, table_rows(panel, CPI.header))

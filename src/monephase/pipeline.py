@@ -93,7 +93,7 @@ ARTIFACTS = {
     ),
     "report.txt": Artifact("report", ()),
 }
-PANEL_MONTH_COLUMNS = {"era": lambda month: era_label(month.year)}  # written, not read
+PANEL_MONTH_COLUMNS = {"era": era_label}  # written, not read
 
 
 def _month_fraction(cell: str) -> tuple[MonthIndex, float]:
@@ -110,7 +110,8 @@ def _flag(cell: str) -> bool:
 
 
 def _read(out: Path, name: str) -> tuple[dict[str, str], list[Record]]:
-    return read_artifact(out / name, ARTIFACTS[name])
+    preamble, rows = read_artifact(out / name, ARTIFACTS[name])
+    return preamble, [Record(out / name, ARTIFACTS[name], row) for row in rows]
 
 
 def _write(out: Path, name: str, rows, preamble=()) -> Path:

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DataError
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$", re.ASCII)
+_MONTHS = [f"{month:02d}" for month in range(1, 13)]
 
 
 @dataclass(frozen=True, order=True)
@@ -64,8 +65,12 @@ class MonthIndex:
         return MonthIndex.from_ordinal(self.ordinal - int(other))
 
 
-def month_range(start: MonthIndex, length: int) -> list[MonthIndex]:
-    return [start + i for i in range(length)]
+def month_labels(start: MonthIndex, length: int) -> list[str]:
+    """str of each of the length months from start, without building the months."""
+    first = start.ordinal
+    years = map("{:04d}-".format, range(first // 12, (first + length - 1) // 12 + 1))
+    labels = [year + month for year in years for month in _MONTHS]  # whole years from January
+    return labels[first % 12 : first % 12 + length]
 
 
 class MonthlySeries:
@@ -176,9 +181,6 @@ class Panel:
             and self.names == other.names
             and all(self.series[n] == other.series[n] for n in self.names)
         )
-
-    def months(self) -> list[MonthIndex]:
-        return month_range(self.start, self.length)
 
 
 def yoy(series: MonthlySeries) -> MonthlySeries:

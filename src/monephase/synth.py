@@ -26,7 +26,7 @@ from .csvio import write_csv
 from .errors import DataError
 from .ingest import write_cpi, write_monetary
 from .phase import CASH, RESERVE, PhasePartition, PhaseThresholds, classify
-from .series import MonthIndex, MonthlySeries, Panel, month_range
+from .series import MonthIndex, MonthlySeries, Panel
 
 BURN_IN = 240
 AR_COEFFS = (3.5, 0.3)  # base growth g_t = 3.5 + 0.3 g_{t-1} + e_t, yoy percent
@@ -157,7 +157,7 @@ def generate(spec: SynthSpec) -> tuple[Panel, GroundTruth]:
     if (rb > mb).any() or (bn < 0).any():
         raise DataError("generated composition violates RB + CO <= MB")
 
-    in_2020 = np.array([m.year == 2020 for m in month_range(spec.start, T)])
+    in_2020 = (spec.start.ordinal + np.arange(T)) // 12 == 2020
 
     def integrate_cpi(pi: np.ndarray) -> np.ndarray:
         out = np.empty(T)
@@ -298,15 +298,8 @@ def write_economy(out_dir: Path | str, panel: Panel, truth: GroundTruth) -> dict
     """Emit the canonical ingest CSVs plus the ground-truth record."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    monetary = Panel(
-        panel.start,
-        panel.length,
-        {n: panel[n] for n in ("MB", "BN", "CO", "RB", "MB_SA")},
-    )
-    cpi = Panel(panel.start, panel.length, {n: panel[n] for n in ("CPI", "CPI_core")})
-    paths = {
-        "monetary": write_monetary(out / "monetary.csv", monetary),
-        "cpi": write_cpi(out / "cpi.csv", cpi),
+    return {
+        "monetary": write_monetary(out / "monetary.csv", panel),
+        "cpi": write_cpi(out / "cpi.csv", panel),
         "ground_truth": write_ground_truth(out / "ground_truth.csv", truth),
     }
-    return paths

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monephase
+from monephase import csvio
 from monephase import econometrics as em
 from monephase import pipeline
 from monephase.cli import COMMANDS, main
@@ -1007,6 +1008,17 @@ class TestUpstreamArtifacts:
         for name, artifact in sorted(ARTIFACTS.items()):
             declared.setdefault(artifact.command, []).append(name)
         assert table == declared
+
+    def test_clean_panel_read_parses_no_cell_through_a_record(self, default_chain, monkeypatch):
+        # panel.csv is parsed a column at a time; a Record parses only to report a bad cell
+        out, _ = default_chain
+        calls = []
+        parse = csvio.Record.parse
+        monkeypatch.setattr(
+            csvio.Record, "parse", lambda rec, *args: calls.append(args) or parse(rec, *args)
+        )
+        assert read_panel_csv(out / "panel.csv").length == 612
+        assert calls == []
 
     def test_pipeline_names_write_csv_only_in_write(self):
         # every CSV the pipeline writes takes its header from ARTIFACTS

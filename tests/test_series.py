@@ -12,6 +12,7 @@ from monephase.series import (
     Panel,
     index_to_base,
     merge,
+    month_labels,
     order_parameter,
     yoy,
 )
@@ -24,6 +25,12 @@ def series(values, start=START):
 
 
 class TestMonthIndex:
+    @given(
+        st.builds(MonthIndex, st.integers(1, 9990), st.integers(1, 12)), st.integers(1, 60)
+    )
+    def test_month_labels_are_str_of_each_month(self, start, length):
+        assert month_labels(start, length) == [str(start + i) for i in range(length)]
+
     def test_ordering_and_arithmetic(self):
         a = MonthIndex(1999, 12)
         assert a + 1 == MonthIndex(2000, 1)
