@@ -4,14 +4,12 @@
 Generates the default economy (transition around 2013-04), then walks the
 whole command chain into one output directory. Every artifact the
 pipeline can produce ends up there, including the robustness sweep.
-Each command's line shows its wall time, followed by the paths it wrote.
+Each command's line is followed by the paths it wrote and its wall time.
 
     python3 scripts/run_synthetic_pipeline.py [--out out_synth] [--seed 1]
 """
 
 import argparse
-import contextlib
-import io
 import sys
 import time
 
@@ -33,12 +31,10 @@ def run(args):
         ["report", "--config", f"{out}/synthetic_config.txt"],
     ]
     for step in steps:
-        written = io.StringIO()
+        print(f"== monephase {' '.join(step)}", flush=True)
         start = time.perf_counter()
-        with contextlib.redirect_stdout(written):
-            rc = cli(step)
-        print(f"== monephase {' '.join(step)}  ({time.perf_counter() - start:.2f} s)")
-        print(written.getvalue(), end="")
+        rc = cli(step)
+        print(f"   took {time.perf_counter() - start:.2f} s")
         if rc != 0:
             print(f"command failed with exit code {rc}", file=sys.stderr)
             return rc

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .csvio import read_utf8
+from .csvio import fmt, read_utf8
 from .errors import DataError
 from .phase import PhaseThresholds
 from .series import MonthIndex
@@ -211,11 +211,8 @@ def config_text(cfg: RunConfig) -> str:
     """
     pairs = []
     for key, (attr, _) in _SCALAR_KEYS.items():
-        value = getattr(cfg, attr)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        if value is not None:
-            pairs.append((key, repr(value) if isinstance(value, float) else str(value)))
+        if (value := getattr(cfg, attr)) is not None:
+            pairs.append((key, fmt(value)))
     for name, windows in cfg.clusters.items():
         pairs.append((f"breaks.cluster.{name}", ",".join(f"{a}:{b}" for a, b in windows)))
     for key, value in pairs:

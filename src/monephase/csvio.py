@@ -23,13 +23,8 @@ def fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int,)):
-        return str(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        # repr of a numpy scalar is "np.float64(...)"; write the plain number
-        return repr(float(value))
+    if isinstance(value, float):  # repr of np.float64 is "np.float64(...)"; write the plain number
+        return "" if math.isnan(value) else repr(float(value))
     return str(value)
 
 
@@ -57,19 +52,14 @@ def write_csv(
     path = Path(path)
     lines = [f"# {key}: {fmt(value)}" for key, value in preamble]
     lines.append(",".join(header))
-    lines += map(",".join, zip(*map(_column_cells, zip(*rows, strict=True))))
+    columns = (  # a column of plain floats skips fmt's tests; the cells are freed once joined
+        [repr(v) if v == v else "" for v in column] if set(map(type, column)) == {float}
+        else list(map(fmt, column))
+        for column in zip(*rows, strict=True)
+    )
+    lines += map(",".join, zip(*columns))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
-
-
-def _column_cells(column: tuple) -> list[str]:
-    """fmt of each value of a column; a column of plain floats, ints or str skips fmt's tests."""
-    types = set(map(type, column))
-    if types == {float}:
-        return [repr(v) if v == v else "" for v in column]
-    if types <= {int, str}:
-        return list(map(str, column))
-    return [fmt(v) for v in column]
 
 
 def read_utf8(path: Path) -> str:

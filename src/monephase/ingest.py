@@ -41,11 +41,10 @@ def load_table(path: Path | str, artifact: Artifact, month_columns: MonthColumns
     _, rows = read_artifact(path, artifact)
     try:
         start = MonthIndex.parse(rows[0][0])
-    except DataError:
-        expected = []
-    else:  # each date must be the month after the one above it
-        expected = month_labels(start, len(rows))
-    bad = next((i for i, e in enumerate(expected) if rows[i][0].strip() != e), len(expected))
+    except DataError:  # report it as the Record of the first row does
+        raise Record(path, artifact, rows[0]).error(f"cannot parse date {rows[0][0]!r}") from None
+    dates = month_labels(start, len(rows))  # each date must be the month after the one above it
+    bad = next((i for i, row in enumerate(rows) if row[0].strip() != dates[i]), len(rows))
     series = {}
     for j, name in enumerate(artifact.header):
         if j and name not in month_columns:
@@ -53,8 +52,8 @@ def load_table(path: Path | str, artifact: Artifact, month_columns: MonthColumns
             bad = min(bad, first_bad)
     if bad < len(rows):  # raise through that row's Record; the rows above it are sound
         rec = Record(path, artifact, rows[bad])
-        month = rec.parse("date", MonthIndex.parse)
-        if bad and (previous := MonthIndex.parse(rows[bad - 1][0])) != month - 1:
+        month, previous = rec.parse("date", MonthIndex.parse), start + (bad - 1)
+        if month != previous + 1:
             gap = f"months must ascend without gaps ({previous} -> {month})"
             raise rec.error(f"duplicate month {month}" if month == previous else gap)
         for name in series:
@@ -64,19 +63,17 @@ def load_table(path: Path | str, artifact: Artifact, month_columns: MonthColumns
 
 def _numbers(cells: list[str]) -> tuple[np.ndarray | None, int]:
     """(values, len(cells)), or (None, the row of the first cell parse_float_cell refuses)."""
-    try:
-        values = np.array([float(c) if c else np.nan for c in cells])
-        if np.count_nonzero(np.isfinite(values)) + cells.count("") == len(cells):
+    try:  # a blank cell reads as NaN; any other cell must be finite
+        values = np.array([float(c) if c.strip() else np.nan for c in cells])
+        if not any(cells[i].strip() for i in np.flatnonzero(~np.isfinite(values))):
             return values, len(cells)
-    except ValueError:  # a cell float refuses, such as a blank one, which reads as NaN
+    except ValueError:
         pass
-    values = []
-    for cell in cells:
+    for i, cell in enumerate(cells):
         try:
-            values.append(parse_float_cell(cell))
+            parse_float_cell(cell)
         except DataError:
-            return None, len(values)
-    return np.array(values), len(cells)
+            return None, i
 
 
 def load_monetary(path: Path | str) -> Panel:
@@ -93,8 +90,7 @@ def load_cpi(path: Path | str) -> Panel:
     """
     panel = load_table(path, CPI)
     for name in ("CPI", "CPI_core"):
-        vals = panel[name].values
-        bad = ~np.isnan(vals) & (vals <= 0.0)
+        bad = panel[name].values <= 0.0  # False for a missing month
         if bad.any():
             month = panel.start + int(np.argmax(bad))
             raise DataError(
@@ -118,12 +114,10 @@ def load_cpi(path: Path | str) -> Panel:
 def table_rows(panel: Panel, columns: tuple[str, ...], month_columns: MonthColumns = {}):
     """The rows of a monthly table; month_columns cells are computed from the year."""
     years = [o // 12 for o in range(panel.start.ordinal, panel.start.ordinal + panel.length)]
-    cells = [month_labels(panel.start, panel.length)]
-    for name in columns[1:]:
-        if name in month_columns:
-            cells.append(list(map(month_columns[name], years)))
-        else:
-            cells.append(panel[name].values.tolist())
+    cells = [month_labels(panel.start, panel.length)] + [
+        list(map(month_columns[n], years)) if n in month_columns else panel[n].values.tolist()
+        for n in columns[1:]
+    ]
     return zip(*cells)
 
 

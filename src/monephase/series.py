@@ -23,7 +23,6 @@ import numpy as np
 from .errors import DataError
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$", re.ASCII)
-_MONTHS = [f"{month:02d}" for month in range(1, 13)]
 
 
 @dataclass(frozen=True, order=True)
@@ -68,9 +67,7 @@ class MonthIndex:
 def month_labels(start: MonthIndex, length: int) -> list[str]:
     """str of each of the length months from start, without building the months."""
     first = start.ordinal
-    years = map("{:04d}-".format, range(first // 12, (first + length - 1) // 12 + 1))
-    labels = [year + month for year in years for month in _MONTHS]  # whole years from January
-    return labels[first % 12 : first % 12 + length]
+    return [f"{o // 12:04d}-{o % 12 + 1:02d}" for o in range(first, first + length)]
 
 
 class MonthlySeries:
@@ -87,10 +84,8 @@ class MonthlySeries:
         arr = np.array(values, dtype=np.float64)  # None becomes NaN
         if arr.ndim != 1 or arr.size < 1:
             raise DataError("series needs at least one month of coverage")
-        finite_or_nan = np.isfinite(arr) | np.isnan(arr)
-        if not finite_or_nan.all():
-            bad = int(np.argmin(finite_or_nan))
-            raise DataError(f"non-finite value at {start + bad}")
+        if np.isinf(arr).any():  # NaN marks a missing month; any other value must be finite
+            raise DataError(f"non-finite value at {start + int(np.argmax(np.isinf(arr)))}")
         arr.flags.writeable = False
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "_values", arr)
@@ -192,13 +187,10 @@ def yoy(series: MonthlySeries) -> MonthlySeries:
     if len(series) < 13:
         raise DataError(f"yoy needs at least 13 months, got {len(series)}")
     x = series.values
-    out = np.full_like(x, np.nan)
-    base = x[:-12]
-    cur = x[12:]
+    base, cur = x[:-12], x[12:]
     ok = ~np.isnan(base) & ~np.isnan(cur) & (base != 0.0)
-    out12 = np.full(cur.shape, np.nan)
-    out12[ok] = 100.0 * (cur[ok] / base[ok] - 1.0)
-    out[12:] = out12
+    out = np.full_like(x, np.nan)
+    out[12:][ok] = 100.0 * (cur[ok] / base[ok] - 1.0)
     return MonthlySeries(series.start, out)
 
 

@@ -105,6 +105,13 @@ class TestFirstBadCell:
         rb = panel["RB"].values
         assert np.isnan(rb[1]) and rb[[0, 2, 3]].tolist() == [1.0, 1.0, 1.0]
 
+    def test_blank_cells_parse_no_cell_through_a_record(self, tmp_path, kind, monkeypatch):
+        # a blank cell, empty or not, is missing without the per-cell path that reports errors
+        calls = []
+        monkeypatch.setattr(Record, "parse", lambda rec, *args: calls.append(args))
+        panel = _load(tmp_path, kind, {(1, "RB"): "", (2, "RB"): " \t"})
+        assert np.isnan(panel["RB"].values[1:3]).all() and calls == []
+
     def test_surrounding_spaces_accepted(self, tmp_path, kind):
         panel = _load(tmp_path, kind, {(1, "RB"): " 1.5 ", (1, "date"): " 1990-02 "})
         assert panel.start == START and panel.length == 4
