@@ -191,6 +191,13 @@ class CalibrationResult:
         return self.cash.phi_bar < self.coupling.phi_c < self.reserve.phi_bar
 
 
+def _hull_segments(corners, low, high):
+    """Segments covering the boundary of the hull of polygons (N, K, 2) scaled by low and high."""
+    near, far = low * corners, high * corners
+    edges = [np.stack([c, np.concatenate([c[:, 1:], c[:, :1]], 1)], 2) for c in (near, far)]
+    return np.concatenate(edges + [np.stack([near, far], 2)], 1)
+
+
 # the calibration box; generous relative to any monthly IRF scale
 RATE_CAP = 5.0
 AMP_CAP = 1e4
@@ -198,15 +205,10 @@ KAPPA_MIN = 1e-12
 PHI_C_MIN, PHI_C_MAX = 0.01, 0.99
 # outer grid of each relaxation rate: zero, then steps of about 14 % up to the cap
 RATE_GRID = np.concatenate(([0.0], np.geomspace(1e-3, RATE_CAP, 64)))
-# (s_pi, s_pi / phi_c) = s_pi * (1, 1 / phi_c): this segment, scaled by s_pi
+GAMMA_BLOCK = 5  # gammas of RATE_GRID per call as it is tabulated; each row is computed alone
+# (s_pi, s_pi / phi_c) = s_pi * (1, 1 / phi_c): this segment, scaled by s_pi of either sign
 _PI_CORNERS = np.array([[[1.0, 1.0 / PHI_C_MAX], [1.0, 1.0 / PHI_C_MIN]]])
-
-
-def _hull_segments(corners, low, high):
-    """Segments covering the boundary of the hull of polygons (N, K, 2) scaled by low and high."""
-    near, far = low * corners, high * corners
-    edges = [np.stack([c, np.roll(c, -1, 1)], 2) for c in (near, far)]
-    return np.concatenate(edges + [np.stack([near, far], 2)], 1)
+_PI_SEGMENTS = np.concatenate([_hull_segments(s * _PI_CORNERS, 0.0, AMP_CAP) for s in (1, -1)], 1)
 
 
 def _lsq2(a, b, wy, segments, feasible):
@@ -215,26 +217,26 @@ def _lsq2(a, b, wy, segments, feasible):
     The segments (N or 1, S, 2, 2) lie in the region and cover its boundary, and
     `feasible(u, v)` tests membership. The best of the unconstrained minimizer,
     if feasible, and of each segment's minimizer is the exact minimum (ties to
-    the first). Returns (u, v) (N, 2) and the sum of squares (N,).
+    the first). Returns (u, v) (N, 2) and the sum of squares (N,). Each two-term
+    dot product is x0 + x1 + 0.0, which is np.sum's bit for bit (-0.0 + -0.0 -> 0.0).
     """
-    G11, G12, G22 = (np.sum(x * y, -1)[:, None] for x, y in ((a, a), (a, b), (b, b)))
-    g1, g2 = np.sum(a * wy, -1)[:, None], np.sum(b * wy, -1)[:, None]
+    G11, G12, G22 = ((x * y).sum(-1) for x, y in ((a, a), (a, b), (b, b)))
+    g1, g2 = (a * wy).sum(-1), (b * wy).sum(-1)
 
-    def gmul(t, u0=0.0, v0=0.0):  # G t - (u0, v0)
-        u, v = t[..., 0], t[..., 1]
-        return np.stack([G11 * u + G12 * v - u0, G12 * u + G22 * v - v0], -1)
+    def form(u, v, ru, rv, u0=0.0, v0=0.0):  # (ru, rv) . (G (u, v) - (u0, v0))
+        return ru * (G11 * u + G12 * v - u0) + rv * (G12 * u + G22 * v - v0) + 0.0
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        free = np.stack([G22 * g1 - G12 * g2, G11 * g2 - G12 * g1], -1)
-        free /= (G11 * G22 - G12**2)[..., None]
-        free[~feasible(free[:, 0, 0], free[:, 0, 1])] = np.nan
-    start, step = segments[:, :, 0], segments[:, :, 1] - segments[:, :, 0]
-    curve = np.sum(step * gmul(step), -1)
-    t = np.divide(-np.sum(step * gmul(start, g1, g2), -1), curve, out=0 * curve, where=curve > 0)
-    points = np.concatenate([start + np.clip(t, 0.0, 1.0)[..., None] * step, free], 1)
-    q = np.sum(points * gmul(points, 2.0 * g1, 2.0 * g2), -1)
-    k, rows = np.argmin(np.where(np.isnan(q), np.inf, q), 1), np.arange(len(q))
-    return points[rows, k], q[rows, k] + wy @ wy
+        free = np.array([G22 * g1 - G12 * g2, G11 * g2 - G12 * g1]) / (G11 * G22 - G12**2)
+        free[:, ~feasible(*free)] = np.nan
+    (su, sv), (du, dv) = segments[:, :, 0].T, (segments[:, :, 1] - segments[:, :, 0]).T  # (S, N)
+    curve = form(du, dv, du, dv)
+    t = np.divide(-form(su, sv, du, dv, g1, g2), curve, out=0 * curve, where=curve > 0)
+    t = np.clip(t, 0.0, 1.0)
+    pu, pv = (np.concatenate([s + t * d, f[None]]) for s, d, f in zip((su, sv), (du, dv), free))
+    q = form(pu, pv, pu, pv, 2.0 * g1, 2.0 * g2)
+    k, rows = np.argmin(np.where(np.isnan(q), np.inf, q), 0), np.arange(q.shape[1])
+    return np.column_stack([pu[k, rows], pv[k, rows]]), q[k, rows] + wy @ wy
 
 
 def _inverse_kappa_range(u, v, phi_bar, d):
@@ -277,12 +279,18 @@ def _pi_fits(gammas, h, wys, ws, phi_bars):
     """Best (a, b) = (s_pi, s_pi / phi_c) of the price models (a - b phi_bar_i) e^{-gamma_i h}."""
     x = [w * np.exp(-np.multiply.outer(gamma, h)) for gamma, w in zip(gammas, ws)]
     b = np.concatenate([-phi_bar * xi for phi_bar, xi in zip(phi_bars, x)], -1)
-    segments = np.concatenate([_hull_segments(s * _PI_CORNERS, 0.0, AMP_CAP) for s in (1, -1)], 1)
 
     def feasible(a, b):
         return (np.abs(a) <= AMP_CAP) & (PHI_C_MIN <= a / b) & (a / b <= PHI_C_MAX)
 
-    return _lsq2(np.concatenate(x, -1), b, np.concatenate(wys), segments, feasible)
+    return _lsq2(np.concatenate(x, -1), b, np.concatenate(wys), _PI_SEGMENTS, feasible)
+
+
+def _tabulate(fits):
+    """fits(gamma, x)[1] at each pair of RATE_GRID, rows by gamma, GAMMA_BLOCK gammas a call."""
+    n, inner = RATE_GRID.size, np.tile(RATE_GRID, GAMMA_BLOCK)
+    blocks = RATE_GRID.reshape(-1, GAMMA_BLOCK)
+    return np.concatenate([fits(np.repeat(g, n), inner)[1].reshape(-1, n) for g in blocks])
 
 
 def _pattern_search(fun, x0, bounds, step, xtol=1e-9, maxiter=500):
@@ -369,10 +377,10 @@ def calibrate(
         phi = phi_fits("cash", x[:, 0], x[:, 1])[1] + phi_fits("reserve", x[:, 2], x[:, 3])[1]
         return phi + pi_fits(x[:, 1::2].T)[1]
 
-    # best delta at each gamma of each phase, one gamma at a time; then the best gamma pair
+    # best delta at each gamma of each phase; then the best gamma pair
     grid = RATE_GRID
-    phi = {p: np.array([phi_fits(p, grid, np.full_like(grid, g))[1] for g in grid]) for p in phases}
-    price = np.array([pi_fits((np.full_like(grid, g), grid))[1] for g in grid])
+    phi = {p: _tabulate(lambda gamma, delta: phi_fits(p, delta, gamma)) for p in phases}
+    price = _tabulate(lambda gamma_c, gamma_r: pi_fits((gamma_c, gamma_r)))
     total = np.min(phi["cash"], 1)[:, None] + np.min(phi["reserve"], 1) + price
     i, j = np.unravel_index(np.argmin(total), total.shape)
     start = [grid[np.argmin(phi["cash"][i])], grid[i], grid[np.argmin(phi["reserve"][j])], grid[j]]

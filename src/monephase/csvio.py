@@ -9,12 +9,15 @@ through read_artifact, which checks it before any cell is used.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
+
+WRITE_BLOCK = 256  # rows write_csv formats at once
 
 
 def fmt(value) -> str:
@@ -48,17 +51,21 @@ def write_csv(
     rows: Iterable[Sequence],
     preamble: Sequence[tuple[str, object]] = (),
 ) -> Path:
-    """Write a comma-delimited UTF-8 file, a column at a time, after a '# key: value' preamble."""
+    """Write a comma-delimited UTF-8 file after a '# key: value' preamble, formatting
+    WRITE_BLOCK rows at a time, a column at a time. A row of other than one cell per
+    header column raises ValueError, and nothing is written."""
     path = Path(path)
     lines = [f"# {key}: {fmt(value)}" for key, value in preamble]
-    lines.append(",".join(header))
-    columns = (  # a column of plain floats skips fmt's tests; the cells are freed once joined
-        [repr(v) if v == v else "" for v in column] if set(map(type, column)) == {float}
-        else list(map(fmt, column))
-        for column in zip(*rows, strict=True)
-    )
-    lines += map(",".join, zip(*columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text, rows = ["\n".join([*lines, ",".join(header)])], iter(rows)
+    while block := list(itertools.islice(rows, WRITE_BLOCK)):
+        columns = [  # a column of plain floats skips fmt's tests
+            [repr(v) if v == v else "" for v in column] if set(map(type, column)) == {float}
+            else list(map(fmt, column))
+            for _, *column in zip(header, *block, strict=True)
+        ]
+        text.append("\n".join(map(",".join, zip(*columns))))
+    text = "\n".join([*text, ""])  # frees the blocks before the text is encoded
+    path.write_text(text, encoding="utf-8")
     return path
 
 

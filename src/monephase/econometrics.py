@@ -90,7 +90,7 @@ def ols(X: np.ndarray, y: np.ndarray) -> RegressionResult:
 
 
 def _bartlett(Z: np.ndarray, max_lag: int) -> np.ndarray:
-    """Z'WZ: the Bartlett-weighted sum of the autocovariances of Z's rows up to max_lag."""
+    """Z'WZ, the Bartlett-weighted autocovariances of Z's rows up to max_lag; a scalar for 1-D Z."""
     n = Z.shape[0]
     if max_lag < 0:
         raise DataError(f"max_lag must be nonnegative, got {max_lag}")
@@ -263,7 +263,7 @@ def local_projection(
     n = len(yv)
 
     design = np.column_stack([np.ones(n), uv, _lags(yv, L), _lags(uv, L)])
-    base = ~np.isnan(design).any(axis=1)
+    defined = np.flatnonzero(~np.isnan(design).any(axis=1))
     y_ok = ~np.isnan(yv)
 
     beta, se, rows = [], [], []
@@ -271,14 +271,15 @@ def local_projection(
         beta, se, rows = list(prefix.beta), list(prefix.se), list(prefix.n)
     t_prev = np.empty(0)  # the rows of the design last factored
     for h in range(len(beta), H + 1):
-        t_idx = np.flatnonzero(base[: max(n - h, 0)] & y_ok[h:])
+        t_idx = defined[: np.searchsorted(defined, n - h)]  # rows t whose t + h is a month
+        t_idx = t_idx[y_ok[t_idx + h]]
         if t_idx.size <= 2 * L + 2:
             raise DataError(
                 f"horizon h={h}: only {t_idx.size} usable rows "
                 f"(need > {2 * L + 2})"
             )
         outcome = yv[t_idx + h]
-        if np.ptp(outcome) == 0.0:
+        if outcome.min() == outcome.max():
             raise DataError(f"horizon h={h}: outcome has zero variance")
         if not np.array_equal(t_idx, t_prev):
             X = design[t_idx]
@@ -287,7 +288,7 @@ def local_projection(
             t_prev = t_idx
         coef = Vt.T @ ((U.T @ outcome) / s)
         z = xb1 * (outcome - X @ coef)
-        var = _bartlett(z[:, None], hac_lag)[0, 0]
+        var = _bartlett(z, hac_lag)
         beta.append(coef[1])
         se.append(np.sqrt(max(var, 0.0)))
         rows.append(t_idx.size)

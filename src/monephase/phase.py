@@ -11,7 +11,7 @@ and one Gauss-Newton run polishes the best grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,15 +41,16 @@ class PhaseThresholds:
 
 @dataclass(frozen=True)
 class PhasePartition:
-    """Per-month phase labels from start on."""
+    """Per-month phase labels from start on; `array` holds the same labels."""
 
     start: MonthIndex
     labels: tuple[str, ...]
+    array: np.ndarray = field(repr=False, compare=False)
 
     def mask(self, label: str) -> np.ndarray:
         if label not in PHASE_LABELS:
             raise DataError(f"unknown phase label {label!r}")
-        return np.array(self.labels) == label
+        return self.array == label
 
     def segments(self, label: str) -> list[tuple[MonthIndex, MonthIndex]]:
         """Maximal contiguous runs carrying the given label."""
@@ -75,7 +76,7 @@ def classify(phi: MonthlySeries, thresholds: PhaseThresholds) -> PhasePartition:
     labels = np.select(
         [vals < thresholds.cash_max, vals > thresholds.reserve_min], [CASH, RESERVE], INTERMEDIATE
     )
-    return PhasePartition(phi.start, tuple(labels.tolist()))
+    return PhasePartition(phi.start, tuple(labels.tolist()), labels)
 
 
 def phase_means(phi: MonthlySeries, partition: PhasePartition) -> tuple[float, float]:

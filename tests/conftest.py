@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from monephase.cli import main
 from monephase.config import RunConfig
 from monephase.csvio import read_csv
 from monephase.pipeline import (
@@ -60,6 +61,18 @@ def mechanism_run(tmp_path_factory):
         "phase_means": {cells[0]: float(cells[1]) for cells in mean_rows},
         "elapsed": elapsed,
     }
+
+
+@pytest.fixture(scope="session")
+def default_economy(tmp_path_factory):
+    """Baseline IRF tables and phase means of the default synthetic economy, seed 1."""
+    out = tmp_path_factory.mktemp("default")
+    config = str(out / "synthetic_config.txt")
+    for argv in (["synth", "--out", str(out), "--seed", "1"], ["transform", "--config", config]):
+        assert main(argv) == 0
+    assert main(["irf", "--config", config]) == 0
+    means = {cells[0]: float(cells[1]) for cells in read_csv(out / "phase_means.csv")[2]}
+    return read_irfs(out, RunConfig()), means
 
 
 def medium_window(H: int) -> slice:

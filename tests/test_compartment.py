@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import rk4_compartments
-from monephase.cli import main
+from monephase import compartment
 from monephase.compartment import (
     AMP_CAP,
     KAPPA_MIN,
@@ -19,11 +23,8 @@ from monephase.compartment import (
     steady_state_phi,
     x_response,
 )
-from monephase.config import RunConfig
-from monephase.csvio import read_csv
 from monephase.econometrics import IRFTable
 from monephase.errors import DataError
-from monephase.pipeline import read_irfs
 
 P = CompartmentParams(A=1.0, B=2.0, delta=0.3, gamma=0.2, eta=0.15)
 
@@ -296,18 +297,6 @@ def assert_inside_box(out):
     assert abs(out.coupling.s_pi) <= AMP_CAP and 0.01 <= out.coupling.phi_c <= 0.99
 
 
-@pytest.fixture(scope="module")
-def default_economy(tmp_path_factory):
-    """Baseline IRF tables and phase means of the default synthetic economy, seed 1."""
-    out = tmp_path_factory.mktemp("default")
-    config = str(out / "synthetic_config.txt")
-    for argv in (["synth", "--out", str(out), "--seed", "1"], ["transform", "--config", config]):
-        assert main(argv) == 0
-    assert main(["irf", "--config", config]) == 0
-    means = {cells[0]: float(cells[1]) for cells in read_csv(out / "phase_means.csv")[2]}
-    return read_irfs(out, RunConfig()), means
-
-
 def box_lsq(f0, fa, fb, y, hi_a, hi_b):
     """min |f0 + a fa + b fb - y|^2 over a in [0, hi_a], b in [0, hi_b], per row of f0, fa, fb.
 
@@ -411,3 +400,123 @@ class TestCalibrateConstrained:
         rates = np.unique(np.concatenate([np.linspace(0.0, 0.2, 41), np.geomspace(0.2, RATE_CAP, 8)]))
         reference = dense_grid_objective(targets, PHI_BARS, rates, h)
         assert out.objective <= reference
+
+
+def stacked_lsq2(a, b, wy, segments, feasible):
+    """_lsq2 as it was written with (u, v) on trailing length-2 axes, reduced by np.sum."""
+    G11, G12, G22 = (np.sum(x * y, -1)[:, None] for x, y in ((a, a), (a, b), (b, b)))
+    g1, g2 = np.sum(a * wy, -1)[:, None], np.sum(b * wy, -1)[:, None]
+
+    def gmul(t, u0=0.0, v0=0.0):  # G t - (u0, v0)
+        u, v = t[..., 0], t[..., 1]
+        return np.stack([G11 * u + G12 * v - u0, G12 * u + G22 * v - v0], -1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        free = np.stack([G22 * g1 - G12 * g2, G11 * g2 - G12 * g1], -1)
+        free /= (G11 * G22 - G12**2)[..., None]
+        free[~feasible(free[:, 0, 0], free[:, 0, 1])] = np.nan
+    start, step = segments[:, :, 0], segments[:, :, 1] - segments[:, :, 0]
+    curve = np.sum(step * gmul(step), -1)
+    t = np.divide(-np.sum(step * gmul(start, g1, g2), -1), curve, out=0 * curve, where=curve > 0)
+    points = np.concatenate([start + np.clip(t, 0.0, 1.0)[..., None] * step, free], 1)
+    q = np.sum(points * gmul(points, 2.0 * g1, 2.0 * g2), -1)
+    k, rows = np.argmin(np.where(np.isnan(q), np.inf, q), 1), np.arange(len(q))
+    return points[rows, k], q[rows, k] + wy @ wy
+
+
+# signed zeros, exact small values and wide magnitudes, whose products overflow
+LSQ_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e200, 1e200),
+)
+
+
+@st.composite
+def lsq_problems(draw):
+    n, m, s = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    a = draw(arrays(np.float64, (n, m), elements=LSQ_FLOATS))
+    b = draw(
+        st.sampled_from(["free", "equal", "zero"]).map(
+            lambda kind: {"equal": a.copy(), "zero": np.zeros_like(a)}.get(kind)
+        )
+    )
+    if b is None:  # singular Gram matrices above, curvature <= 0 on every segment
+        b = draw(arrays(np.float64, (n, m), elements=LSQ_FLOATS))
+    wy = draw(arrays(np.float64, m, elements=LSQ_FLOATS))
+    rows = draw(st.sampled_from([1, n]))  # segments shared by every row, or one set per row
+    segments = draw(arrays(np.float64, (rows, s, 2, 2), elements=LSQ_FLOATS))
+    if draw(st.booleans()):  # zero-length segments
+        segments[:, :, 1] = segments[:, :, 0]
+    bound = draw(LSQ_FLOATS)
+    feasible = draw(st.sampled_from([everywhere, nowhere, lambda u, v: u + v <= bound]))
+    return a, b, wy, segments, feasible
+
+
+def everywhere(u, v):
+    return np.ones(u.shape, dtype=bool)
+
+
+def nowhere(u, v):  # no free minimizer is feasible
+    return np.zeros(u.shape, dtype=bool)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@given(lsq_problems())
+@example(  # a segment point whose v is -0.0 only where np.sum's -0.0 + -0.0 -> 0.0 is kept
+    (
+        np.array([[-1.0]]),
+        np.array([[1.0]]),
+        np.array([-0.0]),
+        np.array([[[[1.0, -0.0], [0.0, -1.0]], [[-1.0, -0.0], [-0.0, 2.0]]]]),
+        everywhere,
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_lsq2_matches_stacked_reference_bit_for_bit(problem):
+    with np.errstate(all="ignore"):
+        expected, got = stacked_lsq2(*problem), compartment._lsq2(*problem)
+    assert got[0].shape == expected[0].shape
+    assert bits(got[0]) == bits(expected[0]) and bits(got[1]) == bits(expected[1])
+
+
+def fit_inputs(tables, phi_bars):
+    """The weighted targets calibrate hands _phi_fits and _pi_fits."""
+    w = {k: 1.0 / t.se for k, t in tables.items()}
+    phi = {p: (w[(p, "phi")] * tables[(p, "phi")].beta, w[(p, "phi")], phi_bars[p]) for p in phi_bars}
+    keys = [(p, "pi_core") for p in phi_bars]
+    price = ([w[k] * tables[k].beta for k in keys], [w[k] for k in keys], list(phi_bars.values()))
+    return np.arange(tables[("cash", "phi")].horizon + 1.0), phi, price
+
+
+@pytest.mark.parametrize("economy", ["planted", "default"])
+def test_blocked_grid_equals_one_call_per_gamma(economy, request):
+    if economy == "planted":
+        tables, phi_bars = planted_tables(), PHASE_MEANS
+    else:
+        tables, phi_bars = request.getfixturevalue("default_economy")
+    h, phi, price = fit_inputs(tables, phi_bars)
+    grid = compartment.RATE_GRID
+    for wy, w, phi_bar in phi.values():
+        expected = [compartment._phi_fits(grid, np.full_like(grid, g), h, wy, w, phi_bar)[1] for g in grid]
+        blocked = compartment._tabulate(lambda g, d: compartment._phi_fits(d, g, h, wy, w, phi_bar))
+        assert bits(blocked) == bits(np.array(expected))
+    expected = [compartment._pi_fits((np.full_like(grid, g), grid), h, *price)[1] for g in grid]
+    blocked = compartment._tabulate(lambda gc, gr: compartment._pi_fits((gc, gr), h, *price))
+    assert bits(blocked) == bits(np.array(expected))
+
+
+def test_calibrate_working_set_stays_small(default_economy):
+    # blocks of GAMMA_BLOCK gammas peak near 0.9 MB here; a call over the
+    # whole 65 x 65 grid peaks near 10 MB
+    tables, phi_bars = default_economy
+    tracemalloc.start()
+    try:
+        calibrate(tables, phi_bars)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6

@@ -8,12 +8,15 @@ header order.
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monephase import csvio
 from monephase.csvio import Record, fmt, parse_float_cell, read_artifact, write_csv
 from monephase.errors import DataError
 from monephase.ingest import MONETARY, load_monetary
@@ -195,3 +198,39 @@ def test_write_csv_cells_are_fmt_of_each_value(tmp_path_factory, table):
     assert write_csv(path, header, rows, [("note", 1.5)]) == path
     lines = ["# note: 1.5", ",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@given(tables(), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_write_csv_blocks_join_to_the_same_bytes(tmp_path_factory, table, block):
+    rows, n_columns = table
+    header = [f"c{j}" for j in range(n_columns)]
+    path = tmp_path_factory.mktemp("w") / "t.csv"
+    with mock.patch.object(csvio, "WRITE_BLOCK", block):
+        write_csv(path, header, iter(rows))
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("rows", [[(1.0, 2.0), (3.0,)], [(1.0, 2.0), (3.0, 4.0), (5.0,)], [(1.0, 2.0, 3.0)]])
+def test_write_csv_refuses_rows_not_as_wide_as_the_header(tmp_path, rows):
+    # within a block, in a later block, and in every row
+    path = tmp_path / "t.csv"
+    with mock.patch.object(csvio, "WRITE_BLOCK", 2), pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], rows)
+    assert not path.exists()
+
+
+def test_write_csv_holds_one_block_of_cells(tmp_path):
+    # a 2,000-row table: the text, its bytes and one block's cells; the whole
+    # file's cells at once would be more than five times the file
+    rng = np.random.default_rng(0)
+    rows = [("x", i, *r) for i, r in enumerate(rng.standard_normal((2000, 8)).tolist())]
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, ["s", "i"] + [f"c{j}" for j in range(8)], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * path.stat().st_size

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import breakpoint_rescan_oracle, hac_double_sum_oracle
 from monephase import econometrics as em
@@ -102,6 +104,22 @@ class TestHac:
     def test_lag_too_large(self):
         with pytest.raises(DataError, match="below the sample size"):
             em.hac_covariance(np.ones((10, 1)), np.ones(10), 10)
+
+    @given(st.integers(1, 2500), st.integers(0, 40), st.integers(-30, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_one_series_equals_its_column(self, n, lag, scale, seed):
+        # local_projection passes its series 1-D; each lag is then one dot product
+        z = np.random.default_rng(seed).standard_normal(n) * 10.0**scale
+        lag = min(lag, n - 1)
+        one = em._bartlett(z, lag)
+        assert np.ndim(one) == 0
+        assert np.float64(one).tobytes() == em._bartlett(z[:, None], lag)[0, 0].tobytes()
+
+    def test_one_series_keeps_the_checks(self):
+        with pytest.raises(DataError, match="below the sample size"):
+            em._bartlett(np.ones(10), 10)
+        with pytest.raises(DataError, match="nonnegative"):
+            em._bartlett(np.ones(10), -1)
 
 
 class TestArFit:

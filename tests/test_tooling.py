@@ -7,6 +7,7 @@ fail at start-up; these checks catch that in the test suite instead.
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,3 +42,19 @@ def test_traced_lookups_resolve():
         lambda x: np.sum(x**2, axis=1), [0.5, -0.25], [(-1.0, 1.0)] * 2, [0.1, 0.1]
     )
     assert isinstance(result.nfev, int) and result.nfev > 1
+
+
+def test_calibrate_polishes_once_through_optimize(monkeypatch, default_economy):
+    # compartment.minimize_nfev counts the evaluations of the one search that
+    # calibrate runs; with the 3 * 65^2 grid evaluations they are rate_evaluations
+    compartment = importlib.import_module("monephase.compartment")
+    results = []
+
+    def minimize(*args, **kwargs):
+        results.append(compartment._pattern_search(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(compartment, "optimize", SimpleNamespace(minimize=minimize))
+    out = compartment.calibrate(*default_economy)
+    assert len(results) == 1
+    assert results[0].nfev == out.rate_evaluations - 3 * 65**2
