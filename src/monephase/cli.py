@@ -3,8 +3,8 @@
     monephase <command> --config <path> [--out DIR] [--set key=value ...]
 
 Commands: transform, breakpoints, fit-phase, irf, calibrate, landau,
-efficiency, synth, report. Exit codes: 0 success, 1 validation error,
-2 numerical non-convergence (partial outputs are left in place).
+efficiency, synth, report. Exit codes: 0 success, 1 usage or validation
+error, 2 numerical non-convergence (partial outputs are left in place).
 """
 
 from __future__ import annotations
@@ -82,7 +82,10 @@ def load_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 after its usage error
+        return 1 if exc.code else 0
     shown = warnings.formatwarning  # one stderr line per warning, without a source line
     warnings.formatwarning = lambda message, *_: f"monephase: warning: {message}\n"
     try:

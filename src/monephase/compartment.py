@@ -77,8 +77,7 @@ def _check_h(h):
 def x_response(h, p: CompartmentParams):
     """Circulation pool after a unit impulse: X(h) = B * exp(-gamma h)."""
     arr = _check_h(h)
-    out = p.B * np.exp(-p.gamma * arr)
-    return float(out) if np.isscalar(h) else out
+    return p.B * np.exp(-p.gamma * arr)
 
 
 def _phi1(x):
@@ -101,8 +100,7 @@ def r_response(h, p: CompartmentParams):
     arr = _check_h(h)
     decay = np.exp(-p.delta * arr)
     mixed = p.eta * p.B * arr * decay * _phi1((p.delta - p.gamma) * arr)
-    out = p.A * decay + mixed
-    return float(out) if np.isscalar(h) else out
+    return p.A * decay + mixed
 
 
 def phi_irf(h, p: CompartmentParams, phi_bar: float, kappa: float):
@@ -111,8 +109,7 @@ def phi_irf(h, p: CompartmentParams, phi_bar: float, kappa: float):
         raise DataError(f"phi_bar must lie in (0, 1), got {phi_bar}")
     if kappa <= 0:
         raise DataError(f"kappa must be positive, got {kappa}")
-    out = kappa * ((1.0 - phi_bar) * r_response(h, p) - phi_bar * x_response(h, p))
-    return float(out) if np.isscalar(h) else out
+    return kappa * ((1.0 - phi_bar) * r_response(h, p) - phi_bar * x_response(h, p))
 
 
 def chi(phi_bar: float, phi_c: float) -> float:
@@ -124,17 +121,17 @@ def chi(phi_bar: float, phi_c: float) -> float:
 
 def cpi_irf(h, p: CompartmentParams, c: CouplingParams, phi_bar: float):
     """Price response s_pi * chi(phi_bar) * X(h); vanishes at the critical point."""
-    out = c.s_pi * chi(phi_bar, c.phi_c) * x_response(h, p)
-    return float(out) if np.isscalar(h) else out
+    return c.s_pi * chi(phi_bar, c.phi_c) * x_response(h, p)
 
 
 def steady_state_phi(
-    theta: float,
+    theta,
     ctrl: tuple[float, float],
     rates: tuple[float, float, float],
     injection: float,
-) -> float:
-    """Steady-state order parameter under a logistic reservoir-absorption law.
+):
+    """Steady-state order parameter at the control theta, a number or an array,
+    under a logistic reservoir-absorption law.
 
     A constant inflow I is split a(theta) into R and 1 - a(theta) into X,
     where a follows a logistic in the control theta. Balancing flows:
@@ -158,10 +155,8 @@ def steady_state_phi(
     a = 0.5 * (1.0 + np.tanh(0.5 * lam * (theta - theta_c)))
     x_star = (1.0 - a) * injection / gamma
     r_star = (a * injection + eta * x_star) / delta
-    total = r_star + x_star
-    if total == 0.0:
-        return 0.0
-    return float(r_star / total)
+    total = r_star + x_star  # of two nonnegative parts: where it is 0, r* is 0 and so is phi*
+    return r_star / np.where(total == 0.0, 1.0, total)
 
 
 @dataclass(frozen=True)

@@ -116,39 +116,33 @@ class RunConfig:
                 f"shock kind must be one of {SHOCK_KINDS}, got {self.shock_kind!r}"
             )
         PhaseThresholds(self.cash_max, self.reserve_min)  # raises on invalid thresholds
-        for name, value, least in (
-            ("shock.p", self.shock_p, 1),
-            ("lp.horizon", self.horizon, 0),
-            ("lp.lags", self.lags, 0),
-            ("lp.hac_lag", self.hac_lag, 0),
-            ("breaks.min_segment", self.min_segment, 1),
-            ("seed", self.seed, 0),
-        ):
-            if value < least:
+        for key, (attr, _, least) in _SCALAR_KEYS.items():
+            if least is not None and (value := getattr(self, attr)) < least:
                 sign = "positive" if least else "nonnegative"
-                raise DataError(f"{name} must be {sign}, got {value}")
+                raise DataError(f"{key} must be {sign}, got {value}")
         if self.landau_phi_c is not None and not 0.0 < self.landau_phi_c < 1.0:
             raise DataError(f"landau.phi_c must lie in (0, 1), got {self.landau_phi_c}")
 
 
+# key: (RunConfig field, parser of its text, least value admitted or None)
 _SCALAR_KEYS = {
-    "data.monetary": ("monetary_path", str),
-    "data.cpi": ("cpi_path", str),
-    "out.dir": ("out_dir", str),
-    "phase.cash_max": ("cash_max", float),
-    "phase.reserve_min": ("reserve_min", float),
-    "tanh.window_start": ("tanh_start", MonthIndex.parse),
-    "tanh.window_end": ("tanh_end", MonthIndex.parse),
-    "shock.kind": ("shock_kind", str),
-    "shock.p": ("shock_p", int),
-    "lp.horizon": ("horizon", int),
-    "lp.lags": ("lags", int),
-    "lp.hac_lag": ("hac_lag", int),
-    "breaks.min_segment": ("min_segment", int),
-    "irf.robustness": ("robustness", lambda v: _BOOLS[v.lower()]),
-    "landau.phi_c": ("landau_phi_c", float),
-    "synth.months": ("synth_months", int),
-    "seed": ("seed", int),
+    "data.monetary": ("monetary_path", str, None),
+    "data.cpi": ("cpi_path", str, None),
+    "out.dir": ("out_dir", str, None),
+    "phase.cash_max": ("cash_max", float, None),
+    "phase.reserve_min": ("reserve_min", float, None),
+    "tanh.window_start": ("tanh_start", MonthIndex.parse, None),
+    "tanh.window_end": ("tanh_end", MonthIndex.parse, None),
+    "shock.kind": ("shock_kind", str, None),
+    "shock.p": ("shock_p", int, 1),
+    "lp.horizon": ("horizon", int, 0),
+    "lp.lags": ("lags", int, 0),
+    "lp.hac_lag": ("hac_lag", int, 0),
+    "breaks.min_segment": ("min_segment", int, 1),
+    "irf.robustness": ("robustness", lambda v: _BOOLS[v.lower()], None),
+    "landau.phi_c": ("landau_phi_c", float, None),
+    "synth.months": ("synth_months", int, None),
+    "seed": ("seed", int, 0),
 }
 
 
@@ -161,7 +155,7 @@ def _apply_key(values: dict, clusters: dict, key: str, raw: str):
         return
     if key not in _SCALAR_KEYS:
         raise DataError(f"unknown configuration key {key!r}")
-    attr, convert = _SCALAR_KEYS[key]
+    attr, convert, _ = _SCALAR_KEYS[key]
     try:
         values[attr] = convert(raw)
     except DataError:
@@ -210,7 +204,7 @@ def config_text(cfg: RunConfig) -> str:
     line break, or whitespace followed by '#') raises DataError naming its key.
     """
     pairs = []
-    for key, (attr, _) in _SCALAR_KEYS.items():
+    for key, (attr, *_) in _SCALAR_KEYS.items():
         if (value := getattr(cfg, attr)) is not None:
             pairs.append((key, fmt(value)))
     for name, windows in cfg.clusters.items():

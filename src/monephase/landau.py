@@ -38,8 +38,7 @@ class LandauParams:
 def free_energy(m, p: LandauParams):
     """F(m) = 1/2 a m^2 + 1/4 b m^4 - h m."""
     arr = np.asarray(m, dtype=np.float64)
-    out = 0.5 * p.a * arr**2 + 0.25 * p.b * arr**4 - p.h_field * arr
-    return float(out) if np.isscalar(m) else out
+    return 0.5 * p.a * arr**2 + 0.25 * p.b * arr**4 - p.h_field * arr
 
 
 def _cubic_force(m, p: LandauParams):
@@ -175,5 +174,4 @@ def susceptibility(phi, phi_c: float, epsilon: float):
     if epsilon <= 0:
         raise DataError(f"epsilon must be positive, got {epsilon}")
     arr = np.asarray(phi, dtype=np.float64)
-    out = epsilon / (np.abs(arr - phi_c) + epsilon)
-    return float(out) if np.isscalar(phi) else out
+    return epsilon / (np.abs(arr - phi_c) + epsilon)

@@ -11,7 +11,7 @@ and one Gauss-Newton run polishes the best grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,18 +39,17 @@ class PhaseThresholds:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhasePartition:
-    """Per-month phase labels from start on; `array` holds the same labels."""
+    """Per-month phase labels from start on, one string array."""
 
     start: MonthIndex
-    labels: tuple[str, ...]
-    array: np.ndarray = field(repr=False, compare=False)
+    labels: np.ndarray
 
     def mask(self, label: str) -> np.ndarray:
         if label not in PHASE_LABELS:
             raise DataError(f"unknown phase label {label!r}")
-        return self.array == label
+        return self.labels == label
 
     def segments(self, label: str) -> list[tuple[MonthIndex, MonthIndex]]:
         """Maximal contiguous runs carrying the given label."""
@@ -76,7 +75,8 @@ def classify(phi: MonthlySeries, thresholds: PhaseThresholds) -> PhasePartition:
     labels = np.select(
         [vals < thresholds.cash_max, vals > thresholds.reserve_min], [CASH, RESERVE], INTERMEDIATE
     )
-    return PhasePartition(phi.start, tuple(labels.tolist()), labels)
+    labels.flags.writeable = False  # the partition is as immutable as the series
+    return PhasePartition(phi.start, labels)
 
 
 def phase_means(phi: MonthlySeries, partition: PhasePartition) -> tuple[float, float]:
@@ -199,7 +199,7 @@ def fit_tanh(
     """
     a, b = window
     sliced = phi.restrict(a, b)
-    mask = sliced.defined_mask()
+    mask = ~np.isnan(sliced.values)
     if int(mask.sum()) < 24:
         raise DataError(
             f"tanh fit needs at least 24 defined months in {a}..{b}, "

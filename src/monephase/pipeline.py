@@ -468,10 +468,17 @@ def write_calibration(out: Path, result: CalibrationResult, tables: dict) -> lis
 
 
 def _calibration(out: Path) -> tuple[dict, Record]:
-    """The calibration summary's preamble and row; a degenerate one is refused."""
+    """The summary's preamble and row; bad flags, degeneracy or phi_c not in (0, 1) raise."""
     preamble, records = _read(out, SUMMARY_FILE)
-    if preamble["degenerate"] != "false":
+    for key in ("degenerate", "ordering_holds"):
+        try:
+            _flag(preamble[key])
+        except ValueError:
+            raise _error(out / SUMMARY_FILE, f"cannot parse {key} {preamble[key]!r}") from None
+    if preamble["degenerate"] == "true":
         raise DataError(f"{out / SUMMARY_FILE}: degenerate calibration, phi_c unidentified")
+    if not 0.0 < (phi_c := records[0].parse("phi_c")) < 1.0:
+        raise records[0].error(f"phi_c must lie in (0, 1), got {phi_c}")
     return preamble, records[0]
 
 
@@ -501,28 +508,17 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
     m_grid = np.linspace(-1.5, 1.5, 121)
     pot_rows = []
     for a in (0.5, -0.5):
-        params = ld.LandauParams(a=a, b=1.0, h_field=0.0)
-        for m in m_grid:
-            pot_rows.append((a, float(m), ld.free_energy(float(m), params)))
+        energy = ld.free_energy(m_grid, ld.LandauParams(a=a, b=1.0, h_field=0.0))
+        pot_rows += [(a, m, f) for m, f in zip(m_grid.tolist(), energy.tolist())]
     paths.append(_write(out, "landau_potential.csv", pot_rows))
 
     theta_grid = np.linspace(-6.0, 6.0, 121)
-    steady_rows = [
-        (
-            float(th),
-            steady_state_phi(
-                float(th), ctrl=(1.0, 0.0), rates=(0.06, 0.05, 0.02), injection=1.0
-            ),
-        )
-        for th in theta_grid
-    ]
-    paths.append(_write(out, "steady_state_sweep.csv", steady_rows))
+    phi_star = steady_state_phi(theta_grid, (1.0, 0.0), rates=(0.06, 0.05, 0.02), injection=1.0)
+    paths.append(_write(out, "steady_state_sweep.csv", zip(theta_grid.tolist(), phi_star.tolist())))
 
     phi_grid = np.linspace(0.0, 1.0, 201)
     sus = ld.susceptibility(phi_grid, phi_c, epsilon=0.05)
-    paths.append(
-        _write(out, "susceptibility.csv", [(float(p), float(s)) for p, s in zip(phi_grid, sus)])
-    )
+    paths.append(_write(out, "susceptibility.csv", zip(phi_grid.tolist(), sus.tolist())))
     return paths
 
 

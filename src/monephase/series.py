@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -70,6 +70,7 @@ def month_labels(start: MonthIndex, length: int) -> list[str]:
     return [f"{o // 12:04d}-{o % 12 + 1:02d}" for o in range(first, first + length)]
 
 
+@dataclass(frozen=True, eq=False)
 class MonthlySeries:
     """Contiguous monthly coverage from ``start``; NaN marks a missing month.
 
@@ -78,24 +79,17 @@ class MonthlySeries:
     computation.
     """
 
-    __slots__ = ("start", "_values")
+    start: MonthIndex
+    values: np.ndarray
 
-    def __init__(self, start: MonthIndex, values: Sequence[float | None]):
-        arr = np.array(values, dtype=np.float64)  # None becomes NaN
+    def __post_init__(self):
+        arr = np.array(self.values, dtype=np.float64)  # None becomes NaN
         if arr.ndim != 1 or arr.size < 1:
             raise DataError("series needs at least one month of coverage")
         if np.isinf(arr).any():  # NaN marks a missing month; any other value must be finite
-            raise DataError(f"non-finite value at {start + int(np.argmax(np.isinf(arr)))}")
+            raise DataError(f"non-finite value at {self.start + int(np.argmax(np.isinf(arr)))}")
         arr.flags.writeable = False
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "_values", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonthlySeries is immutable")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
+        object.__setattr__(self, "values", arr)  # how a frozen dataclass replaces a field
 
     @property
     def end(self) -> MonthIndex:
@@ -103,33 +97,26 @@ class MonthlySeries:
         return self.start + (len(self) - 1)
 
     def __len__(self) -> int:
-        return self._values.size
+        return self.values.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonthlySeries):
             return NotImplemented
         return self.start == other.start and np.array_equal(
-            self._values, other._values, equal_nan=True
+            self.values, other.values, equal_nan=True
         )
 
     def __repr__(self) -> str:
         return f"MonthlySeries({self.start}..{self.end}, n={len(self)})"
 
-    def position(self, month: MonthIndex) -> int:
-        pos = month - self.start
-        if not 0 <= pos < len(self):
-            raise DataError(f"{month} outside coverage {self.start}..{self.end}")
-        return pos
-
-    def defined_mask(self) -> np.ndarray:
-        return ~np.isnan(self._values)
-
     def restrict(self, start: MonthIndex, end: MonthIndex) -> "MonthlySeries":
         """Slice to the inclusive month range [start, end]."""
         if start > end:
             raise DataError(f"empty range {start}..{end}")
-        a, b = self.position(start), self.position(end)
-        return MonthlySeries(start, self._values[a : b + 1])
+        for month in (start, end):
+            if not 0 <= month - self.start < len(self):
+                raise DataError(f"{month} outside coverage {self.start}..{self.end}")
+        return MonthlySeries(start, self.values[start - self.start : end - self.start + 1])
 
     def with_values(self, values: np.ndarray) -> "MonthlySeries":
         if len(values) != len(self):
@@ -157,25 +144,11 @@ class Panel:
     def end(self) -> MonthIndex:
         return self.start + (self.length - 1)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.series)
-
     def __getitem__(self, name: str) -> MonthlySeries:
         try:
             return self.series[name]
         except KeyError:
             raise DataError(f"panel has no series {name!r}") from None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Panel):
-            return NotImplemented
-        return (
-            self.start == other.start
-            and self.length == other.length
-            and self.names == other.names
-            and all(self.series[n] == other.series[n] for n in self.names)
-        )
 
 
 def yoy(series: MonthlySeries) -> MonthlySeries:
@@ -220,7 +193,7 @@ def order_parameter(rb: MonthlySeries, mb: MonthlySeries) -> MonthlySeries:
 
 def index_to_base(series: MonthlySeries) -> MonthlySeries:
     """Scale so the first defined month equals 100 exactly."""
-    mask = series.defined_mask()
+    mask = ~np.isnan(series.values)
     if not mask.any():
         raise DataError("cannot index an all-missing series")
     base = series.values[int(np.argmax(mask))]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import rk4_compartments
-from monephase import compartment
+from monephase import compartment, landau
 from monephase.compartment import (
     AMP_CAP,
     KAPPA_MIN,
@@ -195,6 +195,36 @@ class TestSteadyState:
             steady_state_phi(0.0, ctrl=(1.0, 0.0), rates=(0.0, 0.2, 0.1), injection=1.0)
         with pytest.raises(DataError, match="injection"):
             steady_state_phi(0.0, ctrl=(1.0, 0.0), rates=self.RATES, injection=0.0)
+
+    def test_zero_total_gives_zero(self):
+        # both stocks underflow to 0: the share is 0, not 0 / 0
+        with np.errstate(divide="raise", invalid="raise"):
+            out = steady_state_phi(
+                np.array([-1.0, 0.0, 1.0]), ctrl=(1.0, 0.0), rates=(4.0, 4.0, 0.0), injection=5e-324
+            )
+        assert out.tolist() == [0.0, 0.0, 0.0]
+
+
+MODEL_FUNCTIONS = {  # each of a horizon, a shifted order parameter or an order parameter
+    "x_response": lambda h: x_response(h, P),
+    "r_response": lambda h: r_response(h, P),
+    "phi_irf": lambda h: phi_irf(h, P, 0.4, 1.5),
+    "cpi_irf": lambda h: cpi_irf(h, P, CouplingParams(s_pi=0.8, phi_c=0.3), 0.4),
+    "free_energy": lambda m: landau.free_energy(m, landau.LandauParams(a=-0.5, b=1.0, h_field=0.1)),
+    "susceptibility": lambda phi: landau.susceptibility(phi, 0.3, 0.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_FUNCTIONS))
+@given(points=arrays(np.float64, st.integers(1, 30), elements=st.floats(0.0, 400.0)))
+@settings(max_examples=60, deadline=None)
+def test_scalar_input_gives_the_float_of_its_array_element(name, points):
+    f = MODEL_FUNCTIONS[name]
+    at_once = f(points)
+    for point, element in zip(points.tolist(), at_once):
+        value = f(point)
+        assert isinstance(value, float)
+        assert np.float64(value).tobytes() == element.tobytes()
 
 
 def exact_table(values, se=1.0):

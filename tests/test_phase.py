@@ -37,11 +37,11 @@ class TestThresholds:
 class TestClassify:
     def test_boundary_is_intermediate(self):
         part = classify(ms([0.30, 0.60]), TH)
-        assert part.labels == (INTERMEDIATE, INTERMEDIATE)
+        assert tuple(part.labels) == (INTERMEDIATE, INTERMEDIATE)
 
     def test_three_way_split(self):
         part = classify(ms([0.1, 0.5, 0.9]), TH)
-        assert part.labels == (CASH, INTERMEDIATE, RESERVE)
+        assert tuple(part.labels) == (CASH, INTERMEDIATE, RESERVE)
 
     def test_monotone_profile_gives_three_segments(self):
         t = np.arange(100.0)
@@ -63,15 +63,20 @@ class TestClassify:
             for a, b in part.segments(label):
                 for i in range(a - START, b - START + 1):
                     rebuilt[i] = label
-        assert tuple(rebuilt) == part.labels
+        assert tuple(rebuilt) == tuple(part.labels)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError, match="outside"):
             classify(ms([0.5, 1.2]), TH)
 
+    def test_labels_read_only(self):
+        part = classify(ms([0.1, 0.5]), TH)
+        with pytest.raises(ValueError):
+            part.labels[0] = RESERVE
+
     def test_missing_is_intermediate(self):
         part = classify(ms([None, 0.1]), TH)
-        assert part.labels == (INTERMEDIATE, CASH)
+        assert tuple(part.labels) == (INTERMEDIATE, CASH)
 
     @given(
         st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=50),

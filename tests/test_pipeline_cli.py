@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 import monephase
 from monephase import csvio
 from monephase import econometrics as em
+from monephase import landau as ld
 from monephase import pipeline
 from monephase.cli import COMMANDS, main
+from monephase.compartment import steady_state_phi
 from monephase.config import RunConfig, apply_overrides, config_text, era_label, parse_config
-from monephase.csvio import parse_float_cell, read_csv
+from monephase.csvio import fmt, parse_float_cell, read_csv
 from monephase.errors import DataError
 from monephase.phase import CASH, RESERVE
 from monephase.pipeline import (
@@ -468,6 +470,28 @@ class TestLandauCommand:
         assert "landau.phi_c must lie in (0, 1)" in err and "Traceback" not in err
         assert not (tmp_path / "susceptibility.csv").exists()
 
+    def test_grid_files_equal_per_point_calls(self, tmp_path):
+        written = cmd_landau(RunConfig(out_dir=str(tmp_path), landau_phi_c=0.231))
+        expected = {
+            "landau_potential.csv": [
+                (a, m, ld.free_energy(m, ld.LandauParams(a=a, b=1.0, h_field=0.0)))
+                for a in (0.5, -0.5)
+                for m in np.linspace(-1.5, 1.5, 121).tolist()
+            ],
+            "steady_state_sweep.csv": [
+                (th, steady_state_phi(th, (1.0, 0.0), rates=(0.06, 0.05, 0.02), injection=1.0))
+                for th in np.linspace(-6.0, 6.0, 121).tolist()
+            ],
+            "susceptibility.csv": [
+                (phi, ld.susceptibility(phi, 0.231, epsilon=0.05))
+                for phi in np.linspace(0.0, 1.0, 201).tolist()
+            ],
+        }
+        for path in written:
+            if path.name in expected:
+                rows = read_csv(path)[2]
+                assert rows == [[fmt(v) for v in row] for row in expected[path.name]], path.name
+
     def test_needs_phi_c(self, econ_dir, tmp_path):
         out, cfg, spec = econ_dir
         from dataclasses import replace
@@ -488,6 +512,18 @@ class TestReport:
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "argv", [["nosuch"], ["irf", "--bogus"], ["irf", "--seed", "abc"], []]
+    )
+    def test_usage_error_exit_code(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "\nmonephase: error: " in err and "Traceback" not in err
+
+    def test_help_exit_code(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: monephase")
+
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path), "--seed", "-1"]) == 1
         err = capsys.readouterr().err
@@ -898,6 +934,22 @@ MALFORMED = {
     ),
     "summary_degenerate_landau": (SUMMARY_FILE, _degenerate, "landau", "degenerate calibration"),
     "summary_degenerate_report": (SUMMARY_FILE, _degenerate, "report", "degenerate calibration"),
+    "summary_ordering_holds_maybe_report": (
+        SUMMARY_FILE, _preamble("ordering_holds", "maybe"), "report",
+        f"{SUMMARY_FILE}: cannot parse ordering_holds 'maybe'; rerun the calibrate command",
+    ),
+    "summary_degenerate_False_landau": (
+        SUMMARY_FILE, _preamble("degenerate", "False"), "landau",
+        f"{SUMMARY_FILE}: cannot parse degenerate 'False'; rerun the calibrate command",
+    ),
+    "summary_phi_c_5_landau": (
+        SUMMARY_FILE, lambda lines: lines[:-1] + ["5.0," + lines[-1].split(",", 1)[1]], "landau",
+        f"{SUMMARY_FILE}:11: phi_c must lie in (0, 1), got 5.0; rerun the calibrate command",
+    ),
+    "summary_phi_c_5_report": (
+        SUMMARY_FILE, lambda lines: lines[:-1] + ["5.0," + lines[-1].split(",", 1)[1]], "report",
+        f"{SUMMARY_FILE}:11: phi_c must lie in (0, 1), got 5.0; rerun the calibrate command",
+    ),
     "panel_blank_lines": (
         "panel.csv", lambda lines: ["", ""],
         "irf", "panel.csv: no header line found; rerun the transform command",
