@@ -2,8 +2,8 @@
 
     monephase <command> --config <path> [--out DIR] [--set key=value ...]
 
-Commands: transform, breakpoints, fit-phase, irf, calibrate, landau,
-efficiency, synth, report. Exit codes: 0 success, 1 usage or validation
+Commands: synth, transform, breakpoints, fit-phase, irf, calibrate,
+landau, efficiency, report. Exit codes: 0 success, 1 usage or validation
 error, 2 numerical non-convergence (partial outputs are left in place).
 """
 
@@ -27,7 +27,9 @@ from .pipeline import (
     cmd_transform,
 )
 
+# synth, then the chain in run order: scripts/run_pipeline.py runs the commands in this order
 COMMANDS = {
+    "synth": cmd_synth,
     "transform": cmd_transform,
     "breakpoints": cmd_breakpoints,
     "fit-phase": cmd_fit_phase,
@@ -35,7 +37,6 @@ COMMANDS = {
     "calibrate": cmd_calibrate,
     "landau": cmd_landau,
     "efficiency": cmd_efficiency,
-    "synth": cmd_synth,
     "report": cmd_report,
 }
 

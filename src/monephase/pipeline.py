@@ -76,7 +76,7 @@ ARTIFACTS = {
     SUMMARY_FILE: Artifact(
         "calibrate",
         ("phi_c", "s_pi", "phi_bar_cash", "phi_bar_reserve", "objective"),
-        ("degenerate", "ordering_holds"),
+        ("converged", "degenerate", "ordering_holds"),
     ),
     **{
         f"fit_{label}_phase.csv": Artifact(
@@ -422,6 +422,8 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
     if result.degenerate:
         msg = "calibration degenerate: fitted price responses are null, phi_c unidentified"
         raise ConvergenceError(msg)
+    if not result.converged:
+        raise ConvergenceError("calibration polish stopped at its iteration cap")
     return written
 
 
@@ -468,18 +470,25 @@ def write_calibration(out: Path, result: CalibrationResult, tables: dict) -> lis
 
 
 def _calibration(out: Path) -> tuple[dict, Record]:
-    """The summary's preamble and row; bad flags, degeneracy or phi_c not in (0, 1) raise."""
-    preamble, records = _read(out, SUMMARY_FILE)
-    for key in ("degenerate", "ordering_holds"):
+    """The summary's preamble and row, once its flags parse and hold and phi_c is in (0, 1)."""
+    preamble, (row, *_) = _read(out, SUMMARY_FILE)
+    flags = {}
+    for key in ARTIFACTS[SUMMARY_FILE].preamble:
         try:
-            _flag(preamble[key])
+            flags[key] = _flag(preamble[key])
         except ValueError:
             raise _error(out / SUMMARY_FILE, f"cannot parse {key} {preamble[key]!r}") from None
-    if preamble["degenerate"] == "true":
+    if flags["degenerate"]:
         raise DataError(f"{out / SUMMARY_FILE}: degenerate calibration, phi_c unidentified")
-    if not 0.0 < (phi_c := records[0].parse("phi_c")) < 1.0:
-        raise records[0].error(f"phi_c must lie in (0, 1), got {phi_c}")
-    return preamble, records[0]
+    if not flags["converged"]:
+        raise _error(out / SUMMARY_FILE, "calibration did not converge")
+    if not 0.0 < (phi_c := row.parse("phi_c")) < 1.0:
+        raise row.error(f"phi_c must lie in (0, 1), got {phi_c}")
+    holds = row.parse("phi_bar_cash") < phi_c < row.parse("phi_bar_reserve")
+    if holds != flags["ordering_holds"]:
+        ordering = f"phi_bar_cash < phi_c < phi_bar_reserve {'holds' if holds else 'fails'}"
+        raise row.error(f"ordering_holds is {preamble['ordering_holds']}, but {ordering}")
+    return preamble, row
 
 
 def cmd_landau(cfg: RunConfig) -> list[Path]:

@@ -1,4 +1,5 @@
 import ast
+import functools
 import inspect
 import os
 import re
@@ -8,6 +9,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monephase
-from monephase import csvio
+from monephase import compartment, csvio
 from monephase import econometrics as em
 from monephase import landau as ld
 from monephase import pipeline
@@ -492,6 +494,12 @@ class TestLandauCommand:
                 rows = read_csv(path)[2]
                 assert rows == [[fmt(v) for v in row] for row in expected[path.name]], path.name
 
+    def test_set_phi_c_skips_the_summary(self, default_chain, tmp_path):
+        out, _ = default_chain
+        lines = (out / SUMMARY_FILE).read_text().splitlines()
+        (tmp_path / SUMMARY_FILE).write_text("\n".join(_preamble("converged", "false")(lines)))
+        assert main(["landau", "--out", str(tmp_path), "--set", "landau.phi_c=0.3"]) == 0
+
     def test_needs_phi_c(self, econ_dir, tmp_path):
         out, cfg, spec = econ_dir
         from dataclasses import replace
@@ -523,6 +531,10 @@ class TestCli:
     def test_help_exit_code(self, capsys):
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: monephase")
+
+    def test_commands_in_chain_order(self):
+        # scripts/run_pipeline.py runs every command after synth in this order
+        assert list(COMMANDS) == ["synth", *CHAIN_COMMANDS]
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path), "--seed", "-1"]) == 1
@@ -777,6 +789,19 @@ class TestCalibrationOutputs:
         for path in cmd_calibrate(replace(mechanism_run["cfg"], out_dir=str(tmp_path))):
             assert path.read_bytes() == (out / path.name).read_bytes()
 
+    def test_capped_polish_exit_code(self, default_chain, tmp_path, capsys, monkeypatch):
+        capped = functools.partial(compartment._pattern_search, maxiter=3)
+        monkeypatch.setattr(compartment, "optimize", SimpleNamespace(minimize=capped))
+        out, _ = default_chain
+        for name in (IRF_PI_FILE, IRF_PHI_FILE, "phase_means.csv"):
+            shutil.copy(out / name, tmp_path / name)
+        capsys.readouterr()
+        assert main(["calibrate", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "non-convergence: calibration polish stopped at its iteration cap" in err
+        preamble, _, _ = read_csv(tmp_path / SUMMARY_FILE)
+        assert preamble["converged"] == "false"
+
     def test_null_price_responses_degenerate_exit_code(self, mechanism_run, tmp_path):
         out = mechanism_run["out"]
         shutil.copy(out / "phase_means.csv", tmp_path / "phase_means.csv")
@@ -941,6 +966,23 @@ MALFORMED = {
     "summary_degenerate_False_landau": (
         SUMMARY_FILE, _preamble("degenerate", "False"), "landau",
         f"{SUMMARY_FILE}: cannot parse degenerate 'False'; rerun the calibrate command",
+    ),
+    "summary_converged_false_landau": (
+        SUMMARY_FILE, _preamble("converged", "false"), "landau",
+        f"{SUMMARY_FILE}: calibration did not converge; rerun the calibrate command",
+    ),
+    "summary_converged_false_report": (
+        SUMMARY_FILE, _preamble("converged", "false"), "report",
+        f"{SUMMARY_FILE}: calibration did not converge; rerun the calibrate command",
+    ),
+    "summary_no_converged_key": (
+        SUMMARY_FILE, lambda lines: _drop(lines, "# converged:"), "report",
+        f"{SUMMARY_FILE}: no preamble key converged; rerun the calibrate command",
+    ),
+    "summary_ordering_holds_false_report": (
+        SUMMARY_FILE, _preamble("ordering_holds", "false"), "report",
+        f"{SUMMARY_FILE}:11: ordering_holds is false, but phi_bar_cash < phi_c < "
+        "phi_bar_reserve holds; rerun the calibrate command",
     ),
     "summary_phi_c_5_landau": (
         SUMMARY_FILE, lambda lines: lines[:-1] + ["5.0," + lines[-1].split(",", 1)[1]], "landau",
@@ -1155,3 +1197,50 @@ class TestUpstreamArtifacts:
         assert main([command, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "monephase: error:" in err and "Traceback" not in err
+
+
+RUNNER = Path(__file__).resolve().parents[1] / "scripts" / "run_pipeline.py"
+
+
+def run_pipeline(*args, cwd):
+    src = str(Path(monephase.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, str(RUNNER), *map(str, args)],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestRunPipeline:
+    def test_data_run_equals_synthetic_run(self, tmp_path):
+        a, b = tmp_path / "A", tmp_path / "B"
+        synthetic = run_pipeline("--synthetic", 1, "--out", a, cwd=tmp_path)
+        assert synthetic.returncode == 0, synthetic.stderr
+        data = run_pipeline("--data", a / "monetary.csv", a / "cpi.csv", "--out", b, cwd=tmp_path)
+        assert data.returncode == 0, data.stderr
+        for run, commands in ((synthetic, ["synth", *CHAIN_COMMANDS]), (data, CHAIN_COMMANDS)):
+            steps = re.findall(r"^== monephase (\S+)", run.stdout, re.M)
+            assert steps == list(commands)
+            assert len(re.findall(r"^   took \d+\.\d\d s$", run.stdout, re.M)) == len(commands)
+            assert "--robustness" in re.search(r"^== monephase irf .*$", run.stdout, re.M)[0]
+        chain = sorted(name for name, artifact in ARTIFACTS.items() if artifact.command != "synth")
+        assert len(chain) == 18 and sorted(path.name for path in b.iterdir()) == chain
+        for name in chain:
+            assert (b / name).read_bytes() == (a / name).read_bytes(), name
+
+    @pytest.mark.parametrize("source", [[], ["--synthetic", "1", "--data", "m.csv", "c.csv"]])
+    def test_neither_or_both_sources_exit_code(self, tmp_path, source):
+        run = run_pipeline(*source, "--out", "out", cwd=tmp_path)
+        assert run.returncode == 2 and run.stderr.startswith("usage: run_pipeline.py")
+        assert run.stdout == "" and list(tmp_path.iterdir()) == []
+
+    def test_missing_data_file_exit_code(self, tmp_path):
+        run = run_pipeline("--data", "monetary.csv", "cpi.csv", "--out", "out", cwd=tmp_path)
+        assert run.returncode == 1
+        assert "monephase: error: input file not found: monetary.csv" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert re.findall(r"^== monephase (\S+)", run.stdout, re.M) == ["transform"]
+        assert list(tmp_path.iterdir()) == []
