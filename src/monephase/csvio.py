@@ -88,15 +88,17 @@ class Row(list):
         self.lineno = lineno
 
 
-def read_csv(path: Path | str) -> tuple[dict[str, str], list[str], list[Row]]:
-    """Read back (preamble dict, header, raw string rows).
+def read_csv(
+    path: Path | str, text: str | None = None
+) -> tuple[dict[str, str], list[str], list[Row]]:
+    """Read back (preamble dict, header, raw string rows) of path, or split its text if given.
 
     Accepts LF or CRLF endings and skips blank lines, before the header as
     after it; raises on ragged rows with the path and line number. Each
     row keeps the line it was read from as its lineno.
     """
     path = Path(path)
-    text = read_utf8(path)
+    text = read_utf8(path) if text is None else text
     preamble: dict[str, str] = {}
     header: list[str] | None = None
     rows: list[Row] = []
@@ -164,22 +166,32 @@ class Record(dict):
             raise self.error(f"cannot parse {column} {self[column]!r}") from None
 
 
-def read_artifact(path: Path | str, artifact: Artifact) -> tuple[dict[str, str], list[Row]]:
-    """(preamble, rows) of a CSV, checked against its artifact.
+def read_text(path: Path, artifact: Artifact) -> str:
+    """A file's text, with read_artifact's DataError for a missing file or one not UTF-8."""
+    if not path.exists():
+        if artifact.command is None:
+            raise DataError(f"input file not found: {path}")
+        raise DataError(f"missing upstream {path}: run the {artifact.command} command first")
+    try:
+        return read_utf8(path)
+    except DataError as exc:
+        raise DataError(f"{exc}{artifact.rerun}") from None
+
+
+def read_artifact(
+    path: Path | str, artifact: Artifact, text: str | None = None
+) -> tuple[dict[str, str], list[Row]]:
+    """(preamble, rows) of a CSV, checked against its artifact; text, if given, is its read_text.
 
     A missing file, text that is not UTF-8, a ragged row, another header,
     a missing preamble key or no data rows raise DataError naming the file
     and, unless it is an input, the command that writes it; a row's Record
     reports a cell that does not parse the same way, with its line.
     """
-    path = Path(path)
-    if not path.exists():
-        if artifact.command is None:
-            raise DataError(f"input file not found: {path}")
-        raise DataError(f"missing upstream {path}: run the {artifact.command} command first")
-    rerun = artifact.rerun
+    path, rerun = Path(path), artifact.rerun
+    text = read_text(path, artifact) if text is None else text
     try:
-        preamble, header, rows = read_csv(path)
+        preamble, header, rows = read_csv(path, text)
     except DataError as exc:
         raise DataError(f"{exc}{rerun}") from None
     problem = None

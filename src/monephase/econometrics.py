@@ -89,13 +89,19 @@ def ols(X: np.ndarray, y: np.ndarray) -> RegressionResult:
     return RegressionResult(coef, y - X @ coef)
 
 
-def _bartlett(Z: np.ndarray, max_lag: int) -> np.ndarray:
-    """Z'WZ, the Bartlett-weighted autocovariances of Z's rows up to max_lag; a scalar for 1-D Z."""
+def _bartlett(Z: np.ndarray, max_lag: int) -> np.ndarray | float:
+    """Z'WZ, the Bartlett-weighted autocovariances of Z's rows up to max_lag; a float for 1-D Z."""
     n = Z.shape[0]
     if max_lag < 0:
         raise DataError(f"max_lag must be nonnegative, got {max_lag}")
     if max_lag >= n:
         raise DataError(f"max_lag {max_lag} must be below the sample size {n}")
+    if Z.ndim == 1:  # the LP path: the same sums in the same order, on Python floats
+        S = float(Z.dot(Z))
+        for j in range(1, max_lag + 1):
+            gamma = float(Z[j:].dot(Z[:-j]))
+            S = S + (1.0 - j / (max_lag + 1.0)) * (gamma + gamma)
+        return S
     S = Z.T @ Z
     for j in range(1, max_lag + 1):
         w = 1.0 - j / (max_lag + 1.0)

@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .csvio import Artifact, Record, parse_float_cell, read_artifact, write_csv
+from .csvio import Artifact, Record, parse_float_cell, read_artifact, read_text, write_csv
 from .errors import DataError
 from .series import MonthIndex, MonthlySeries, Panel, month_labels
 
@@ -30,15 +30,25 @@ CPI = Artifact(None, ("date", "CPI", "CPI_core"))
 
 MonthColumns = Mapping[str, Callable[[int], str]]  # column -> its cell for a year
 
+# ((text, artifact, month_columns), Panel) of the last table parsed: the commands of a chain
+# in one process read one panel.csv in turn, and each after the first takes its Panel from here
+_last: list[tuple[tuple, Panel]] = []
+
 
 def load_table(path: Path | str, artifact: Artifact, month_columns: MonthColumns = {}) -> Panel:
     """Read a monthly table a column at a time; month_columns, derived from the date, are not read.
 
     Of several bad cells, the first in file order is reported: the earliest
-    line, and in it the date, then the columns in header order.
+    line, and in it the date, then the columns in header order. A file
+    holding the text last parsed as the same artifact gives that Panel,
+    whose arrays are read-only, without a second parse: the checks depend
+    on the text alone. Each call reads the file once, and no failure is kept.
     """
     path = Path(path)
-    _, rows = read_artifact(path, artifact)
+    text = read_text(path, artifact)
+    if _last and _last[0][0] == (text, artifact, month_columns):
+        return _last[0][1]
+    _, rows = read_artifact(path, artifact, text)
     try:
         start = MonthIndex.parse(rows[0][0])
     except DataError:  # report it as the Record of the first row does
@@ -58,7 +68,9 @@ def load_table(path: Path | str, artifact: Artifact, month_columns: MonthColumns
             raise rec.error(f"duplicate month {month}" if month == previous else gap)
         for name in series:
             rec.parse(name, parse_float_cell)
-    return Panel(start, len(rows), {name: MonthlySeries(start, v) for name, v in series.items()})
+    panel = Panel(start, len(rows), {name: MonthlySeries(start, v) for name, v in series.items()})
+    _last[:] = [((text, artifact, month_columns), panel)]
+    return panel
 
 
 def _numbers(cells: list[str]) -> tuple[np.ndarray | None, int]:

@@ -115,6 +115,24 @@ class TestHac:
         assert np.ndim(one) == 0
         assert np.float64(one).tobytes() == em._bartlett(z[:, None], lag)[0, 0].tobytes()
 
+    def test_one_series_equals_numpy_scalar_reference(self):
+        # the 1-D branch runs on Python floats; this is the numpy-scalar loop it replaced
+        def reference(z, max_lag):
+            S = z.T @ z
+            for j in range(1, max_lag + 1):
+                w = 1.0 - j / (max_lag + 1.0)
+                gamma = z[j:].T @ z[:-j]
+                S = S + w * (gamma + gamma.T)
+            return S
+
+        rng = np.random.default_rng(19)
+        for _ in range(2000):
+            n, lag = int(rng.integers(20, 2301)), int(rng.integers(0, 19))
+            z = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+            one = em._bartlett(z, lag)
+            assert type(one) is float
+            assert np.float64(one).tobytes() == reference(z, lag).tobytes()
+
     def test_one_series_keeps_the_checks(self):
         with pytest.raises(DataError, match="below the sample size"):
             em._bartlett(np.ones(10), 10)

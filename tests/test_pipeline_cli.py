@@ -1,5 +1,6 @@
 import ast
 import functools
+import gc
 import inspect
 import os
 import re
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monephase
-from monephase import compartment, csvio
+from monephase import compartment, csvio, ingest
 from monephase import econometrics as em
 from monephase import landau as ld
 from monephase import pipeline
@@ -507,6 +509,93 @@ class TestLandauCommand:
         cfg2 = replace(cfg, out_dir=str(tmp_path))
         with pytest.raises(DataError, match="phi_c unavailable"):
             cmd_landau(cfg2)
+
+
+class TestPanelMemo:
+    """Within one process, a panel.csv whose text was the last table parsed is not parsed again."""
+
+    def test_keyed_by_content_not_by_size_or_mtime(self, econ_dir, tmp_path, capsys):
+        out, _, _ = econ_dir
+        path, text = tmp_path / "panel.csv", (out / "panel.csv").read_text()
+        path.write_text(text)
+        first = read_panel_csv(path)
+        assert read_panel_csv(path) is first
+        lines = text.split("\n")
+        cells = lines[200].split(",")  # line 201: row 199
+
+        def rewrite(mb: str):
+            stat = path.stat()
+            row = ",".join([cells[0], mb, *cells[2:]])
+            path.write_text("\n".join([*lines[:200], row, *lines[201:]]))
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            now = path.stat()
+            assert (now.st_size, now.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+
+        digit = cells[1][:-1] + str((int(cells[1][-1]) + 1) % 10)
+        rewrite(digit)
+        assert read_panel_csv(path)["MB"].values[199] == float(digit) != first["MB"].values[199]
+        bad = "x" * len(cells[1])
+        rewrite(bad)
+        message = f"{path}:201: cannot parse MB {bad!r}; rerun the transform command"
+        with pytest.raises(DataError) as exc:
+            read_panel_csv(path)
+        assert str(exc.value) == message
+        capsys.readouterr()
+        assert main(["fit-phase", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"monephase: error: {message}\n"
+        path.write_text(text)
+        again = read_panel_csv(path)
+        ingest._last.clear()
+        fresh = read_panel_csv(path)
+        for panel in (first, again):
+            assert (panel.start, panel.length, list(panel.series)) == (
+                fresh.start, fresh.length, list(fresh.series)
+            )
+            for name, series in fresh.series.items():
+                assert panel[name].values.tobytes() == series.values.tobytes()
+
+    def test_holds_one_table(self, econ_dir, tmp_path):
+        out, _, _ = econ_dir
+        lines = (out / "panel.csv").read_text().split("\n")
+        paths = [tmp_path / "whole.csv", tmp_path / "short.csv"]
+        paths[0].write_text("\n".join(lines))
+        paths[1].write_text("\n".join([*lines[:-2], ""]))  # the last month dropped
+        first = weakref.ref(read_panel_csv(paths[0]))
+        gc.collect()
+        assert first() is not None
+        length = first().length
+        assert read_panel_csv(paths[1]).length == length - 1
+        gc.collect()
+        assert first() is None
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # windows outside the data
+    def test_one_parse_per_chain(self, econ_dir, tmp_path, monkeypatch):
+        # transform parses both inputs; breakpoints, fit-phase and irf read one panel.csv
+        _, cfg, _ = econ_dir
+        columns = []
+        numbers = ingest._numbers
+
+        def spy(cells):
+            columns.append(len(cells))
+            return numbers(cells)
+
+        monkeypatch.setattr(ingest, "_numbers", spy)
+        inputs = len(ARTIFACTS["monetary.csv"].header) + len(ARTIFACTS["cpi.csv"].header) - 2
+        panel = len(ARTIFACTS["panel.csv"].header) - 2  # no date, no era
+        for run, parses in (("memo", 1), ("emptied", 3)):
+            columns.clear()
+            for command in ("transform", "breakpoints", "fit-phase", "irf"):
+                if run == "emptied":
+                    ingest._last.clear()
+                argv = [command, "--monetary", cfg.monetary_path, "--cpi", cfg.cpi_path]
+                assert main([*argv, "--out", str(tmp_path / run)]) == 0
+            assert len(columns) == inputs + parses * panel
+        files = sorted(path.name for path in (tmp_path / "memo").iterdir())
+        assert files == sorted(path.name for path in (tmp_path / "emptied").iterdir())
+        for name in files:
+            assert (tmp_path / "memo" / name).read_bytes() == (
+                tmp_path / "emptied" / name
+            ).read_bytes()
 
 
 class TestReport:
