@@ -59,16 +59,14 @@ DEFAULT_CLUSTERS: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = (
     ),
 )
 
-ERA_BOUNDS = (
-    ("1971-1989", 1989),
-    ("1990-2012", 2012),
-    ("2013-2021", 2021),
-    ("2022-2026", 9999),
-)
-
 SHOCK_KINDS = ("ar_resid", "detrended")
 _INLINE_COMMENT = re.compile(r"\s#")  # within a value; a '#' not after whitespace is kept
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _utf8(text: str) -> bool:
+    """False for text holding a lone surrogate, as a non-UTF-8 byte of argv decodes to."""
+    return text.encode("utf-8", "replace").decode("utf-8") == text
 
 
 def _parse_window(text: str) -> tuple[MonthIndex, MonthIndex]:
@@ -151,6 +149,8 @@ def _apply_key(values: dict, clusters: dict, key: str, raw: str):
         name = key[len("breaks.cluster.") :]
         if not name:
             raise DataError("cluster key needs a name: breaks.cluster.<name>")
+        if "," in name or len(name.splitlines()) > 1 or not _utf8(name):  # a CSV cell, a config key
+            raise DataError(f"cluster name in {key!r} must be UTF-8 without a comma or line break")
         clusters[name] = [_parse_window(w.strip()) for w in raw.split(",") if w.strip()]
         return
     if key not in _SCALAR_KEYS:
@@ -201,7 +201,8 @@ def config_text(cfg: RunConfig) -> str:
     """Serialize to the flat key format (used by the synth command); parses back unchanged.
 
     A value that would not read back as written (surrounding whitespace, a
-    line break, or whitespace followed by '#') raises DataError naming its key.
+    line break, whitespace followed by '#', or text that UTF-8 cannot encode)
+    raises DataError naming its key.
     """
     pairs = []
     for key, (attr, *_) in _SCALAR_KEYS.items():
@@ -210,13 +211,7 @@ def config_text(cfg: RunConfig) -> str:
     for name, windows in cfg.clusters.items():
         pairs.append((f"breaks.cluster.{name}", ",".join(f"{a}:{b}" for a, b in windows)))
     for key, value in pairs:
-        if value != value.strip() or len(value.splitlines()) > 1 or _INLINE_COMMENT.search(value):
+        stray = value != value.strip() or len(value.splitlines()) > 1 or not _utf8(key + value)
+        if stray or _INLINE_COMMENT.search(value):
             raise DataError(f"{key} = {value!r} would not read back from a config file unchanged")
     return "".join(f"{key} = {value}\n" for key, value in pairs)
-
-
-def era_label(year: int) -> str:
-    for label, last in ERA_BOUNDS:
-        if year <= last:
-            return label
-    return ERA_BOUNDS[-1][0]

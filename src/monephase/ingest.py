@@ -9,7 +9,8 @@ unambiguous. Monetary quantities are in 100 million yen; CPI columns are
 Validation is total: a malformed input raises a DataError naming file,
 line, and column, and no partial panel is returned. read_artifact checks
 both inputs as it checks every CSV a command reads; the same monthly-table
-reader and table_rows also carry the pipeline's panel.csv.
+reader also reads the pipeline's panel.csv, and table_rows gives the rows
+that the pipeline writes for all three.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .csvio import Artifact, Record, parse_float_cell, read_artifact, read_text, write_csv
+from .csvio import Artifact, Record, parse_float_cell, read_artifact, read_text
 from .errors import DataError
 from .series import MonthIndex, MonthlySeries, Panel, month_labels
 
@@ -131,13 +132,3 @@ def table_rows(panel: Panel, columns: tuple[str, ...], month_columns: MonthColum
         for n in columns[1:]
     ]
     return zip(*cells)
-
-
-def write_monetary(path: Path | str, panel: Panel) -> Path:
-    """The panel's monetary columns; load_monetary reads them back bit-exactly."""
-    return write_csv(path, MONETARY.header, table_rows(panel, MONETARY.header))
-
-
-def write_cpi(path: Path | str, panel: Panel) -> Path:
-    """The panel's CPI columns; load_cpi reads them back bit-exactly."""
-    return write_csv(path, CPI.header, table_rows(panel, CPI.header))

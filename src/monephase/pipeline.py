@@ -20,9 +20,8 @@ import numpy as np
 from . import econometrics as em
 from . import landau as ld
 from .compartment import CalibrationResult, calibrate, steady_state_phi
-from .config import RunConfig, config_text, era_label
+from .config import RunConfig, config_text
 from .csvio import Artifact, Record, parse_float_cell, parse_number, read_artifact, write_csv
-from .efficiency import efficiencies
 from .errors import ConvergenceError, DataError
 from .ingest import CPI, MONETARY, load_cpi, load_monetary, load_table, table_rows
 from .phase import (
@@ -36,7 +35,7 @@ from .phase import (
     phase_means,
 )
 from .series import MonthIndex, MonthlySeries, Panel, index_to_base, merge, order_parameter, yoy
-from .synth import GROUND_TRUTH_HEADER, default_spec, generate, write_economy
+from .synth import GroundTruth, default_spec, generate, ground_truth_rows
 
 IRF_PI_FILE = "IRF_J6_core_inflation.csv"
 IRF_PHI_FILE = "IRF_J7_phi.csv"
@@ -49,7 +48,7 @@ IRF_FILE = Artifact(
 ARTIFACTS = {
     "monetary.csv": Artifact("synth", MONETARY.header),
     "cpi.csv": Artifact("synth", CPI.header),
-    "ground_truth.csv": Artifact("synth", GROUND_TRUTH_HEADER),
+    "ground_truth.csv": Artifact("synth", ("key", "value")),
     "synthetic_config.txt": Artifact("synth", ()),
     "panel.csv": Artifact(
         "transform",
@@ -93,6 +92,16 @@ ARTIFACTS = {
     ),
     "report.txt": Artifact("report", ()),
 }
+ERA_BOUNDS = (("1971-1989", 1989), ("1990-2012", 2012), ("2013-2021", 2021), ("2022-2026", 9999))
+
+
+def era_label(year: int) -> str:
+    for label, last in ERA_BOUNDS:
+        if year <= last:
+            return label
+    return ERA_BOUNDS[-1][0]
+
+
 PANEL_MONTH_COLUMNS = {"era": era_label}  # written, not read
 
 
@@ -534,11 +543,23 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
 def cmd_efficiency(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
     tables = read_irfs(out, cfg)
-    rows = []
-    for label in (CASH, RESERVE):
-        rep = efficiencies(tables[(label, "phi")], tables[(label, "pi_core")], H=cfg.horizon)
-        rows.append((label, rep.eff_r, rep.argmax_r, rep.eff_c, rep.argmax_c, rep.H))
+    H = cfg.horizon
+    # reservation efficiency (phi) and CPI-transmission efficiency (pi_core): the peak |beta|
+    rows = [
+        (label, *tables[(label, "phi")].peak(H), *tables[(label, "pi_core")].peak(H), H)
+        for label in (CASH, RESERVE)
+    ]
     return [_write(out, "efficiency.csv", rows)]
+
+
+def write_economy(out: Path, panel: Panel, truth: GroundTruth) -> list[Path]:
+    """A synthetic economy's monetary.csv and cpi.csv, and its ground_truth.csv, in out."""
+    out.mkdir(parents=True, exist_ok=True)
+    return [
+        _write(out, "monetary.csv", table_rows(panel, MONETARY.header)),
+        _write(out, "cpi.csv", table_rows(panel, CPI.header)),
+        _write(out, "ground_truth.csv", ground_truth_rows(truth)),
+    ]
 
 
 def cmd_synth(cfg: RunConfig) -> list[Path]:
@@ -555,7 +576,7 @@ def cmd_synth(cfg: RunConfig) -> list[Path]:
     paths = write_economy(out, panel, truth)
     config_path = out / "synthetic_config.txt"
     config_path.write_text(cfg_text, encoding="utf-8")
-    return [paths["monetary"], paths["cpi"], paths["ground_truth"], config_path]
+    return [*paths, config_path]
 
 
 def cmd_report(cfg: RunConfig) -> list[Path]:

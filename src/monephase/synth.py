@@ -17,14 +17,11 @@ arrival date, so estimator error against ground truth stays measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .compartment import CompartmentParams, CouplingParams, cpi_irf, phi_irf
-from .csvio import write_csv
 from .errors import DataError
-from .ingest import write_cpi, write_monetary
 from .phase import CASH, RESERVE, PhasePartition, PhaseThresholds, classify
 from .series import MonthIndex, MonthlySeries, Panel
 
@@ -37,7 +34,6 @@ MB_SEED_GROWTH = 0.004  # monthly growth over the first year of base levels
 CPI_SEED_GROWTH = 0.0015  # monthly growth over the first year of CPI levels
 CO_SHARE = 0.03  # coins as a share of the base
 KERNEL_KEYS = ((CASH, "phi"), (CASH, "pi"), (RESERVE, "phi"), (RESERVE, "pi"))
-GROUND_TRUTH_HEADER = ("key", "value")
 
 
 @dataclass(frozen=True)
@@ -259,8 +255,8 @@ def _join(values) -> str:
     return ";".join(repr(float(v)) for v in values)
 
 
-def write_ground_truth(path: Path | str, truth: GroundTruth) -> Path:
-    """Key/value CSV; array values are semicolon-joined round-trip floats."""
+def ground_truth_rows(truth: GroundTruth) -> list[tuple]:
+    """The (key, value) rows of ground_truth.csv; arrays are semicolon-joined round-trip floats."""
     spec = truth.spec
     rows = [
         ("seed", spec.seed),
@@ -291,15 +287,4 @@ def write_ground_truth(path: Path | str, truth: GroundTruth) -> Path:
         segs = truth.partition.segments(label)
         rows.append((f"segments_{label}", ";".join(f"{a}:{b}" for a, b in segs)))
     rows.append(("innovations_unit", _join(truth.innovations_unit)))
-    return write_csv(path, GROUND_TRUTH_HEADER, rows)
-
-
-def write_economy(out_dir: Path | str, panel: Panel, truth: GroundTruth) -> dict[str, Path]:
-    """Emit the canonical ingest CSVs plus the ground-truth record."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return {
-        "monetary": write_monetary(out / "monetary.csv", panel),
-        "cpi": write_cpi(out / "cpi.csv", panel),
-        "ground_truth": write_ground_truth(out / "ground_truth.csv", truth),
-    }
+    return rows

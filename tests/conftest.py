@@ -16,8 +16,9 @@ from monephase.pipeline import (
     cmd_transform,
     read_irfs,
     read_panel_csv,
+    write_economy,
 )
-from monephase.synth import generate, two_compartment_spec, write_economy
+from monephase.synth import generate, two_compartment_spec
 
 MECHANISM_SEED = 11
 

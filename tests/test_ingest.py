@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monephase.csvio import write_csv
 from monephase.errors import DataError
-from monephase.ingest import (
-    load_cpi,
-    load_monetary,
-    write_cpi,
-    write_monetary,
-)
+from monephase.ingest import CPI, MONETARY, load_cpi, load_monetary, table_rows
 from monephase.series import MonthIndex, MonthlySeries, Panel
 
 
@@ -177,7 +173,7 @@ def test_monetary_roundtrip_bit_exact(tmp_path_factory, values, year, month):
         },
     )
     path = tmp_path_factory.mktemp("rt") / "m.csv"
-    write_monetary(path, panel)
+    write_csv(path, MONETARY.header, table_rows(panel, MONETARY.header))
     assert load_monetary(path) == panel
 
 
@@ -192,5 +188,5 @@ def test_cpi_roundtrip_bit_exact(tmp_path_factory, values):
         {name: MonthlySeries(start, values) for name in ("CPI", "CPI_core")},
     )
     path = tmp_path_factory.mktemp("rt") / "c.csv"
-    write_cpi(path, panel)
+    write_csv(path, CPI.header, table_rows(panel, CPI.header))
     assert load_cpi(path) == panel

@@ -25,7 +25,7 @@ from monephase import landau as ld
 from monephase import pipeline
 from monephase.cli import COMMANDS, main
 from monephase.compartment import steady_state_phi
-from monephase.config import RunConfig, apply_overrides, config_text, era_label, parse_config
+from monephase.config import RunConfig, apply_overrides, config_text, parse_config
 from monephase.csvio import fmt, parse_float_cell, read_csv
 from monephase.errors import DataError
 from monephase.phase import CASH, RESERVE
@@ -42,12 +42,14 @@ from monephase.pipeline import (
     cmd_landau,
     cmd_report,
     cmd_transform,
+    era_label,
     read_irfs,
     read_panel_csv,
+    write_economy,
     write_irfs,
 )
 from monephase.series import MonthIndex
-from monephase.synth import default_spec, generate, two_compartment_spec, write_economy
+from monephase.synth import default_spec, generate, two_compartment_spec
 
 
 PATHS = st.text("abcXYZ019_-./#", max_size=16)
@@ -124,6 +126,34 @@ class TestConfig:
     def test_config_text_refuses_values_that_do_not_read_back(self, attr, key, value):
         with pytest.raises(DataError, match=f"^{re.escape(f'{key} = {value!r}')} would not read"):
             config_text(RunConfig(**{attr: value}))
+
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", os.fsdecode(b"a\xff")])
+    @pytest.mark.parametrize("command", ["synth", "breakpoints"])
+    def test_cluster_name_its_files_cannot_hold_refused(
+        self, default_chain, tmp_path, capsys, command, name
+    ):
+        # a comma or line break would split breakpoints.csv's cluster cell or
+        # synthetic_config.txt's line; a lone surrogate has no UTF-8 bytes
+        shutil.copy(default_chain[0] / "panel.csv", tmp_path / "panel.csv")
+        out = tmp_path / "out" if command == "synth" else tmp_path
+        key = f"breaks.cluster.{name}"
+        assert main([command, "--out", str(out), "--set", f"{key}=2008-01:2019-12"]) == 1
+        err = capsys.readouterr().err
+        assert f"cluster name in {key!r} must be UTF-8" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
+
+    def test_cluster_name_with_a_comma_refused_in_a_config_file(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("breaks.cluster.a,b = 2008-01:2019-12\n")
+        with pytest.raises(DataError, match="cluster name in 'breaks.cluster.a,b' must be UTF-8"):
+            parse_config(path)
+
+    def test_synth_refuses_a_non_utf8_out_dir_before_writing(self, tmp_path, capsys):
+        out = tmp_path / os.fsdecode(b"o\xff")
+        assert main(["synth", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "would not read back from a config file unchanged" in err
+        assert "Traceback" not in err and list(tmp_path.iterdir()) == []
 
     def test_non_utf8_config_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -833,15 +863,9 @@ class TestReportEndToEnd:
         ):
             assert key in text
 
-        # report efficiencies equal the efficiency module run directly
-        from monephase.efficiency import efficiencies
-
-        rep = efficiencies(
-            mechanism_run["tables"][(CASH, "phi")],
-            mechanism_run["tables"][(CASH, "pi_core")],
-            H=cfg.horizon,
-        )
-        assert f"efficiency.cash.eff_r = {rep.eff_r!r}" in text
+        # report efficiencies equal the peak of the cash phi table
+        eff_r, _ = mechanism_run["tables"][(CASH, "phi")].peak(cfg.horizon)
+        assert f"efficiency.cash.eff_r = {eff_r!r}" in text
 
         # regenerating the report without recomputation is byte-identical
         first = paths[0].read_bytes()
@@ -1204,16 +1228,29 @@ class TestUpstreamArtifacts:
         assert calls == []
 
     def test_pipeline_names_write_csv_only_in_write(self):
-        # every CSV the pipeline writes takes its header from ARTIFACTS
-        tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
-        (write,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_write"]
-        inside = {id(node) for node in ast.walk(write)}
-        naming = [
-            node
-            for node in ast.walk(tree)
-            if "write_csv" in (getattr(node, "id", None), getattr(node, "attr", None))
-        ]
-        assert naming and [node.lineno for node in naming if id(node) not in inside] == []
+        # every CSV a command writes, synth's included, takes its header from ARTIFACTS:
+        # outside csvio, only pipeline imports write_csv, and only _write calls it
+        stray, calls = [], []
+        for path in sorted(Path(pipeline.__file__).parent.glob("*.py")):
+            if path.stem == "csvio":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = set()
+            if path.stem == "pipeline":
+                body = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+                allowed = {id(node) for node in ast.walk(body["_write"])}
+                calls = [node for node in ast.walk(body["_write"]) if isinstance(node, ast.Call)]
+                allowed |= {
+                    id(alias)
+                    for node in tree.body if isinstance(node, ast.ImportFrom)
+                    for alias in node.names
+                }
+            for node in ast.walk(tree):
+                names = (getattr(node, a, None) for a in ("id", "attr", "name"))
+                if "write_csv" in names and id(node) not in allowed:
+                    stray.append(f"{path.name}:{node.lineno}")
+        assert stray == []
+        assert [getattr(call.func, "id", None) for call in calls] == ["write_csv"]
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_upstream_exit_code(self, default_chain, tmp_path, capsys, case):

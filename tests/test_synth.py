@@ -3,13 +3,13 @@ import pytest
 
 from monephase.errors import DataError
 from monephase.phase import CASH, RESERVE
+from monephase.pipeline import write_economy
 from monephase.series import MonthIndex, order_parameter, yoy
 from monephase.synth import (
     SynthSpec,
     default_spec,
     generate,
     two_compartment_spec,
-    write_economy,
 )
 
 
@@ -153,8 +153,8 @@ def test_validation_rejects_out_of_sample_t0():
 
 def test_ground_truth_file_contents(tmp_path, small_spec):
     panel, truth = generate(small_spec)
-    paths = write_economy(tmp_path, panel, truth)
-    text = paths["ground_truth"].read_text()
+    write_economy(tmp_path, panel, truth)
+    text = (tmp_path / "ground_truth.csv").read_text()
     assert "kernel_cash_pi" in text
     assert "truth_phi_c,0.231" in text
     assert f"seed,{small_spec.seed}" in text
