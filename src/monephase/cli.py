@@ -40,6 +40,24 @@ COMMANDS = {
     "report": cmd_report,
 }
 
+# option, the config key it overrides, the type of its value. Each use appends the
+# override 'key=value'; load_config applies them after every --set, so they win.
+SHORTHANDS = (
+    ("--monetary", "data.monetary", str),
+    ("--cpi", "data.cpi", str),
+    ("--out", "out.dir", str),
+    ("--seed", "seed", int),
+)
+
+
+def _override(key: str, kind):
+    """An argparse type: the override of key by an option's value, which kind must parse."""
+    def override(text: str) -> str:
+        return f"{key}={kind(text)}"
+
+    override.__name__ = kind.__name__  # argparse's usage error names it: invalid int value
+    return override
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -48,12 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--monetary", help="override data.monetary")
-    parser.add_argument("--cpi", help="override data.cpi")
-    parser.add_argument("--out", help="override out.dir")
-    parser.add_argument("--seed", type=int, help="override seed")
+    for option, key, kind in SHORTHANDS:
+        parser.add_argument(
+            option, dest="shorthands", action="append", default=[], type=_override(key, kind),
+            metavar=option[2:].upper(), help=f"override {key}",
+        )
     parser.add_argument(
-        "--robustness", action="store_true", help="run the irf robustness sweep"
+        "--robustness", dest="shorthands", action="append_const", const="irf.robustness=true",
+        help="run the irf robustness sweep",
     )
     parser.add_argument(
         "--set",
@@ -68,18 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config(args) -> RunConfig:
     cfg = parse_config(args.config) if args.config else RunConfig()
-    overrides = list(args.overrides)
-    if args.monetary:
-        overrides.append(f"data.monetary={args.monetary}")
-    if args.cpi:
-        overrides.append(f"data.cpi={args.cpi}")
-    if args.out:
-        overrides.append(f"out.dir={args.out}")
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    if args.robustness:
-        overrides.append("irf.robustness=true")
-    return apply_overrides(cfg, overrides)
+    return apply_overrides(cfg, args.overrides + args.shorthands)
 
 
 def main(argv=None) -> int:

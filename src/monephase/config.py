@@ -14,7 +14,7 @@ as ``out#1`` keeps its ``#``. Window lists are comma-separated
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .csvio import fmt, read_utf8
@@ -22,42 +22,15 @@ from .errors import DataError
 from .phase import PhaseThresholds
 from .series import MonthIndex
 
-# Nested window clusters around the three candidate regime changes. The
-# outermost windows span roughly 1983-1997, 2008-2019, and 2018-2025;
-# each cluster tightens in steps while keeping at least 49 months so a
-# 24-month minimum segment fits on both sides.
-DEFAULT_CLUSTERS: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = (
-    (
-        "1990",
-        (
-            ("1983-01", "1997-12"),
-            ("1984-01", "1996-12"),
-            ("1985-01", "1995-12"),
-            ("1986-01", "1994-12"),
-            ("1987-01", "1993-12"),
-        ),
-    ),
-    (
-        "2013",
-        (
-            ("2008-01", "2019-12"),
-            ("2009-01", "2018-12"),
-            ("2010-01", "2017-12"),
-            ("2010-07", "2017-06"),
-            ("2011-01", "2016-12"),
-        ),
-    ),
-    (
-        "2022",
-        (
-            ("2018-01", "2025-12"),
-            ("2018-07", "2025-06"),
-            ("2019-01", "2024-12"),
-            ("2019-07", "2024-06"),
-            ("2020-01", "2024-12"),
-        ),
-    ),
-)
+# Nested window clusters around the three candidate regime changes, as breaks.cluster.<name>
+# values. The outermost windows span roughly 1983-1997, 2008-2019, and 2018-2025; each
+# cluster tightens in steps while keeping at least 49 months so a 24-month minimum segment
+# fits on both sides.
+DEFAULT_CLUSTERS = {
+    "1990": "1983-01:1997-12,1984-01:1996-12,1985-01:1995-12,1986-01:1994-12,1987-01:1993-12",
+    "2013": "2008-01:2019-12,2009-01:2018-12,2010-01:2017-12,2010-07:2017-06,2011-01:2016-12",
+    "2022": "2018-01:2025-12,2018-07:2025-06,2019-01:2024-12,2019-07:2024-06,2020-01:2024-12",
+}
 
 SHOCK_KINDS = ("ar_resid", "detrended")
 _INLINE_COMMENT = re.compile(r"\s#")  # within a value; a '#' not after whitespace is kept
@@ -69,79 +42,62 @@ def _utf8(text: str) -> bool:
     return text.encode("utf-8", "replace").decode("utf-8") == text
 
 
-def _parse_window(text: str) -> tuple[MonthIndex, MonthIndex]:
-    a, sep, b = text.partition(":")
-    if not sep:
-        raise DataError(f"window {text!r} must look like YYYY-MM:YYYY-MM")
-    return MonthIndex.parse(a), MonthIndex.parse(b)
+def _windows(raw: str) -> list[tuple[MonthIndex, MonthIndex]]:
+    """The comma-separated YYYY-MM:YYYY-MM month ranges of a breaks.cluster.<name> value."""
+    windows = []
+    for text in filter(None, map(str.strip, raw.split(","))):
+        a, sep, b = text.partition(":")
+        if not sep:
+            raise DataError(f"window {text!r} must look like YYYY-MM:YYYY-MM")
+        windows.append((MonthIndex.parse(a), MonthIndex.parse(b)))
+    return windows
+
+
+def _setting(key: str, default, parse, least=None):
+    """A RunConfig field: its config key, default, parser of the key's text, least value or None."""
+    return field(default=default, metadata={"key": key, "parse": parse, "least": least})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    monetary_path: str = ""
-    cpi_path: str = ""
-    out_dir: str = "out"
-    cash_max: float = 0.30
-    reserve_min: float = 0.60
-    tanh_start: MonthIndex = MonthIndex(2010, 1)
-    tanh_end: MonthIndex = MonthIndex(2018, 12)
-    shock_kind: str = "ar_resid"
-    shock_p: int = 12
-    horizon: int = 24
-    lags: int = 12
-    hac_lag: int = 12
-    min_segment: int = 24
-    robustness: bool = False
-    landau_phi_c: float | None = None
-    synth_months: int = 612
-    seed: int = 1
-    clusters: dict = field(default_factory=dict)
+    # declared in the order config_text writes the keys
+    monetary_path: str = _setting("data.monetary", "", str)
+    cpi_path: str = _setting("data.cpi", "", str)
+    out_dir: str = _setting("out.dir", "out", str)
+    cash_max: float = _setting("phase.cash_max", 0.30, float)
+    reserve_min: float = _setting("phase.reserve_min", 0.60, float)
+    tanh_start: MonthIndex = _setting("tanh.window_start", MonthIndex(2010, 1), MonthIndex.parse)
+    tanh_end: MonthIndex = _setting("tanh.window_end", MonthIndex(2018, 12), MonthIndex.parse)
+    shock_kind: str = _setting("shock.kind", "ar_resid", str)
+    shock_p: int = _setting("shock.p", 12, int, 1)
+    horizon: int = _setting("lp.horizon", 24, int, 0)
+    lags: int = _setting("lp.lags", 12, int, 0)
+    hac_lag: int = _setting("lp.hac_lag", 12, int, 0)
+    min_segment: int = _setting("breaks.min_segment", 24, int, 1)
+    robustness: bool = _setting("irf.robustness", False, lambda v: _BOOLS[v.lower()])
+    landau_phi_c: float | None = _setting("landau.phi_c", None, float)
+    synth_months: int = _setting("synth.months", 612, int)
+    seed: int = _setting("seed", 1, int, 0)
+    clusters: dict = field(default_factory=dict)  # empty: DEFAULT_CLUSTERS
 
     def __post_init__(self):
         if not self.clusters:
-            object.__setattr__(
-                self,
-                "clusters",
-                {
-                    name: [
-                        (MonthIndex.parse(a), MonthIndex.parse(b)) for a, b in windows
-                    ]
-                    for name, windows in DEFAULT_CLUSTERS
-                },
-            )
+            clusters = {name: _windows(text) for name, text in DEFAULT_CLUSTERS.items()}
+            object.__setattr__(self, "clusters", clusters)
         if self.shock_kind not in SHOCK_KINDS:
-            raise DataError(
-                f"shock kind must be one of {SHOCK_KINDS}, got {self.shock_kind!r}"
-            )
+            raise DataError(f"shock kind must be one of {SHOCK_KINDS}, got {self.shock_kind!r}")
         PhaseThresholds(self.cash_max, self.reserve_min)  # raises on invalid thresholds
-        for key, (attr, _, least) in _SCALAR_KEYS.items():
-            if least is not None and (value := getattr(self, attr)) < least:
+        for key, setting in _SCALAR_KEYS.items():
+            least = setting.metadata["least"]
+            if least is not None and (value := getattr(self, setting.name)) < least:
                 sign = "positive" if least else "nonnegative"
                 raise DataError(f"{key} must be {sign}, got {value}")
         if self.landau_phi_c is not None and not 0.0 < self.landau_phi_c < 1.0:
             raise DataError(f"landau.phi_c must lie in (0, 1), got {self.landau_phi_c}")
 
 
-# key: (RunConfig field, parser of its text, least value admitted or None)
-_SCALAR_KEYS = {
-    "data.monetary": ("monetary_path", str, None),
-    "data.cpi": ("cpi_path", str, None),
-    "out.dir": ("out_dir", str, None),
-    "phase.cash_max": ("cash_max", float, None),
-    "phase.reserve_min": ("reserve_min", float, None),
-    "tanh.window_start": ("tanh_start", MonthIndex.parse, None),
-    "tanh.window_end": ("tanh_end", MonthIndex.parse, None),
-    "shock.kind": ("shock_kind", str, None),
-    "shock.p": ("shock_p", int, 1),
-    "lp.horizon": ("horizon", int, 0),
-    "lp.lags": ("lags", int, 0),
-    "lp.hac_lag": ("hac_lag", int, 0),
-    "breaks.min_segment": ("min_segment", int, 1),
-    "irf.robustness": ("robustness", lambda v: _BOOLS[v.lower()], None),
-    "landau.phi_c": ("landau_phi_c", float, None),
-    "synth.months": ("synth_months", int, None),
-    "seed": ("seed", int, 0),
-}
+# key: the RunConfig field it sets, in declaration order
+_SCALAR_KEYS = {f.metadata["key"]: f for f in fields(RunConfig) if f.metadata}
 
 
 def _apply_key(values: dict, clusters: dict, key: str, raw: str):
@@ -151,13 +107,13 @@ def _apply_key(values: dict, clusters: dict, key: str, raw: str):
             raise DataError("cluster key needs a name: breaks.cluster.<name>")
         if "," in name or len(name.splitlines()) > 1 or not _utf8(name):  # a CSV cell, a config key
             raise DataError(f"cluster name in {key!r} must be UTF-8 without a comma or line break")
-        clusters[name] = [_parse_window(w.strip()) for w in raw.split(",") if w.strip()]
+        clusters[name] = _windows(raw)
         return
     if key not in _SCALAR_KEYS:
         raise DataError(f"unknown configuration key {key!r}")
-    attr, convert, _ = _SCALAR_KEYS[key]
+    setting = _SCALAR_KEYS[key]
     try:
-        values[attr] = convert(raw)
+        values[setting.name] = setting.metadata["parse"](raw)
     except DataError:
         raise
     except (KeyError, ValueError):  # KeyError: a word that is not in _BOOLS
@@ -179,9 +135,7 @@ def parse_config(path: Path | str) -> RunConfig:
             raise DataError(f"{path.name}:{lineno}: expected 'key = value'")
         value = _INLINE_COMMENT.split(value.strip(), maxsplit=1)[0]
         _apply_key(values, clusters, key.strip(), value.strip())
-    if clusters:
-        values["clusters"] = clusters
-    return RunConfig(**values)
+    return RunConfig(clusters=clusters, **values)  # no cluster keys: the default clusters
 
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
@@ -193,8 +147,7 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
         if not sep:
             raise DataError(f"override {text!r} must look like key=value")
         _apply_key(values, clusters, key.strip(), value.strip())
-    values["clusters"] = clusters
-    return replace(cfg, **values)
+    return replace(cfg, clusters=clusters, **values)
 
 
 def config_text(cfg: RunConfig) -> str:
@@ -205,8 +158,8 @@ def config_text(cfg: RunConfig) -> str:
     raises DataError naming its key.
     """
     pairs = []
-    for key, (attr, *_) in _SCALAR_KEYS.items():
-        if (value := getattr(cfg, attr)) is not None:
+    for key, setting in _SCALAR_KEYS.items():
+        if (value := getattr(cfg, setting.name)) is not None:
             pairs.append((key, fmt(value)))
     for name, windows in cfg.clusters.items():
         pairs.append((f"breaks.cluster.{name}", ",".join(f"{a}:{b}" for a, b in windows)))

@@ -92,14 +92,12 @@ ARTIFACTS = {
     ),
     "report.txt": Artifact("report", ()),
 }
-ERA_BOUNDS = (("1971-1989", 1989), ("1990-2012", 2012), ("2013-2021", 2021), ("2022-2026", 9999))
+ERAS = ((1971, 1989), (1990, 2012), (2013, 2021), (2022, 2026))  # of Japan's record
 
 
 def era_label(year: int) -> str:
-    for label, last in ERA_BOUNDS:
-        if year <= last:
-            return label
-    return ERA_BOUNDS[-1][0]
+    """The era a year falls in, as 1990-2012; empty, a missing cell, outside 1971-2026."""
+    return next((f"{first}-{last}" for first, last in ERAS if first <= year <= last), "")
 
 
 PANEL_MONTH_COLUMNS = {"era": era_label}  # written, not read
@@ -125,6 +123,14 @@ def _read(out: Path, name: str) -> tuple[dict[str, str], list[Record]]:
 
 def _write(out: Path, name: str, rows, preamble=()) -> Path:
     return write_csv(out / name, ARTIFACTS[name].header, rows, preamble)
+
+
+def _one_row(out: Path, name: str) -> tuple[dict[str, str], Record]:
+    """(preamble, the record) of a file of one data row; a second row is refused."""
+    preamble, (row, *more) = _read(out, name)
+    if more:
+        raise more[0].error("more than one data row")
+    return preamble, row
 
 
 def _error(path: Path, problem) -> DataError:
@@ -480,7 +486,7 @@ def write_calibration(out: Path, result: CalibrationResult, tables: dict) -> lis
 
 def _calibration(out: Path) -> tuple[dict, Record]:
     """The summary's preamble and row, once its flags parse and hold and phi_c is in (0, 1)."""
-    preamble, (row, *_) = _read(out, SUMMARY_FILE)
+    preamble, row = _one_row(out, SUMMARY_FILE)
     flags = {}
     for key in ARTIFACTS[SUMMARY_FILE].preamble:
         try:
@@ -567,12 +573,7 @@ def cmd_synth(cfg: RunConfig) -> list[Path]:
     cfg_text = config_text(  # first: a value it refuses leaves no file behind
         replace(cfg, monetary_path=str(out / "monetary.csv"), cpi_path=str(out / "cpi.csv"))
     )
-    spec = default_spec(seed=cfg.seed)
-    if cfg.synth_months != spec.months:
-        # shrink or grow from the front so the transition stays in sample
-        start = spec.start + (spec.months - cfg.synth_months)
-        spec = replace(spec, months=cfg.synth_months, start=start)
-    panel, truth = generate(spec)
+    panel, truth = generate(default_spec(cfg.seed, cfg.synth_months))
     paths = write_economy(out, panel, truth)
     config_path = out / "synthetic_config.txt"
     config_path.write_text(cfg_text, encoding="utf-8")
@@ -581,7 +582,7 @@ def cmd_synth(cfg: RunConfig) -> list[Path]:
 
 def cmd_report(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
-    tanh = _read(out, "tanh_fit.csv")[1][0]
+    tanh = _one_row(out, "tanh_fit.csv")[1]
     if not tanh.parse("converged", _flag):
         raise _error(out / "tanh_fit.csv", "tanh fit did not converge")
     _, breaks = _read(out, "breakpoints.csv")

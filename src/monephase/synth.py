@@ -239,12 +239,13 @@ def two_compartment_spec(
     )
 
 
-def default_spec(seed: int = 1) -> SynthSpec:
-    """Default economy on the Japan-like calendar: transition around 2013-04."""
+def default_spec(seed: int = 1, months: int = 612) -> SynthSpec:
+    """Default economy on the Japan-like calendar, 1975-01 to 2025-12: transition around
+    2013-04. Other lengths shrink or grow it at the front, so the transition stays in sample."""
     return two_compartment_spec(
         seed=seed,
-        months=612,
-        start=MonthIndex(1975, 1),
+        months=months,
+        start=MonthIndex(1975, 1) + (612 - months),
         t0=MonthIndex(2013, 4),
         w=6.0,
     )

@@ -25,7 +25,14 @@ from monephase import landau as ld
 from monephase import pipeline
 from monephase.cli import COMMANDS, main
 from monephase.compartment import steady_state_phi
-from monephase.config import RunConfig, apply_overrides, config_text, parse_config
+from monephase.config import (
+    _SCALAR_KEYS,
+    DEFAULT_CLUSTERS,
+    RunConfig,
+    apply_overrides,
+    config_text,
+    parse_config,
+)
 from monephase.csvio import fmt, parse_float_cell, read_csv
 from monephase.errors import DataError
 from monephase.phase import CASH, RESERVE
@@ -225,6 +232,33 @@ class TestConfig:
         assert era_label(1990) == "1990-2012"
         assert era_label(2013) == "2013-2021"
         assert era_label(2024) == "2022-2026"
+        # outside Japan's 1971-2026 record, as on a 2,400-month economy: a missing cell
+        assert era_label(1970) == era_label(1826) == era_label(2027) == ""
+
+    def test_scalar_keys_in_the_order_config_text_writes_them(self):
+        assert list(_SCALAR_KEYS) == [
+            "data.monetary", "data.cpi", "out.dir", "phase.cash_max", "phase.reserve_min",
+            "tanh.window_start", "tanh.window_end", "shock.kind", "shock.p", "lp.horizon",
+            "lp.lags", "lp.hac_lag", "breaks.min_segment", "irf.robustness", "landau.phi_c",
+            "synth.months", "seed",
+        ]
+
+    def test_default_clusters_are_their_config_text(self):
+        lines = config_text(RunConfig()).splitlines()
+        clusters = [line for line in lines if line.startswith("breaks.cluster.")]
+        assert clusters == [f"breaks.cluster.{n} = {text}" for n, text in DEFAULT_CLUSTERS.items()]
+
+    def test_readme_configuration_block_is_the_defaults(self, tmp_path):
+        # its uncommented lines set only the data paths and out.dir to other than the default
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^## Configuration\n.*?^```\n(.*?)^```$", readme, re.M | re.S)[1]
+        path = tmp_path / "run.conf"
+        path.write_text(block, encoding="utf-8")
+        cfg = parse_config(path)
+        paths = dict(monetary_path=cfg.monetary_path, cpi_path=cfg.cpi_path, out_dir=cfg.out_dir)
+        assert cfg == replace(RunConfig(), **paths)
+        named = re.findall(r"^(?:# )?([\w.]+) = ", block, re.M)
+        assert [key for key in _SCALAR_KEYS if key not in named] == []
 
 
 class TestTransform:
@@ -646,6 +680,24 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "\nmonephase: error: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("shorthand_first", [True, False])
+    @pytest.mark.parametrize(
+        "shorthand, override, attr, value",
+        [(["--monetary", "m.csv"], "data.monetary=x.csv", "monetary_path", "m.csv"),
+         (["--cpi", "c.csv"], "data.cpi=x.csv", "cpi_path", "c.csv"),
+         (["--out", "o"], "out.dir=x", "out_dir", "o"),
+         (["--seed", "5"], "seed=9", "seed", 5),
+         (["--robustness"], "irf.robustness=false", "robustness", True)],
+    )
+    def test_shorthand_option_beats_a_set_of_its_key(
+        self, monkeypatch, shorthand, override, attr, value, shorthand_first
+    ):
+        seen = []
+        monkeypatch.setitem(COMMANDS, "irf", lambda cfg: seen.append(cfg) or [])
+        sets = ["--set", override]
+        assert main(["irf", *(shorthand + sets if shorthand_first else sets + shorthand)]) == 0
+        assert getattr(seen[0], attr) == value
 
     def test_help_exit_code(self, capsys):
         assert main(["--help"]) == 0
@@ -1178,6 +1230,18 @@ MALFORMED = {
         IRF_PHI_FILE, _preamble("shock_definition", "ar_resid(6)"), "efficiency",
         f"{IRF_PHI_FILE}: estimated with shock_definition ar_resid(6), but the config sets "
         "shock.kind = ar_resid and shock.p = 12; rerun the irf command",
+    ),
+    "tanh_fit_two_rows_report": (
+        "tanh_fit.csv", lambda lines: lines + [lines[-1]], "report",
+        "tanh_fit.csv:6: more than one data row; rerun the fit-phase command",
+    ),
+    "summary_two_rows_landau": (
+        SUMMARY_FILE, lambda lines: lines + [lines[-1]], "landau",
+        f"{SUMMARY_FILE}:12: more than one data row; rerun the calibrate command",
+    ),
+    "summary_two_rows_report": (
+        SUMMARY_FILE, lambda lines: lines + [lines[-1]], "report",
+        f"{SUMMARY_FILE}:12: more than one data row; rerun the calibrate command",
     ),
     "tanh_fit_not_converged": (
         "tanh_fit.csv", lambda lines: [re.sub(",true$", ",false", line) for line in lines],
