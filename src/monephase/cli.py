@@ -96,19 +96,19 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 after its usage error
         return 1 if exc.code else 0
-    shown = warnings.formatwarning  # one stderr line per warning, without a source line
-    warnings.formatwarning = lambda message, *_: f"monephase: warning: {message}\n"
-    try:
-        cfg = load_config(args)
-        written = COMMANDS[args.command](cfg)
-    except ConvergenceError as exc:
-        print(f"monephase: non-convergence: {exc}", file=sys.stderr)
-        return 2
-    except (MonephaseError, OSError) as exc:  # OSError: a directory or unreadable file
-        print(f"monephase: error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        warnings.formatwarning = shown
+    with warnings.catch_warnings():  # every warning, each run, one stderr line without source
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(
+            f"monephase: warning: {message}", file=sys.stderr
+        )
+        try:
+            written = COMMANDS[args.command](load_config(args))
+        except ConvergenceError as exc:
+            print(f"monephase: non-convergence: {exc}", file=sys.stderr)
+            return 2
+        except (MonephaseError, OSError) as exc:  # OSError: a directory or unreadable file
+            print(f"monephase: error: {exc}", file=sys.stderr)
+            return 1
     for path in written:
         print(path)
     return 0

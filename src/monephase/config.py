@@ -64,8 +64,8 @@ class RunConfig:
     monetary_path: str = _setting("data.monetary", "", str)
     cpi_path: str = _setting("data.cpi", "", str)
     out_dir: str = _setting("out.dir", "out", str)
-    cash_max: float = _setting("phase.cash_max", 0.30, float)
-    reserve_min: float = _setting("phase.reserve_min", 0.60, float)
+    cash_max: float = _setting("phase.cash_max", PhaseThresholds.cash_max, float)
+    reserve_min: float = _setting("phase.reserve_min", PhaseThresholds.reserve_min, float)
     tanh_start: MonthIndex = _setting("tanh.window_start", MonthIndex(2010, 1), MonthIndex.parse)
     tanh_end: MonthIndex = _setting("tanh.window_end", MonthIndex(2018, 12), MonthIndex.parse)
     shock_kind: str = _setting("shock.kind", "ar_resid", str)
@@ -121,21 +121,30 @@ def _apply_key(values: dict, clusters: dict, key: str, raw: str):
 
 
 def parse_config(path: Path | str) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
+    """The config a file sets; an error names the file as given, and the line if one caused it."""
+    if not Path(path).exists():
         raise DataError(f"config file not found: {path}")
     values: dict = {}
     clusters: dict = {}
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
+    set_on: dict[str, int] = {}  # key: the line that set it
+    for lineno, raw in enumerate(read_utf8(Path(path)).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise DataError(f"{path.name}:{lineno}: expected 'key = value'")
-        value = _INLINE_COMMENT.split(value.strip(), maxsplit=1)[0]
-        _apply_key(values, clusters, key.strip(), value.strip())
-    return RunConfig(clusters=clusters, **values)  # no cluster keys: the default clusters
+        key, sep, value = map(str.strip, line.partition("="))
+        try:
+            if not sep:
+                raise DataError("expected 'key = value'")
+            if key in set_on:
+                raise DataError(f"{key} is set on line {set_on[key]} already")
+            set_on[key] = lineno
+            _apply_key(values, clusters, key, _INLINE_COMMENT.split(value, maxsplit=1)[0].strip())
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    try:
+        return RunConfig(clusters=clusters, **values)  # no cluster keys: the default clusters
+    except DataError as exc:  # a bound or a pair of keys, not one line
+        raise DataError(f"{path}: {exc}") from None
 
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:

@@ -224,14 +224,9 @@ class IRFTable:
         """The estimates for h = 0..H."""
         return IRFTable(self.beta[: H + 1], self.se[: H + 1], self.n[: H + 1])
 
-    def peak(self, H: int) -> tuple[float, int]:
-        """(max |beta_h| over h = 0..H, that h), the smallest h on ties."""
-        if H < 0:
-            raise DataError("H must be nonnegative")
-        if H > self.horizon:  # the table holds h = 0..horizon without gaps
-            missing = list(range(self.horizon + 1, H + 1))
-            raise DataError(f"IRF table missing horizons {missing}; cannot cover 0..{H}")
-        values = np.abs(self.beta[: H + 1])
+    def peak(self) -> tuple[float, int]:
+        """(max |beta_h| over the table, that h), the smallest h on ties."""
+        values = np.abs(self.beta)
         h = int(np.argmax(values))  # the first on ties
         return float(values[h]), h
 

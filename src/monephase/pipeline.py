@@ -207,16 +207,16 @@ def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
     rows = []
     for cluster, windows in cfg.clusters.items():
         for a, b in windows:
+            if a < panel.start or b > panel.end:  # one warning for the panel's three series
+                span = f"{panel.start}..{panel.end}"
+                warnings.warn(f"window {a}..{b} outside data range {span}; skipped")
+                continue
             for name, series in targets.items():
-                if a < series.start or b > series.end:
-                    problem = f"window {a}..{b} outside data range {series.start}..{series.end}"
-                elif np.isnan(series.restrict(a, b).values).any():
-                    problem = f"series {name} not fully defined on {a}..{b}"
-                else:
-                    res = em.breakpoint(series, (a, b), min_seg=cfg.min_segment)
-                    rows.append((name, cluster, str(a), str(b), str(res.tau), res.rss, res.tie))
+                if np.isnan(series.restrict(a, b).values).any():
+                    warnings.warn(f"series {name} not fully defined on {a}..{b}; skipped")
                     continue
-                warnings.warn(f"{problem}; skipped", stacklevel=2)
+                res = em.breakpoint(series, (a, b), min_seg=cfg.min_segment)
+                rows.append((name, cluster, str(a), str(b), str(res.tau), res.rss, res.tie))
     if not rows:
         raise DataError("no breakpoint window could be scanned; every window was skipped")
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
@@ -354,9 +354,9 @@ def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
 
 def _robustness_variants(cfg: RunConfig):
     """One-dimensional sweeps around the baseline, deterministic order."""
-    variants = []
-    for cash_max in (0.25, 0.30, 0.35):
-        for reserve_min in (0.55, 0.60, 0.65):
+    variants, baseline = [], PhaseThresholds()
+    for cash_max in (0.25, baseline.cash_max, 0.35):
+        for reserve_min in (0.55, baseline.reserve_min, 0.65):
             variants.append(
                 (
                     f"thresholds_{cash_max:.2f}_{reserve_min:.2f}",
@@ -548,11 +548,10 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
 
 def cmd_efficiency(cfg: RunConfig) -> list[Path]:
     out = _out(cfg)
-    tables = read_irfs(out, cfg)
-    H = cfg.horizon
+    tables = read_irfs(out, cfg)  # each holds h = 0..cfg.horizon
     # reservation efficiency (phi) and CPI-transmission efficiency (pi_core): the peak |beta|
     rows = [
-        (label, *tables[(label, "phi")].peak(H), *tables[(label, "pi_core")].peak(H), H)
+        (label, *tables[(label, "phi")].peak(), *tables[(label, "pi_core")].peak(), cfg.horizon)
         for label in (CASH, RESERVE)
     ]
     return [_write(out, "efficiency.csv", rows)]

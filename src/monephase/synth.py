@@ -2,7 +2,7 @@
 
 The generator plants every quantity the pipeline later estimates: the
 order parameter follows a tanh profile, seasonally adjusted base growth
-follows a fixed AR process, and the outcome series embed phase-dependent
+follows a fixed AR(1) process, and the outcome series embed phase-dependent
 impulse kernels applied to the unit-variance growth innovations. CPI
 levels are integrated from the generated inflation, so the year-over-year
 transform recovers it up to rounding; when the economy covers 2020, both
@@ -16,7 +16,8 @@ arrival date, so estimator error against ground truth stays measurable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, is_dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .phase import CASH, RESERVE, PhasePartition, PhaseThresholds, classify
 from .series import MonthIndex, MonthlySeries, Panel
 
 BURN_IN = 240
-AR_COEFFS = (3.5, 0.3)  # base growth g_t = 3.5 + 0.3 g_{t-1} + e_t, yoy percent
+AR_COEFFS = (3.5, 0.3)  # base growth g_t = 3.5 + 0.3 g_{t-1} + e_t, yoy percent: (a0, a1)
 INNOVATION_SD = 1.5  # sd of e_t
 PI_BASE = 1.5  # core inflation before the planted responses, yoy percent
 MB0 = 1000.0  # first monetary base level, 100 million yen
@@ -35,6 +36,21 @@ CPI_SEED_GROWTH = 0.0015  # monthly growth over the first year of CPI levels
 CO_SHARE = 0.03  # coins as a share of the base
 KERNEL_KEYS = ((CASH, "phi"), (CASH, "pi"), (RESERVE, "phi"), (RESERVE, "pi"))
 
+# the planted two-compartment truth, written to ground_truth.csv as truth_<key> rows; B = 1 is
+# the calibration gauge
+TRUTH = MappingProxyType(
+    {
+        "phi_c": 0.231,
+        "s_pi": 0.18,
+        "phi_bar_cash": 0.127,
+        "phi_bar_reserve": 0.694,
+        "cash": CompartmentParams(A=1.5, B=1.0, delta=0.06, gamma=0.04, eta=0.05),
+        "cash_kappa": 0.005,
+        "reserve": CompartmentParams(A=3.0, B=1.0, delta=0.05, gamma=0.045, eta=0.04),
+        "reserve_kappa": 0.0065,
+    }
+)
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -42,16 +58,14 @@ class SynthSpec:
 
     months: int = 600
     start: MonthIndex = MonthIndex(1975, 1)
-    phi_low: float = 0.127
-    phi_high: float = 0.694
+    phi_low: float = TRUTH["phi_bar_cash"]
+    phi_high: float = TRUTH["phi_bar_reserve"]
     t0: MonthIndex = MonthIndex(2000, 1)
     w: float = 6.0
     kernels: dict = field(default_factory=dict)
     phi_noise_sd: float = 0.004
     pi_noise_sd: float = 0.25
     pi_headline_extra_sd: float = 0.1
-    cash_max: float = 0.30
-    reserve_min: float = 0.60
     truth: dict = field(default_factory=dict)
     seed: int = 1
 
@@ -102,30 +116,34 @@ class GroundTruth:
     partition: PhasePartition  # phases of the noise-free profile
 
 
+def _levels(first: float, monthly_growth: float, yoy: np.ndarray) -> np.ndarray:
+    """Levels that grow geometrically over the first year, then x[t] = x[t-12](1 + yoy[t]/100)."""
+    out = np.empty(yoy.size)
+    out[:12] = [first * (1.0 + monthly_growth) ** t for t in range(12)]
+    for t in range(12, yoy.size):
+        out[t] = out[t - 12] * (1.0 + yoy[t] / 100.0)
+    return out
+
+
 def generate(spec: SynthSpec) -> tuple[Panel, GroundTruth]:
     """Build the full panel (MB, BN, CO, RB, MB_SA, CPI, CPI_core) plus truth."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     T = spec.months
-    a0, *acoef = AR_COEFFS
-    p = len(acoef)
+    a0, a1 = AR_COEFFS
 
-    total = BURN_IN + T
-    e = rng.normal(0.0, INNOVATION_SD, total)
-    g_full = np.zeros(total)
-    mean_g = a0 / max(1e-12, 1.0 - sum(acoef))
-    g_full[:p] = mean_g
-    for t in range(p, total):
-        g_full[t] = a0 + sum(acoef[i] * g_full[t - 1 - i] for i in range(p)) + e[t]
+    e = rng.normal(0.0, INNOVATION_SD, BURN_IN + T)
+    g_full = np.empty(BURN_IN + T)
+    g_full[0] = a0 / (1.0 - a1)  # the stationary mean
+    for t in range(1, g_full.size):
+        g_full[t] = a0 + a1 * g_full[t - 1] + e[t]
     g = g_full[BURN_IN:]
     e_unit = e[BURN_IN:] / INNOVATION_SD
 
     t_axis = np.arange(T, dtype=np.float64)
     t0_offset = float(spec.t0 - spec.start)
     profile = spec.phi_mid + spec.phi_amp * np.tanh((t_axis - t0_offset) / spec.w)
-    partition = classify(
-        MonthlySeries(spec.start, profile), PhaseThresholds(spec.cash_max, spec.reserve_min)
-    )
+    partition = classify(MonthlySeries(spec.start, profile), PhaseThresholds())
 
     def planted(outcome: str) -> np.ndarray:
         resp = np.zeros(T)
@@ -139,11 +157,7 @@ def generate(spec: SynthSpec) -> tuple[Panel, GroundTruth]:
     pi_core = PI_BASE + planted("pi") + rng.normal(0.0, spec.pi_noise_sd, T)
     pi_head = pi_core + rng.normal(0.0, spec.pi_headline_extra_sd, T)
 
-    mb_sa = np.empty(T)
-    for t in range(12):
-        mb_sa[t] = MB0 * (1.0 + MB_SEED_GROWTH) ** t
-    for t in range(12, T):
-        mb_sa[t] = mb_sa[t - 12] * (1.0 + g[t] / 100.0)
+    mb_sa = _levels(MB0, MB_SEED_GROWTH, g)
     if (mb_sa <= 0).any():
         raise DataError("generated monetary base hit zero")
     mb = mb_sa.copy()
@@ -154,19 +168,10 @@ def generate(spec: SynthSpec) -> tuple[Panel, GroundTruth]:
         raise DataError("generated composition violates RB + CO <= MB")
 
     in_2020 = (spec.start.ordinal + np.arange(T)) // 12 == 2020
-
-    def integrate_cpi(pi: np.ndarray) -> np.ndarray:
-        out = np.empty(T)
-        for t in range(12):
-            out[t] = 100.0 * (1.0 + CPI_SEED_GROWTH) ** t
-        for t in range(12, T):
-            out[t] = out[t - 12] * (1.0 + pi[t] / 100.0)
-        if in_2020.any():
-            out *= 100.0 / np.mean(out[in_2020])
-        return out
-
-    cpi_core = integrate_cpi(pi_core)
-    cpi_head = integrate_cpi(pi_head)
+    cpi_head, cpi_core = (_levels(100.0, CPI_SEED_GROWTH, pi) for pi in (pi_head, pi_core))
+    if in_2020.any():  # the base the CPI ingest expects
+        cpi_head *= 100.0 / np.mean(cpi_head[in_2020])
+        cpi_core *= 100.0 / np.mean(cpi_core[in_2020])
 
     series = {
         "MB": MonthlySeries(spec.start, mb),
@@ -188,16 +193,6 @@ def generate(spec: SynthSpec) -> tuple[Panel, GroundTruth]:
     return panel, truth
 
 
-# reference truth used by the default economy; B = 1 is the calibration gauge
-TRUTH_PHI_C = 0.231
-TRUTH_S_PI = 0.18
-TRUTH_PHI_BARS = (0.127, 0.694)
-TRUTH_CASH = CompartmentParams(A=1.5, B=1.0, delta=0.06, gamma=0.04, eta=0.05)
-TRUTH_CASH_KAPPA = 0.005
-TRUTH_RESERVE = CompartmentParams(A=3.0, B=1.0, delta=0.05, gamma=0.045, eta=0.04)
-TRUTH_RESERVE_KAPPA = 0.0065
-
-
 def two_compartment_spec(
     seed: int = 1,
     months: int = 1080,
@@ -205,50 +200,28 @@ def two_compartment_spec(
     t0: MonthIndex = MonthIndex(2000, 1),
     w: float = 6.0,
 ) -> SynthSpec:
-    """An economy whose kernels, h = 0..36 per unit shock, come from the reference
-    two-compartment truth."""
-    coupling = CouplingParams(s_pi=TRUTH_S_PI, phi_c=TRUTH_PHI_C)
+    """An economy whose kernels, h = 0..36 per unit shock, come from TRUTH."""
+    coupling = CouplingParams(s_pi=TRUTH["s_pi"], phi_c=TRUTH["phi_c"])
     h = np.arange(37.0)
     kernels = {}
-    for phase, params, kappa, phi_bar in (
-        (CASH, TRUTH_CASH, TRUTH_CASH_KAPPA, TRUTH_PHI_BARS[0]),
-        (RESERVE, TRUTH_RESERVE, TRUTH_RESERVE_KAPPA, TRUTH_PHI_BARS[1]),
-    ):
-        kernels[(phase, "phi")] = tuple(phi_irf(h, params, phi_bar, kappa))
+    for phase in (CASH, RESERVE):
+        params, phi_bar = TRUTH[phase], TRUTH[f"phi_bar_{phase}"]
+        kernels[(phase, "phi")] = tuple(phi_irf(h, params, phi_bar, TRUTH[f"{phase}_kappa"]))
         kernels[(phase, "pi")] = tuple(cpi_irf(h, params, coupling, phi_bar))
-    truth = {
-        "phi_c": TRUTH_PHI_C,
-        "s_pi": TRUTH_S_PI,
-        "phi_bar_cash": TRUTH_PHI_BARS[0],
-        "phi_bar_reserve": TRUTH_PHI_BARS[1],
-        "cash": TRUTH_CASH,
-        "cash_kappa": TRUTH_CASH_KAPPA,
-        "reserve": TRUTH_RESERVE,
-        "reserve_kappa": TRUTH_RESERVE_KAPPA,
-    }
     return SynthSpec(
-        months=months,
-        start=start,
-        phi_low=TRUTH_PHI_BARS[0],
-        phi_high=TRUTH_PHI_BARS[1],
-        t0=t0,
-        w=w,
-        kernels=kernels,
-        truth=truth,
-        seed=seed,
+        months=months, start=start, t0=t0, w=w, kernels=kernels, truth=dict(TRUTH), seed=seed
     )
 
 
 def default_spec(seed: int = 1, months: int = 612) -> SynthSpec:
-    """Default economy on the Japan-like calendar, 1975-01 to 2025-12: transition around
-    2013-04. Other lengths shrink or grow it at the front, so the transition stays in sample."""
-    return two_compartment_spec(
-        seed=seed,
-        months=months,
-        start=MonthIndex(1975, 1) + (612 - months),
-        t0=MonthIndex(2013, 4),
-        w=6.0,
-    )
+    """Default economy on the Japan-like calendar: it ends 2025-12 at any length (612 months
+    start 1975-01), so the transition around 2013-04 stays in sample. It starts no earlier
+    than 0000-01, the first month a date cell can hold."""
+    end = MonthIndex(2025, 12)
+    if months > (most := end.ordinal + 1):
+        raise DataError(f"synth.months must be at most {most} (0000-01 to {end}), got {months}")
+    start = end - (months - 1)
+    return two_compartment_spec(seed=seed, months=months, start=start, t0=MonthIndex(2013, 4))
 
 
 def _join(values) -> str:
@@ -258,7 +231,7 @@ def _join(values) -> str:
 
 def ground_truth_rows(truth: GroundTruth) -> list[tuple]:
     """The (key, value) rows of ground_truth.csv; arrays are semicolon-joined round-trip floats."""
-    spec = truth.spec
+    spec, thresholds = truth.spec, PhaseThresholds()
     rows = [
         ("seed", spec.seed),
         ("months", spec.months),
@@ -272,16 +245,11 @@ def ground_truth_rows(truth: GroundTruth) -> list[tuple]:
         ("phi_noise_sd", spec.phi_noise_sd),
         ("pi_noise_sd", spec.pi_noise_sd),
         ("pi_base", PI_BASE),
-        ("cash_max", spec.cash_max),
-        ("reserve_min", spec.reserve_min),
+        ("cash_max", thresholds.cash_max),
+        ("reserve_min", thresholds.reserve_min),
     ]
     for key, value in sorted(spec.truth.items()):
-        if isinstance(value, CompartmentParams):
-            rows.append(
-                (f"truth_{key}", _join([value.A, value.B, value.delta, value.gamma, value.eta]))
-            )
-        else:
-            rows.append((f"truth_{key}", value))
+        rows.append((f"truth_{key}", _join(astuple(value)) if is_dataclass(value) else value))
     for phase, outcome in KERNEL_KEYS:
         rows.append((f"kernel_{phase}_{outcome}", _join(spec.kernel(phase, outcome))))
     for label in (CASH, RESERVE):

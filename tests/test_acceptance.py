@@ -27,7 +27,7 @@ from monephase.landau import (
 from monephase.phase import CASH, RESERVE, PhaseThresholds, classify, fit_tanh, phase_means
 from monephase.pipeline import build_panel, cmd_breakpoints
 from monephase.series import MonthIndex, MonthlySeries
-from monephase.synth import TRUTH_PHI_C
+from monephase.synth import TRUTH
 
 START = MonthIndex(1980, 1)
 
@@ -224,7 +224,7 @@ class TestCriterion6MechanismLoop:
         # (iii) calibrated critical point close to truth, correct ordering
         phi_c = mechanism_run["phi_c"]
         means = mechanism_run["phase_means"]
-        assert abs(phi_c - TRUTH_PHI_C) <= 0.05
+        assert abs(phi_c - TRUTH["phi_c"]) <= 0.05
         assert means[CASH] < phi_c < means[RESERVE]
 
         assert mechanism_run["elapsed"] < 60.0, (
@@ -233,7 +233,7 @@ class TestCriterion6MechanismLoop:
         report(
             6,
             f"signs (+,+,+,-) as planted; phi_c {phi_c:.4f} vs truth "
-            f"{TRUTH_PHI_C} in {mechanism_run['elapsed']:.1f}s",
+            f"{TRUTH['phi_c']} in {mechanism_run['elapsed']:.1f}s",
         )
 
 

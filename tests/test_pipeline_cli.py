@@ -174,6 +174,41 @@ class TestConfig:
         with pytest.raises(DataError, match="unknown configuration key"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("seed", "expected 'key = value'"),
+            ("no.such.key = 1", "unknown configuration key 'no.such.key'"),
+            ("lp.horizon = abc", "cannot parse value 'abc' for key 'lp.horizon'"),
+            ("tanh.window_start = 2010", "cannot parse month '2010', expected YYYY-MM"),
+            ("breaks.cluster.x = 2008-01", "window '2008-01' must look like YYYY-MM:YYYY-MM"),
+            ("breaks.cluster. = 2008-01:2019-12", "cluster key needs a name"),
+        ],
+    )
+    def test_line_errors_name_the_path_as_given_and_the_line(self, tmp_path, line, problem):
+        (tmp_path / "run.conf").write_text(f"# a comment\n{line}\n")
+        given = f"{tmp_path}/./run.conf"  # Path(given) would print it without the ./
+        with pytest.raises(DataError) as caught:
+            parse_config(given)
+        assert str(caught.value).startswith(f"{given}:2: {problem}")
+
+    @pytest.mark.parametrize("key", ["seed", "breaks.cluster.x"])
+    def test_key_set_twice_in_a_file_refused(self, tmp_path, key):
+        value = "2008-01:2019-12" if key.startswith("breaks.") else "3"
+        path = tmp_path / "run.conf"
+        path.write_text(f"{key} = {value}\nlp.lags = 6\n{key}={value}\n")
+        with pytest.raises(DataError, match=f"run.conf:3: {key} is set on line 1 already"):
+            parse_config(path)
+
+    def test_set_overrides_stay_last_wins(self):
+        assert apply_overrides(RunConfig(), ["seed=2", "seed=3"]).seed == 3
+
+    def test_config_wide_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("phase.cash_max = 0.7\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: thresholds must satisfy"):
+            parse_config(path)
+
     @given(
         st.builds(
             RunConfig,
@@ -346,9 +381,9 @@ class TestBreakpoints:
         shutil.copy(out / "panel.csv", tmp_path / "panel.csv")
         config = tmp_path / "config.txt"
         config.write_text(f"out.dir = {tmp_path}\nbreaks.cluster.x = 1900-01:1910-01\n")
-        with pytest.warns(UserWarning, match="outside data range"):
-            assert main(["breakpoints", "--config", str(config)]) == 1
+        assert main(["breakpoints", "--config", str(config)]) == 1
         err = capsys.readouterr().err
+        assert "monephase: warning: window 1900-01..1910-01 outside data range" in err
         assert "no breakpoint window could be scanned" in err and "Traceback" not in err
         assert not (tmp_path / "breakpoints.csv").exists()
 
@@ -737,14 +772,40 @@ class TestCli:
         t0_line = (out / "tanh_fit.csv").read_text().splitlines()[-1]
         assert "2013-0" in t0_line  # transition found near 2013
 
-    def test_default_economy_transform_raises_no_warning(self, tmp_path):
+    def test_default_economy_transform_raises_no_warning(self, tmp_path, capsys):
         # synthetic CPI is on the 2020 base that the CPI ingest checks
         out = tmp_path / "run"
         assert main(["synth", "--out", str(out), "--seed", "1"]) == 0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["transform", "--config", str(out / "synthetic_config.txt")]) == 0
-        assert [str(w.message) for w in caught] == []
+        assert main(["transform", "--config", str(out / "synthetic_config.txt")]) == 0
+        assert "monephase: warning:" not in capsys.readouterr().err
+
+    def test_each_run_in_one_process_prints_its_warnings(self, tmp_path, capsys):
+        # a 240-month economy starts 2006-01: the five 1990-cluster windows are skipped
+        out = tmp_path / "run"
+        assert main(["synth", "--out", str(out), "--set", "synth.months=240"]) == 0
+        config = str(out / "synthetic_config.txt")
+        assert main(["transform", "--config", config]) == 0
+        counts = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert main(["breakpoints", "--config", config]) == 0
+            lines = capsys.readouterr().err.splitlines()
+            assert all(line.startswith("monephase: warning: window ") for line in lines), lines
+            counts.append(len(lines))
+        assert counts == [5, 5]
+
+    def test_main_restores_the_callers_warning_state(self, tmp_path):
+        shown, filters = warnings.showwarning, list(warnings.filters)
+        main(["breakpoints", "--out", str(tmp_path)])
+        assert warnings.showwarning is shown and warnings.filters == filters
+
+    def test_synth_months_past_year_zero_refused_before_writing(self, tmp_path, capsys):
+        # 24,312 months ending 2025-12 start in 0000-01, the first month a date cell holds
+        out = tmp_path / "run"
+        assert main(["synth", "--out", str(out), "--set", "synth.months=24313"]) == 1
+        err = capsys.readouterr().err
+        assert "synth.months must be at most 24312" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "months, commands",
@@ -916,7 +977,7 @@ class TestReportEndToEnd:
             assert key in text
 
         # report efficiencies equal the peak of the cash phi table
-        eff_r, _ = mechanism_run["tables"][(CASH, "phi")].peak(cfg.horizon)
+        eff_r, _ = mechanism_run["tables"][(CASH, "phi")].peak()
         assert f"efficiency.cash.eff_r = {eff_r!r}" in text
 
         # regenerating the report without recomputation is byte-identical

@@ -1,11 +1,16 @@
+from dataclasses import astuple, is_dataclass
+
 import numpy as np
 import pytest
 
+from monephase.config import RunConfig
+from monephase.csvio import read_csv
 from monephase.errors import DataError
 from monephase.phase import CASH, RESERVE
 from monephase.pipeline import write_economy
 from monephase.series import MonthIndex, order_parameter, yoy
 from monephase.synth import (
+    TRUTH,
     SynthSpec,
     default_spec,
     generate,
@@ -170,3 +175,23 @@ def test_default_spec_matches_reference_truth():
     assert spec.kernel(RESERVE, "pi")[0] < 0
     assert min(spec.kernel(CASH, "phi")) > 0
     assert min(spec.kernel(RESERVE, "phi")) > 0
+
+
+def test_ground_truth_file_states_truth_and_the_baseline_thresholds(tmp_path):
+    write_economy(tmp_path, *generate(default_spec(seed=1)))
+    rows = dict(read_csv(tmp_path / "ground_truth.csv")[2])
+    truth = {key[len("truth_") :]: cell for key, cell in rows.items() if key.startswith("truth_")}
+    assert truth.keys() == TRUTH.keys()
+    for key, value in TRUTH.items():
+        planted = astuple(value) if is_dataclass(value) else (value,)
+        assert [float(x) for x in truth[key].split(";")] == list(planted), key
+    cfg = RunConfig()
+    assert (float(rows["cash_max"]), float(rows["reserve_min"])) == (cfg.cash_max, cfg.reserve_min)
+
+
+def test_default_spec_ends_2025_12_and_starts_no_earlier_than_year_zero():
+    assert default_spec(months=612).start == MonthIndex(1975, 1)
+    longest = default_spec(months=24312)  # builds no economy
+    assert (longest.start, longest.start + (longest.months - 1)) == (
+        MonthIndex(0, 1), MonthIndex(2025, 12)
+    )
