@@ -84,20 +84,31 @@ class RunConfig:
         if not self.clusters:
             clusters = {name: _windows(text) for name, text in DEFAULT_CLUSTERS.items()}
             object.__setattr__(self, "clusters", clusters)
-        if self.shock_kind not in SHOCK_KINDS:
-            raise DataError(f"shock kind must be one of {SHOCK_KINDS}, got {self.shock_kind!r}")
-        PhaseThresholds(self.cash_max, self.reserve_min)  # raises on invalid thresholds
+        for name, windows in self.clusters.items():
+            _check(f"breaks.cluster.{name}", windows)
         for key, setting in _SCALAR_KEYS.items():
-            least = setting.metadata["least"]
-            if least is not None and (value := getattr(self, setting.name)) < least:
-                sign = "positive" if least else "nonnegative"
-                raise DataError(f"{key} must be {sign}, got {value}")
-        if self.landau_phi_c is not None and not 0.0 < self.landau_phi_c < 1.0:
-            raise DataError(f"landau.phi_c must lie in (0, 1), got {self.landau_phi_c}")
+            _check(key, getattr(self, setting.name))
+        PhaseThresholds(self.cash_max, self.reserve_min)  # raises on invalid thresholds
 
 
 # key: the RunConfig field it sets, in declaration order
 _SCALAR_KEYS = {f.metadata["key"]: f for f in fields(RunConfig) if f.metadata}
+
+
+def _check(key: str, value) -> None:
+    """Refuse a value outside its key's own range; the threshold order spans two keys."""
+    if key.startswith("breaks.cluster."):
+        for a, b in value:
+            if b < a:
+                raise DataError(f"window '{a}:{b}' of {key} ends before it starts")
+        return
+    least = _SCALAR_KEYS[key].metadata["least"]
+    if least is not None and value < least:
+        raise DataError(f"{key} must be {'positive' if least else 'nonnegative'}, got {value}")
+    if key == "shock.kind" and value not in SHOCK_KINDS:
+        raise DataError(f"shock kind must be one of {SHOCK_KINDS}, got {value!r}")
+    if key == "landau.phi_c" and value is not None and not 0.0 < value < 1.0:
+        raise DataError(f"landau.phi_c must lie in (0, 1), got {value}")
 
 
 def _apply_key(values: dict, clusters: dict, key: str, raw: str):
@@ -108,16 +119,19 @@ def _apply_key(values: dict, clusters: dict, key: str, raw: str):
         if "," in name or len(name.splitlines()) > 1 or not _utf8(name):  # a CSV cell, a config key
             raise DataError(f"cluster name in {key!r} must be UTF-8 without a comma or line break")
         clusters[name] = _windows(raw)
+        _check(key, clusters[name])
         return
     if key not in _SCALAR_KEYS:
         raise DataError(f"unknown configuration key {key!r}")
     setting = _SCALAR_KEYS[key]
     try:
-        values[setting.name] = setting.metadata["parse"](raw)
+        value = setting.metadata["parse"](raw)
     except DataError:
         raise
     except (KeyError, ValueError):  # KeyError: a word that is not in _BOOLS
         raise DataError(f"cannot parse value {raw!r} for key {key!r}") from None
+    _check(key, value)  # here, not only in RunConfig, so a config file's error names the line
+    values[setting.name] = value
 
 
 def parse_config(path: Path | str) -> RunConfig:
@@ -143,7 +157,7 @@ def parse_config(path: Path | str) -> RunConfig:
             raise DataError(f"{path}:{lineno}: {exc}") from None
     try:
         return RunConfig(clusters=clusters, **values)  # no cluster keys: the default clusters
-    except DataError as exc:  # a bound or a pair of keys, not one line
+    except DataError as exc:  # the threshold order: a pair of keys, not one line
         raise DataError(f"{path}: {exc}") from None
 
 

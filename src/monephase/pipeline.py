@@ -28,7 +28,6 @@ from .phase import (
     CASH,
     INTERMEDIATE,
     RESERVE,
-    PhasePartition,
     PhaseThresholds,
     classify,
     fit_tanh,
@@ -254,51 +253,39 @@ def _shock_definition(cfg: RunConfig) -> str:
     return f"{cfg.shock_kind}({cfg.shock_p})"
 
 
-def _phase_tables(
-    cfg: RunConfig, panel: Panel, partition: PhasePartition, label: str, memo: dict
-) -> dict[str, em.IRFTable]:
-    """The phase's pi_core and phi LP tables, each horizon computed once per memo.
+def _lp_tables(cfg: RunConfig, panel: Panel, memo: dict, phases=(CASH, RESERVE)):
+    """cfg's phase partition and its phases' pi_core and phi LP tables, keyed (phase, response).
 
     The memo keeps each shock under what it depends on: the phase, its
     months and the shock definition. It keeps the tables under that key
-    plus L and the HAC lag. No horizon's regression depends on H, so a
-    table for a shorter H is the row prefix of a longer one; the memo
-    keeps the longest tables, and a longer H estimates only the horizons
-    they lack.
+    plus L and the HAC lag, each horizon computed once. No horizon's
+    regression depends on H, so a table for a shorter H is the row prefix
+    of a longer one; the memo keeps the longest tables, and a longer H
+    estimates only the horizons they lack.
     """
-    mask = partition.mask(label)
-    key = (label, mask.tobytes(), cfg.shock_kind, cfg.shock_p)
-    if key not in memo:
-        if not mask.any():
-            raise DataError(f"phase {label!r} is empty; cannot build shocks")
-        g = panel["g_mb"]
-        if cfg.shock_kind == "ar_resid":
-            _, shock = em.ar_fit(g, cfg.shock_p, mask)
-        else:
-            shock = em.detrended_shock(g, cfg.shock_p, mask)
-        memo[key] = em.standardize(shock)
-    shock = memo[key]
-    tables = memo.setdefault((*key, cfg.lags, cfg.hac_lag), {})
-    H = cfg.horizon
-    if not tables or tables["phi"].horizon < H:
-        tables.update({
-            response: em.local_projection(
-                panel[response], shock, H, cfg.lags, cfg.hac_lag, tables.get(response)
-            )
-            for response in ("pi_core", "phi")
-        })
-    return {response: table.head(H) for response, table in tables.items()}
-
-
-def _phase_irfs(cfg: RunConfig, panel: Panel, memo: dict):
-    """The phase partition and the four baseline LP tables, keyed (phase, response)."""
     partition = classify(panel["phi"], PhaseThresholds(cfg.cash_max, cfg.reserve_min))
-    tables = {
-        (label, response): table
-        for label in (CASH, RESERVE)
-        for response, table in _phase_tables(cfg, panel, partition, label, memo).items()
-    }
-    return partition, tables
+    H, out = cfg.horizon, {}
+    for label in phases:
+        mask = partition.mask(label)
+        key = (label, mask.tobytes(), cfg.shock_kind, cfg.shock_p)
+        if key not in memo:
+            if not mask.any():
+                raise DataError(f"phase {label!r} is empty; cannot build shocks")
+            if cfg.shock_kind == "ar_resid":
+                _, shock = em.ar_fit(panel["g_mb"], cfg.shock_p, mask)
+            else:
+                shock = em.detrended_shock(panel["g_mb"], cfg.shock_p, mask)
+            memo[key] = em.standardize(shock)
+        tables = memo.setdefault((*key, cfg.lags, cfg.hac_lag), {})
+        if not tables or tables["phi"].horizon < H:
+            tables.update({
+                response: em.local_projection(
+                    panel[response], memo[key], H, cfg.lags, cfg.hac_lag, tables.get(response)
+                )
+                for response in ("pi_core", "phi")
+            })
+        out.update({(label, response): table.head(H) for response, table in tables.items()})
+    return partition, out
 
 
 def write_irfs(out: Path, cfg: RunConfig, tables: dict) -> list[Path]:
@@ -352,35 +339,34 @@ def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
     return tables
 
 
-def _robustness_variants(cfg: RunConfig):
-    """One-dimensional sweeps around the baseline, deterministic order."""
-    variants, baseline = [], PhaseThresholds()
-    for cash_max in (0.25, baseline.cash_max, 0.35):
-        for reserve_min in (0.55, baseline.reserve_min, 0.65):
-            variants.append(
-                (
-                    f"thresholds_{cash_max:.2f}_{reserve_min:.2f}",
-                    replace(cfg, cash_max=cash_max, reserve_min=reserve_min),
-                )
-            )
-    for H in (12, 24, 36):
-        variants.append((f"H_{H}", replace(cfg, horizon=H)))
-    for L in (6, 12, 18):
-        variants.append((f"L_{L}", replace(cfg, lags=L)))
-    for label, kind, p in (
-        ("shock_ar6", "ar_resid", 6),
-        ("shock_ar12", "ar_resid", 12),
-        ("shock_ar18", "ar_resid", 18),
-        ("shock_detrended", "detrended", 12),
-    ):
-        variants.append((label, replace(cfg, shock_kind=kind, shock_p=p)))
-    return variants
+# (variant name, the RunConfig fields it sets), in the order IRF_robustness.csv lists them
+ROBUSTNESS_GRID = (
+    *((f"thresholds_{c:.2f}_{r:.2f}", dict(cash_max=c, reserve_min=r))
+      for c in (0.25, PhaseThresholds.cash_max, 0.35)
+      for r in (0.55, PhaseThresholds.reserve_min, 0.65)),
+    *((f"H_{H}", dict(horizon=H)) for H in (12, 24, 36)),
+    *((f"L_{L}", dict(lags=L)) for L in (6, 12, 18)),
+    *((f"shock_ar{p}", dict(shock_kind="ar_resid", shock_p=p)) for p in (6, 12, 18)),
+    ("shock_detrended", dict(shock_kind="detrended", shock_p=12)),
+)
+
+
+def _robustness_variants(cfg: RunConfig) -> list[tuple[str, RunConfig]]:
+    """The paper's fixed one-dimensional grid, each variant the run's cfg with its fields set.
+
+    The grid is thresholds 0.25/0.30/0.35 x 0.55/0.60/0.65, H 12/24/36,
+    L 6/12/18, AR(6/12/18) and detrended(12) shocks, not a sweep around the
+    run's own settings. Each variant keeps every other setting of the run,
+    lp.hac_lag included, so thresholds_0.30_0.60 is the run's baseline only
+    when the run uses those thresholds.
+    """
+    return [(name, replace(cfg, **fields)) for name, fields in ROBUSTNESS_GRID]
 
 
 def cmd_irf(cfg: RunConfig) -> list[Path]:
     panel = read_panel_csv(_out(cfg) / "panel.csv")
     memo: dict = {}  # shared by the baseline, the diagnostic and the sweep
-    partition, tables = _phase_irfs(cfg, panel, memo)
+    partition, tables = _lp_tables(cfg, panel, memo)
     out = _out(cfg)
     written = write_irfs(out, cfg, tables)
     phi_bar_cash, phi_bar_reserve = phase_means(panel["phi"], partition)
@@ -395,22 +381,22 @@ def cmd_irf(cfg: RunConfig) -> list[Path]:
         )
     )
 
-    written.append(_intermediate_diagnostic(cfg, panel, partition, memo, out))
+    written.append(_intermediate_diagnostic(cfg, panel, memo, out))
     if cfg.robustness:
         written.append(_robustness_sweep(cfg, panel, memo, out))
     return written
 
 
-def _intermediate_diagnostic(cfg, panel, partition, memo: dict, out: Path) -> Path:
+def _intermediate_diagnostic(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Path:
     """LP inside the critical band; expected to be unstable, flagged as such."""
     preamble = [("unstable_region", True)]
     rows = []
     try:
-        tables = _phase_tables(cfg, panel, partition, INTERMEDIATE, memo)
+        tables = _lp_tables(cfg, panel, memo, (INTERMEDIATE,))[1]
     except DataError as exc:
         preamble.append(("error", str(exc)))
     else:
-        rows = [(response, *c) for response, t in tables.items() for c in t.cells()]
+        rows = [(response, *c) for (_, response), t in tables.items() for c in t.cells()]
     return _write(out, "IRF_intermediate_diagnostic.csv", rows, preamble)
 
 
@@ -418,7 +404,7 @@ def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Pa
     rows = []
     for name, variant in _robustness_variants(cfg):
         try:
-            _, tables = _phase_irfs(variant, panel, memo)
+            tables = _lp_tables(variant, panel, memo)[1]
         except DataError as exc:
             raise DataError(f"robustness variant {name}: {exc}") from None
         settings = (name, variant.cash_max, variant.reserve_min, variant.horizon, variant.lags)

@@ -183,6 +183,10 @@ class TestConfig:
             ("tanh.window_start = 2010", "cannot parse month '2010', expected YYYY-MM"),
             ("breaks.cluster.x = 2008-01", "window '2008-01' must look like YYYY-MM:YYYY-MM"),
             ("breaks.cluster. = 2008-01:2019-12", "cluster key needs a name"),
+            (
+                "breaks.cluster.x = 2000-01:2009-12, 2010-01:2000-01",
+                "window '2010-01:2000-01' of breaks.cluster.x ends before it starts",
+            ),
         ],
     )
     def test_line_errors_name_the_path_as_given_and_the_line(self, tmp_path, line, problem):
@@ -199,6 +203,46 @@ class TestConfig:
         path.write_text(f"{key} = {value}\nlp.lags = 6\n{key}={value}\n")
         with pytest.raises(DataError, match=f"run.conf:3: {key} is set on line 1 already"):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("shock.kind", "ar", "shock kind must be one of ('ar_resid', 'detrended'), got 'ar'"),
+            ("shock.p", "0", "shock.p must be positive, got 0"),
+            ("lp.horizon", "-1", "lp.horizon must be nonnegative, got -1"),
+            ("lp.lags", "-1", "lp.lags must be nonnegative, got -1"),
+            ("lp.hac_lag", "-1", "lp.hac_lag must be nonnegative, got -1"),
+            ("breaks.min_segment", "0", "breaks.min_segment must be positive, got 0"),
+            ("landau.phi_c", "1", "landau.phi_c must lie in (0, 1), got 1.0"),
+            ("seed", "-1", "seed must be nonnegative, got -1"),
+        ],
+    )
+    def test_range_errors_name_the_line(self, tmp_path, key, value, problem):
+        # a key's own range is checked as its line is read; --set and a
+        # RunConfig built in code give the same problem without a place
+        path = tmp_path / "run.conf"
+        path.write_text(f"# a comment\n{key} = {value}\n")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}:2: {problem}')}$"):
+            parse_config(path)
+        with pytest.raises(DataError, match=f"^{re.escape(problem)}$"):
+            apply_overrides(RunConfig(), [f"{key}={value}"])
+        setting = _SCALAR_KEYS[key]
+        with pytest.raises(DataError, match=f"^{re.escape(problem)}$"):
+            RunConfig(**{setting.name: setting.metadata["parse"](value)})
+
+    @pytest.mark.parametrize("command", ["synth", "breakpoints"])
+    def test_reversed_window_refused_before_writing(self, default_chain, tmp_path, capsys, command):
+        shutil.copy(default_chain[0] / "panel.csv", tmp_path / "panel.csv")
+        out = tmp_path / "out" if command == "synth" else tmp_path
+        windows = "breaks.cluster.x=2000-01:2009-12,2010-01:2000-01"
+        assert main([command, "--out", str(out), "--set", windows]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "monephase: error: window '2010-01:2000-01' of breaks.cluster.x ends before it starts\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
+        with pytest.raises(DataError, match="^window '2010-01:2000-01' of breaks.cluster.x ends"):
+            RunConfig(clusters={"x": [(MonthIndex(2010, 1), MonthIndex(2000, 1))]})
 
     def test_set_overrides_stay_last_wins(self):
         assert apply_overrides(RunConfig(), ["seed=2", "seed=3"]).seed == 3
@@ -231,7 +275,7 @@ class TestConfig:
             seed=st.integers(0, 2**31),
             clusters=st.dictionaries(
                 st.text("abc0123456789_", min_size=1, max_size=6),
-                st.lists(st.tuples(MONTHS, MONTHS), max_size=3),
+                st.lists(st.tuples(MONTHS, MONTHS).map(sorted).map(tuple), max_size=3),
                 max_size=3,
             ),
         )
@@ -472,6 +516,67 @@ class TestIrfCommand:
         cmd_irf(replace(cfg, out_dir=str(tmp_path), robustness=True))
         # 16 fits when L_6 and L_18 refit the baseline's shocks
         assert len(set(shocks)) == len(shocks) == 12
+
+    @pytest.mark.parametrize("H", [24, 30])
+    def test_robustness_grid_is_fixed(self, default_chain, tmp_path, H):
+        # the paper's grid, whatever the run's H; a variant keeps the run's other
+        # settings, and one whose settings are the run's equals the baseline
+        out, _ = default_chain
+        shutil.copy(out / "panel.csv", tmp_path / "panel.csv")
+        cfg = parse_config(out / "synthetic_config.txt")
+        cmd_irf(replace(cfg, out_dir=str(tmp_path), horizon=H, robustness=True))
+        _, header, rows = read_csv(tmp_path / "IRF_robustness.csv")
+        assert header[:6] == ["variant", "cash_max", "reserve_min", "H", "L", "shock"]
+        variants = list(dict.fromkeys(tuple(cells[:6]) for cells in rows))
+        h, ar12 = str(H), "ar_resid(12)"
+        assert variants == [
+            ("thresholds_0.25_0.55", "0.25", "0.55", h, "12", ar12),
+            ("thresholds_0.25_0.60", "0.25", "0.6", h, "12", ar12),
+            ("thresholds_0.25_0.65", "0.25", "0.65", h, "12", ar12),
+            ("thresholds_0.30_0.55", "0.3", "0.55", h, "12", ar12),
+            ("thresholds_0.30_0.60", "0.3", "0.6", h, "12", ar12),
+            ("thresholds_0.30_0.65", "0.3", "0.65", h, "12", ar12),
+            ("thresholds_0.35_0.55", "0.35", "0.55", h, "12", ar12),
+            ("thresholds_0.35_0.60", "0.35", "0.6", h, "12", ar12),
+            ("thresholds_0.35_0.65", "0.35", "0.65", h, "12", ar12),
+            ("H_12", "0.3", "0.6", "12", "12", ar12),
+            ("H_24", "0.3", "0.6", "24", "12", ar12),
+            ("H_36", "0.3", "0.6", "36", "12", ar12),
+            ("L_6", "0.3", "0.6", h, "6", ar12),
+            ("L_12", "0.3", "0.6", h, "12", ar12),
+            ("L_18", "0.3", "0.6", h, "18", ar12),
+            ("shock_ar6", "0.3", "0.6", h, "12", "ar_resid(6)"),
+            ("shock_ar12", "0.3", "0.6", h, "12", ar12),
+            ("shock_ar18", "0.3", "0.6", h, "12", "ar_resid(18)"),
+            ("shock_detrended", "0.3", "0.6", h, "12", "detrended(12)"),
+        ]
+        baseline = sorted(
+            (cells[0], response, *cells[1:])
+            for response, name in pipeline.IRF_FILES.items()
+            for cells in read_csv(tmp_path / name)[2]
+        )
+        run = ("0.3", "0.6", h, "12", ar12)
+        same = [v[0] for v in variants if v[1:] == run]
+        assert same == ["thresholds_0.30_0.60", *["H_24"] * (H == 24), "L_12", "shock_ar12"]
+        for name in same:
+            assert sorted(tuple(cells[6:]) for cells in rows if cells[0] == name) == baseline
+
+    def test_only_lp_tables_estimates(self):
+        # one estimation path in pipeline: every classify, shock fit and local
+        # projection goes through _lp_tables and its memo
+        tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
+        estimators = {"classify", "ar_fit", "detrended_shock", "local_projection"}
+
+        def naming(root):
+            return {
+                (node.lineno, node.col_offset)
+                for node in ast.walk(root)
+                if {getattr(node, "id", None), getattr(node, "attr", None)} & estimators
+            }
+
+        lp_tables = [n for n in tree.body if getattr(n, "name", None) == "_lp_tables"]
+        assert len(lp_tables) == 1 and len(naming(lp_tables[0])) == len(estimators)
+        assert naming(tree) == naming(lp_tables[0])
 
     def test_ci_identity_in_files(self, irf_out):
         out, cfg, spec = irf_out
