@@ -89,6 +89,10 @@ class RunConfig:
         for key, setting in _SCALAR_KEYS.items():
             _check(key, getattr(self, setting.name))
         PhaseThresholds(self.cash_max, self.reserve_min)  # raises on invalid thresholds
+        if self.tanh_end < self.tanh_start:
+            raise DataError(
+                f"tanh.window_start {self.tanh_start} is after tanh.window_end {self.tanh_end}"
+            )
 
 
 # key: the RunConfig field it sets, in declaration order
@@ -157,7 +161,7 @@ def parse_config(path: Path | str) -> RunConfig:
             raise DataError(f"{path}:{lineno}: {exc}") from None
     try:
         return RunConfig(clusters=clusters, **values)  # no cluster keys: the default clusters
-    except DataError as exc:  # the threshold order: a pair of keys, not one line
+    except DataError as exc:  # the threshold or tanh window order: a pair of keys, not one line
         raise DataError(f"{path}: {exc}") from None
 
 

@@ -258,8 +258,10 @@ def local_projection(
     row 1 of (X'X)^{-1} from the regression's own SVD. In exact arithmetic
     it equals element [1, 1] of hac_covariance, without forming the k x k
     sandwich. A horizon whose rows are the previous horizon's reuses its
-    SVD and x_t . b1, bit for bit. prefix, a table of the same inputs for
-    h = 0..H0 with H0 < H, is continued: only h = H0+1..H are estimated.
+    SVD and x_t . b1, bit for bit; one whose rows are the first m defined
+    rows factors a view of them, not a copy. prefix, a table of the same
+    inputs for h = 0..H0 with H0 < H, is continued: only h = H0+1..H are
+    estimated.
 
     The shock enters exactly as given; standardize first if unit-shock
     kernels are wanted.
@@ -276,6 +278,7 @@ def local_projection(
 
     design = np.column_stack([np.ones(n), uv, _lags(yv, L), _lags(uv, L)])
     defined = np.flatnonzero(~np.isnan(design).any(axis=1))
+    design = design[defined]  # the defined rows alone
     y_ok = ~np.isnan(yv)
 
     beta, se, rows = [], [], []
@@ -283,8 +286,9 @@ def local_projection(
         beta, se, rows = list(prefix.beta), list(prefix.se), list(prefix.n)
     t_prev = np.empty(0)  # the rows of the design last factored
     for h in range(len(beta), H + 1):
-        t_idx = defined[: np.searchsorted(defined, n - h)]  # rows t whose t + h is a month
-        t_idx = t_idx[y_ok[t_idx + h]]
+        m = np.searchsorted(defined, n - h)  # the defined rows t whose t + h is a month
+        ok = y_ok[defined[:m] + h]
+        t_idx = defined[:m][ok]
         if t_idx.size <= 2 * L + 2:
             raise DataError(
                 f"horizon h={h}: only {t_idx.size} usable rows "
@@ -294,7 +298,7 @@ def local_projection(
         if outcome.min() == outcome.max():
             raise DataError(f"horizon h={h}: outcome has zero variance")
         if not np.array_equal(t_idx, t_prev):
-            X = design[t_idx]
+            X = design[:m] if t_idx.size == m else design[np.flatnonzero(ok)]  # first m: a view
             U, s, Vt = _svd(X)
             xb1 = X @ (Vt.T @ (Vt[:, 1] / s**2))
             t_prev = t_idx

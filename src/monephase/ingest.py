@@ -10,7 +10,8 @@ Validation is total: a malformed input raises a DataError naming file,
 line, and column, and no partial panel is returned. read_artifact checks
 both inputs as it checks every CSV a command reads; the same monthly-table
 reader also reads the pipeline's panel.csv, and table_rows gives the rows
-that the pipeline writes for all three.
+that the pipeline writes for all three; remember holds a table just
+written as the Panel its text parses to.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .csvio import Artifact, Record, parse_float_cell, read_artifact, read_text
+from .csvio import Artifact, Record, parse_float_cell, read_artifact, read_text, read_utf8
 from .errors import DataError
 from .series import MonthIndex, MonthlySeries, Panel, month_labels
 
@@ -31,9 +32,9 @@ CPI = Artifact(None, ("date", "CPI", "CPI_core"))
 
 MonthColumns = Mapping[str, Callable[[int], str]]  # column -> its cell for a year
 
-# ((text, artifact, month_columns), Panel) of the last table parsed: the commands of a chain
-# in one process read one panel.csv in turn, and each after the first takes its Panel from here
-_last: list[tuple[tuple, Panel]] = []
+# artifact -> (text, month_columns, Panel) of the table last parsed as it, or last written and
+# remembered: the commands of a chain in one process read the tables that the one before wrote
+_memo: dict[Artifact, tuple[str, MonthColumns, Panel]] = {}
 
 
 def load_table(path: Path | str, artifact: Artifact, month_columns: MonthColumns = {}) -> Panel:
@@ -41,14 +42,15 @@ def load_table(path: Path | str, artifact: Artifact, month_columns: MonthColumns
 
     Of several bad cells, the first in file order is reported: the earliest
     line, and in it the date, then the columns in header order. A file
-    holding the text last parsed as the same artifact gives that Panel,
-    whose arrays are read-only, without a second parse: the checks depend
-    on the text alone. Each call reads the file once, and no failure is kept.
+    holding the text last parsed as the same artifact, or last written and
+    remembered as it, gives that Panel, whose arrays are read-only, without
+    a parse: the checks depend on the text alone. Each call reads the file
+    once, and no failure is kept.
     """
     path = Path(path)
     text = read_text(path, artifact)
-    if _last and _last[0][0] == (text, artifact, month_columns):
-        return _last[0][1]
+    if (held := _memo.get(artifact)) and held[:2] == (text, month_columns):
+        return held[2]
     _, rows = read_artifact(path, artifact, text)
     try:
         start = MonthIndex.parse(rows[0][0])
@@ -70,8 +72,25 @@ def load_table(path: Path | str, artifact: Artifact, month_columns: MonthColumns
         for name in series:
             rec.parse(name, parse_float_cell)
     panel = Panel(start, len(rows), {name: MonthlySeries(start, v) for name, v in series.items()})
-    _last[:] = [((text, artifact, month_columns), panel)]
+    _memo[artifact] = (text, month_columns, panel)
     return panel
+
+
+def remember(path: Path, artifact: Artifact, panel: Panel, month_columns: MonthColumns = {}):
+    """Hold panel as the table that path, just written from it by table_rows, parses to.
+
+    The key is the file's text as read back. The Panel held has the
+    artifact's columns in header order, each missing month the NaN that a
+    blank cell parses to: write_csv's shortest round-trip floats read back
+    bit for bit, and a MonthlySeries holds no infinity, so a parse of the
+    text would give the same Panel and pass every check.
+    """
+    series = {}
+    for name in artifact.header[1:]:
+        if name not in month_columns:
+            values = panel[name].values
+            series[name] = MonthlySeries(panel.start, np.where(np.isnan(values), np.nan, values))
+    _memo[artifact] = (read_utf8(path), month_columns, Panel(panel.start, panel.length, series))
 
 
 def _numbers(cells: list[str]) -> tuple[np.ndarray | None, int]:

@@ -6,7 +6,9 @@ are written in shortest round-trip form. ARTIFACTS declares every file
 a command writes, once: the command, the header and the preamble keys
 its readers require. Every CSV written here goes through _write with
 that header, and every file one command reads from another is read back
-through csvio.read_artifact, which checks it before any cell is used.
+through csvio.read_artifact, which checks it before any cell is used. A
+monthly table this process wrote is held by ingest as the Panel its text
+parses to, and served unparsed while the file holds that text.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .compartment import CalibrationResult, calibrate, steady_state_phi
 from .config import RunConfig, config_text
 from .csvio import Artifact, Record, parse_float_cell, parse_number, read_artifact, write_csv
 from .errors import ConvergenceError, DataError
-from .ingest import CPI, MONETARY, load_cpi, load_monetary, load_table, table_rows
+from .ingest import CPI, MONETARY, load_cpi, load_monetary, load_table, remember, table_rows
 from .phase import (
     CASH,
     INTERMEDIATE,
@@ -99,6 +101,7 @@ def era_label(year: int) -> str:
     return next((f"{first}-{last}" for first, last in ERAS if first <= year <= last), "")
 
 
+PANEL_FILE = ARTIFACTS["panel.csv"]
 PANEL_MONTH_COLUMNS = {"era": era_label}  # written, not read
 
 
@@ -184,12 +187,19 @@ def build_panel(cfg: RunConfig) -> Panel:
 
 
 def read_panel_csv(path: Path | str) -> Panel:
-    return load_table(path, ARTIFACTS["panel.csv"], PANEL_MONTH_COLUMNS)
+    return load_table(path, PANEL_FILE, PANEL_MONTH_COLUMNS)
+
+
+def _write_table(out: Path, name: str, artifact: Artifact, panel: Panel, month_columns={}) -> Path:
+    """A monthly table, remembered as the Panel that load_table would parse it to."""
+    path = _write(out, name, table_rows(panel, artifact.header, month_columns))
+    remember(path, artifact, panel, month_columns)
+    return path
 
 
 def cmd_transform(cfg: RunConfig) -> list[Path]:
-    rows = table_rows(build_panel(cfg), ARTIFACTS["panel.csv"].header, PANEL_MONTH_COLUMNS)
-    return [_write(_out(cfg), "panel.csv", rows)]
+    panel = build_panel(cfg)
+    return [_write_table(_out(cfg), "panel.csv", PANEL_FILE, panel, PANEL_MONTH_COLUMNS)]
 
 
 def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
@@ -214,7 +224,11 @@ def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
                 if np.isnan(series.restrict(a, b).values).any():
                     warnings.warn(f"series {name} not fully defined on {a}..{b}; skipped")
                     continue
-                res = em.breakpoint(series, (a, b), min_seg=cfg.min_segment)
+                try:
+                    res = em.breakpoint(series, (a, b), min_seg=cfg.min_segment)
+                except DataError as exc:  # a window too short for the segments
+                    setting = f"breaks.min_segment = {cfg.min_segment}"
+                    raise DataError(f"breaks.cluster.{cluster}, {setting}: {exc}") from None
                 rows.append((name, cluster, str(a), str(b), str(res.tau), res.rss, res.tie))
     if not rows:
         raise DataError("no breakpoint window could be scanned; every window was skipped")
@@ -261,7 +275,8 @@ def _lp_tables(cfg: RunConfig, panel: Panel, memo: dict, phases=(CASH, RESERVE))
     plus L and the HAC lag, each horizon computed once. No horizon's
     regression depends on H, so a table for a shorter H is the row prefix
     of a longer one; the memo keeps the longest tables, and a longer H
-    estimates only the horizons they lack.
+    estimates only the horizons they lack. A projection's DataError is
+    raised with its phase and response in front.
     """
     partition = classify(panel["phi"], PhaseThresholds(cfg.cash_max, cfg.reserve_min))
     H, out = cfg.horizon, {}
@@ -278,12 +293,15 @@ def _lp_tables(cfg: RunConfig, panel: Panel, memo: dict, phases=(CASH, RESERVE))
             memo[key] = em.standardize(shock)
         tables = memo.setdefault((*key, cfg.lags, cfg.hac_lag), {})
         if not tables or tables["phi"].horizon < H:
-            tables.update({
-                response: em.local_projection(
-                    panel[response], memo[key], H, cfg.lags, cfg.hac_lag, tables.get(response)
-                )
-                for response in ("pi_core", "phi")
-            })
+            longer = {}
+            for response in ("pi_core", "phi"):
+                try:
+                    longer[response] = em.local_projection(
+                        panel[response], memo[key], H, cfg.lags, cfg.hac_lag, tables.get(response)
+                    )
+                except DataError as exc:
+                    raise DataError(f"{label} {response}: {exc}") from None
+            tables.update(longer)
         out.update({(label, response): table.head(H) for response, table in tables.items()})
     return partition, out
 
@@ -547,8 +565,8 @@ def write_economy(out: Path, panel: Panel, truth: GroundTruth) -> list[Path]:
     """A synthetic economy's monetary.csv and cpi.csv, and its ground_truth.csv, in out."""
     out.mkdir(parents=True, exist_ok=True)
     return [
-        _write(out, "monetary.csv", table_rows(panel, MONETARY.header)),
-        _write(out, "cpi.csv", table_rows(panel, CPI.header)),
+        _write_table(out, "monetary.csv", MONETARY, panel),
+        _write_table(out, "cpi.csv", CPI, panel),
         _write(out, "ground_truth.csv", ground_truth_rows(truth)),
     ]
 

@@ -244,6 +244,24 @@ class TestConfig:
         with pytest.raises(DataError, match="^window '2010-01:2000-01' of breaks.cluster.x ends"):
             RunConfig(clusters={"x": [(MonthIndex(2010, 1), MonthIndex(2000, 1))]})
 
+    @pytest.mark.parametrize("command", ["synth", "fit-phase"])
+    def test_reversed_tanh_window_refused_before_writing(
+        self, default_chain, tmp_path, capsys, command
+    ):
+        shutil.copy(default_chain[0] / "panel.csv", tmp_path / "panel.csv")
+        out = tmp_path / "out" if command == "synth" else tmp_path
+        window = ["--set", "tanh.window_start=2018-01", "--set", "tanh.window_end=2010-06"]
+        assert main([command, "--out", str(out), *window]) == 1
+        problem = "tanh.window_start 2018-01 is after tanh.window_end 2010-06"
+        assert capsys.readouterr().err == f"monephase: error: {problem}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
+        config = tmp_path / "run.conf"
+        config.write_text("tanh.window_start = 2018-01\ntanh.window_end = 2010-06\n")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{config}: {problem}')}$"):
+            parse_config(config)
+        with pytest.raises(DataError, match=f"^{re.escape(problem)}$"):
+            RunConfig(tanh_start=MonthIndex(2018, 1), tanh_end=MonthIndex(2010, 6))
+
     def test_set_overrides_stay_last_wins(self):
         assert apply_overrides(RunConfig(), ["seed=2", "seed=3"]).seed == 3
 
@@ -255,14 +273,15 @@ class TestConfig:
 
     @given(
         st.builds(
-            RunConfig,
+            lambda tanh_window, **values: RunConfig(
+                tanh_start=tanh_window[0], tanh_end=tanh_window[1], **values
+            ),
+            tanh_window=st.tuples(MONTHS, MONTHS).map(sorted),
             monetary_path=PATHS,
             cpi_path=PATHS,
             out_dir=PATHS,
             cash_max=st.floats(0.01, 0.49),
             reserve_min=st.floats(0.51, 0.99),
-            tanh_start=MONTHS,
-            tanh_end=MONTHS,
             shock_kind=st.sampled_from(("ar_resid", "detrended")),
             shock_p=st.integers(1, 36),
             horizon=st.integers(0, 60),
@@ -404,6 +423,17 @@ class TestBreakpoints:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "breaks.min_segment must be positive, got 0" in err and "Traceback" not in err
+        assert not (tmp_path / "breakpoints.csv").exists()
+
+    def test_window_too_short_names_its_cluster_and_min_segment(
+        self, default_chain, tmp_path, capsys
+    ):
+        shutil.copy(default_chain[0] / "panel.csv", tmp_path / "panel.csv")
+        assert main(["breakpoints", "--out", str(tmp_path), "--set", "breaks.min_segment=40"]) == 1
+        assert capsys.readouterr().err == (
+            "monephase: error: breaks.cluster.2013, breaks.min_segment = 40: "
+            "window 2011-01..2016-12 has 72 months, needs at least 80\n"
+        )
         assert not (tmp_path / "breakpoints.csv").exists()
 
     def test_out_of_range_window_warns_not_aborts(self, econ_dir, tmp_path):
@@ -620,7 +650,7 @@ class TestIrfCommand:
         argv = ["irf", "--out", str(tmp_path), "--robustness", "--set", "shock.kind=detrended"]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "robustness variant thresholds_0.25_0.65: horizon h=10" in err
+        assert "robustness variant thresholds_0.25_0.65: reserve pi_core: horizon h=10" in err
         assert "Traceback" not in err
         assert not (tmp_path / "IRF_robustness.csv").exists()
 
@@ -638,9 +668,25 @@ class TestIrfCommand:
         capsys.readouterr()
         assert main(["irf", "--out", str(tmp_path), "--robustness"]) == 1
         err = capsys.readouterr().err
-        assert "robustness variant H_36: horizon h=32: only 26 usable rows (need > 26)" in err
+        assert (
+            "robustness variant H_36: reserve pi_core: horizon h=32: only 26 usable rows (need > 26)"
+            in err
+        )
         assert not (tmp_path / "IRF_robustness.csv").exists()
         assert all((tmp_path / name).read_bytes() == b for name, b in baseline.items())
+
+    @pytest.mark.parametrize(
+        "setting, problem",
+        [
+            ("lp.horizon=150", "horizon h=98: only 26 usable rows (need > 26)"),
+            ("lp.hac_lag=200", "max_lag 200 must be below the sample size 124"),
+        ],
+    )
+    def test_lp_errors_name_the_table(self, default_chain, tmp_path, capsys, setting, problem):
+        shutil.copy(default_chain[0] / "panel.csv", tmp_path / "panel.csv")
+        assert main(["irf", "--out", str(tmp_path), "--set", setting]) == 1
+        assert capsys.readouterr().err == f"monephase: error: reserve pi_core: {problem}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
 
     def test_phase_means_written(self, irf_out):
         out, cfg, spec = irf_out
@@ -716,7 +762,7 @@ class TestLandauCommand:
 
 
 class TestPanelMemo:
-    """Within one process, a panel.csv whose text was the last table parsed is not parsed again."""
+    """Within one process, a monthly table whose text was last parsed or written is not parsed."""
 
     def test_keyed_by_content_not_by_size_or_mtime(self, econ_dir, tmp_path, capsys):
         out, _, _ = econ_dir
@@ -749,7 +795,7 @@ class TestPanelMemo:
         assert capsys.readouterr().err == f"monephase: error: {message}\n"
         path.write_text(text)
         again = read_panel_csv(path)
-        ingest._last.clear()
+        ingest._memo.clear()
         fresh = read_panel_csv(path)
         for panel in (first, again):
             assert (panel.start, panel.length, list(panel.series)) == (
@@ -773,9 +819,10 @@ class TestPanelMemo:
         assert first() is None
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # windows outside the data
-    def test_one_parse_per_chain(self, econ_dir, tmp_path, monkeypatch):
-        # transform parses both inputs; breakpoints, fit-phase and irf read one panel.csv
-        _, cfg, _ = econ_dir
+    def test_one_parse_per_chain(self, tmp_path, monkeypatch):
+        # each table a command reads was written by the one before: none is parsed; with
+        # the memo emptied before each command, transform parses both inputs, and
+        # breakpoints, fit-phase and irf each parse panel.csv
         columns = []
         numbers = ingest._numbers
 
@@ -786,20 +833,73 @@ class TestPanelMemo:
         monkeypatch.setattr(ingest, "_numbers", spy)
         inputs = len(ARTIFACTS["monetary.csv"].header) + len(ARTIFACTS["cpi.csv"].header) - 2
         panel = len(ARTIFACTS["panel.csv"].header) - 2  # no date, no era
-        for run, parses in (("memo", 1), ("emptied", 3)):
+        for run, parsed in (("memo", 0), ("emptied", inputs + 3 * panel)):
             columns.clear()
+            out = tmp_path / run
+            assert main(["synth", "--out", str(out), "--set", "synth.months=240"]) == 0
             for command in ("transform", "breakpoints", "fit-phase", "irf"):
                 if run == "emptied":
-                    ingest._last.clear()
-                argv = [command, "--monetary", cfg.monetary_path, "--cpi", cfg.cpi_path]
-                assert main([*argv, "--out", str(tmp_path / run)]) == 0
-            assert len(columns) == inputs + parses * panel
+                    ingest._memo.clear()
+                assert main([command, "--config", str(out / "synthetic_config.txt")]) == 0
+            assert len(columns) == parsed
         files = sorted(path.name for path in (tmp_path / "memo").iterdir())
         assert files == sorted(path.name for path in (tmp_path / "emptied").iterdir())
-        for name in files:
-            assert (tmp_path / "memo" / name).read_bytes() == (
-                tmp_path / "emptied" / name
-            ).read_bytes()
+        for name in files:  # synthetic_config.txt names its own directory
+            memo = (tmp_path / "memo" / name).read_text()
+            memo = memo.replace(str(tmp_path / "memo"), str(tmp_path / "emptied"))
+            assert memo == (tmp_path / "emptied" / name).read_text()
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # windows outside the data
+    @pytest.mark.parametrize("months", [240, 612, 2400])
+    def test_written_tables_equal_their_parse(self, tmp_path, months):
+        assert main(["synth", "--out", str(tmp_path), "--set", f"synth.months={months}"]) == 0
+        assert main(["transform", "--config", str(tmp_path / "synthetic_config.txt")]) == 0
+        readers = {
+            "monetary.csv": ingest.load_monetary,
+            "cpi.csv": ingest.load_cpi,
+            "panel.csv": read_panel_csv,
+        }
+        served = {name: read(tmp_path / name) for name, read in readers.items()}
+        ingest._memo.clear()
+        for name, read in readers.items():
+            fresh = read(tmp_path / name)
+            assert fresh is not served[name]
+            assert (served[name].start, served[name].length, list(served[name].series)) == (
+                fresh.start, fresh.length, list(fresh.series)
+            )
+            assert fresh.length == months
+            for column, series in fresh.series.items():
+                values = served[name][column].values
+                assert values.tobytes() == series.values.tobytes()
+                assert not values.flags.writeable
+
+    def test_written_file_edited_is_parsed_and_checked(self, tmp_path, capsys):
+        # edited with the same size and mtime as written, a table is parsed and checked anew
+        assert main(["synth", "--out", str(tmp_path), "--set", "synth.months=240"]) == 0
+        config = str(tmp_path / "synthetic_config.txt")
+        assert main(["transform", "--config", config]) == 0
+
+        def edit(path, line: int, column: int, cell) -> str:  # cell(old) keeps the length
+            stat, lines = path.stat(), path.read_text().split("\n")
+            cells = lines[line - 1].split(",")
+            cells[column] = cell(cells[column])
+            path.write_text("\n".join([*lines[: line - 1], ",".join(cells), *lines[line:]]))
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            now = path.stat()
+            assert (now.st_size, now.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+            return cells[column]
+
+        bad = edit(tmp_path / "panel.csv", 51, 1, lambda cell: "x" * len(cell))  # MB of row 49
+        message = f"{tmp_path / 'panel.csv'}:51: cannot parse MB {bad!r}; rerun the transform command"
+        with pytest.raises(DataError) as exc:
+            read_panel_csv(tmp_path / "panel.csv")
+        assert str(exc.value) == message
+        capsys.readouterr()
+        assert main(["fit-phase", "--config", config]) == 1
+        assert capsys.readouterr().err == f"monephase: error: {message}\n"
+        edit(tmp_path / "cpi.csv", 2, 1, lambda cell: "-" + cell[1:])  # CPI of the first month
+        with pytest.raises(DataError, match="column CPI: index numbers must be positive"):
+            ingest.load_cpi(tmp_path / "cpi.csv")
 
 
 class TestReport:
