@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DataError
 
@@ -52,8 +52,8 @@ def write_csv(
     preamble: Sequence[tuple[str, object]] = (),
 ) -> Path:
     """Write a comma-delimited UTF-8 file after a '# key: value' preamble, formatting
-    WRITE_BLOCK rows at a time, a column at a time. A row of other than one cell per
-    header column raises ValueError, and nothing is written."""
+    WRITE_BLOCK rows at a time, a column at a time, and make its directory. A row of
+    other than one cell per header column raises ValueError, and nothing is written."""
     path = Path(path)
     lines = [f"# {key}: {fmt(value)}" for key, value in preamble]
     text, rows = ["\n".join([*lines, ",".join(header)])], iter(rows)
@@ -65,6 +65,7 @@ def write_csv(
         ]
         text.append("\n".join(map(",".join, zip(*columns))))
     text = "\n".join([*text, ""])  # frees the blocks before the text is encoded
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
     return path
 
@@ -133,6 +134,8 @@ class Artifact:
     command: str | None  # the command that writes it; None for an input file
     header: tuple[str, ...]  # empty for a file that is not a CSV
     preamble: tuple[str, ...] = ()  # keys its readers require
+    # a monthly table's (column, its cell for a year) pairs: written from the date, never read
+    by_year: tuple[tuple[str, Callable[[int], str]], ...] = ()
 
     @property
     def rerun(self) -> str:

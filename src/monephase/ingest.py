@@ -9,16 +9,15 @@ unambiguous. Monetary quantities are in 100 million yen; CPI columns are
 Validation is total: a malformed input raises a DataError naming file,
 line, and column, and no partial panel is returned. read_artifact checks
 both inputs as it checks every CSV a command reads; the same monthly-table
-reader also reads the pipeline's panel.csv, and table_rows gives the rows
-that the pipeline writes for all three; remember holds a table just
-written as the Panel its text parses to.
+reader also reads the pipeline's panel.csv. A table's Artifact declares
+its shape, once: table_rows gives the rows the pipeline writes for it,
+and remember holds a table just written as the Panel its text parses to.
 """
 
 from __future__ import annotations
 
 import warnings
 from pathlib import Path
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -30,27 +29,25 @@ MONETARY = Artifact(None, ("date", "MB", "BN", "CO", "RB", "MB_SA"))
 CPI = Artifact(None, ("date", "CPI", "CPI_core"))
 
 
-MonthColumns = Mapping[str, Callable[[int], str]]  # column -> its cell for a year
-
-# artifact -> (text, month_columns, Panel) of the table last parsed as it, or last written and
-# remembered: the commands of a chain in one process read the tables that the one before wrote
-_memo: dict[Artifact, tuple[str, MonthColumns, Panel]] = {}
+# header -> (text, Panel) of the table of that shape last parsed, or written and remembered,
+# under any declaration: a chain in one process reads the tables that the command before wrote
+_memo: dict[tuple[str, ...], tuple[str, Panel]] = {}
 
 
-def load_table(path: Path | str, artifact: Artifact, month_columns: MonthColumns = {}) -> Panel:
-    """Read a monthly table a column at a time; month_columns, derived from the date, are not read.
+def load_table(path: Path | str, artifact: Artifact) -> Panel:
+    """Read a monthly table a column at a time; its by_year columns, from the date, are not read.
 
     Of several bad cells, the first in file order is reported: the earliest
     line, and in it the date, then the columns in header order. A file
-    holding the text last parsed as the same artifact, or last written and
-    remembered as it, gives that Panel, whose arrays are read-only, without
+    holding the text last parsed with the same header, or last written and
+    remembered with it, gives that Panel, whose arrays are read-only, without
     a parse: the checks depend on the text alone. Each call reads the file
     once, and no failure is kept.
     """
     path = Path(path)
     text = read_text(path, artifact)
-    if (held := _memo.get(artifact)) and held[:2] == (text, month_columns):
-        return held[2]
+    if (held := _memo.get(artifact.header)) and held[0] == text:
+        return held[1]
     _, rows = read_artifact(path, artifact, text)
     try:
         start = MonthIndex.parse(rows[0][0])
@@ -58,9 +55,9 @@ def load_table(path: Path | str, artifact: Artifact, month_columns: MonthColumns
         raise Record(path, artifact, rows[0]).error(f"cannot parse date {rows[0][0]!r}") from None
     dates = month_labels(start, len(rows))  # each date must be the month after the one above it
     bad = next((i for i, row in enumerate(rows) if row[0].strip() != dates[i]), len(rows))
-    series = {}
+    series, by_year = {}, dict(artifact.by_year)
     for j, name in enumerate(artifact.header):
-        if j and name not in month_columns:
+        if j and name not in by_year:
             series[name], first_bad = _numbers([row[j] for row in rows])
             bad = min(bad, first_bad)
     if bad < len(rows):  # raise through that row's Record; the rows above it are sound
@@ -72,25 +69,25 @@ def load_table(path: Path | str, artifact: Artifact, month_columns: MonthColumns
         for name in series:
             rec.parse(name, parse_float_cell)
     panel = Panel(start, len(rows), {name: MonthlySeries(start, v) for name, v in series.items()})
-    _memo[artifact] = (text, month_columns, panel)
+    _memo[artifact.header] = (text, panel)
     return panel
 
 
-def remember(path: Path, artifact: Artifact, panel: Panel, month_columns: MonthColumns = {}):
+def remember(path: Path, artifact: Artifact, panel: Panel):
     """Hold panel as the table that path, just written from it by table_rows, parses to.
 
-    The key is the file's text as read back. The Panel held has the
-    artifact's columns in header order, each missing month the NaN that a
-    blank cell parses to: write_csv's shortest round-trip floats read back
-    bit for bit, and a MonthlySeries holds no infinity, so a parse of the
-    text would give the same Panel and pass every check.
+    It is served for the file's text as read back. The Panel held has the
+    artifact's read columns in header order, each missing month the NaN
+    that a blank cell parses to: write_csv's shortest round-trip floats
+    read back bit for bit, and a MonthlySeries holds no infinity, so a
+    parse of the text would give the same Panel and pass every check.
     """
-    series = {}
+    series, by_year = {}, dict(artifact.by_year)
     for name in artifact.header[1:]:
-        if name not in month_columns:
+        if name not in by_year:
             values = panel[name].values
             series[name] = MonthlySeries(panel.start, np.where(np.isnan(values), np.nan, values))
-    _memo[artifact] = (read_utf8(path), month_columns, Panel(panel.start, panel.length, series))
+    _memo[artifact.header] = (read_utf8(path), Panel(panel.start, panel.length, series))
 
 
 def _numbers(cells: list[str]) -> tuple[np.ndarray | None, int]:
@@ -143,11 +140,12 @@ def load_cpi(path: Path | str) -> Panel:
     return panel
 
 
-def table_rows(panel: Panel, columns: tuple[str, ...], month_columns: MonthColumns = {}):
-    """The rows of a monthly table; month_columns cells are computed from the year."""
+def table_rows(panel: Panel, artifact: Artifact):
+    """The rows of artifact's monthly table; its by_year cells are computed from the year."""
     years = [o // 12 for o in range(panel.start.ordinal, panel.start.ordinal + panel.length)]
+    by_year = dict(artifact.by_year)
     cells = [month_labels(panel.start, panel.length)] + [
-        list(map(month_columns[n], years)) if n in month_columns else panel[n].values.tolist()
-        for n in columns[1:]
+        list(map(by_year[n], years)) if n in by_year else panel[n].values.tolist()
+        for n in artifact.header[1:]
     ]
     return zip(*cells)

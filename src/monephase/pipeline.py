@@ -3,10 +3,11 @@
 Identical inputs produce byte-identical outputs: seeds are fixed in the
 config, CSV row order is fixed (phase first, then horizon), and floats
 are written in shortest round-trip form. ARTIFACTS declares every file
-a command writes, once: the command, the header and the preamble keys
-its readers require. Every CSV written here goes through _write with
-that header, and every file one command reads from another is read back
-through csvio.read_artifact, which checks it before any cell is used. A
+a command writes, once: the command, the header, the preamble keys its
+readers require and a monthly table's by_year columns. Every CSV written
+here goes through _write with that header, and only a write makes the
+output directory. Every file one command reads from another is read
+back through read_artifact, which checks it before any cell is used. A
 monthly table this process wrote is held by ingest as the Panel its text
 parses to, and served unparsed while the file holds that text.
 """
@@ -43,6 +44,14 @@ IRF_PHI_FILE = "IRF_J7_phi.csv"
 IRF_FILES = {"pi_core": IRF_PI_FILE, "phi": IRF_PHI_FILE}  # each response's file
 SUMMARY_FILE = "critical_point_summary.csv"
 
+ERAS = ((1971, 1989), (1990, 2012), (2013, 2021), (2022, 2026))  # of Japan's record
+
+
+def era_label(year: int) -> str:
+    """The era a year falls in, as 1990-2012; empty, a missing cell, outside 1971-2026."""
+    return next((f"{first}-{last}" for first, last in ERAS if first <= year <= last), "")
+
+
 IRF_FILE = Artifact(
     "irf", ("phase", *em.IRF_COLUMNS), ("response_variable", "shock_definition", "H", "L")
 )
@@ -55,6 +64,7 @@ ARTIFACTS = {
         "transform",
         ("date", "MB", "BN", "CO", "RB", "MB_SA", "CPI", "CPI_core", "phi", "pi")
         + ("pi_core", "g_mb", "idx_MB_SA", "idx_CPI", "idx_CPI_core", "era"),
+        by_year=(("era", era_label),),
     ),
     "breakpoints.csv": Artifact(
         "breakpoints", ("series", "cluster", "window_start", "window_end", "tau", "rss", "tie")
@@ -93,16 +103,6 @@ ARTIFACTS = {
     ),
     "report.txt": Artifact("report", ()),
 }
-ERAS = ((1971, 1989), (1990, 2012), (2013, 2021), (2022, 2026))  # of Japan's record
-
-
-def era_label(year: int) -> str:
-    """The era a year falls in, as 1990-2012; empty, a missing cell, outside 1971-2026."""
-    return next((f"{first}-{last}" for first, last in ERAS if first <= year <= last), "")
-
-
-PANEL_FILE = ARTIFACTS["panel.csv"]
-PANEL_MONTH_COLUMNS = {"era": era_label}  # written, not read
 
 
 def _month_fraction(cell: str) -> tuple[MonthIndex, float]:
@@ -161,12 +161,6 @@ def _both_phases(out: Path, name: str) -> dict[str, Record]:
     return {phase: by_phase[phase][0] for phase in (CASH, RESERVE)}
 
 
-def _out(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def build_panel(cfg: RunConfig) -> Panel:
     """Load both inputs, merge, and attach every derived series."""
     if not cfg.monetary_path or not cfg.cpi_path:
@@ -187,24 +181,24 @@ def build_panel(cfg: RunConfig) -> Panel:
 
 
 def read_panel_csv(path: Path | str) -> Panel:
-    return load_table(path, PANEL_FILE, PANEL_MONTH_COLUMNS)
+    return load_table(path, ARTIFACTS["panel.csv"])
 
 
-def _write_table(out: Path, name: str, artifact: Artifact, panel: Panel, month_columns={}) -> Path:
+def _write_table(out: Path, name: str, panel: Panel) -> Path:
     """A monthly table, remembered as the Panel that load_table would parse it to."""
-    path = _write(out, name, table_rows(panel, artifact.header, month_columns))
-    remember(path, artifact, panel, month_columns)
+    path = _write(out, name, table_rows(panel, ARTIFACTS[name]))
+    remember(path, ARTIFACTS[name], panel)
     return path
 
 
 def cmd_transform(cfg: RunConfig) -> list[Path]:
-    panel = build_panel(cfg)
-    return [_write_table(_out(cfg), "panel.csv", PANEL_FILE, panel, PANEL_MONTH_COLUMNS)]
+    return [_write_table(Path(cfg.out_dir), "panel.csv", build_panel(cfg))]
 
 
 def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
     """Two-segment break search per (series, window) over the config clusters."""
-    panel = read_panel_csv(_out(cfg) / "panel.csv")
+    out = Path(cfg.out_dir)
+    panel = read_panel_csv(out / "panel.csv")
     mb_sa = panel["MB_SA"].values
     if (mb_sa[~np.isnan(mb_sa)] <= 0).any():
         raise DataError("MB_SA must be positive to take logs")
@@ -233,14 +227,18 @@ def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
     if not rows:
         raise DataError("no breakpoint window could be scanned; every window was skipped")
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return [_write(_out(cfg), "breakpoints.csv", rows)]
+    return [_write(out, "breakpoints.csv", rows)]
 
 
 def cmd_fit_phase(cfg: RunConfig) -> list[Path]:
-    panel = read_panel_csv(_out(cfg) / "panel.csv")
+    out = Path(cfg.out_dir)
+    panel = read_panel_csv(out / "panel.csv")
+    for key, month in (("tanh.window_start", cfg.tanh_start), ("tanh.window_end", cfg.tanh_end)):
+        if not panel.start <= month <= panel.end:
+            raise DataError(f"{key} {month} is outside the data {panel.start}..{panel.end}")
     fit = fit_tanh(panel["phi"], (cfg.tanh_start, cfg.tanh_end))
     path = _write(
-        _out(cfg),
+        out,
         "tanh_fit.csv",
         [
             (
@@ -382,10 +380,10 @@ def _robustness_variants(cfg: RunConfig) -> list[tuple[str, RunConfig]]:
 
 
 def cmd_irf(cfg: RunConfig) -> list[Path]:
-    panel = read_panel_csv(_out(cfg) / "panel.csv")
+    out = Path(cfg.out_dir)
+    panel = read_panel_csv(out / "panel.csv")
     memo: dict = {}  # shared by the baseline, the diagnostic and the sweep
     partition, tables = _lp_tables(cfg, panel, memo)
-    out = _out(cfg)
     written = write_irfs(out, cfg, tables)
     phi_bar_cash, phi_bar_reserve = phase_means(panel["phi"], partition)
     written.append(
@@ -433,7 +431,7 @@ def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Pa
 
 
 def cmd_calibrate(cfg: RunConfig) -> list[Path]:
-    out = _out(cfg)
+    out = Path(cfg.out_dir)
     tables = read_irfs(out, cfg)
     means = _both_phases(out, "phase_means.csv")
     result = calibrate(tables, {phase: rec.parse("phi_bar") for phase, rec in means.items()})
@@ -511,7 +509,7 @@ def _calibration(out: Path) -> tuple[dict, Record]:
 
 
 def cmd_landau(cfg: RunConfig) -> list[Path]:
-    out = _out(cfg)
+    out = Path(cfg.out_dir)
     phi_c = cfg.landau_phi_c
     if phi_c is None:
         try:
@@ -551,7 +549,7 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_efficiency(cfg: RunConfig) -> list[Path]:
-    out = _out(cfg)
+    out = Path(cfg.out_dir)
     tables = read_irfs(out, cfg)  # each holds h = 0..cfg.horizon
     # reservation efficiency (phi) and CPI-transmission efficiency (pi_core): the peak |beta|
     rows = [
@@ -563,10 +561,9 @@ def cmd_efficiency(cfg: RunConfig) -> list[Path]:
 
 def write_economy(out: Path, panel: Panel, truth: GroundTruth) -> list[Path]:
     """A synthetic economy's monetary.csv and cpi.csv, and its ground_truth.csv, in out."""
-    out.mkdir(parents=True, exist_ok=True)
     return [
-        _write_table(out, "monetary.csv", MONETARY, panel),
-        _write_table(out, "cpi.csv", CPI, panel),
+        _write_table(out, "monetary.csv", panel),
+        _write_table(out, "cpi.csv", panel),
         _write(out, "ground_truth.csv", ground_truth_rows(truth)),
     ]
 
@@ -584,7 +581,7 @@ def cmd_synth(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_report(cfg: RunConfig) -> list[Path]:
-    out = _out(cfg)
+    out = Path(cfg.out_dir)
     tanh = _one_row(out, "tanh_fit.csv")[1]
     if not tanh.parse("converged", _flag):
         raise _error(out / "tanh_fit.csv", "tanh fit did not converge")

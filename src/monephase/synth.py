@@ -215,13 +215,14 @@ def two_compartment_spec(
 
 def default_spec(seed: int = 1, months: int = 612) -> SynthSpec:
     """Default economy on the Japan-like calendar: it ends 2025-12 at any length (612 months
-    start 1975-01), so the transition around 2013-04 stays in sample. It starts no earlier
-    than 0000-01, the first month a date cell can hold."""
-    end = MonthIndex(2025, 12)
+    start 1975-01) and starts no later than the transition, 2013-04, so that it stays in
+    sample. It starts no earlier than 0000-01, the first month a date cell can hold."""
+    end, t0 = MonthIndex(2025, 12), MonthIndex(2013, 4)
+    if months < (least := end - t0 + 1):
+        raise DataError(f"synth.months must be at least {least} ({t0} to {end}), got {months}")
     if months > (most := end.ordinal + 1):
         raise DataError(f"synth.months must be at most {most} (0000-01 to {end}), got {months}")
-    start = end - (months - 1)
-    return two_compartment_spec(seed=seed, months=months, start=start, t0=MonthIndex(2013, 4))
+    return two_compartment_spec(seed=seed, months=months, start=end - (months - 1), t0=t0)
 
 
 def _join(values) -> str:

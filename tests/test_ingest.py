@@ -173,7 +173,7 @@ def test_monetary_roundtrip_bit_exact(tmp_path_factory, values, year, month):
         },
     )
     path = tmp_path_factory.mktemp("rt") / "m.csv"
-    write_csv(path, MONETARY.header, table_rows(panel, MONETARY.header))
+    write_csv(path, MONETARY.header, table_rows(panel, MONETARY))
     assert load_monetary(path) == panel
 
 
@@ -188,5 +188,5 @@ def test_cpi_roundtrip_bit_exact(tmp_path_factory, values):
         {name: MonthlySeries(start, values) for name in ("CPI", "CPI_core")},
     )
     path = tmp_path_factory.mktemp("rt") / "c.csv"
-    write_csv(path, CPI.header, table_rows(panel, CPI.header))
+    write_csv(path, CPI.header, table_rows(panel, CPI))
     assert load_cpi(path) == panel

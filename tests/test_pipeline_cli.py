@@ -111,6 +111,18 @@ class TestConfig:
         cfg2 = apply_overrides(cfg, ["lp.horizon=36", "shock.kind=detrended"])
         assert cfg2.horizon == 36 and cfg2.shock_kind == "detrended"
 
+    def test_cluster_keys_of_a_file_replace_the_defaults_and_a_set_adds_one(self, tmp_path):
+        # a config file that names any cluster keeps only the clusters it names, while
+        # --set breaks.cluster.<name> replaces or adds that one cluster of the config
+        path = tmp_path / "run.conf"
+        path.write_text(f"breaks.cluster.2013 = {DEFAULT_CLUSTERS['2013']}\n")
+        assert list(parse_config(path).clusters) == ["2013"]
+        cfg = apply_overrides(RunConfig(), [f"breaks.cluster.2013={DEFAULT_CLUSTERS['2013']}"])
+        assert list(cfg.clusters) == ["1990", "2013", "2022"]
+        cfg = apply_overrides(RunConfig(), ["breaks.cluster.2013=2009-01:2018-12"])
+        assert [str(a) for a, _ in cfg.clusters["2013"]] == ["2009-01"]
+        assert cfg.clusters["1990"] == RunConfig().clusters["1990"]
+
     def test_hash_starts_a_comment_only_after_whitespace(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text(
@@ -1012,6 +1024,52 @@ class TestCli:
         assert "synth.months must be at most 24312" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("months", [152, 0, -5])
+    def test_synth_months_before_the_transition_refused_before_writing(
+        self, tmp_path, capsys, months
+    ):
+        # the economy ends 2025-12 and must hold its transition, 2013-04: 153 months at least
+        out = tmp_path / "run"
+        assert main(["synth", "--out", str(out), "--set", f"synth.months={months}"]) == 1
+        err = capsys.readouterr().err
+        least = "synth.months must be at least 153 (2013-04 to 2025-12)"
+        assert err == f"monephase: error: {least}, got {months}\n"
+        assert not out.exists()
+
+    def test_synth_months_from_the_transition_accepted(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path), "--set", "synth.months=153"]) == 0
+        assert (tmp_path / "monetary.csv").read_text().split("\n")[1].startswith("2013-04,")
+
+    @pytest.mark.parametrize("key", ["tanh.window_start", "tanh.window_end"])
+    def test_tanh_window_outside_the_data_names_its_key(
+        self, default_chain, tmp_path, capsys, key
+    ):
+        shutil.copy(default_chain[0] / "panel.csv", tmp_path / "panel.csv")
+        month = {"tanh.window_start": "1970-01", "tanh.window_end": "2030-01"}[key]
+        assert main(["fit-phase", "--out", str(tmp_path), "--set", f"{key}={month}"]) == 1
+        problem = f"{key} {month} is outside the data 1975-01..2025-12"
+        assert capsys.readouterr().err == f"monephase: error: {problem}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["panel.csv"]
+
+    @pytest.mark.parametrize(
+        "command, upstream",
+        [("breakpoints", "panel.csv"), ("fit-phase", "panel.csv"), ("irf", "panel.csv"),
+         ("calibrate", IRF_PI_FILE), ("landau", SUMMARY_FILE), ("efficiency", IRF_PI_FILE),
+         ("report", "tanh_fit.csv")],
+    )
+    def test_failing_reader_makes_no_directory(self, tmp_path, capsys, command, upstream):
+        out = tmp_path / "fresh"
+        assert main([command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"missing upstream {out / upstream}: run the " in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_landau_with_phi_c_set_makes_its_directory(self, tmp_path):
+        out = tmp_path / "fresh"
+        assert main(["landau", "--set", "landau.phi_c=0.3", "--out", str(out)]) == 0
+        declared = sorted(name for name, a in ARTIFACTS.items() if a.command == "landau")
+        assert sorted(path.name for path in out.iterdir()) == declared and len(declared) == 4
+
     @pytest.mark.parametrize(
         "months, commands",
         [(612, ("transform", "irf")), (2400, CHAIN_COMMANDS)],
@@ -1581,6 +1639,22 @@ class TestUpstreamArtifacts:
                     stray.append(f"{path.name}:{node.lineno}")
         assert stray == []
         assert [getattr(call.func, "id", None) for call in calls] == ["write_csv"]
+
+    def test_only_write_csv_makes_a_directory(self):
+        # a command makes its output directory only by writing a file into it, so one that
+        # fails before it writes leaves no directory behind
+        stray = []
+        for path in sorted(Path(pipeline.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = set()
+            if path.stem == "csvio":
+                body = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+                allowed = {id(node) for node in ast.walk(body["write_csv"])}
+            for node in ast.walk(tree):
+                names = (getattr(node, a, None) for a in ("id", "attr", "name"))
+                if ("mkdir" in names or "makedirs" in names) and id(node) not in allowed:
+                    stray.append(f"{path.name}:{node.lineno}")
+        assert stray == []
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_upstream_exit_code(self, default_chain, tmp_path, capsys, case):
