@@ -12,6 +12,8 @@ both inputs as it checks every CSV a command reads; the same monthly-table
 reader also reads the pipeline's panel.csv. A table's Artifact declares
 its shape, once: table_rows gives the rows the pipeline writes for it,
 and remember holds a table just written as the Panel its text parses to.
+The process holds each table's Panel with the length and hash of its
+text, not the text.
 """
 
 from __future__ import annotations
@@ -29,9 +31,14 @@ MONETARY = Artifact(None, ("date", "MB", "BN", "CO", "RB", "MB_SA"))
 CPI = Artifact(None, ("date", "CPI", "CPI_core"))
 
 
-# header -> (text, Panel) of the table of that shape last parsed, or written and remembered,
-# under any declaration: a chain in one process reads the tables that the command before wrote
-_memo: dict[tuple[str, ...], tuple[str, Panel]] = {}
+# header -> ((length, hash) of its text, Panel) of the table of that shape last parsed, or written
+# and remembered, under any declaration: a chain in one process reads the tables the command before
+# wrote. A stale table needs two texts of one length whose per-process 64-bit str hashes collide.
+_memo: dict[tuple[str, ...], tuple[tuple[int, int], Panel]] = {}
+
+
+def _fingerprint(text: str) -> tuple[int, int]:
+    return len(text), hash(text)
 
 
 def load_table(path: Path | str, artifact: Artifact) -> Panel:
@@ -39,14 +46,14 @@ def load_table(path: Path | str, artifact: Artifact) -> Panel:
 
     Of several bad cells, the first in file order is reported: the earliest
     line, and in it the date, then the columns in header order. A file
-    holding the text last parsed with the same header, or last written and
-    remembered with it, gives that Panel, whose arrays are read-only, without
-    a parse: the checks depend on the text alone. Each call reads the file
-    once, and no failure is kept.
+    whose text has the length and hash of the text last parsed with the same
+    header, or last written and remembered with it, gives that Panel, whose
+    arrays are read-only, without a parse: the checks depend on the text
+    alone. Each call reads the file once; no text and no failure is kept.
     """
     path = Path(path)
     text = read_text(path, artifact)
-    if (held := _memo.get(artifact.header)) and held[0] == text:
+    if (held := _memo.get(artifact.header)) and held[0] == _fingerprint(text):
         return held[1]
     _, rows = read_artifact(path, artifact, text)
     try:
@@ -69,25 +76,27 @@ def load_table(path: Path | str, artifact: Artifact) -> Panel:
         for name in series:
             rec.parse(name, parse_float_cell)
     panel = Panel(start, len(rows), {name: MonthlySeries(start, v) for name, v in series.items()})
-    _memo[artifact.header] = (text, panel)
+    _memo[artifact.header] = (_fingerprint(text), panel)
     return panel
 
 
 def remember(path: Path, artifact: Artifact, panel: Panel):
     """Hold panel as the table that path, just written from it by table_rows, parses to.
 
-    It is served for the file's text as read back. The Panel held has the
-    artifact's read columns in header order, each missing month the NaN
-    that a blank cell parses to: write_csv's shortest round-trip floats
-    read back bit for bit, and a MonthlySeries holds no infinity, so a
-    parse of the text would give the same Panel and pass every check.
+    It is served for a text of the length and hash of the file's text as
+    read back, which is not kept. The Panel held has the artifact's read
+    columns in header order, each missing month the NaN that a blank cell
+    parses to: write_csv's shortest round-trip floats read back bit for
+    bit, and a MonthlySeries holds no infinity, so a parse of the text
+    would give the same Panel and pass every check.
     """
     series, by_year = {}, dict(artifact.by_year)
     for name in artifact.header[1:]:
         if name not in by_year:
             values = panel[name].values
             series[name] = MonthlySeries(panel.start, np.where(np.isnan(values), np.nan, values))
-    _memo[artifact.header] = (read_utf8(path), Panel(panel.start, panel.length, series))
+    held = Panel(panel.start, panel.length, series)
+    _memo[artifact.header] = (_fingerprint(read_utf8(path)), held)
 
 
 def _numbers(cells: list[str]) -> tuple[np.ndarray | None, int]:

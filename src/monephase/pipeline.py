@@ -9,7 +9,8 @@ here goes through _write with that header, and only a write makes the
 output directory. Every file one command reads from another is read
 back through read_artifact, which checks it before any cell is used. A
 monthly table this process wrote is held by ingest as the Panel its text
-parses to, and served unparsed while the file holds that text.
+parses to, and served unparsed while the file's text has that text's
+length and hash.
 """
 
 from __future__ import annotations
@@ -516,6 +517,7 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
             phi_c = _calibration(out)[1].parse("phi_c")
         except DataError as exc:
             raise DataError(f"phi_c unavailable: {exc}; or set landau.phi_c") from None
+    fixed = [("source", "fixed constants in the landau command, not the data")]
 
     sweep_rows = []
     for a in np.linspace(1.0, -1.0, 81):
@@ -529,22 +531,24 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
                 stat.degenerate_pair,
             )
         )
-    paths = [_write(out, "landau_sweep.csv", sweep_rows)]
+    paths = [_write(out, "landau_sweep.csv", sweep_rows, fixed)]
 
     m_grid = np.linspace(-1.5, 1.5, 121)
     pot_rows = []
     for a in (0.5, -0.5):
         energy = ld.free_energy(m_grid, ld.LandauParams(a=a, b=1.0, h_field=0.0))
         pot_rows += [(a, m, f) for m, f in zip(m_grid.tolist(), energy.tolist())]
-    paths.append(_write(out, "landau_potential.csv", pot_rows))
+    paths.append(_write(out, "landau_potential.csv", pot_rows, fixed))
 
     theta_grid = np.linspace(-6.0, 6.0, 121)
     phi_star = steady_state_phi(theta_grid, (1.0, 0.0), rates=(0.06, 0.05, 0.02), injection=1.0)
-    paths.append(_write(out, "steady_state_sweep.csv", zip(theta_grid.tolist(), phi_star.tolist())))
+    steady_rows = zip(theta_grid.tolist(), phi_star.tolist())
+    paths.append(_write(out, "steady_state_sweep.csv", steady_rows, fixed))
 
     phi_grid = np.linspace(0.0, 1.0, 201)
     sus = ld.susceptibility(phi_grid, phi_c, epsilon=0.05)
-    paths.append(_write(out, "susceptibility.csv", zip(phi_grid.tolist(), sus.tolist())))
+    sus_rows = zip(phi_grid.tolist(), sus.tolist())
+    paths.append(_write(out, "susceptibility.csv", sus_rows, [("phi_c", phi_c)]))
     return paths
 
 

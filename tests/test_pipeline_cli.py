@@ -55,7 +55,7 @@ from monephase.pipeline import (
     write_economy,
     write_irfs,
 )
-from monephase.series import MonthIndex
+from monephase.series import MonthIndex, Panel
 from monephase.synth import default_spec, generate, two_compartment_spec
 
 
@@ -715,6 +715,12 @@ class TestLandauCommand:
 
         cfg2 = replace(cfg, out_dir=str(tmp_path), landau_phi_c=0.231)
         paths = {p.name: p for p in cmd_landau(cfg2)}
+        # the illustrations say that fixed constants, not the data, draw them; only the
+        # susceptibility reads phi_c, and says which
+        fixed = {"source": "fixed constants in the landau command, not the data"}
+        for name in ("landau_sweep.csv", "landau_potential.csv", "steady_state_sweep.csv"):
+            assert read_csv(paths[name])[0] == fixed, name
+        assert read_csv(paths["susceptibility.csv"])[0] == {"phi_c": "0.231"}
         _, _, sweep = read_csv(paths["landau_sweep.csv"])
         for cells in sweep:
             a, m_star = float(cells[0]), float(cells[1])
@@ -885,6 +891,22 @@ class TestPanelMemo:
                 assert values.tobytes() == series.values.tobytes()
                 assert not values.flags.writeable
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # windows outside the data
+    def test_holds_no_text(self, tmp_path):
+        # beside each Panel the memo holds a few bytes, not the text of the file it serves
+        assert main(["synth", "--out", str(tmp_path), "--set", "synth.months=2400"]) == 0
+        assert main(["transform", "--config", str(tmp_path / "synthetic_config.txt")]) == 0
+        assert (tmp_path / "panel.csv").stat().st_size > 600_000
+        assert sorted(ingest._memo) == sorted(
+            ARTIFACTS[name].header for name in ("monetary.csv", "cpi.csv", "panel.csv")
+        )
+        for entry in ingest._memo.values():
+            others = [value for value in entry if not isinstance(value, Panel)]
+            assert len(others) == len(entry) - 1
+            assert all(sys.getsizeof(value) < 1024 for value in others)
+        held = ingest._memo[ARTIFACTS["panel.csv"].header][1]
+        assert read_panel_csv(tmp_path / "panel.csv") is held
+
     def test_written_file_edited_is_parsed_and_checked(self, tmp_path, capsys):
         # edited with the same size and mtime as written, a table is parsed and checked anew
         assert main(["synth", "--out", str(tmp_path), "--set", "synth.months=240"]) == 0
@@ -1039,6 +1061,35 @@ class TestCli:
     def test_synth_months_from_the_transition_accepted(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--set", "synth.months=153"]) == 0
         assert (tmp_path / "monetary.csv").read_text().split("\n")[1].startswith("2013-04,")
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # windows outside the data
+    @pytest.mark.parametrize(
+        "months, robustness, problem",
+        [
+            (217, False, "cash pi_core: horizon h=0: only 26 usable rows (need > 26)"),
+            (218, False, None),
+            (235, True, "robustness variant L_18: cash pi_core: horizon h=0: "
+                        "only 38 usable rows (need > 38)"),
+            (236, True, None),
+        ],
+    )
+    def test_shortest_economy_the_default_chain_completes_on(
+        self, tmp_path, capsys, months, robustness, problem
+    ):
+        # seed 1, as the README gives it: a month shorter, and irf has too few cash rows
+        synth = ["synth", "--out", str(tmp_path), "--seed", "1", "--set", f"synth.months={months}"]
+        assert main(synth) == 0
+        config = str(tmp_path / "synthetic_config.txt")
+        for command in CHAIN_COMMANDS:
+            capsys.readouterr()
+            sweep = ["--robustness"] if robustness and command == "irf" else []
+            code = main([command, "--config", config, *sweep])
+            if problem and command == "irf":
+                assert code == 1
+                assert capsys.readouterr().err == f"monephase: error: {problem}\n"
+                return
+            assert code == 0, command
+        assert problem is None
 
     @pytest.mark.parametrize("key", ["tanh.window_start", "tanh.window_end"])
     def test_tanh_window_outside_the_data_names_its_key(
