@@ -17,9 +17,10 @@ amplitudes only. Jointly rescaling (A, B) -> c(A, B) with kappa -> kappa/c
 in one phase and moving (s_pi, phi_c) to compensate leaves every model
 IRF unchanged, so B is fixed to 1 in *both* phases as the gauge choice;
 phi_c is then identified by the ratio of the two price-response
-amplitudes. Fitted A/eta/kappa retain a one-dimensional within-phase
-trade-off: the calibration reports its kappa interval and returns its
-smallest-kappa member.
+amplitudes. Within a phase, A, eta and kappa enter the order-parameter
+response only through two coefficients (u, v), so the calibration fits
+and reports that reduced form: (u, v, delta, gamma) per phase, over the
+cone that A, eta >= 0 and kappa > 0 map to, with no amplitude caps.
 """
 
 from __future__ import annotations
@@ -161,13 +162,19 @@ def steady_state_phi(
 
 @dataclass(frozen=True)
 class PhaseFit:
-    """Per-phase parameters in the B = 1 gauge: of the (A, eta, kappa) family of
-    equal fit, whose kappa interval is `kappa_range`, the smallest-kappa member."""
+    """One phase's identified reduced form: the order-parameter response
+    u c1 + v c2 of `_phi_fits` at the rates delta, gamma, around the phase mean phi_bar."""
 
-    params: CompartmentParams
-    kappa: float
+    u: float
+    v: float
+    delta: float
+    gamma: float
     phi_bar: float
-    kappa_range: tuple[float, float]
+
+    def phi_response(self, h):
+        """The fitted order-parameter response at the horizons h."""
+        c1, c2 = _basis(self.delta, self.gamma, _check_h(h))
+        return self.u * c1 + self.v * c2
 
 
 @dataclass(frozen=True)
@@ -186,34 +193,26 @@ class CalibrationResult:
         return self.cash.phi_bar < self.coupling.phi_c < self.reserve.phi_bar
 
 
-def _hull_segments(corners, low, high):
-    """Segments covering the boundary of the hull of polygons (N, K, 2) scaled by low and high."""
-    near, far = low * corners, high * corners
-    edges = [np.stack([c, np.concatenate([c[:, 1:], c[:, :1]], 1)], 2) for c in (near, far)]
-    return np.concatenate(edges + [np.stack([near, far], 2)], 1)
-
-
-# the calibration box; generous relative to any monthly IRF scale
+# the rate box; generous relative to any monthly IRF scale
 RATE_CAP = 5.0
-AMP_CAP = 1e4
-KAPPA_MIN = 1e-12
 PHI_C_MIN, PHI_C_MAX = 0.01, 0.99
 # outer grid of each relaxation rate: zero, then steps of about 14 % up to the cap
 RATE_GRID = np.concatenate(([0.0], np.geomspace(1e-3, RATE_CAP, 64)))
 GAMMA_BLOCK = 5  # gammas of RATE_GRID per call as it is tabulated; each row is computed alone
-# (s_pi, s_pi / phi_c) = s_pi * (1, 1 / phi_c): this segment, scaled by s_pi of either sign
-_PI_CORNERS = np.array([[[1.0, 1.0 / PHI_C_MAX], [1.0, 1.0 / PHI_C_MIN]]])
-_PI_SEGMENTS = np.concatenate([_hull_segments(s * _PI_CORNERS, 0.0, AMP_CAP) for s in (1, -1)], 1)
+# (s_pi, s_pi / phi_c) = s_pi (1, 1 / phi_c) for phi_c in [PHI_C_MIN, PHI_C_MAX] and s_pi of
+# either sign: the double cone bounded by these four rays
+_PI_RAYS = np.array([[[s, s / phi_c] for s in (1.0, -1.0) for phi_c in (PHI_C_MAX, PHI_C_MIN)]])
 
 
-def _lsq2(a, b, wy, segments, feasible):
-    """Minimize |wy - u a - v b|^2 over a convex region of (u, v) for columns a, b (N, H).
+def _lsq2(a, b, wy, rays, feasible):
+    """Minimize |wy - u a - v b|^2 over a convex cone of (u, v) for columns a, b (N, H).
 
-    The segments (N or 1, S, 2, 2) lie in the region and cover its boundary, and
-    `feasible(u, v)` tests membership. The best of the unconstrained minimizer,
-    if feasible, and of each segment's minimizer is the exact minimum (ties to
-    the first). Returns (u, v) (N, 2) and the sum of squares (N,). Each two-term
-    dot product is x0 + x1 + 0.0, which is np.sum's bit for bit (-0.0 + -0.0 -> 0.0).
+    The rays (N or 1, S, 2) from the origin lie in the closed cone and bound
+    it, and `feasible(u, v)` tests membership. The best of the unconstrained
+    minimizer, if feasible, and of each ray's minimizer t r, t >= 0, is the
+    exact minimum (ties to the first). Returns (u, v) (N, 2) and the sum of
+    squares (N,). Each two-term dot product is x0 + x1 + 0.0, which is
+    np.sum's bit for bit (-0.0 + -0.0 -> 0.0).
     """
     G11, G12, G22 = ((x * y).sum(-1) for x, y in ((a, a), (a, b), (b, b)))
     g1, g2 = (a * wy).sum(-1), (b * wy).sum(-1)
@@ -224,50 +223,41 @@ def _lsq2(a, b, wy, segments, feasible):
     with np.errstate(divide="ignore", invalid="ignore"):
         free = np.array([G22 * g1 - G12 * g2, G11 * g2 - G12 * g1]) / (G11 * G22 - G12**2)
         free[:, ~feasible(*free)] = np.nan
-    (su, sv), (du, dv) = segments[:, :, 0].T, (segments[:, :, 1] - segments[:, :, 0]).T  # (S, N)
+    du, dv = rays.T  # (S, N or 1)
     curve = form(du, dv, du, dv)
-    t = np.divide(-form(su, sv, du, dv, g1, g2), curve, out=0 * curve, where=curve > 0)
-    t = np.clip(t, 0.0, 1.0)
-    pu, pv = (np.concatenate([s + t * d, f[None]]) for s, d, f in zip((su, sv), (du, dv), free))
+    t = np.divide(du * g1 + dv * g2 + 0.0, curve, out=0 * curve, where=curve > 0)
+    t = np.maximum(t, 0.0)
+    pu, pv = (np.concatenate([t * d, f[None]]) for d, f in zip((du, dv), free))
     q = form(pu, pv, pu, pv, 2.0 * g1, 2.0 * g2)
     k, rows = np.argmin(np.where(np.isnan(q), np.inf, q), 0), np.arange(q.shape[1])
     return np.column_stack([pu[k, rows], pv[k, rows]]), q[k, rows] + wy @ wy
 
 
-def _inverse_kappa_range(u, v, phi_bar, d):
-    """Interval (low, high) of w = 1/kappa putting kappa, A = (u w + phi_bar) / (1 - phi_bar)
-    and eta = (v w + phi_bar d) / (1 - phi_bar) in the box; empty where low > high."""
-    low, high = np.full_like(u, 1.0 / AMP_CAP), np.full_like(u, 1.0 / KAPPA_MIN)
-    for c, e, cap in ((u, phi_bar, AMP_CAP), (v, phi_bar * d, RATE_CAP)):
-        cap = (1.0 - phi_bar) * cap
-        with np.errstate(divide="ignore", invalid="ignore"):
-            at_zero, at_cap = -e / c, (cap - e) / c
-        free = np.where((e >= 0) & (e <= cap), np.inf, -np.inf)  # where c == 0
-        low = np.maximum(low, np.where(c > 0, at_zero, np.where(c < 0, at_cap, -free)))
-        high = np.minimum(high, np.where(c > 0, at_cap, np.where(c < 0, at_zero, free)))
-    return low, high
+def _basis(delta, gamma, h):
+    """c1 = e^{-delta h} and c2 = h e^{-delta h} phi1((delta - gamma) h), rates batched."""
+    c1 = np.exp(-np.multiply.outer(delta, h))
+    return c1, h * c1 * _phi1(np.multiply.outer(delta - gamma, h))
 
 
-def _phi_fits(delta, gamma, h, wy, w, phi_bar):
+def _phi_fits(delta, gamma, h, wy, w):
     """Best order-parameter model of one phase at each rate pair, batched.
 
-    With c1 = e^{-delta h}, c2 = h e^{-delta h} phi1((delta - gamma) h) and
-    e^{-gamma h} = c1 + (delta - gamma) c2, the model is u c1 + v c2, with (u, v) =
-    kappa ((1 - phi_bar) A - phi_bar, (1 - phi_bar) eta - phi_bar (delta - gamma)):
-    the box's (A, eta) rectangle so mapped, scaled by every kappa in the box.
+    With c1, c2 of `_basis` and e^{-gamma h} = c1 + (delta - gamma) c2,
+    phi_irf is u c1 + v c2 with (u, v) = kappa ((1 - phi_bar) A - phi_bar,
+    (1 - phi_bar) eta - phi_bar d) and d = delta - gamma. Over A, eta >= 0
+    and kappa > 0 these fill, up to closure, the cone bounded by the rays
+    (1, 0) and (-1, -d): the plane for d > 0, the half-plane v >= 0 for
+    d = 0 and a sector for d < 0, whatever phi_bar in (0, 1).
     """
     d = delta - gamma
-    c1 = np.exp(-np.multiply.outer(delta, h))
-    c2 = h * c1 * _phi1(np.multiply.outer(d, h))
-    s, u_lo = 1.0 - phi_bar, np.full_like(d, -phi_bar)
-    u_hi, v_lo, v_hi = u_lo + s * AMP_CAP, -phi_bar * d, s * RATE_CAP - phi_bar * d
-    corners = np.array([[u_lo, v_lo], [u_hi, v_lo], [u_hi, v_hi], [u_lo, v_hi]])
-    segments = _hull_segments(corners.transpose(2, 0, 1), KAPPA_MIN, AMP_CAP)
+    c1, c2 = _basis(delta, gamma, h)
+    rays = np.zeros((d.size, 2, 2))
+    rays[:, 0, 0], rays[:, 1, 0], rays[:, 1, 1] = 1.0, -1.0, -d
 
     def feasible(u, v):
-        return np.less_equal(*_inverse_kappa_range(u, v, phi_bar, d))
+        return (d > 0) | ((v >= 0) & (d * u <= v))
 
-    return _lsq2(w * c1, w * c2, wy, segments, feasible)
+    return _lsq2(w * c1, w * c2, wy, rays, feasible)
 
 
 def _pi_fits(gammas, h, wys, ws, phi_bars):
@@ -276,9 +266,9 @@ def _pi_fits(gammas, h, wys, ws, phi_bars):
     b = np.concatenate([-phi_bar * xi for phi_bar, xi in zip(phi_bars, x)], -1)
 
     def feasible(a, b):
-        return (np.abs(a) <= AMP_CAP) & (PHI_C_MIN <= a / b) & (a / b <= PHI_C_MAX)
+        return (PHI_C_MIN <= a / b) & (a / b <= PHI_C_MAX)
 
-    return _lsq2(np.concatenate(x, -1), b, np.concatenate(wys), _PI_SEGMENTS, feasible)
+    return _lsq2(np.concatenate(x, -1), b, np.concatenate(wys), _PI_RAYS, feasible)
 
 
 def _tabulate(fits):
@@ -331,13 +321,14 @@ def calibrate(
     and the responses phi and pi_core, and so are the residuals; `phi_bars`
     holds each phase's mean order parameter. Minimizes the se-weighted
     squared deviation between the model responses and the estimated
-    coefficients, over per-phase (A, delta, gamma, eta, kappa)
-    and shared (s_pi, phi_c), B = 1 fixed in each phase, within the box:
-    A, kappa in [KAPPA_MIN or 0, AMP_CAP], delta, gamma, eta in [0, RATE_CAP],
-    |s_pi| <= AMP_CAP and phi_c in [PHI_C_MIN, PHI_C_MAX]. For fixed rates every
-    model is linear in two coefficients, solved exactly by `_lsq2` (variable
-    projection); the profiled Phi_cash(delta_c, gamma_c) + Phi_reserve(delta_r,
-    gamma_r) + Pi(gamma_c, gamma_r) is tabulated on RATE_GRID and polished by a
+    coefficients, B = 1 fixed in each phase. Each phase's order-parameter
+    response is fitted in its reduced form u c1 + v c2 (`_phi_fits`), with
+    (u, v) on the cone that A, eta >= 0 and kappa > 0 map to and delta,
+    gamma in [0, RATE_CAP]; the shared price coupling has any s_pi and
+    phi_c in [PHI_C_MIN, PHI_C_MAX]. For fixed rates every model is linear
+    in two coefficients, solved exactly by `_lsq2` (variable projection);
+    the profiled Phi_cash(delta_c, gamma_c) + Phi_reserve(delta_r, gamma_r)
+    + Pi(gamma_c, gamma_r) is tabulated on RATE_GRID and polished by a
     bounded pattern search, with nothing random. `degenerate` flags null fitted
     price responses, which leave phi_c unidentified.
     """
@@ -361,7 +352,7 @@ def calibrate(
 
     def phi_fits(phase, delta, gamma):
         w = weight[(phase, "phi")]
-        return _phi_fits(delta, gamma, h, w * beta[(phase, "phi")], w, phases[phase])
+        return _phi_fits(delta, gamma, h, w * beta[(phase, "phi")], w)
 
     def pi_fits(gammas):
         keys = [(p, "pi_core") for p in phases]
@@ -384,28 +375,21 @@ def calibrate(
 
     fits = {}
     for phase, (delta, gamma) in zip(phases, polish.x.reshape(2, 2)):
-        phi_bar, d = phases[phase], delta - gamma
         (u, v), _ = (x[0] for x in phi_fits(phase, np.array([delta]), np.array([gamma])))
-        low, high = (float(x[0]) for x in _inverse_kappa_range(np.array([u]), v, phi_bar, d))
-        kappa = _snap(1.0 / high, KAPPA_MIN, AMP_CAP)
-        A = _snap((u * high + phi_bar) / (1.0 - phi_bar), 0.0, AMP_CAP)
-        eta = _snap((v * high + phi_bar * d) / (1.0 - phi_bar), 0.0, RATE_CAP)
-        params = CompartmentParams(A=A, B=1.0, delta=float(delta), gamma=float(gamma), eta=eta)
-        fits[phase] = PhaseFit(params, kappa, phi_bar, (kappa, 1.0 / min(low, high)))
+        fits[phase] = PhaseFit(float(u), float(v), float(delta), float(gamma), phases[phase])
     (a, b), _ = (x[0] for x in pi_fits(polish.x[1::2, None]))
     identified = a * b > 0  # else a = b = 0
     coupling = CouplingParams(
-        s_pi=_snap(a, -AMP_CAP, AMP_CAP),
+        s_pi=float(a),
         phi_c=_snap(a / b, PHI_C_MIN, PHI_C_MAX) if identified else 0.5 * sum(phases.values()),
     )
 
-    models = {(p, "phi"): phi_irf(h, f.params, f.phi_bar, f.kappa) for p, f in fits.items()}
-    models |= {(p, "pi_core"): cpi_irf(h, f.params, coupling, f.phi_bar) for p, f in fits.items()}
+    models, values = {}, []
+    for p, f in fits.items():
+        scale = coupling.s_pi * chi(f.phi_bar, coupling.phi_c)
+        models |= {(p, "phi"): f.phi_response(h), (p, "pi_core"): scale * np.exp(-f.gamma * h)}
+        values += [(f"{p}.{n}", getattr(f, n), (0.0, RATE_CAP)) for n in ("delta", "gamma")]
     residuals = {k: models[k] - beta[k] for k in tables}
-    box = dict(A=(0.0, AMP_CAP), delta=(0.0, RATE_CAP), gamma=(0.0, RATE_CAP), eta=(0.0, RATE_CAP))
-    values = [(f"{p}.{n}", getattr(fit.params, n), box[n]) for p, fit in fits.items() for n in box]
-    values += [(f"{p}.kappa", fit.kappa, (KAPPA_MIN, AMP_CAP)) for p, fit in fits.items()]
-    values += [("s_pi", coupling.s_pi, (-AMP_CAP, AMP_CAP))]
     values += [("phi_c", coupling.phi_c, (PHI_C_MIN, PHI_C_MAX))]
     return CalibrationResult(
         cash=fits["cash"],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -31,16 +32,20 @@ def fmt(value) -> str:
     return str(value)
 
 
+# an optional ASCII sign, ASCII digits with at most one point, an optional exponent: the
+# finite forms float() reads, without its digit grouping and other scripts' digits
+DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def parse_float_cell(cell: str) -> float:
-    """Empty cell -> NaN; anything else must be a finite decimal real."""
+    """Empty cell -> NaN; anything else, stripped, must be a finite DECIMAL."""
     text = cell.strip()
     if text == "":
         return math.nan
-    try:
-        v = float(text)
-    except ValueError:
-        raise DataError(f"cannot parse number {cell!r}") from None
-    if not math.isfinite(v):
+    if not DECIMAL.fullmatch(text):
+        raise DataError(f"cannot parse number {cell!r}")
+    v = float(text)
+    if not math.isfinite(v):  # such as 1e400
         raise DataError(f"non-finite number {cell!r}")
     return v
 
@@ -95,8 +100,9 @@ def read_csv(
     """Read back (preamble dict, header, raw string rows) of path, or split its text if given.
 
     Accepts LF or CRLF endings and skips blank lines, before the header as
-    after it; raises on ragged rows with the path and line number. Each
-    row keeps the line it was read from as its lineno.
+    after it; raises on ragged rows and on a preamble key given twice, with
+    the path and line number. Each row keeps the line it was read from as
+    its lineno.
     """
     path = Path(path)
     text = read_utf8(path) if text is None else text
@@ -111,7 +117,9 @@ def read_csv(
             body = line[1:].strip()
             if ":" in body:
                 key, _, value = body.partition(":")
-                preamble[key.strip()] = value.strip()
+                if (key := key.strip()) in preamble:
+                    raise DataError(f"{path}:{lineno}: preamble key {key!r} given twice")
+                preamble[key] = value.strip()
             continue
         cells = line.split(",")
         if header is None:

@@ -350,7 +350,8 @@ def breakpoint(
     tau is the last month of the left segment; both segments keep at
     least min_seg months. Every candidate is scored at once from
     cumulative moments. Ties within an absolute slack of 1e-10 go to the
-    earliest tau and set the tie flag.
+    earliest tau and set the tie flag. Values so large that a candidate's
+    RSS overflows raise DataError naming the window.
     """
     a, b = window
     if min_seg < 1:
@@ -365,12 +366,15 @@ def breakpoint(
         raise DataError(f"breakpoint window has a missing value at {month}")
 
     t = np.arange(n, dtype=np.float64)
-    moments = np.cumsum([t, vals, t * t, t * vals, vals * vals], axis=1)
-    m = np.arange(min_seg, n - min_seg + 1)  # months in the left segment
-    left = moments[:, m - 1]
-    rss_l, a1, b1 = _line_rss(*left, m)
-    rss_r, a2, b2 = _line_rss(*(moments[:, -1:] - left), n - m)
-    rss = rss_l + rss_r
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        moments = np.cumsum([t, vals, t * t, t * vals, vals * vals], axis=1)
+        m = np.arange(min_seg, n - min_seg + 1)  # months in the left segment
+        left = moments[:, m - 1]
+        rss_l, a1, b1 = _line_rss(*left, m)
+        rss_r, a2, b2 = _line_rss(*(moments[:, -1:] - left), n - m)
+        rss = rss_l + rss_r
+    if not np.isfinite(rss).all():
+        raise DataError(f"window {a}..{b}: a two-segment RSS is not finite; values too large")
     rss_min = rss.min()
     slack = TIE_TOLERANCE * (1.0 + rss_min)
     near = np.flatnonzero(rss <= rss_min + slack)

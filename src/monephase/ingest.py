@@ -101,17 +101,21 @@ def remember(path: Path, artifact: Artifact, panel: Panel):
 
 def _numbers(cells: list[str]) -> tuple[np.ndarray | None, int]:
     """(values, len(cells)), or (None, the row of the first cell parse_float_cell refuses)."""
+    text = "".join(cells)
     try:  # a blank cell reads as NaN; any other cell must be finite
-        values = np.array([float(c) if c.strip() else np.nan for c in cells])
-        if not any(cells[i].strip() for i in np.flatnonzero(~np.isfinite(values))):
-            return values, len(cells)
+        if text.isascii() and "_" not in text:  # float() and DECIMAL agree on finite values
+            values = np.array([float(c) if c.strip() else np.nan for c in cells])
+            if not any(cells[i].strip() for i in np.flatnonzero(~np.isfinite(values))):
+                return values, len(cells)
     except ValueError:
         pass
+    values = []
     for i, cell in enumerate(cells):
         try:
-            parse_float_cell(cell)
+            values.append(parse_float_cell(cell))
         except DataError:
             return None, i
+    return np.array(values), len(cells)
 
 
 def load_monetary(path: Path | str) -> Panel:

@@ -81,9 +81,7 @@ ARTIFACTS = {
         ("variant", "cash_max", "reserve_min", "H", "L", "shock", "phase", "response")
         + em.IRF_COLUMNS,
     ),
-    "two_compartment_parameters.csv": Artifact(
-        "calibrate", ("phase", "A", "B", "delta", "gamma", "eta", "kappa")
-    ),
+    "two_compartment_parameters.csv": Artifact("calibrate", ("phase", "u", "v", "delta", "gamma")),
     SUMMARY_FILE: Artifact(
         "calibrate",
         ("phi_c", "s_pi", "phi_bar_cash", "phi_bar_reserve", "objective"),
@@ -216,14 +214,16 @@ def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
                 warnings.warn(f"window {a}..{b} outside data range {span}; skipped")
                 continue
             for name, series in targets.items():
-                if np.isnan(series.restrict(a, b).values).any():
+                window = series.restrict(a, b).values
+                if np.isnan(window).any():
                     warnings.warn(f"series {name} not fully defined on {a}..{b}; skipped")
                     continue
                 try:
                     res = em.breakpoint(series, (a, b), min_seg=cfg.min_segment)
-                except DataError as exc:  # a window too short for the segments
-                    setting = f"breaks.min_segment = {cfg.min_segment}"
-                    raise DataError(f"breaks.cluster.{cluster}, {setting}: {exc}") from None
+                except DataError as exc:  # a window too short for the segments, or values too large
+                    short = window.size < 2 * cfg.min_segment
+                    where = f"breaks.min_segment = {cfg.min_segment}" if short else f"series {name}"
+                    raise DataError(f"breaks.cluster.{cluster}, {where}: {exc}") from None
                 rows.append((name, cluster, str(a), str(b), str(res.tau), res.rss, res.tie))
     if not rows:
         raise DataError("no breakpoint window could be scanned; every window was skipped")
@@ -446,10 +446,8 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
 
 
 def write_calibration(out: Path, result: CalibrationResult, tables: dict) -> list[Path]:
-    params_rows = []
-    for label, fit in (("cash", result.cash), ("reserve", result.reserve)):
-        p = fit.params
-        params_rows.append((label, p.A, p.B, p.delta, p.gamma, p.eta, fit.kappa))
+    fits = (("cash", result.cash), ("reserve", result.reserve))
+    params_rows = [(label, f.u, f.v, f.delta, f.gamma) for label, f in fits]
     paths = [
         _write(out, "two_compartment_parameters.csv", params_rows),
         _write(
@@ -469,10 +467,6 @@ def write_calibration(out: Path, result: CalibrationResult, tables: dict) -> lis
                 ("degenerate", result.degenerate),
                 ("ordering_holds", result.ordering_holds()),
                 ("binding_bounds", " ".join(result.binding) or "none"),
-                ("cash.kappa_min", result.cash.kappa_range[0]),
-                ("cash.kappa_max", result.cash.kappa_range[1]),
-                ("reserve.kappa_min", result.reserve.kappa_range[0]),
-                ("reserve.kappa_max", result.reserve.kappa_range[1]),
                 ("rate_evaluations", result.rate_evaluations),
             ],
         ),

@@ -10,8 +10,6 @@ from hypothesis.extra.numpy import arrays
 from conftest import rk4_compartments
 from monephase import compartment, landau
 from monephase.compartment import (
-    AMP_CAP,
-    KAPPA_MIN,
     RATE_CAP,
     CompartmentParams,
     CouplingParams,
@@ -319,12 +317,12 @@ class TestCalibrate:
 
 
 def assert_inside_box(out):
+    # the rates in their box, (u, v) in the closed cone of A, eta >= 0 and kappa > 0
     for fit in (out.cash, out.reserve):
-        p = fit.params
-        assert 0.0 <= p.A <= AMP_CAP and p.B == 1.0 and 0.0 <= p.eta <= RATE_CAP
-        assert 0.0 <= p.delta <= RATE_CAP and 0.0 <= p.gamma <= RATE_CAP
-        assert KAPPA_MIN <= fit.kappa_range[0] == fit.kappa <= fit.kappa_range[1] <= AMP_CAP
-    assert abs(out.coupling.s_pi) <= AMP_CAP and 0.01 <= out.coupling.phi_c <= 0.99
+        assert 0.0 <= fit.delta <= RATE_CAP and 0.0 <= fit.gamma <= RATE_CAP
+        d = fit.delta - fit.gamma
+        assert d > 0 or (fit.v >= 0 and d * fit.u <= fit.v)
+    assert 0.01 <= out.coupling.phi_c <= 0.99
 
 
 def box_lsq(f0, fa, fb, y, hi_a, hi_b):
@@ -356,7 +354,8 @@ def dense_grid_objective(targets, phi_bars, rates, h):
     A and eta are exact for each grid point (box_lsq), s_pi is the clipped
     least-squares scale; every model comes from the public closed forms.
     """
-    kappas = np.geomspace(1e-4, AMP_CAP, 81)[:, None]
+    amp_cap = 1e4  # the cap of A, kappa and |s_pi| on these grids
+    kappas = np.geomspace(1e-4, amp_cap, 81)[:, None]
     phi = []
     for (y, _), phi_bar in zip(targets, phi_bars):
         best = np.full(len(rates), np.inf)
@@ -366,7 +365,7 @@ def dense_grid_objective(targets, phi_bars, rates, h):
                     phi_irf(h, CompartmentParams(A=a, B=1.0, delta=delta, gamma=gamma, eta=e), phi_bar, 1.0)
                     for a, e in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
                 )
-                sse = box_lsq(kappas * f0, kappas * (fa - f0), kappas * (fb - f0), y, AMP_CAP, RATE_CAP)
+                sse = box_lsq(kappas * f0, kappas * (fa - f0), kappas * (fb - f0), y, amp_cap, RATE_CAP)
                 best[j] = min(best[j], sse.min())
         phi.append(best)
     x = np.array([x_response(h, CompartmentParams(A=0.0, B=1.0, delta=0.0, gamma=g, eta=0.0)) for g in rates])
@@ -376,7 +375,7 @@ def dense_grid_objective(targets, phi_bars, rates, h):
     xx = (x * x).sum(1)
     num = chis[0] * xy[0] + chis[1] * xy[1].transpose(1, 0, 2)
     den = chis[0] ** 2 * xx[:, None, None] + chis[1] ** 2 * xx[None, :, None]
-    s_pi = np.clip(num / den, -AMP_CAP, AMP_CAP)
+    s_pi = np.clip(num / den, -amp_cap, amp_cap)
     yy = sum(y @ y for _, y in targets)
     price = np.min(yy - 2.0 * s_pi * num + s_pi**2 * den, -1)
     return float(np.min(phi[0][:, None] + phi[1][None, :] + price))
@@ -395,18 +394,18 @@ class TestCalibrateConstrained:
         assert all(getattr(again, f) == getattr(out, f) for f in fields)
 
     def test_default_economy_pinned(self, default_economy):
-        # seed 1, 612 months: 3 * 65^2 = 12,675 evaluations on the grid and 4,132
+        # seed 1, 612 months: 3 * 65^2 = 12,675 evaluations on the grid and 4,537
         # in the pattern search; a change to the search or its start moves these
         tables, phi_bars = default_economy
         out = calibrate(tables, phi_bars)
-        assert out.rate_evaluations == 16807
-        assert out.coupling.phi_c == pytest.approx(0.2400894129746245, rel=1e-12, abs=0)
-        assert out.objective == pytest.approx(63.78293816051734, rel=1e-12, abs=0)
+        assert out.rate_evaluations == 17212
+        assert out.coupling.phi_c == pytest.approx(0.2400894090601472, rel=1e-12, abs=0)
+        assert out.objective == pytest.approx(63.78293804245476, rel=1e-12, abs=0)
 
     def test_infeasible_reduced_form_no_worse_than_dense_grid(self):
         # cash phi = p e^{-delta h} + q e^{-gamma h} with delta < gamma and
         # p < 0, while the cash price response pins gamma: the exact
-        # reduced-form fit lies outside the box
+        # reduced-form fit (v < 0 with delta < gamma) lies outside the feasible cone
         h = np.arange(25.0)
         cash = CompartmentParams(A=1.0, B=1.0, delta=0.02, gamma=0.06, eta=0.0)
         phi_cash = -0.003 * np.exp(-cash.delta * h) + 0.006 * np.exp(-cash.gamma * h)
@@ -432,7 +431,7 @@ class TestCalibrateConstrained:
         assert out.objective <= reference
 
 
-def stacked_lsq2(a, b, wy, segments, feasible):
+def stacked_lsq2(a, b, wy, rays, feasible):
     """_lsq2 as it was written with (u, v) on trailing length-2 axes, reduced by np.sum."""
     G11, G12, G22 = (np.sum(x * y, -1)[:, None] for x, y in ((a, a), (a, b), (b, b)))
     g1, g2 = np.sum(a * wy, -1)[:, None], np.sum(b * wy, -1)[:, None]
@@ -445,10 +444,9 @@ def stacked_lsq2(a, b, wy, segments, feasible):
         free = np.stack([G22 * g1 - G12 * g2, G11 * g2 - G12 * g1], -1)
         free /= (G11 * G22 - G12**2)[..., None]
         free[~feasible(free[:, 0, 0], free[:, 0, 1])] = np.nan
-    start, step = segments[:, :, 0], segments[:, :, 1] - segments[:, :, 0]
-    curve = np.sum(step * gmul(step), -1)
-    t = np.divide(-np.sum(step * gmul(start, g1, g2), -1), curve, out=0 * curve, where=curve > 0)
-    points = np.concatenate([start + np.clip(t, 0.0, 1.0)[..., None] * step, free], 1)
+    curve = np.sum(rays * gmul(rays), -1)
+    t = np.divide(np.sum(rays * np.stack([g1, g2], -1), -1), curve, out=0 * curve, where=curve > 0)
+    points = np.concatenate([np.maximum(t, 0.0)[..., None] * rays, free], 1)
     q = np.sum(points * gmul(points, 2.0 * g1, 2.0 * g2), -1)
     k, rows = np.argmin(np.where(np.isnan(q), np.inf, q), 1), np.arange(len(q))
     return points[rows, k], q[rows, k] + wy @ wy
@@ -471,16 +469,16 @@ def lsq_problems(draw):
             lambda kind: {"equal": a.copy(), "zero": np.zeros_like(a)}.get(kind)
         )
     )
-    if b is None:  # singular Gram matrices above, curvature <= 0 on every segment
+    if b is None:  # singular Gram matrices above, curvature <= 0 on every ray
         b = draw(arrays(np.float64, (n, m), elements=LSQ_FLOATS))
     wy = draw(arrays(np.float64, m, elements=LSQ_FLOATS))
-    rows = draw(st.sampled_from([1, n]))  # segments shared by every row, or one set per row
-    segments = draw(arrays(np.float64, (rows, s, 2, 2), elements=LSQ_FLOATS))
-    if draw(st.booleans()):  # zero-length segments
-        segments[:, :, 1] = segments[:, :, 0]
+    rows = draw(st.sampled_from([1, n]))  # rays shared by every row, or one set per row
+    rays = draw(arrays(np.float64, (rows, s, 2), elements=LSQ_FLOATS))
+    if draw(st.booleans()):  # a zero ray
+        rays[:, 0] = 0.0
     bound = draw(LSQ_FLOATS)
     feasible = draw(st.sampled_from([everywhere, nowhere, lambda u, v: u + v <= bound]))
-    return a, b, wy, segments, feasible
+    return a, b, wy, rays, feasible
 
 
 def everywhere(u, v):
@@ -496,12 +494,12 @@ def bits(x):
 
 
 @given(lsq_problems())
-@example(  # a segment point whose v is -0.0 only where np.sum's -0.0 + -0.0 -> 0.0 is kept
+@example(  # signed zeros in the target and the rays
     (
         np.array([[-1.0]]),
         np.array([[1.0]]),
         np.array([-0.0]),
-        np.array([[[[1.0, -0.0], [0.0, -1.0]], [[-1.0, -0.0], [-0.0, 2.0]]]]),
+        np.array([[[1.0, -0.0], [-0.0, 2.0], [-1.0, -0.0]]]),
         everywhere,
     )
 )
@@ -513,10 +511,30 @@ def test_lsq2_matches_stacked_reference_bit_for_bit(problem):
     assert bits(got[0]) == bits(expected[0]) and bits(got[1]) == bits(expected[1])
 
 
+@given(
+    A=st.floats(0.0, 1e6),
+    eta=st.floats(0.0, 2.0 * RATE_CAP),
+    kappa=st.floats(1e-6, 1e8),
+    delta=st.floats(0.0, RATE_CAP),
+    gamma=st.floats(0.0, RATE_CAP),
+    phi_bar=st.floats(0.01, 0.99),
+)
+@example(A=0.0, eta=0.0, kappa=1e8, delta=0.03, gamma=0.05, phi_bar=0.127)  # on the ray (-1, -d)
+@example(A=2e4, eta=8.0, kappa=5e4, delta=0.05, gamma=0.05, phi_bar=0.694)  # beyond the old caps
+@settings(max_examples=300, deadline=None)
+def test_phi_fits_reach_every_noiseless_kernel(A, eta, kappa, delta, gamma, phi_bar):
+    # every A, eta >= 0 and kappa > 0 maps into the cone the fit searches, with no caps
+    h = np.arange(25.0)
+    p = CompartmentParams(A=A, B=1.0, delta=delta, gamma=gamma, eta=eta)
+    y = phi_irf(h, p, phi_bar, kappa)
+    _, sse = compartment._phi_fits(np.array([delta]), np.array([gamma]), h, y, np.ones_like(h))
+    assert sse[0] <= 1e-12 * (y @ y)
+
+
 def fit_inputs(tables, phi_bars):
     """The weighted targets calibrate hands _phi_fits and _pi_fits."""
     w = {k: 1.0 / t.se for k, t in tables.items()}
-    phi = {p: (w[(p, "phi")] * tables[(p, "phi")].beta, w[(p, "phi")], phi_bars[p]) for p in phi_bars}
+    phi = {p: (w[(p, "phi")] * tables[(p, "phi")].beta, w[(p, "phi")]) for p in phi_bars}
     keys = [(p, "pi_core") for p in phi_bars]
     price = ([w[k] * tables[k].beta for k in keys], [w[k] for k in keys], list(phi_bars.values()))
     return np.arange(tables[("cash", "phi")].horizon + 1.0), phi, price
@@ -530,9 +548,9 @@ def test_blocked_grid_equals_one_call_per_gamma(economy, request):
         tables, phi_bars = request.getfixturevalue("default_economy")
     h, phi, price = fit_inputs(tables, phi_bars)
     grid = compartment.RATE_GRID
-    for wy, w, phi_bar in phi.values():
-        expected = [compartment._phi_fits(grid, np.full_like(grid, g), h, wy, w, phi_bar)[1] for g in grid]
-        blocked = compartment._tabulate(lambda g, d: compartment._phi_fits(d, g, h, wy, w, phi_bar))
+    for wy, w in phi.values():
+        expected = [compartment._phi_fits(grid, np.full_like(grid, g), h, wy, w)[1] for g in grid]
+        blocked = compartment._tabulate(lambda g, d: compartment._phi_fits(d, g, h, wy, w))
         assert bits(blocked) == bits(np.array(expected))
     expected = [compartment._pi_fits((np.full_like(grid, g), grid), h, *price)[1] for g in grid]
     blocked = compartment._tabulate(lambda gc, gr: compartment._pi_fits((gc, gr), h, *price))

@@ -103,6 +103,13 @@ class TestFirstBadCell:
             tmp_path, kind, 3, f"cannot parse RB {cell!r}"
         )
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", "\uff11\uff12", "0x10", "1e"])
+    def test_other_number_forms_refused(self, tmp_path, kind, cell):
+        # float() reads the first three as 10.0, 12.0 and 12.0
+        assert _error(tmp_path, kind, {(1, "RB"): cell}) == _message(
+            tmp_path, kind, 3, f"cannot parse RB {cell!r}"
+        )
+
     def test_whitespace_only_cell_is_missing(self, tmp_path, kind):
         panel = _load(tmp_path, kind, {(1, "RB"): "  "})
         rb = panel["RB"].values
@@ -119,6 +126,39 @@ class TestFirstBadCell:
         panel = _load(tmp_path, kind, {(1, "RB"): " 1.5 ", (1, "date"): " 1990-02 "})
         assert panel.start == START and panel.length == 4
         assert panel["RB"].values.tolist() == [1.0, 1.5, 1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "cell, value",
+    [("1", 1.0), ("-1.5", -1.5), ("+.5", 0.5), ("1.", 1.0), ("2e3", 2e3), ("1E-5", 1e-5),
+     (" 2.5\t", 2.5), ("\u00a07\u2003", 7.0), ("", math.nan)],
+)
+def test_parse_float_cell_reads_ascii_decimals(cell, value):
+    got = parse_float_cell(cell)
+    assert got == value or (math.isnan(got) and math.isnan(value))
+
+
+@pytest.mark.parametrize(
+    "cell, problem",
+    [("1_0", "cannot parse"), ("\u0661\u0662", "cannot parse"), ("\uff11\uff12", "cannot parse"),
+     ("nan", "cannot parse"), ("inf", "cannot parse"), ("1.2.3", "cannot parse"),
+     ("1e400", "non-finite"), ("-1e400", "non-finite")],
+)
+def test_parse_float_cell_refuses_other_forms(cell, problem):
+    with pytest.raises(DataError) as exc:
+        parse_float_cell(cell)
+    assert str(exc.value) == f"{problem} number {cell!r}"
+
+
+def test_preamble_key_given_twice_refused(tmp_path):
+    path = tmp_path / "phase_means.csv"
+    path.write_text("# H: 24\n# note: x\n#  H : 20\nphase,phi_bar,n_months\ncash,0.1,5\n")
+    with pytest.raises(DataError) as exc:
+        csvio.read_csv(path)
+    assert str(exc.value) == f"{path}:3: preamble key 'H' given twice"
+    with pytest.raises(DataError) as exc:
+        read_artifact(path, ARTIFACTS["phase_means.csv"])
+    assert str(exc.value) == f"{path}:3: preamble key 'H' given twice; rerun the irf command"
 
 
 def walk_rows(path, artifact):

@@ -1,3 +1,7 @@
+import decimal
+import operator
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,22 @@ from monephase.errors import CollinearityError, DataError
 from monephase.series import MonthIndex, MonthlySeries
 
 START = MonthIndex(1970, 1)
+
+
+def decimal_solve(A, b):
+    """x with A x = b, by Gaussian elimination with partial pivoting in the decimal context."""
+    n = len(b)
+    M = [list(row) + [Decimal(v)] for row, v in zip(A, b)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(M[r][c]))
+        M[c], M[p] = M[p], M[c]
+        for r in range(c + 1, n):
+            f = M[r][c] / M[c][c]
+            M[r] = [x - f * y for x, y in zip(M[r], M[c])]
+    x = [Decimal(0)] * n
+    for c in reversed(range(n)):
+        x[c] = (M[c][n] - sum(M[c][j] * x[j] for j in range(c + 1, n))) / M[c][c]
+    return x
 
 
 def ms(values, start=START):
@@ -313,8 +333,8 @@ class TestLocalProjection:
 
     def test_se_matches_high_precision_sandwich(self):
         # a persistent level with 12 own lags, like phi within a phase: cond(X) > 1e3,
-        # where inverting X'X a second time loses about 1e-12 of the se
-        mpmath = pytest.importorskip("mpmath")
+        # where inverting X'X a second time loses about 1e-12 of the se; the oracle
+        # works in 40-digit decimals
         rng = np.random.default_rng(0)
         n, L, hac_lag = 125, 12, 12
         e, u = rng.standard_normal((2, n))
@@ -327,20 +347,23 @@ class TestLocalProjection:
         for h, (se_h, n_h) in enumerate(zip(tbl.se, tbl.n)):
             X = design[L : n - h]
             assert np.linalg.cond(X) > 1e3
-            with mpmath.workdps(40):
-                Xm = mpmath.matrix(X.tolist())
-                ym = mpmath.matrix(y[L + h :].tolist())
-                XtX = Xm.T * Xm
-                resid = ym - Xm * mpmath.lu_solve(XtX, Xm.T * ym)
+            with decimal.localcontext() as context:
+                context.prec = 40
+                Xd = [[Decimal(v) for v in row] for row in X.tolist()]
+                yd = [Decimal(v) for v in y[L + h :].tolist()]
+                k = len(Xd[0])
+                XtX = [[sum(r[i] * r[j] for r in Xd) for j in range(k)] for i in range(k)]
+                fit = decimal_solve(XtX, [sum(r[i] * v for r, v in zip(Xd, yd)) for i in range(k)])
+                resid = [v - sum(map(operator.mul, r, fit)) for r, v in zip(Xd, yd)]
                 # [bread S bread]_{11} = b1' S b1 with b1 = bread e1, expanded
                 # over the Bartlett lags of z_t = (x_t . b1) u_t
-                b1 = mpmath.lu_solve(XtX, mpmath.matrix([0, 1] + [0] * (X.shape[1] - 2)))
-                z = [xb * ut for xb, ut in zip(Xm * b1, resid)]
-                var = mpmath.fsum(v * v for v in z)
+                b1 = decimal_solve(XtX, [0, 1] + [0] * (k - 2))
+                z = [sum(map(operator.mul, r, b1)) * ut for r, ut in zip(Xd, resid)]
+                var = sum(v * v for v in z)
                 for j in range(1, hac_lag + 1):
-                    w = 1 - mpmath.mpf(j) / (hac_lag + 1)
-                    var += 2 * w * mpmath.fsum(z[t] * z[t - j] for t in range(j, len(z)))
-                se = float(mpmath.sqrt(var))
+                    w = 1 - Decimal(j) / (hac_lag + 1)
+                    var += 2 * w * sum(z[t] * z[t - j] for t in range(j, len(z)))
+                se = float(var.sqrt())
             assert n_h == X.shape[0]
             assert se_h == pytest.approx(se, rel=1e-12, abs=0.0)
 

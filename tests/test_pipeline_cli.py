@@ -448,6 +448,38 @@ class TestBreakpoints:
         )
         assert not (tmp_path / "breakpoints.csv").exists()
 
+    @pytest.mark.parametrize(
+        "name, column, cell, series",
+        [
+            ("panel.csv", "phi", "1e160", "phi"),
+            ("panel.csv", "pi_core", "1e160", "pi_core"),
+            ("cpi.csv", "CPI_core", "1e300", "pi_core"),  # transform passes it on to pi_core
+        ],
+    )
+    def test_overflowing_window_names_its_series(
+        self, default_chain, tmp_path, capsys, name, column, cell, series
+    ):
+        for source in ("monetary.csv", "cpi.csv", "panel.csv"):
+            shutil.copy(default_chain[0] / source, tmp_path / source)
+        lines = (tmp_path / name).read_text().splitlines()
+        j, row = lines[0].split(",").index(column), next(
+            i for i, line in enumerate(lines) if line.startswith("1990-06,")
+        )
+        cells = lines[row].split(",")
+        lines[row] = ",".join(cells[:j] + [cell] + cells[j + 1 :])
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        out = ["--out", str(tmp_path)]
+        if name == "cpi.csv":
+            inputs = ["--monetary", str(tmp_path / "monetary.csv"), "--cpi", str(tmp_path / name)]
+            assert main(["transform", *inputs, *out]) == 0
+        capsys.readouterr()
+        assert main(["breakpoints", *out]) == 1
+        assert capsys.readouterr().err == (
+            f"monephase: error: breaks.cluster.1990, series {series}: window 1983-01..1997-12: "
+            "a two-segment RSS is not finite; values too large\n"
+        )
+        assert not (tmp_path / "breakpoints.csv").exists()
+
     def test_out_of_range_window_warns_not_aborts(self, econ_dir, tmp_path):
         out, cfg, spec = econ_dir
         from dataclasses import replace
@@ -1091,6 +1123,17 @@ class TestCli:
             assert code == 0, command
         assert problem is None
 
+    def test_seed_4_at_240_months_calibrates(self, tmp_path):
+        # its polish once crept into the corner of an amplitude box, A and kappa up to 1e4,
+        # and stopped at the iteration cap; the reduced form has no such corner
+        synth = ["synth", "--out", str(tmp_path), "--seed", "4", "--set", "synth.months=240"]
+        assert main(synth) == 0
+        config = str(tmp_path / "synthetic_config.txt")
+        for command in ("transform", "irf", "calibrate"):
+            assert main([command, "--config", config]) == 0, command
+        preamble, _, _ = read_csv(tmp_path / SUMMARY_FILE)
+        assert preamble["converged"] == "true"
+
     @pytest.mark.parametrize("key", ["tanh.window_start", "tanh.window_end"])
     def test_tanh_window_outside_the_data_names_its_key(
         self, default_chain, tmp_path, capsys, key
@@ -1310,16 +1353,17 @@ class TestCalibrationOutputs:
 
     def test_diagnostics_in_summary_preamble(self, mechanism_run):
         preamble, _, _ = read_csv(mechanism_run["out"] / "critical_point_summary.csv")
-        _, _, params = read_csv(mechanism_run["out"] / "two_compartment_parameters.csv")
-        kappa = {cells[0]: float(cells[6]) for cells in params}
-        for label in (CASH, RESERVE):
-            low = float(preamble[f"{label}.kappa_min"])
-            assert low == kappa[label] <= float(preamble[f"{label}.kappa_max"])
+        _, header, params = read_csv(mechanism_run["out"] / "two_compartment_parameters.csv")
+        assert header == ["phase", "u", "v", "delta", "gamma"]
+        assert [cells[0] for cells in params] == [CASH, RESERVE]
+        assert list(preamble) == ["converged", "degenerate", "ordering_holds", "binding_bounds",
+                                  "rate_evaluations"]
         assert preamble["converged"] == "true"
         assert int(preamble["rate_evaluations"]) > 0
-        for item in preamble["binding_bounds"].split():
+        bounds = preamble["binding_bounds"]
+        for item in [] if bounds == "none" else bounds.split():
             name, _, value = item.partition("=")
-            assert name.split(".")[-1] in ("A", "delta", "gamma", "eta", "kappa", "s_pi", "phi_c")
+            assert name.split(".")[-1] in ("delta", "gamma", "phi_c")
             float(value)
 
     def test_rerun_byte_identical(self, mechanism_run, tmp_path):
@@ -1445,7 +1489,7 @@ MALFORMED = {
     ),
     "summary_empty_phi_c_report": (
         SUMMARY_FILE, lambda lines: lines[:-1] + ["," + lines[-1].split(",", 1)[1]],
-        "report", "critical_point_summary.csv:11: cannot parse phi_c ''",
+        "report", "critical_point_summary.csv:7: cannot parse phi_c ''",
     ),
     "phase_means_non_number": (
         "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,abc,1"),
@@ -1521,16 +1565,16 @@ MALFORMED = {
     ),
     "summary_ordering_holds_false_report": (
         SUMMARY_FILE, _preamble("ordering_holds", "false"), "report",
-        f"{SUMMARY_FILE}:11: ordering_holds is false, but phi_bar_cash < phi_c < "
+        f"{SUMMARY_FILE}:7: ordering_holds is false, but phi_bar_cash < phi_c < "
         "phi_bar_reserve holds; rerun the calibrate command",
     ),
     "summary_phi_c_5_landau": (
         SUMMARY_FILE, lambda lines: lines[:-1] + ["5.0," + lines[-1].split(",", 1)[1]], "landau",
-        f"{SUMMARY_FILE}:11: phi_c must lie in (0, 1), got 5.0; rerun the calibrate command",
+        f"{SUMMARY_FILE}:7: phi_c must lie in (0, 1), got 5.0; rerun the calibrate command",
     ),
     "summary_phi_c_5_report": (
         SUMMARY_FILE, lambda lines: lines[:-1] + ["5.0," + lines[-1].split(",", 1)[1]], "report",
-        f"{SUMMARY_FILE}:11: phi_c must lie in (0, 1), got 5.0; rerun the calibrate command",
+        f"{SUMMARY_FILE}:7: phi_c must lie in (0, 1), got 5.0; rerun the calibrate command",
     ),
     "panel_blank_lines": (
         "panel.csv", lambda lines: ["", ""],
@@ -1612,11 +1656,11 @@ MALFORMED = {
     ),
     "summary_two_rows_landau": (
         SUMMARY_FILE, lambda lines: lines + [lines[-1]], "landau",
-        f"{SUMMARY_FILE}:12: more than one data row; rerun the calibrate command",
+        f"{SUMMARY_FILE}:8: more than one data row; rerun the calibrate command",
     ),
     "summary_two_rows_report": (
         SUMMARY_FILE, lambda lines: lines + [lines[-1]], "report",
-        f"{SUMMARY_FILE}:12: more than one data row; rerun the calibrate command",
+        f"{SUMMARY_FILE}:8: more than one data row; rerun the calibrate command",
     ),
     "tanh_fit_not_converged": (
         "tanh_fit.csv", lambda lines: [re.sub(",true$", ",false", line) for line in lines],
