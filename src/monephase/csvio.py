@@ -56,22 +56,24 @@ def write_csv(
     rows: Iterable[Sequence],
     preamble: Sequence[tuple[str, object]] = (),
 ) -> Path:
-    """Write a comma-delimited UTF-8 file after a '# key: value' preamble, formatting
-    WRITE_BLOCK rows at a time, a column at a time, and make its directory. A row of
-    other than one cell per header column raises ValueError, and nothing is written."""
+    """Write a comma-delimited UTF-8 file after a '# key: value' preamble, and make its
+    directory. It holds one block of WRITE_BLOCK rows' cells, formatted a column at a time,
+    and each block's text, written in order: never the whole file as one text or as bytes.
+    Every block is formatted before the file is opened, so a row of other than one cell
+    per header column raises ValueError, and nothing is written."""
     path = Path(path)
     lines = [f"# {key}: {fmt(value)}" for key, value in preamble]
-    text, rows = ["\n".join([*lines, ",".join(header)])], iter(rows)
+    texts, rows = ["\n".join([*lines, ",".join(header), ""])], iter(rows)
     while block := list(itertools.islice(rows, WRITE_BLOCK)):
         columns = [  # a column of plain floats skips fmt's tests
             [repr(v) if v == v else "" for v in column] if set(map(type, column)) == {float}
             else list(map(fmt, column))
             for _, *column in zip(header, *block, strict=True)
         ]
-        text.append("\n".join(map(",".join, zip(*columns))))
-    text = "\n".join([*text, ""])  # frees the blocks before the text is encoded
+        texts.append("\n".join([*map(",".join, zip(*columns)), ""]))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as file:
+        file.writelines(texts)
     return path
 
 

@@ -10,8 +10,9 @@ Validation is total: a malformed input raises a DataError naming file,
 line, and column, and no partial panel is returned. read_artifact checks
 both inputs as it checks every CSV a command reads; the same monthly-table
 reader also reads the pipeline's panel.csv. A table's Artifact declares
-its shape, once: table_rows gives the rows the pipeline writes for it,
-and remember holds a table just written as the Panel its text parses to.
+its shape, once: table_rows gives the rows the pipeline writes for it, a
+write block of months at a time, and remember holds a table just written
+as the Panel its text parses to.
 The process holds each table's Panel with the length and hash of its
 text, not the text.
 """
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import csvio
 from .csvio import Artifact, Record, parse_float_cell, read_artifact, read_text, read_utf8
 from .errors import DataError
 from .series import MonthIndex, MonthlySeries, Panel, month_labels
@@ -154,11 +156,13 @@ def load_cpi(path: Path | str) -> Panel:
 
 
 def table_rows(panel: Panel, artifact: Artifact):
-    """The rows of artifact's monthly table; its by_year cells are computed from the year."""
-    years = [o // 12 for o in range(panel.start.ordinal, panel.start.ordinal + panel.length)]
+    """The rows of artifact's monthly table, made a csvio.WRITE_BLOCK-month slice of the
+    panel's arrays at a time; its by_year cells are computed from the year."""
     by_year = dict(artifact.by_year)
-    cells = [month_labels(panel.start, panel.length)] + [
-        list(map(by_year[n], years)) if n in by_year else panel[n].values.tolist()
-        for n in artifact.header[1:]
-    ]
-    return zip(*cells)
+    for i in range(0, panel.length, csvio.WRITE_BLOCK):
+        first, n = panel.start + i, min(csvio.WRITE_BLOCK, panel.length - i)
+        years = [o // 12 for o in range(first.ordinal, first.ordinal + n)]
+        yield from zip(month_labels(first, n), *(
+            list(map(by_year[c], years)) if c in by_year else panel[c].values[i : i + n].tolist()
+            for c in artifact.header[1:]
+        ))

@@ -180,7 +180,14 @@ def build_panel(cfg: RunConfig) -> Panel:
 
 
 def read_panel_csv(path: Path | str) -> Panel:
-    return load_table(path, ARTIFACTS["panel.csv"])
+    """panel.csv as load_table reads it; a phi outside [0, 1] is refused on every read."""
+    panel = load_table(path, ARTIFACTS["panel.csv"])
+    phi = panel["phi"].values
+    if (bad := (phi < 0.0) | (phi > 1.0)).any():  # a missing month, NaN, is neither
+        i = int(np.argmax(bad))
+        rerun = ARTIFACTS["panel.csv"].rerun
+        raise DataError(f"{path}: phi {float(phi[i])} outside [0, 1] at {panel.start + i}{rerun}")
+    return panel
 
 
 def _write_table(out: Path, name: str, panel: Panel) -> Path:
@@ -418,16 +425,19 @@ def _intermediate_diagnostic(cfg: RunConfig, panel: Panel, memo: dict, out: Path
 
 
 def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Path:
-    rows = []
-    for name, variant in _robustness_variants(cfg):
+    """Estimate every variant, so that a failing one writes no file, then write their rows."""
+    estimated = []
+    for name, v in _robustness_variants(cfg):
         try:
-            tables = _lp_tables(variant, panel, memo)[1]
+            tables = sorted(_lp_tables(v, panel, memo)[1].items())
         except DataError as exc:
             raise DataError(f"robustness variant {name}: {exc}") from None
-        settings = (name, variant.cash_max, variant.reserve_min, variant.horizon, variant.lags)
-        for (label, response), table in sorted(tables.items()):
-            head = (*settings, _shock_definition(variant), label, response)
-            rows += [(*head, *c) for c in table.cells()]
+        settings = (name, v.cash_max, v.reserve_min, v.horizon, v.lags, _shock_definition(v))
+        estimated.append((settings, tables))
+    rows = (
+        (*settings, *key, *c) for settings, tables in estimated
+        for key, table in tables for c in table.cells()
+    )
     return _write(out, "IRF_robustness.csv", rows)
 
 

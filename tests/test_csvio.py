@@ -262,7 +262,7 @@ def test_write_csv_refuses_rows_not_as_wide_as_the_header(tmp_path, rows):
 
 
 def test_write_csv_holds_one_block_of_cells(tmp_path):
-    # a 2,000-row table: the text, its bytes and one block's cells; the whole
+    # a 2,000-row table: the text of each block and one block's cells; the whole
     # file's cells at once would be more than five times the file
     rng = np.random.default_rng(0)
     rows = [("x", i, *r) for i, r in enumerate(rng.standard_normal((2000, 8)).tolist())]

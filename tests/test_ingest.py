@@ -1,12 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monephase.csvio import write_csv
+from monephase import csvio
+from monephase.csvio import Artifact, write_csv
 from monephase.errors import DataError
 from monephase.ingest import CPI, MONETARY, load_cpi, load_monetary, table_rows
-from monephase.series import MonthIndex, MonthlySeries, Panel
+from monephase.pipeline import era_label
+from monephase.series import MonthIndex, MonthlySeries, Panel, month_labels
 
 
 def write_lines(path, lines):
@@ -190,3 +194,19 @@ def test_cpi_roundtrip_bit_exact(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("rt") / "c.csv"
     write_csv(path, CPI.header, table_rows(panel, CPI))
     assert load_cpi(path) == panel
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4])
+def test_table_rows_blocks_give_the_whole_columns(block):
+    # lengths that are whole blocks and lengths that are not, over the 1989 -> 1990
+    # change of era, with a missing month
+    table = Artifact(None, ("date", "x", "era", "y"), by_year=(("era", era_label),))
+    for length in range(1, 3 * block + 2):
+        start = MonthIndex(1990, 1) + -(length // 2)
+        x = np.arange(length) / 7.0
+        y = np.where(np.arange(length) == length // 2, np.nan, -x)
+        panel = Panel(start, length, {"x": MonthlySeries(start, x), "y": MonthlySeries(start, y)})
+        years = [(start.ordinal + i) // 12 for i in range(length)]
+        whole = zip(month_labels(start, length), x.tolist(), map(era_label, years), y.tolist())
+        with mock.patch.object(csvio, "WRITE_BLOCK", block):
+            assert list(map(repr, table_rows(panel, table))) == list(map(repr, whole))

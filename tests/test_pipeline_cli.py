@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -474,10 +475,14 @@ class TestBreakpoints:
             assert main(["transform", *inputs, *out]) == 0
         capsys.readouterr()
         assert main(["breakpoints", *out]) == 1
-        assert capsys.readouterr().err == (
-            f"monephase: error: breaks.cluster.1990, series {series}: window 1983-01..1997-12: "
-            "a two-segment RSS is not finite; values too large\n"
+        message = (
+            f"breaks.cluster.1990, series {series}: window 1983-01..1997-12: "
+            "a two-segment RSS is not finite; values too large"
         )
+        if column == "phi":  # refused as panel.csv is read, before any window is scanned
+            where = f"{tmp_path / name}: phi 1e+160 outside [0, 1] at 1990-06"
+            message = f"{where}; rerun the transform command"
+        assert capsys.readouterr().err == f"monephase: error: {message}\n"
         assert not (tmp_path / "breakpoints.csv").exists()
 
     def test_out_of_range_window_warns_not_aborts(self, econ_dir, tmp_path):
@@ -967,6 +972,39 @@ class TestPanelMemo:
         with pytest.raises(DataError, match="column CPI: index numbers must be positive"):
             ingest.load_cpi(tmp_path / "cpi.csv")
 
+    def test_phi_outside_unit_interval_refused_on_every_read(self, econ_dir, tmp_path, monkeypatch):
+        # the first read parses the file and holds its Panel; the second is served that
+        # Panel unparsed, and refuses it the same way
+        out, _, _ = econ_dir
+        path = tmp_path / "panel.csv"
+        lines = (out / "panel.csv").read_text().split("\n")
+        path.write_text("\n".join(_panel_phi("1995-06", "1.7")(lines)))
+        parses = []
+        numbers = ingest._numbers
+        monkeypatch.setattr(ingest, "_numbers", lambda cells: parses.append(1) or numbers(cells))
+        message = f"{path}: phi 1.7 outside [0, 1] at 1995-06; rerun the transform command"
+        for parsed in (True, False):
+            parses.clear()
+            with pytest.raises(DataError) as exc:
+                read_panel_csv(path)
+            assert str(exc.value) == message and bool(parses) == parsed
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # windows outside the data
+    def test_table_write_peaks_below_three_times_its_file(self, tmp_path):
+        # a 2,400-month panel.csv is written from blocks of rows: one block's cells and
+        # the text of each block, not the whole file's cells, text and bytes at once
+        assert main(["synth", "--out", str(tmp_path), "--set", "synth.months=2400"]) == 0
+        assert main(["transform", "--config", str(tmp_path / "synthetic_config.txt")]) == 0
+        panel = read_panel_csv(tmp_path / "panel.csv")
+        tracemalloc.start()
+        try:
+            path = pipeline._write_table(tmp_path / "again", "panel.csv", panel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == (tmp_path / "panel.csv").read_bytes()
+        assert peak < 3 * path.stat().st_size
+
 
 class TestReport:
     def test_missing_upstream_listed(self, econ_dir, tmp_path):
@@ -1455,6 +1493,12 @@ def _set_cell(line, index, value):
     return ",".join(cells)
 
 
+def _panel_phi(month, value):
+    """An edit of panel.csv's lines that sets the phi cell of month to value."""
+    column = ARTIFACTS["panel.csv"].header.index("phi")
+    return lambda lines: _edit_row(lines, f"{month},", lambda line: _set_cell(line, column, value))
+
+
 def _degenerate(lines):
     return [line.replace("# degenerate: false", "# degenerate: true") for line in lines]
 
@@ -1665,6 +1709,14 @@ MALFORMED = {
     "tanh_fit_not_converged": (
         "tanh_fit.csv", lambda lines: [re.sub(",true$", ",false", line) for line in lines],
         "report", "tanh_fit.csv: tanh fit did not converge; rerun the fit-phase command",
+    ),
+    "panel_phi_above_one_breakpoints": (
+        "panel.csv", _panel_phi("1995-06", "1.7"), "breakpoints",
+        "panel.csv: phi 1.7 outside [0, 1] at 1995-06; rerun the transform command",
+    ),
+    "panel_phi_below_zero_fit_phase": (
+        "panel.csv", _panel_phi("2020-06", "-0.4"), "fit-phase",
+        "panel.csv: phi -0.4 outside [0, 1] at 2020-06; rerun the transform command",
     ),
 }
 
