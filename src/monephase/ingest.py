@@ -9,12 +9,12 @@ unambiguous. Monetary quantities are in 100 million yen; CPI columns are
 Validation is total: a malformed input raises a DataError naming file,
 line, and column, and no partial panel is returned. read_artifact checks
 both inputs as it checks every CSV a command reads; the same monthly-table
-reader also reads the pipeline's panel.csv. A table's Artifact declares
-its shape, once: table_rows gives the rows the pipeline writes for it, a
-write block of months at a time, and remember holds a table just written
-as the Panel its text parses to.
-The process holds each table's Panel with the length and hash of its
-text, not the text.
+reader, load_table, reads the pipeline's panel.csv too, row by row. A
+table's Artifact declares its shape, once: table_rows gives the rows the
+pipeline writes for it, a write block of months at a time, and remember
+holds a table just written as the Panel its text parses to. Only a write
+puts a table in the process's memo, which holds its Panel with the length
+and hash of its text, not the text.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .csvio import Artifact, Record, parse_float_cell, read_artifact, read_text, read_utf8
+from .csvio import Artifact, Record, parse_float_cell, read_artifact, read_text
 from .errors import DataError
 from .series import MonthIndex, MonthlySeries, Panel, month_labels
 
@@ -33,8 +33,8 @@ MONETARY = Artifact(None, ("date", "MB", "BN", "CO", "RB", "MB_SA"))
 CPI = Artifact(None, ("date", "CPI", "CPI_core"))
 
 
-# header -> ((length, hash) of its text, Panel) of the table of that shape last parsed, or written
-# and remembered, under any declaration: a chain in one process reads the tables the command before
+# header -> ((length, hash) of its text, Panel) of the table of that shape last written and
+# remembered, under any declaration: a chain in one process reads the tables the command before
 # wrote. A stale table needs two texts of one length whose per-process 64-bit str hashes collide.
 _memo: dict[tuple[str, ...], tuple[tuple[int, int], Panel]] = {}
 
@@ -44,14 +44,14 @@ def _fingerprint(text: str) -> tuple[int, int]:
 
 
 def load_table(path: Path | str, artifact: Artifact) -> Panel:
-    """Read a monthly table a column at a time; its by_year columns, from the date, are not read.
+    """Read a monthly table row by row; its by_year columns, from the date, are not read.
 
-    Of several bad cells, the first in file order is reported: the earliest
-    line, and in it the date, then the columns in header order. A file
-    whose text has the length and hash of the text last parsed with the same
-    header, or last written and remembered with it, gives that Panel, whose
-    arrays are read-only, without a parse: the checks depend on the text
-    alone. Each call reads the file once; no text and no failure is kept.
+    The first bad cell in file order is reported: the earliest line, and in
+    it the date, then the columns in header order. A file whose text has the
+    length and hash of the table last written and remembered with the same
+    header gives that Panel, whose arrays are read-only, without a parse:
+    the checks depend on the text alone. Each call reads the file once; no
+    text, parse or failure is kept.
     """
     path = Path(path)
     text = read_text(path, artifact)
@@ -62,24 +62,23 @@ def load_table(path: Path | str, artifact: Artifact) -> Panel:
         start = MonthIndex.parse(rows[0][0])
     except DataError:  # report it as the Record of the first row does
         raise Record(path, artifact, rows[0]).error(f"cannot parse date {rows[0][0]!r}") from None
-    dates = month_labels(start, len(rows))  # each date must be the month after the one above it
-    bad = next((i for i, row in enumerate(rows) if row[0].strip() != dates[i]), len(rows))
-    series, by_year = {}, dict(artifact.by_year)
-    for j, name in enumerate(artifact.header):
-        if j and name not in by_year:
-            series[name], first_bad = _numbers([row[j] for row in rows])
-            bad = min(bad, first_bad)
-    if bad < len(rows):  # raise through that row's Record; the rows above it are sound
-        rec = Record(path, artifact, rows[bad])
-        month, previous = rec.parse("date", MonthIndex.parse), start + (bad - 1)
-        if month != previous + 1:
+    by_year, values = dict(artifact.by_year), []
+    columns = [j for j, name in enumerate(artifact.header) if j and name not in by_year]
+    for i, (row, date) in enumerate(zip(rows, month_labels(start, len(rows)))):
+        if row[0].strip() != date:  # each date must be the month after the one above it
+            rec, previous = Record(path, artifact, row), start + (i - 1)
+            month = rec.parse("date", MonthIndex.parse)
             gap = f"months must ascend without gaps ({previous} -> {month})"
             raise rec.error(f"duplicate month {month}" if month == previous else gap)
-        for name in series:
-            rec.parse(name, parse_float_cell)
-    panel = Panel(start, len(rows), {name: MonthlySeries(start, v) for name, v in series.items()})
-    _memo[artifact.header] = (_fingerprint(text), panel)
-    return panel
+        for j in columns:
+            try:
+                values.append(parse_float_cell(row[j]))
+            except DataError:
+                problem = f"cannot parse {artifact.header[j]} {row[j]!r}"
+                raise Record(path, artifact, row).error(problem) from None
+    table = np.array(values).reshape(len(rows), len(columns)).T
+    series = {artifact.header[j]: MonthlySeries(start, v) for j, v in zip(columns, table)}
+    return Panel(start, len(rows), series)
 
 
 def remember(path: Path, artifact: Artifact, panel: Panel):
@@ -98,26 +97,7 @@ def remember(path: Path, artifact: Artifact, panel: Panel):
             values = panel[name].values
             series[name] = MonthlySeries(panel.start, np.where(np.isnan(values), np.nan, values))
     held = Panel(panel.start, panel.length, series)
-    _memo[artifact.header] = (_fingerprint(read_utf8(path)), held)
-
-
-def _numbers(cells: list[str]) -> tuple[np.ndarray | None, int]:
-    """(values, len(cells)), or (None, the row of the first cell parse_float_cell refuses)."""
-    text = "".join(cells)
-    try:  # a blank cell reads as NaN; any other cell must be finite
-        if text.isascii() and "_" not in text:  # float() and DECIMAL agree on finite values
-            values = np.array([float(c) if c.strip() else np.nan for c in cells])
-            if not any(cells[i].strip() for i in np.flatnonzero(~np.isfinite(values))):
-                return values, len(cells)
-    except ValueError:
-        pass
-    values = []
-    for i, cell in enumerate(cells):
-        try:
-            values.append(parse_float_cell(cell))
-        except DataError:
-            return None, i
-    return np.array(values), len(cells)
+    _memo[artifact.header] = (_fingerprint(read_text(path, artifact)), held)
 
 
 def load_monetary(path: Path | str) -> Panel:

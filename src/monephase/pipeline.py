@@ -167,8 +167,12 @@ def build_panel(cfg: RunConfig) -> Panel:
     monetary = load_monetary(cfg.monetary_path)
     cpi = load_cpi(cfg.cpi_path)
     panel = merge({**monetary.series, **cpi.series})
+    try:
+        phi = order_parameter(panel["RB"], panel["MB"])
+    except DataError as exc:  # the composition of the monetary file
+        raise DataError(f"{cfg.monetary_path}: {exc}") from None
     derived = {
-        "phi": order_parameter(panel["RB"], panel["MB"]),
+        "phi": phi,
         "pi": yoy(panel["CPI"]),
         "pi_core": yoy(panel["CPI_core"]),
         "g_mb": yoy(panel["MB_SA"]),

@@ -176,16 +176,13 @@ def order_parameter(rb: MonthlySeries, mb: MonthlySeries) -> MonthlySeries:
         )
     r, m = rb.values, mb.values
     both = ~np.isnan(r) & ~np.isnan(m)
-    bad_mb = both & (m <= 0.0)
-    if bad_mb.any():
-        month = rb.start + int(np.argmax(bad_mb))
-        raise DataError(f"monetary base must be positive, offending month {month}")
-    over = both & (r > m)
-    if over.any():
-        month = rb.start + int(np.argmax(over))
-        raise DataError(
-            f"reserve balances exceed monetary base at {month}; composition violated"
-        )
+    for refused, problem in (
+        (m <= 0.0, "monetary base must be positive, offending month {}"),
+        (r > m, "reserve balances exceed monetary base at {}; composition violated"),
+        (r < 0.0, "reserve balances negative at {}; composition violated"),
+    ):
+        if (bad := both & refused).any():
+            raise DataError(problem.format(rb.start + int(np.argmax(bad))))
     out = np.full_like(r, np.nan)
     out[both] = r[both] / m[both]
     return MonthlySeries(rb.start, out)

@@ -128,6 +128,36 @@ class TestFirstBadCell:
         assert panel["RB"].values.tolist() == [1.0, 1.5, 1.0, 1.0]
 
 
+# cells of ASCII digits, the characters of signs, points, exponents and digit grouping,
+# blanks, other scripts' digits and the words float() reads; and finite floats as written
+GRAMMAR_CELLS = st.one_of(
+    st.lists(
+        st.sampled_from([*"0123456789+-.eE_ \t", "\u0661", "\uff11", "\u0967", "nan", "inf",
+                         "Infinity", "NaN"]),
+        max_size=8,
+    ).map("".join),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(TABLES))
+@given(cell=GRAMMAR_CELLS, row=st.integers(0, 3),
+       column=st.sampled_from(["MB", "BN", "CO", "RB", "MB_SA"]))
+@settings(max_examples=200, deadline=None)
+def test_reader_reads_a_cell_as_parse_float_cell_does(tmp_path_factory, kind, cell, row, column):
+    # one number grammar: a cell is read exactly when parse_float_cell reads it, to the
+    # same bits, and is otherwise reported at its line
+    where = tmp_path_factory.mktemp("g")
+    try:
+        value = parse_float_cell(cell)
+    except DataError:
+        message = _message(where, kind, row + 2, f"cannot parse {column} {cell!r}")
+        assert _error(where, kind, {(row, column): cell}) == message
+    else:
+        got = _load(where, kind, {(row, column): cell})[column].values[row]
+        assert got.tobytes() == np.float64(value).tobytes()
+
+
 @pytest.mark.parametrize(
     "cell, value",
     [("1", 1.0), ("-1.5", -1.5), ("+.5", 0.5), ("1.", 1.0), ("2e3", 2e3), ("1E-5", 1e-5),

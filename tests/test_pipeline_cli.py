@@ -816,13 +816,21 @@ class TestLandauCommand:
             cmd_landau(cfg2)
 
 
+def _count_parses(monkeypatch) -> list:
+    """A list that gains an item each time load_table parses a file rather than serve its memo."""
+    parses, read = [], ingest.read_artifact
+    monkeypatch.setattr(ingest, "read_artifact", lambda *args: parses.append(1) or read(*args))
+    return parses
+
+
 class TestPanelMemo:
-    """Within one process, a monthly table whose text was last parsed or written is not parsed."""
+    """Within one process, a monthly table whose text was last written with its header is not
+    parsed; any other table is parsed on every read."""
 
     def test_keyed_by_content_not_by_size_or_mtime(self, econ_dir, tmp_path, capsys):
         out, _, _ = econ_dir
-        path, text = tmp_path / "panel.csv", (out / "panel.csv").read_text()
-        path.write_text(text)
+        path = pipeline._write_table(tmp_path, "panel.csv", read_panel_csv(out / "panel.csv"))
+        text = path.read_text()
         first = read_panel_csv(path)
         assert read_panel_csv(path) is first
         lines = text.split("\n")
@@ -861,42 +869,46 @@ class TestPanelMemo:
 
     def test_holds_one_table(self, econ_dir, tmp_path):
         out, _, _ = econ_dir
-        lines = (out / "panel.csv").read_text().split("\n")
-        paths = [tmp_path / "whole.csv", tmp_path / "short.csv"]
-        paths[0].write_text("\n".join(lines))
-        paths[1].write_text("\n".join([*lines[:-2], ""]))  # the last month dropped
+        whole = read_panel_csv(out / "panel.csv")
+        end = whole.end - 1  # the last month dropped
+        short = Panel(whole.start, whole.length - 1,
+                      {name: s.restrict(whole.start, end) for name, s in whole.series.items()})
+        paths = [pipeline._write_table(tmp_path / "whole", "panel.csv", whole)]
         first = weakref.ref(read_panel_csv(paths[0]))
         gc.collect()
         assert first() is not None
         length = first().length
+        paths.append(pipeline._write_table(tmp_path / "short", "panel.csv", short))
         assert read_panel_csv(paths[1]).length == length - 1
         gc.collect()
         assert first() is None
+
+    def test_table_not_written_here_is_parsed_on_every_read(self, econ_dir, tmp_path, monkeypatch):
+        out, _, _ = econ_dir
+        path = tmp_path / "panel.csv"
+        path.write_text((out / "panel.csv").read_text())
+        ingest._memo.clear()
+        parses = _count_parses(monkeypatch)
+        first, second = read_panel_csv(path), read_panel_csv(path)
+        assert len(parses) == 2 and second is not first and ingest._memo == {}
+        for name, series in first.series.items():
+            assert second[name].values.tobytes() == series.values.tobytes()
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # windows outside the data
     def test_one_parse_per_chain(self, tmp_path, monkeypatch):
         # each table a command reads was written by the one before: none is parsed; with
         # the memo emptied before each command, transform parses both inputs, and
         # breakpoints, fit-phase and irf each parse panel.csv
-        columns = []
-        numbers = ingest._numbers
-
-        def spy(cells):
-            columns.append(len(cells))
-            return numbers(cells)
-
-        monkeypatch.setattr(ingest, "_numbers", spy)
-        inputs = len(ARTIFACTS["monetary.csv"].header) + len(ARTIFACTS["cpi.csv"].header) - 2
-        panel = len(ARTIFACTS["panel.csv"].header) - 2  # no date, no era
-        for run, parsed in (("memo", 0), ("emptied", inputs + 3 * panel)):
-            columns.clear()
+        parses = _count_parses(monkeypatch)
+        for run, parsed in (("memo", 0), ("emptied", 2 + 3)):
+            parses.clear()
             out = tmp_path / run
             assert main(["synth", "--out", str(out), "--set", "synth.months=240"]) == 0
             for command in ("transform", "breakpoints", "fit-phase", "irf"):
                 if run == "emptied":
                     ingest._memo.clear()
                 assert main([command, "--config", str(out / "synthetic_config.txt")]) == 0
-            assert len(columns) == parsed
+            assert len(parses) == parsed
         files = sorted(path.name for path in (tmp_path / "memo").iterdir())
         assert files == sorted(path.name for path in (tmp_path / "emptied").iterdir())
         for name in files:  # synthetic_config.txt names its own directory
@@ -973,17 +985,18 @@ class TestPanelMemo:
             ingest.load_cpi(tmp_path / "cpi.csv")
 
     def test_phi_outside_unit_interval_refused_on_every_read(self, econ_dir, tmp_path, monkeypatch):
-        # the first read parses the file and holds its Panel; the second is served that
-        # Panel unparsed, and refuses it the same way
+        # the first read parses the edited file; the second, once the same text is written
+        # from its Panel, is served that Panel unparsed, and refuses it the same way
         out, _, _ = econ_dir
         path = tmp_path / "panel.csv"
         lines = (out / "panel.csv").read_text().split("\n")
-        path.write_text("\n".join(_panel_phi("1995-06", "1.7")(lines)))
-        parses = []
-        numbers = ingest._numbers
-        monkeypatch.setattr(ingest, "_numbers", lambda cells: parses.append(1) or numbers(cells))
+        path.write_text(text := "\n".join(_panel_phi("1995-06", "1.7")(lines)))
+        panel = ingest.load_table(path, ARTIFACTS["panel.csv"])  # phi is not checked here
+        parses = _count_parses(monkeypatch)
         message = f"{path}: phi 1.7 outside [0, 1] at 1995-06; rerun the transform command"
         for parsed in (True, False):
+            if not parsed:
+                assert pipeline._write_table(tmp_path, "panel.csv", panel).read_text() == text
             parses.clear()
             with pytest.raises(DataError) as exc:
                 read_panel_csv(path)
@@ -1752,7 +1765,7 @@ class TestUpstreamArtifacts:
         assert table == declared
 
     def test_clean_panel_read_parses_no_cell_through_a_record(self, default_chain, monkeypatch):
-        # panel.csv is parsed a column at a time; a Record parses only to report a bad cell
+        # panel.csv is parsed row by row; a Record parses only to report a bad cell
         out, _ = default_chain
         calls = []
         parse = csvio.Record.parse

@@ -122,6 +122,10 @@ class TestOrderParameter:
         with pytest.raises(DataError, match="composition"):
             order_parameter(series([3.0]), series([2.0]))
 
+    def test_negative_rb_rejected(self):
+        with pytest.raises(DataError, match="reserve balances negative at 1970-02; composition"):
+            order_parameter(series([1.0, -1.0]), series([2.0, 2.0]))
+
     def test_misaligned_rejected(self):
         with pytest.raises(DataError, match="aligned"):
             order_parameter(series([1.0, 1.0]), series([2.0, 2.0], MonthIndex(1971, 1)))
