@@ -51,9 +51,10 @@ SHORTHANDS = (
 
 
 def _override(key: str, kind):
-    """An argparse type: the override of key by an option's value, which kind must parse."""
+    """An argparse type: the override of key by an option's value as given, once kind parses it."""
     def override(text: str) -> str:
-        return f"{key}={kind(text)}"
+        kind(text)  # the config parses the value given, as it parses --set
+        return f"{key}={text}"
 
     override.__name__ = kind.__name__  # argparse's usage error names it: invalid int value
     return override

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .csvio import fmt, read_utf8
+from .csvio import fmt, parse_int, parse_number, read_utf8
 from .errors import DataError
 from .phase import PhaseThresholds
 from .series import MonthIndex
@@ -64,20 +64,20 @@ class RunConfig:
     monetary_path: str = _setting("data.monetary", "", str)
     cpi_path: str = _setting("data.cpi", "", str)
     out_dir: str = _setting("out.dir", "out", str)
-    cash_max: float = _setting("phase.cash_max", PhaseThresholds.cash_max, float)
-    reserve_min: float = _setting("phase.reserve_min", PhaseThresholds.reserve_min, float)
+    cash_max: float = _setting("phase.cash_max", PhaseThresholds.cash_max, parse_number)
+    reserve_min: float = _setting("phase.reserve_min", PhaseThresholds.reserve_min, parse_number)
     tanh_start: MonthIndex = _setting("tanh.window_start", MonthIndex(2010, 1), MonthIndex.parse)
     tanh_end: MonthIndex = _setting("tanh.window_end", MonthIndex(2018, 12), MonthIndex.parse)
     shock_kind: str = _setting("shock.kind", "ar_resid", str)
-    shock_p: int = _setting("shock.p", 12, int, 1)
-    horizon: int = _setting("lp.horizon", 24, int, 0)
-    lags: int = _setting("lp.lags", 12, int, 0)
-    hac_lag: int = _setting("lp.hac_lag", 12, int, 0)
-    min_segment: int = _setting("breaks.min_segment", 24, int, 1)
+    shock_p: int = _setting("shock.p", 12, parse_int, 1)
+    horizon: int = _setting("lp.horizon", 24, parse_int, 0)
+    lags: int = _setting("lp.lags", 12, parse_int, 0)
+    hac_lag: int = _setting("lp.hac_lag", 12, parse_int, 0)
+    min_segment: int = _setting("breaks.min_segment", 24, parse_int, 1)
     robustness: bool = _setting("irf.robustness", False, lambda v: _BOOLS[v.lower()])
-    landau_phi_c: float | None = _setting("landau.phi_c", None, float)
-    synth_months: int = _setting("synth.months", 612, int)
-    seed: int = _setting("seed", 1, int, 0)
+    landau_phi_c: float | None = _setting("landau.phi_c", None, parse_number)
+    synth_months: int = _setting("synth.months", 612, parse_int)
+    seed: int = _setting("seed", 1, parse_int, 0)
     clusters: dict = field(default_factory=dict)  # empty: DEFAULT_CLUSTERS
 
     def __post_init__(self):
@@ -130,9 +130,9 @@ def _apply_key(values: dict, clusters: dict, key: str, raw: str):
     setting = _SCALAR_KEYS[key]
     try:
         value = setting.metadata["parse"](raw)
-    except DataError:
-        raise
-    except (KeyError, ValueError):  # KeyError: a word that is not in _BOOLS
+    except (KeyError, DataError):  # KeyError: a word that is not in _BOOLS
+        if setting.metadata["parse"] == MonthIndex.parse:  # its error says what a month is
+            raise
         raise DataError(f"cannot parse value {raw!r} for key {key!r}") from None
     _check(key, value)  # here, not only in RunConfig, so a config file's error names the line
     values[setting.name] = value

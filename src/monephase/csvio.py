@@ -35,6 +35,14 @@ def fmt(value) -> str:
 # an optional ASCII sign, ASCII digits with at most one point, an optional exponent: the
 # finite forms float() reads, without its digit grouping and other scripts' digits
 DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+INTEGER = re.compile(r"[+-]?[0-9]+")  # the forms int() reads, on the same terms
+
+
+def parse_int(cell: str) -> int:
+    """A cell that, stripped, must be an INTEGER."""
+    if not INTEGER.fullmatch(text := cell.strip()):
+        raise DataError(f"cannot parse integer {cell!r}")
+    return int(text)
 
 
 def parse_float_cell(cell: str) -> float:

@@ -169,7 +169,7 @@ def ar_fit(
     """AR(p) by OLS with intercept; residuals are the unexpected component.
 
     sample is a boolean mask with one entry per month of x, such as a
-    phase's PhasePartition.mask; None keeps every month. Rows are pooled
+    phase's mask from phase.classify; None keeps every month. Rows are pooled
     across the mask's runs of consecutive months; a row is usable only
     when all its lags stay inside its own run, so no dynamics are
     fabricated across gaps. Residuals come back unstandardized and

@@ -21,7 +21,6 @@ from .series import MonthIndex, MonthlySeries
 CASH = "cash"
 INTERMEDIATE = "intermediate"
 RESERVE = "reserve"
-PHASE_LABELS = (CASH, INTERMEDIATE, RESERVE)
 
 
 @dataclass(frozen=True)
@@ -39,31 +38,13 @@ class PhaseThresholds:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class PhasePartition:
-    """Per-month phase labels from start on, one string array."""
-
-    start: MonthIndex
-    labels: np.ndarray
-
-    def mask(self, label: str) -> np.ndarray:
-        if label not in PHASE_LABELS:
-            raise DataError(f"unknown phase label {label!r}")
-        return self.labels == label
-
-    def segments(self, label: str) -> list[tuple[MonthIndex, MonthIndex]]:
-        """Maximal contiguous runs carrying the given label."""
-        edges = np.flatnonzero(np.diff(np.concatenate([[0], self.mask(label), [0]])))
-        return [(self.start + int(i), self.start + int(j) - 1) for i, j in edges.reshape(-1, 2)]
-
-
-def classify(phi: MonthlySeries, thresholds: PhaseThresholds) -> PhasePartition:
-    """Label each month from phi.
+def classify(phi: MonthlySeries, thresholds: PhaseThresholds) -> dict[str, np.ndarray]:
+    """Each phase's month mask: read-only booleans, one per month of phi.
 
     cash strictly below cash_max, reserve strictly above reserve_min, the
     closed band in between is intermediate. A missing phi month is also
-    labeled intermediate: it is thereby excluded from both phases, which
-    is the conservative choice for months whose regime is unknown.
+    intermediate: it is thereby excluded from both phases, which is the
+    conservative choice for months whose regime is unknown.
     """
     vals = phi.values
     finite = ~np.isnan(vals)
@@ -72,20 +53,26 @@ def classify(phi: MonthlySeries, thresholds: PhaseThresholds) -> PhasePartition:
         month = phi.start + int(np.argmax(out_of_range))
         raise DataError(f"order parameter outside [0, 1] at {month}")
     # NaN fails both comparisons and falls through to intermediate
-    labels = np.select(
-        [vals < thresholds.cash_max, vals > thresholds.reserve_min], [CASH, RESERVE], INTERMEDIATE
-    )
-    labels.flags.writeable = False  # the partition is as immutable as the series
-    return PhasePartition(phi.start, labels)
+    cash, reserve = vals < thresholds.cash_max, vals > thresholds.reserve_min
+    masks = {CASH: cash, INTERMEDIATE: ~(cash | reserve), RESERVE: reserve}
+    for mask in masks.values():
+        mask.flags.writeable = False  # the masks are as immutable as the series
+    return masks
 
 
-def phase_means(phi: MonthlySeries, partition: PhasePartition) -> tuple[float, float]:
+def segments(mask: np.ndarray, start: MonthIndex) -> list[tuple[MonthIndex, MonthIndex]]:
+    """The maximal runs of months in a mask whose first entry is the month start."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], mask, [0]])))
+    return [(start + int(i), start + int(j) - 1) for i, j in edges.reshape(-1, 2)]
+
+
+def phase_means(phi: MonthlySeries, masks: dict[str, np.ndarray]) -> tuple[float, float]:
     """Arithmetic mean of phi over cash months and over reserve months."""
-    if partition.start != phi.start or len(partition.labels) != len(phi):
-        raise DataError("partition and series must cover the same months")
     means = []
     for label in (CASH, RESERVE):
-        mask = partition.mask(label)
+        mask = masks[label]
+        if len(mask) != len(phi):
+            raise DataError("phase masks and series must cover the same months")
         if not mask.any():
             raise DataError(f"phase {label!r} is empty")
         means.append(float(np.mean(phi.values[mask])))

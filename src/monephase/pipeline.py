@@ -25,7 +25,8 @@ from . import econometrics as em
 from . import landau as ld
 from .compartment import CalibrationResult, calibrate, steady_state_phi
 from .config import RunConfig, config_text
-from .csvio import Artifact, Record, parse_float_cell, parse_number, read_artifact, write_csv
+from .csvio import Artifact, Record, parse_float_cell, parse_int, parse_number
+from .csvio import read_artifact, write_csv
 from .errors import ConvergenceError, DataError
 from .ingest import CPI, MONETARY, load_cpi, load_monetary, load_table, remember, table_rows
 from .phase import (
@@ -171,26 +172,42 @@ def build_panel(cfg: RunConfig) -> Panel:
         phi = order_parameter(panel["RB"], panel["MB"])
     except DataError as exc:  # the composition of the monetary file
         raise DataError(f"{cfg.monetary_path}: {exc}") from None
-    derived = {
+    return Panel(panel.start, panel.length, {**panel.series, **derive(panel, phi)})
+
+
+def derive(levels: Panel, phi: MonthlySeries) -> dict[str, MonthlySeries]:
+    """The columns transform derives: phi = RB/MB as given, then each from its levels."""
+    return {
         "phi": phi,
-        "pi": yoy(panel["CPI"]),
-        "pi_core": yoy(panel["CPI_core"]),
-        "g_mb": yoy(panel["MB_SA"]),
-        "idx_MB_SA": index_to_base(panel["MB_SA"]),
-        "idx_CPI": index_to_base(panel["CPI"]),
-        "idx_CPI_core": index_to_base(panel["CPI_core"]),
+        "pi": yoy(levels["CPI"]),
+        "pi_core": yoy(levels["CPI_core"]),
+        "g_mb": yoy(levels["MB_SA"]),
+        "idx_MB_SA": index_to_base(levels["MB_SA"]),
+        "idx_CPI": index_to_base(levels["CPI"]),
+        "idx_CPI_core": index_to_base(levels["CPI_core"]),
     }
-    return Panel(panel.start, panel.length, {**panel.series, **derived})
 
 
 def read_panel_csv(path: Path | str) -> Panel:
-    """panel.csv as load_table reads it; a phi outside [0, 1] is refused on every read."""
-    panel = load_table(path, ARTIFACTS["panel.csv"])
+    """panel.csv as load_table reads it, refused on every read unless phi lies in [0, 1] and
+    each derived column is, bit for bit, what derive gives from the file's own levels."""
+    panel, rerun = load_table(path, ARTIFACTS["panel.csv"]), ARTIFACTS["panel.csv"].rerun
     phi = panel["phi"].values
     if (bad := (phi < 0.0) | (phi > 1.0)).any():  # a missing month, NaN, is neither
         i = int(np.argmax(bad))
-        rerun = ARTIFACTS["panel.csv"].rerun
         raise DataError(f"{path}: phi {float(phi[i])} outside [0, 1] at {panel.start + i}{rerun}")
+    try:
+        derived = derive(panel, order_parameter(panel["RB"], panel["MB"]))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}{rerun}") from None
+    held = np.array([panel[name].values for name in derived])
+    want = np.array([series.values for series in derived.values()])
+    bad = (held.view(np.int64) != want.view(np.int64)) & ~(np.isnan(held) & np.isnan(want))
+    if bad.any():  # the first in file order: the earliest month, then its first such column
+        i, j = divmod(int(np.argmax(bad.T)), len(derived))
+        name, a, b = list(derived)[j], float(held[j, i]), float(want[j, i])
+        problem = f"{name} at {panel.start + i} is {a!r}, but the file's levels give {b!r}"
+        raise DataError(f"{path}: {problem}{rerun}")
     return panel
 
 
@@ -210,8 +227,9 @@ def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     panel = read_panel_csv(out / "panel.csv")
     mb_sa = panel["MB_SA"].values
-    if (mb_sa[~np.isnan(mb_sa)] <= 0).any():
-        raise DataError("MB_SA must be positive to take logs")
+    if (bad := mb_sa <= 0.0).any():  # False for a missing month; transform copies MB_SA as read
+        month = panel.start + int(np.argmax(bad))
+        raise DataError(f"{out / 'panel.csv'}: MB_SA must be positive to take logs at {month}")
     targets = {
         "log_MB_SA": MonthlySeries(panel.start, np.log(mb_sa)),
         "phi": panel["phi"],
@@ -291,7 +309,7 @@ def _lp_tables(cfg: RunConfig, panel: Panel, memo: dict, phases=(CASH, RESERVE))
     partition = classify(panel["phi"], PhaseThresholds(cfg.cash_max, cfg.reserve_min))
     H, out = cfg.horizon, {}
     for label in phases:
-        mask = partition.mask(label)
+        mask = partition[label]
         key = (label, mask.tobytes(), cfg.shock_kind, cfg.shock_p)
         if key not in memo:
             if not mask.any():
@@ -332,7 +350,7 @@ def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
     Each file must hold h = 0..H in both phases, with H, L and the
     shock definition cfg's.
     """
-    kinds = {"h": int, "n": int}
+    kinds = {"h": parse_int, "n": parse_int}
     tables = {}
     for response, name in IRF_FILES.items():
         preamble, by_phase = _phase_records(out, name)
@@ -342,7 +360,7 @@ def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
             for phase, records in by_phase.items()
         }
         try:
-            H, L = int(preamble["H"]), int(preamble["L"])
+            H, L = parse_int(preamble["H"]), parse_int(preamble["L"])
             if (H, L) != (cfg.horizon, cfg.lags):
                 raise DataError(
                     f"estimated with H = {H} and L = {L}, but the config sets "
@@ -403,8 +421,8 @@ def cmd_irf(cfg: RunConfig) -> list[Path]:
             out,
             "phase_means.csv",
             [
-                (CASH, phi_bar_cash, int(partition.mask(CASH).sum())),
-                (RESERVE, phi_bar_reserve, int(partition.mask(RESERVE).sum())),
+                (CASH, phi_bar_cash, int(partition[CASH].sum())),
+                (RESERVE, phi_bar_reserve, int(partition[RESERVE].sum())),
             ],
         )
     )
@@ -449,7 +467,13 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     tables = read_irfs(out, cfg)
     means = _both_phases(out, "phase_means.csv")
-    result = calibrate(tables, {phase: rec.parse("phi_bar") for phase, rec in means.items()})
+    phi_bars = {phase: rec.parse("phi_bar") for phase, rec in means.items()}
+    for phase, rec in means.items():
+        if not 0.0 < phi_bars[phase] < 1.0:
+            raise rec.error(f"phi_bar {phi_bars[phase]} outside (0, 1)")
+    if (cash := phi_bars[CASH]) >= phi_bars[RESERVE]:
+        raise means[RESERVE].error(f"phi_bar {phi_bars[RESERVE]} is not above cash's {cash}")
+    result = calibrate(tables, phi_bars)
     written = write_calibration(out, result, tables)
     if result.degenerate:
         msg = "calibration degenerate: fitted price responses are null, phi_c unidentified"
@@ -600,20 +624,21 @@ def cmd_report(cfg: RunConfig) -> list[Path]:
     _, breaks = _read(out, "breakpoints.csv")
     effs = _both_phases(out, "efficiency.csv")
     summary, calibration = _calibration(out)
-    kinds = {"t0_calendar": _month_fraction, "argmax_r": int, "argmax_c": int}
+    kinds = {"t0_calendar": _month_fraction, "argmax_r": parse_int, "argmax_c": parse_int}
 
     def cell(rec: Record, column: str) -> str:  # copied as written, once it parses
         rec.parse(column, kinds.get(column, parse_number))
         return rec[column]
 
     lines = [f"tanh.{c} = {cell(tanh, c)}" for c in ("phi0", "A", "t0_calendar", "w_months")]
-    by_key: dict[tuple[str, str], list[int]] = {}
+    by_key: dict[tuple[str, str], dict[tuple, int]] = {}  # (series, cluster): each window's tau
     for rec in breaks:
-        tau = rec.parse("tau", MonthIndex.parse).ordinal
-        by_key.setdefault((rec["series"], rec["cluster"]), []).append(tau)
+        window = tuple(rec.parse(c, MonthIndex.parse) for c in ("window_start", "window_end"))
+        if window in (taus := by_key.setdefault((rec["series"], rec["cluster"]), {})):
+            raise rec.error(f"repeated {rec['series']} window {window[0]}..{window[1]}")
+        taus[window] = rec.parse("tau", MonthIndex.parse).ordinal
     for (series, cluster), taus in sorted(by_key.items()):
-        taus.sort()
-        median = MonthIndex.from_ordinal(taus[(len(taus) - 1) // 2])
+        median = MonthIndex.from_ordinal(sorted(taus.values())[(len(taus) - 1) // 2])
         lines.append(f"breakpoints.{cluster}.{series}.median = {median}")
     for rec in effs.values():
         for c in ("eff_r", "argmax_r", "eff_c", "argmax_c"):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .compartment import CompartmentParams, CouplingParams, cpi_irf, phi_irf
 from .errors import DataError
-from .phase import CASH, RESERVE, PhasePartition, PhaseThresholds, classify
+from .phase import CASH, RESERVE, PhaseThresholds, classify, segments
 from .series import MonthIndex, MonthlySeries, Panel
 
 BURN_IN = 240
@@ -113,7 +113,7 @@ class GroundTruth:
     innovations_unit: np.ndarray
     growth: np.ndarray
     profile: np.ndarray
-    partition: PhasePartition  # phases of the noise-free profile
+    partition: dict[str, np.ndarray]  # each phase's month mask of the noise-free profile
 
 
 def _levels(first: float, monthly_growth: float, yoy: np.ndarray) -> np.ndarray:
@@ -149,7 +149,7 @@ def generate(spec: SynthSpec) -> tuple[Panel, GroundTruth]:
         resp = np.zeros(T)
         for phase in (CASH, RESERVE):
             kern = spec.kernel(phase, outcome)
-            masked = np.where(partition.mask(phase), e_unit, 0.0)
+            masked = np.where(partition[phase], e_unit, 0.0)
             resp += np.convolve(masked, kern)[:T]
         return resp
 
@@ -254,7 +254,7 @@ def ground_truth_rows(truth: GroundTruth) -> list[tuple]:
     for phase, outcome in KERNEL_KEYS:
         rows.append((f"kernel_{phase}_{outcome}", _join(spec.kernel(phase, outcome))))
     for label in (CASH, RESERVE):
-        segs = truth.partition.segments(label)
+        segs = segments(truth.partition[label], spec.start)
         rows.append((f"segments_{label}", ";".join(f"{a}:{b}" for a, b in segs)))
     rows.append(("innovations_unit", _join(truth.innovations_unit)))
     return rows

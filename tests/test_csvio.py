@@ -19,14 +19,15 @@ from hypothesis import strategies as st
 from monephase import csvio
 from monephase.csvio import Record, fmt, parse_float_cell, read_artifact, write_csv
 from monephase.errors import DataError
-from monephase.ingest import MONETARY, load_monetary
-from monephase.pipeline import ARTIFACTS, read_panel_csv
+from monephase.ingest import MONETARY, load_monetary, load_table
+from monephase.pipeline import ARTIFACTS
 from monephase.series import MonthIndex, MonthlySeries, Panel
 
 # kind: (file name, reader, header, the hint that ends its errors)
 TABLES = {
     "input": ("monetary.csv", load_monetary, MONETARY.header, ""),
-    "panel": ("panel.csv", read_panel_csv, ARTIFACTS["panel.csv"].header,
+    "panel": ("panel.csv", lambda path: load_table(path, ARTIFACTS["panel.csv"]),
+              ARTIFACTS["panel.csv"].header,
               "; rerun the transform command"),
 }
 START = MonthIndex(1990, 1)

@@ -12,6 +12,7 @@ from monephase.phase import (
     classify,
     fit_tanh,
     phase_means,
+    segments,
 )
 from monephase.series import MonthIndex, MonthlySeries
 
@@ -21,6 +22,13 @@ TH = PhaseThresholds()
 
 def ms(values, start=START):
     return MonthlySeries(start, values)
+
+
+def labels(masks):
+    """Each month's phase, read from the masks; every month is in exactly one."""
+    assert (np.sum(list(masks.values()), axis=0) == 1).all()
+    return tuple(next(label for label, mask in masks.items() if mask[i])
+                 for i in range(len(masks[CASH])))
 
 
 class TestThresholds:
@@ -37,21 +45,21 @@ class TestThresholds:
 class TestClassify:
     def test_boundary_is_intermediate(self):
         part = classify(ms([0.30, 0.60]), TH)
-        assert tuple(part.labels) == (INTERMEDIATE, INTERMEDIATE)
+        assert labels(part) == (INTERMEDIATE, INTERMEDIATE)
 
     def test_three_way_split(self):
         part = classify(ms([0.1, 0.5, 0.9]), TH)
-        assert tuple(part.labels) == (CASH, INTERMEDIATE, RESERVE)
+        assert labels(part) == (CASH, INTERMEDIATE, RESERVE)
 
     def test_monotone_profile_gives_three_segments(self):
         t = np.arange(100.0)
         phi = 0.45 + 0.35 * np.tanh((t - 50.0) / 8.0)
         part = classify(ms(phi), TH)
-        assert len(part.segments(CASH)) == 1
-        assert len(part.segments(INTERMEDIATE)) == 1
-        assert len(part.segments(RESERVE)) == 1
-        cash_seg = part.segments(CASH)[0]
-        inter_seg = part.segments(INTERMEDIATE)[0]
+        assert len(segments(part[CASH], START)) == 1
+        assert len(segments(part[INTERMEDIATE], START)) == 1
+        assert len(segments(part[RESERVE], START)) == 1
+        cash_seg = segments(part[CASH], START)[0]
+        inter_seg = segments(part[INTERMEDIATE], START)[0]
         assert cash_seg[1] + 1 == inter_seg[0]
 
     def test_segments_reconstruct_labels(self):
@@ -60,23 +68,24 @@ class TestClassify:
         part = classify(ms(phi), TH)
         rebuilt = [None] * 60
         for label in (CASH, INTERMEDIATE, RESERVE):
-            for a, b in part.segments(label):
+            for a, b in segments(part[label], START):
                 for i in range(a - START, b - START + 1):
                     rebuilt[i] = label
-        assert tuple(rebuilt) == tuple(part.labels)
+        assert tuple(rebuilt) == labels(part)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError, match="outside"):
             classify(ms([0.5, 1.2]), TH)
 
-    def test_labels_read_only(self):
+    def test_masks_read_only(self):
         part = classify(ms([0.1, 0.5]), TH)
-        with pytest.raises(ValueError):
-            part.labels[0] = RESERVE
+        for mask in part.values():
+            with pytest.raises(ValueError):
+                mask[0] = not mask[0]
 
     def test_missing_is_intermediate(self):
         part = classify(ms([None, 0.1]), TH)
-        assert tuple(part.labels) == (INTERMEDIATE, CASH)
+        assert labels(part) == (INTERMEDIATE, CASH)
 
     @given(
         st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=50),
@@ -87,7 +96,7 @@ class TestClassify:
     def test_raising_cash_max_is_monotone(self, phi, cash_max, bump):
         lo = classify(ms(phi), PhaseThresholds(cash_max, 0.95))
         hi = classify(ms(phi), PhaseThresholds(cash_max + bump, 0.96))
-        for a, b in zip(lo.labels, hi.labels):
+        for a, b in zip(labels(lo), labels(hi)):
             if a == CASH:
                 assert b == CASH
 
@@ -202,3 +211,8 @@ class TestPhaseMeans:
         part = classify(ms(phi), TH)
         with pytest.raises(DataError, match="cash"):
             phase_means(ms(phi), part)
+
+    def test_masks_of_other_months_refused(self):
+        part = classify(ms([0.1, 0.9]), TH)
+        with pytest.raises(DataError, match="same months"):
+            phase_means(ms([0.1, 0.9, 0.9]), part)

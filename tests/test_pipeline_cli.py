@@ -243,6 +243,24 @@ class TestConfig:
         with pytest.raises(DataError, match=f"^{re.escape(problem)}$"):
             RunConfig(**{setting.name: setting.metadata["parse"](value)})
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0661\u0662"])
+    @pytest.mark.parametrize(
+        "key", [k for k, f in _SCALAR_KEYS.items() if f.type in ("int", "float", "float | None")]
+    )
+    def test_numbers_follow_the_table_cell_grammar(self, tmp_path, capsys, key, value):
+        # int() and float() read digit grouping and other scripts' digits; a table cell and a
+        # config value admit neither
+        problem = f"cannot parse value {value!r} for key {key!r}"
+        path = tmp_path / "run.conf"
+        path.write_text(f"{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}:1: {problem}')}$"):
+            parse_config(path)
+        with pytest.raises(DataError, match=f"^{re.escape(problem)}$"):
+            apply_overrides(RunConfig(), [f"{key}={value}"])
+        if key == "seed":  # --seed sets the key as --set does
+            assert main(["synth", "--out", str(tmp_path / "out"), "--seed", value]) == 1
+            assert capsys.readouterr().err == f"monephase: error: {problem}\n"
+
     @pytest.mark.parametrize("command", ["synth", "breakpoints"])
     def test_reversed_window_refused_before_writing(self, default_chain, tmp_path, capsys, command):
         shutil.copy(default_chain[0] / "panel.csv", tmp_path / "panel.csv")
@@ -467,7 +485,7 @@ class TestBreakpoints:
             i for i, line in enumerate(lines) if line.startswith("1990-06,")
         )
         cells = lines[row].split(",")
-        lines[row] = ",".join(cells[:j] + [cell] + cells[j + 1 :])
+        was, lines[row] = cells[j], ",".join(cells[:j] + [cell] + cells[j + 1 :])
         (tmp_path / name).write_text("\n".join(lines) + "\n")
         out = ["--out", str(tmp_path)]
         if name == "cpi.csv":
@@ -482,8 +500,29 @@ class TestBreakpoints:
         if column == "phi":  # refused as panel.csv is read, before any window is scanned
             where = f"{tmp_path / name}: phi 1e+160 outside [0, 1] at 1990-06"
             message = f"{where}; rerun the transform command"
+        elif name == "panel.csv":  # so is a pi_core other than the yoy of the file's CPI_core
+            where = f"{tmp_path / name}: pi_core at 1990-06 is 1e+160"
+            message = f"{where}, but the file's levels give {was}; rerun the transform command"
         assert capsys.readouterr().err == f"monephase: error: {message}\n"
         assert not (tmp_path / "breakpoints.csv").exists()
+
+    @pytest.mark.parametrize("cell", ["0", "-1"])
+    def test_non_positive_mb_sa_names_panel_and_month(self, econ_dir, tmp_path, capsys, cell):
+        # transform copies MB_SA as monetary.csv gives it; breakpoints takes its log
+        out, _, _ = econ_dir
+        shutil.copy(out / "cpi.csv", tmp_path / "cpi.csv")
+        lines = (out / "monetary.csv").read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("1990-06,"))
+        lines[row] = ",".join([*lines[row].split(",")[:-1], cell])  # MB_SA is the last column
+        (tmp_path / "monetary.csv").write_text("\n".join(lines) + "\n")
+        inputs = ["--monetary", str(tmp_path / "monetary.csv"), "--cpi", str(tmp_path / "cpi.csv")]
+        assert main(["transform", *inputs, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["breakpoints", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"monephase: error: {tmp_path / 'panel.csv'}: "
+            "MB_SA must be positive to take logs at 1990-06\n"
+        )
 
     def test_out_of_range_window_warns_not_aborts(self, econ_dir, tmp_path):
         out, cfg, spec = econ_dir
@@ -776,7 +815,10 @@ class TestLandauCommand:
     def test_phi_c_outside_unit_interval_exit_code(self, tmp_path, capsys, value):
         assert main(["landau", "--out", str(tmp_path), "--set", f"landau.phi_c={value}"]) == 1
         err = capsys.readouterr().err
-        assert "landau.phi_c must lie in (0, 1)" in err and "Traceback" not in err
+        # nan and inf are no finite decimal, so the table-cell number grammar refuses them first
+        problem = ("landau.phi_c must lie in (0, 1)" if value not in ("nan", "inf")
+                   else f"cannot parse value {value!r} for key 'landau.phi_c'")
+        assert problem in err and "Traceback" not in err
         assert not (tmp_path / "susceptibility.csv").exists()
 
     def test_grid_files_equal_per_point_calls(self, tmp_path):
@@ -834,22 +876,22 @@ class TestPanelMemo:
         first = read_panel_csv(path)
         assert read_panel_csv(path) is first
         lines = text.split("\n")
-        cells = lines[200].split(",")  # line 201: row 199
+        cells = lines[200].split(",")  # line 201: row 199; cells[2] is BN, which no derivation reads
 
-        def rewrite(mb: str):
+        def rewrite(bn: str):
             stat = path.stat()
-            row = ",".join([cells[0], mb, *cells[2:]])
+            row = ",".join([*cells[:2], bn, *cells[3:]])
             path.write_text("\n".join([*lines[:200], row, *lines[201:]]))
             os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
             now = path.stat()
             assert (now.st_size, now.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
 
-        digit = cells[1][:-1] + str((int(cells[1][-1]) + 1) % 10)
+        digit = str((int(cells[2][0]) + 1) % 10) + cells[2][1:]
         rewrite(digit)
-        assert read_panel_csv(path)["MB"].values[199] == float(digit) != first["MB"].values[199]
-        bad = "x" * len(cells[1])
+        assert read_panel_csv(path)["BN"].values[199] == float(digit) != first["BN"].values[199]
+        bad = "x" * len(cells[2])
         rewrite(bad)
-        message = f"{path}:201: cannot parse MB {bad!r}; rerun the transform command"
+        message = f"{path}:201: cannot parse BN {bad!r}; rerun the transform command"
         with pytest.raises(DataError) as exc:
             read_panel_csv(path)
         assert str(exc.value) == message
@@ -1001,6 +1043,39 @@ class TestPanelMemo:
             with pytest.raises(DataError) as exc:
                 read_panel_csv(path)
             assert str(exc.value) == message and bool(parses) == parsed
+
+    def test_derived_columns_refused_on_every_read(self, econ_dir, tmp_path, monkeypatch):
+        # each derived column must be what transform derives from the file's own levels; the
+        # earliest month at fault is reported, and in it the first such column in header order
+        out, _, _ = econ_dir
+        path = tmp_path / "panel.csv"
+        lines = (out / "panel.csv").read_text().split("\n")
+        header = lines[0].split(",")
+        was = next(line for line in lines if line.startswith("1995-06,")).split(",")[
+            header.index("pi_core")
+        ]
+        for month, column in (("1997-01", "phi"), ("1995-06", "idx_CPI"), ("1995-06", "pi_core")):
+            j = header.index(column)
+            lines = _edit_row(lines, f"{month},", lambda line: _set_cell(line, j, "0.5"))
+        path.write_text(text := "\n".join(lines))
+        panel = ingest.load_table(path, ARTIFACTS["panel.csv"])
+        parses = _count_parses(monkeypatch)
+        message = (f"{path}: pi_core at 1995-06 is 0.5, but the file's levels give {was}; "
+                   "rerun the transform command")
+        for parsed in (True, False):
+            if not parsed:
+                assert pipeline._write_table(tmp_path, "panel.csv", panel).read_text() == text
+            parses.clear()
+            with pytest.raises(DataError) as exc:
+                read_panel_csv(path)
+            assert str(exc.value) == message and bool(parses) == parsed
+        j = header.index("RB")  # RB above MB: phi, as the levels give it, cannot be derived
+        lines = _edit_row(lines, "1990-02,", lambda line: _set_cell(line, j, "1e9"))
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataError) as exc:
+            read_panel_csv(path)
+        assert str(exc.value) == (f"{path}: reserve balances exceed monetary base at 1990-02; "
+                                  "composition violated; rerun the transform command")
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # windows outside the data
     def test_table_write_peaks_below_three_times_its_file(self, tmp_path):
@@ -1548,6 +1623,14 @@ MALFORMED = {
         SUMMARY_FILE, lambda lines: lines[:-1] + ["," + lines[-1].split(",", 1)[1]],
         "report", "critical_point_summary.csv:7: cannot parse phi_c ''",
     ),
+    "phase_means_phi_bar_above_one": (
+        "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,1.12,457"),
+        "calibrate", "phase_means.csv:2: phi_bar 1.12 outside (0, 1); rerun the irf command",
+    ),
+    "phase_means_cash_not_below_reserve": (
+        "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,0.9,457"),
+        "calibrate", "phase_means.csv:3: phi_bar 0.6864696708835965 is not above cash's 0.9;",
+    ),
     "phase_means_non_number": (
         "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,abc,1"),
         "calibrate", "phase_means.csv:2: cannot parse phi_bar 'abc'",
@@ -1569,6 +1652,22 @@ MALFORMED = {
         IRF_PHI_FILE, lambda lines: _drop(lines, "#"),
         "calibrate", "no preamble key response_variable, shock_definition, H, L",
     ),
+    "irf_grouped_h": (
+        IRF_PHI_FILE, lambda lines: _edit_row(lines, "cash,10,", lambda r: _set_cell(r, 1, "1_0")),
+        "efficiency", "cannot parse h '1_0'",
+    ),
+    "irf_other_digits_n": (
+        IRF_PI_FILE, lambda lines: _edit_row(lines, "cash,3,", lambda r: _set_cell(r, 6, "\u0664")),
+        "calibrate", "cannot parse n '\u0664'",
+    ),
+    "irf_grouped_preamble_H": (
+        IRF_PHI_FILE, _preamble("H", "2_4"),
+        "efficiency", "cannot parse integer '2_4'; rerun the irf command",
+    ),
+    "efficiency_grouped_argmax": (
+        "efficiency.csv", lambda lines: _edit_row(lines, "cash,", lambda r: _set_cell(r, 4, "0_4")),
+        "report", "efficiency.csv:2: cannot parse argmax_c '0_4'",
+    ),
     "irf_fractional_h": (
         IRF_PI_FILE,
         lambda lines: _edit_row(lines, "cash,3,", lambda line: "cash,3.5," + line[7:]),
@@ -1587,6 +1686,10 @@ MALFORMED = {
     ),
     "irf_empty_cells_calibrate": (
         IRF_PI_FILE, _empty_cells, "calibrate", "non-finite beta or se at h=3",
+    ),
+    "breakpoints_repeated_window": (
+        "breakpoints.csv", lambda lines: [*lines[:2], *lines[1:]],
+        "report", "breakpoints.csv:3: repeated log_MB_SA window 1983-01..1997-12; rerun the",
     ),
     "efficiency_no_rows": (
         "efficiency.csv", _header_only, "report", "no data rows; rerun the efficiency command",

@@ -107,7 +107,7 @@ def test_planted_kernel_recovered_by_lp(small_spec):
     g = yoy(panel["MB_SA"])
     part = classify(phi, PhaseThresholds())
     label = CASH
-    _, shock = em.ar_fit(g, 12, part.mask(label))
+    _, shock = em.ar_fit(g, 12, part[label])
     shock = em.standardize(shock)
     tbl = em.local_projection(pi_core, shock, H=12, L=12, hac_lag=12)
     kernel = np.asarray(small_spec.kernel(label, "pi"))[:13]
@@ -137,7 +137,7 @@ def test_generator_embeds_literal_kernel():
     pi_core = yoy(panel["CPI_core"])
     g = yoy(panel["MB_SA"])
     part = classify(phi, PhaseThresholds())
-    _, shock = em.ar_fit(g, 12, part.mask(CASH))
+    _, shock = em.ar_fit(g, 12, part[CASH])
     shock = em.standardize(shock)
     tbl = em.local_projection(pi_core, shock, H=6, L=12, hac_lag=12)
     expected = np.array(kernel + (0.0, 0.0, 0.0))
