@@ -35,7 +35,7 @@ def fmt(value) -> str:
 # an optional ASCII sign, ASCII digits with at most one point, an optional exponent: the
 # finite forms float() reads, without its digit grouping and other scripts' digits
 DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
-INTEGER = re.compile(r"[+-]?[0-9]+")  # the forms int() reads, on the same terms
+INTEGER = re.compile(r"[+-]?[0-9]+")  # an optional ASCII sign and ASCII digits, as DECIMAL
 
 
 def parse_int(cell: str) -> int:

@@ -77,7 +77,7 @@ class TestClassify:
         with pytest.raises(DataError, match="outside"):
             classify(ms([0.5, 1.2]), TH)
 
-    def test_masks_read_only(self):
+    def test_labels_read_only(self):
         part = classify(ms([0.1, 0.5]), TH)
         for mask in part.values():
             with pytest.raises(ValueError):
