@@ -26,7 +26,7 @@ def run(args) -> int:
         (monetary, cpi), steps = args.data, []
     else:
         monetary, cpi = f"{args.out}/monetary.csv", f"{args.out}/cpi.csv"
-        steps = [["synth", "--out", args.out, "--seed", str(args.synthetic)]]
+        steps = [["synth", "--out", args.out, "--seed", args.synthetic]]
     inputs = ["--monetary", monetary, "--cpi", cpi, "--out", args.out]
     for command in list(COMMANDS)[1:]:  # after synth
         steps.append([command, *inputs] + (["--robustness"] if command == "irf" else []))
@@ -47,7 +47,7 @@ if __name__ == "__main__":
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--synthetic", type=int, metavar="SEED")
+    source.add_argument("--synthetic", metavar="SEED")
     source.add_argument("--data", nargs=2, metavar=("MONETARY", "CPI"))
     parser.add_argument("--out", default="out")
     sys.exit(run(parser.parse_args()))

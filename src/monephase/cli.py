@@ -40,24 +40,14 @@ COMMANDS = {
     "report": cmd_report,
 }
 
-# option, the config key it overrides, the type of its value. Each use appends the
-# override 'key=value'; load_config applies them after every --set, so they win.
+# option, the config key it overrides. Each use appends the override 'key=value', the value
+# as given, which only the config reads; load_config applies them after every --set, so they win.
 SHORTHANDS = (
-    ("--monetary", "data.monetary", str),
-    ("--cpi", "data.cpi", str),
-    ("--out", "out.dir", str),
-    ("--seed", "seed", int),
+    ("--monetary", "data.monetary"),
+    ("--cpi", "data.cpi"),
+    ("--out", "out.dir"),
+    ("--seed", "seed"),
 )
-
-
-def _override(key: str, kind):
-    """An argparse type: the override of key by an option's value as given, once kind parses it."""
-    def override(text: str) -> str:
-        kind(text)  # the config parses the value given, as it parses --set
-        return f"{key}={text}"
-
-    override.__name__ = kind.__name__  # argparse's usage error names it: invalid int value
-    return override
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,9 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="flat key=value config file")
-    for option, key, kind in SHORTHANDS:
+    for option, key in SHORTHANDS:
         parser.add_argument(
-            option, dest="shorthands", action="append", default=[], type=_override(key, kind),
+            option, dest="shorthands", action="append", default=[], type=f"{key}={{}}".format,
             metavar=option[2:].upper(), help=f"override {key}",
         )
     parser.add_argument(

@@ -85,24 +85,33 @@ def remember(path: Path, artifact: Artifact, panel: Panel):
     """Hold panel as the table that path, just written from it by table_rows, parses to.
 
     It is served for a text of the length and hash of the file's text as
-    read back, which is not kept. The Panel held has the artifact's read
-    columns in header order, each missing month the NaN that a blank cell
-    parses to: write_csv's shortest round-trip floats read back bit for
-    bit, and a MonthlySeries holds no infinity, so a parse of the text
-    would give the same Panel and pass every check.
+    read back, which is not kept. The Panel held is panel's own read-only
+    series of the artifact's read columns, in header order: write_csv's
+    shortest round-trip floats read back bit for bit, a missing month's NaN
+    is written blank and a blank cell parses to NaN, and a MonthlySeries
+    holds no infinity, so a parse of the text would give the same Panel and
+    pass every check.
     """
-    series, by_year = {}, dict(artifact.by_year)
-    for name in artifact.header[1:]:
-        if name not in by_year:
-            values = panel[name].values
-            series[name] = MonthlySeries(panel.start, np.where(np.isnan(values), np.nan, values))
+    by_year = dict(artifact.by_year)
+    series = {name: panel[name] for name in artifact.header[1:] if name not in by_year}
     held = Panel(panel.start, panel.length, series)
     _memo[artifact.header] = (_fingerprint(read_text(path, artifact)), held)
 
 
+def _refuse_non_positive(path: Path | str, panel: Panel, names, problem: str) -> Panel:
+    """panel, once each named column is positive in every month it holds."""
+    for name in names:
+        bad = panel[name].values <= 0.0  # False for a missing month
+        if bad.any():
+            month = panel.start + int(np.argmax(bad))
+            raise DataError(f"{path}: column {name}: {problem}, offending month {month}")
+    return panel
+
+
 def load_monetary(path: Path | str) -> Panel:
-    """Read the monetary file (MB, BN, CO, RB, MB_SA; 100 million yen)."""
-    return load_table(path, MONETARY)
+    """Read the monetary file (MB, BN, CO, RB, MB_SA; 100 million yen); MB_SA must be positive."""
+    problem = "values must be positive to take logs"
+    return _refuse_non_positive(path, load_table(path, MONETARY), ("MB_SA",), problem)
 
 
 def load_cpi(path: Path | str) -> Panel:
@@ -113,14 +122,7 @@ def load_cpi(path: Path | str) -> Panel:
     the data are probably not on the 2020 base the pipeline assumes.
     """
     panel = load_table(path, CPI)
-    for name in ("CPI", "CPI_core"):
-        bad = panel[name].values <= 0.0  # False for a missing month
-        if bad.any():
-            month = panel.start + int(np.argmax(bad))
-            raise DataError(
-                f"{path}: column {name}: index numbers must be positive, "
-                f"offending month {month}"
-            )
+    _refuse_non_positive(path, panel, ("CPI", "CPI_core"), "index numbers must be positive")
     first = 2020 * 12 - panel.start.ordinal  # the position of 2020-01
     y2020 = panel["CPI"].values[max(first, 0) : max(first + 12, 0)]
     y2020 = y2020[~np.isnan(y2020)]

@@ -72,7 +72,7 @@ ARTIFACTS = {
         "breakpoints", ("series", "cluster", "window_start", "window_end", "tau", "rss", "tie")
     ),
     "tanh_fit.csv": Artifact(
-        "fit-phase", ("phi0", "A", "t0_calendar", "w_months", "sse", "converged")
+        "fit-phase", ("phi0", "A", "t0_calendar", "w_months", "sse", "converged"), ("window",)
     ),
     **{name: IRF_FILE for name in IRF_FILES.values()},
     "phase_means.csv": Artifact("irf", ("phase", "phi_bar", "n_months")),
@@ -227,9 +227,9 @@ def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     panel = read_panel_csv(out / "panel.csv")
     mb_sa = panel["MB_SA"].values
-    if (bad := mb_sa <= 0.0).any():  # False for a missing month; transform copies MB_SA as read
+    if (bad := mb_sa <= 0.0).any():  # False for a missing month; transform refuses MB_SA <= 0
         month = panel.start + int(np.argmax(bad))
-        raise DataError(f"{out / 'panel.csv'}: MB_SA must be positive to take logs at {month}")
+        raise _error(out / "panel.csv", f"MB_SA must be positive to take logs at {month}")
     targets = {
         "log_MB_SA": MonthlySeries(panel.start, np.log(mb_sa)),
         "phi": panel["phi"],
@@ -281,7 +281,7 @@ def cmd_fit_phase(cfg: RunConfig) -> list[Path]:
             )
         ],
         preamble=[
-            ("window", f"{cfg.tanh_start}:{cfg.tanh_end}"),
+            ("window", _tanh_window(cfg)),
             ("degenerate_width", fit.degenerate_width),
             ("trustworthy", fit.trustworthy),
         ],
@@ -289,6 +289,10 @@ def cmd_fit_phase(cfg: RunConfig) -> list[Path]:
     if not fit.converged:
         raise ConvergenceError("tanh fit did not converge")
     return [path]
+
+
+def _tanh_window(cfg: RunConfig) -> str:
+    return f"{cfg.tanh_start}:{cfg.tanh_end}"
 
 
 def _shock_definition(cfg: RunConfig) -> str:
@@ -347,8 +351,8 @@ def write_irfs(out: Path, cfg: RunConfig, tables: dict) -> list[Path]:
 def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
     """The (phase, response) tables that write_irfs wrote under cfg, rows in any order.
 
-    Each file must hold h = 0..H in both phases, with H, L and the
-    shock definition cfg's.
+    Each file must hold h = 0..H in both phases, its own response_variable,
+    and H, L and the shock definition cfg's.
     """
     kinds = {"h": parse_int, "n": parse_int}
     tables = {}
@@ -360,6 +364,8 @@ def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
             for phase, records in by_phase.items()
         }
         try:
+            if (got := preamble["response_variable"]) != response:
+                raise DataError(f"response_variable is {got}, expected {response}")
             H, L = parse_int(preamble["H"]), parse_int(preamble["L"])
             if (H, L) != (cfg.horizon, cfg.lags):
                 raise DataError(
@@ -385,7 +391,11 @@ def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
     return tables
 
 
-# (variant name, the RunConfig fields it sets), in the order IRF_robustness.csv lists them
+# (variant name, the RunConfig fields it sets), in the order IRF_robustness.csv lists them: the
+# paper's fixed one-dimensional grid of thresholds 0.25/0.30/0.35 x 0.55/0.60/0.65, H 12/24/36,
+# L 6/12/18, AR(6/12/18) and detrended(12) shocks, not a sweep around the run's own settings.
+# Each variant keeps every other setting of the run, lp.hac_lag included, so
+# thresholds_0.30_0.60 is the run's baseline only when the run uses those thresholds.
 ROBUSTNESS_GRID = (
     *((f"thresholds_{c:.2f}_{r:.2f}", dict(cash_max=c, reserve_min=r))
       for c in (0.25, PhaseThresholds.cash_max, 0.35)
@@ -395,18 +405,6 @@ ROBUSTNESS_GRID = (
     *((f"shock_ar{p}", dict(shock_kind="ar_resid", shock_p=p)) for p in (6, 12, 18)),
     ("shock_detrended", dict(shock_kind="detrended", shock_p=12)),
 )
-
-
-def _robustness_variants(cfg: RunConfig) -> list[tuple[str, RunConfig]]:
-    """The paper's fixed one-dimensional grid, each variant the run's cfg with its fields set.
-
-    The grid is thresholds 0.25/0.30/0.35 x 0.55/0.60/0.65, H 12/24/36,
-    L 6/12/18, AR(6/12/18) and detrended(12) shocks, not a sweep around the
-    run's own settings. Each variant keeps every other setting of the run,
-    lp.hac_lag included, so thresholds_0.30_0.60 is the run's baseline only
-    when the run uses those thresholds.
-    """
-    return [(name, replace(cfg, **fields)) for name, fields in ROBUSTNESS_GRID]
 
 
 def cmd_irf(cfg: RunConfig) -> list[Path]:
@@ -449,7 +447,8 @@ def _intermediate_diagnostic(cfg: RunConfig, panel: Panel, memo: dict, out: Path
 def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Path:
     """Estimate every variant, so that a failing one writes no file, then write their rows."""
     estimated = []
-    for name, v in _robustness_variants(cfg):
+    for name, fields in ROBUSTNESS_GRID:
+        v = replace(cfg, **fields)
         try:
             tables = sorted(_lp_tables(v, panel, memo)[1].items())
         except DataError as exc:
@@ -618,7 +617,11 @@ def cmd_synth(cfg: RunConfig) -> list[Path]:
 
 def cmd_report(cfg: RunConfig) -> list[Path]:
     out = Path(cfg.out_dir)
-    tanh = _one_row(out, "tanh_fit.csv")[1]
+    fitted, tanh = _one_row(out, "tanh_fit.csv")
+    if (window := fitted["window"]) != _tanh_window(cfg):
+        config = f"tanh.window_start = {cfg.tanh_start} and tanh.window_end = {cfg.tanh_end}"
+        problem = f"fitted with window {window}, but the config sets {config}"
+        raise _error(out / "tanh_fit.csv", problem)
     if not tanh.parse("converged", _flag):
         raise _error(out / "tanh_fit.csv", "tanh fit did not converge")
     _, breaks = _read(out, "breakpoints.csv")
@@ -641,6 +644,9 @@ def cmd_report(cfg: RunConfig) -> list[Path]:
         median = MonthIndex.from_ordinal(sorted(taus.values())[(len(taus) - 1) // 2])
         lines.append(f"breakpoints.{cluster}.{series}.median = {median}")
     for rec in effs.values():
+        if (H := rec.parse("H", parse_int)) != cfg.horizon:
+            horizon = f"lp.horizon = {cfg.horizon}"
+            raise rec.error(f"estimated with H = {H}, but the config sets {horizon}")
         for c in ("eff_r", "argmax_r", "eff_c", "argmax_c"):
             lines.append(f"efficiency.{rec['phase']}.{c} = {cell(rec, c)}")
     lines += [f"calibration.{c} = {cell(calibration, c)}" for c in ("phi_c", "s_pi", "objective")]

@@ -19,13 +19,14 @@ from hypothesis import strategies as st
 from monephase import csvio
 from monephase.csvio import Record, fmt, parse_float_cell, read_artifact, write_csv
 from monephase.errors import DataError
-from monephase.ingest import MONETARY, load_monetary, load_table
+from monephase.ingest import MONETARY, load_table
 from monephase.pipeline import ARTIFACTS
 from monephase.series import MonthIndex, MonthlySeries, Panel
 
-# kind: (file name, reader, header, the hint that ends its errors)
+# kind: (file name, reader, header, the hint that ends its errors); the reader is load_table,
+# without the range rules load_monetary adds
 TABLES = {
-    "input": ("monetary.csv", load_monetary, MONETARY.header, ""),
+    "input": ("monetary.csv", lambda path: load_table(path, MONETARY), MONETARY.header, ""),
     "panel": ("panel.csv", lambda path: load_table(path, ARTIFACTS["panel.csv"]),
               ARTIFACTS["panel.csv"].header,
               "; rerun the transform command"),
@@ -232,10 +233,10 @@ def test_reader_matches_row_walk(tmp_path_factory, data):
         expected = walk_rows(path, MONETARY)
     except DataError as exc:
         with pytest.raises(DataError) as got:
-            load_monetary(path)
+            load_table(path, MONETARY)
         assert str(got.value) == str(exc)
     else:
-        assert load_monetary(path) == expected
+        assert load_table(path, MONETARY) == expected
 
 
 FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, -0.0, 5e-324, 2.2e-308, 1e300]))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from monephase import csvio
 from monephase.csvio import Artifact, write_csv
 from monephase.errors import DataError
-from monephase.ingest import CPI, MONETARY, load_cpi, load_monetary, table_rows
+from monephase.ingest import CPI, MONETARY, load_cpi, load_monetary, load_table, table_rows
 from monephase.pipeline import era_label
 from monephase.series import MonthIndex, MonthlySeries, Panel, month_labels
 
@@ -178,7 +178,7 @@ def test_monetary_roundtrip_bit_exact(tmp_path_factory, values, year, month):
     )
     path = tmp_path_factory.mktemp("rt") / "m.csv"
     write_csv(path, MONETARY.header, table_rows(panel, MONETARY))
-    assert load_monetary(path) == panel
+    assert load_table(path, MONETARY) == panel  # load_monetary also refuses MB_SA <= 0
 
 
 @given(st.lists(st.floats(0.01, 1e6, allow_nan=False), min_size=1, max_size=40))

@@ -15,6 +15,9 @@ fixed: no mutation and no position is drawn at random.
   phase, h or series, a swapped row changes nothing, nor does a cell that
   its reader does not read; a dropped `breakpoints.csv` row is let pass
   (see `_DROPPED_BREAKPOINT`).
+- A preamble key that records a setting or a flag (the four IRF keys,
+  `tanh_fit.csv`'s `window` and the summary's three flags), set to `x`,
+  exits 1 with one error line that names the file.
 - CRLF line ends and a BOM exit 0, every output byte-identical.
 - A decimal edit of `panel.csv` exits 1 naming the file: its derived
   columns must be what its levels give. A decimal edit of another file
@@ -29,7 +32,7 @@ from pathlib import Path
 import pytest
 
 from monephase.cli import main
-from monephase.pipeline import IRF_PHI_FILE, IRF_PI_FILE, SUMMARY_FILE
+from monephase.pipeline import ARTIFACTS, IRF_PHI_FILE, IRF_PI_FILE, SUMMARY_FILE
 
 MONTHS = ("2016-05", "2021-06")  # the cells edited; rows are mutated at the first
 # monthly table: (the commands that read it, the column edited in each month of MONTHS)
@@ -60,6 +63,7 @@ READS = {
 }
 NOT_DECIMAL = ("nan", "inf", "1_0", "abc")
 DECIMAL = ("1e300", "-1e300", "-1", "0", "")
+GARBAGE = "x"  # the value each preamble key that a hand-off file's readers require is set to
 WARNING, ERROR = "monephase: warning: ", "monephase: error: "  # what starts a stderr line
 PREFIXES = {"landau": "phi_c unavailable: "}  # what a command says before the file's error
 # report takes the median break date of each (series, cluster) over the rows it finds, and
@@ -92,6 +96,7 @@ def _cases():
                 yield pytest.param(name, command, mutation, id=f"{name}-{command}-{mutation}")
     for name, (commands, _, columns) in HANDOFFS.items():
         edits = [f"{column}={cell}" for column in columns for cell in NOT_DECIMAL + DECIMAL]
+        edits += [f"#{key}={GARBAGE}" for key in ARTIFACTS[name].preamble]
         for command in commands:
             for mutation in [*edits, *REFUSED, *UNCHANGED]:
                 yield pytest.param(name, command, mutation, id=f"{name}-{command}-{mutation}")
@@ -169,6 +174,11 @@ def test_mutated_table(economy, tmp_path, capsys, name, command, mutation):
             assert code == 1 and error.startswith((f"{path}:{line}: ", f"{path}: "))
         else:
             assert code == 1 and error.startswith(f"{path}:{line}: " if line else f"{path}: ")
+    elif mutation.startswith("#"):  # a preamble key set to a value
+        key, _, value = mutation[1:].partition("=")
+        mutated = [f"# {key}: {value}" if line.startswith(f"# {key}:") else line for line in lines]
+        code, _, error = _run(economy, tmp_path, capsys, name, command, mutated)
+        assert code == 1 and error.startswith(f"{path}: ")
     else:
         edit, _, month = mutation.partition("@")
         column, _, cell = edit.partition("=")
@@ -195,6 +205,7 @@ def test_mutated_table(economy, tmp_path, capsys, name, command, mutation):
     ("MB", "0", "monetary base must be positive, offending month 2016-05"),
     ("RB", "1e300", "reserve balances exceed monetary base at 2016-05; composition violated"),
     ("RB", "-1", "reserve balances negative at 2016-05; composition violated"),
+    ("MB_SA", "0", "column MB_SA: values must be positive to take logs, offending month 2016-05"),
 ])
 def test_composition_refused_naming_the_monetary_file(economy, tmp_path, capsys, column, cell,
                                                       problem):

@@ -507,8 +507,8 @@ class TestBreakpoints:
         assert not (tmp_path / "breakpoints.csv").exists()
 
     @pytest.mark.parametrize("cell", ["0", "-1"])
-    def test_non_positive_mb_sa_names_panel_and_month(self, econ_dir, tmp_path, capsys, cell):
-        # transform copies MB_SA as monetary.csv gives it; breakpoints takes its log
+    def test_non_positive_mb_sa_refused_by_transform(self, econ_dir, tmp_path, capsys, cell):
+        # breakpoints takes MB_SA's log, so transform refuses it, naming the monetary file
         out, _, _ = econ_dir
         shutil.copy(out / "cpi.csv", tmp_path / "cpi.csv")
         lines = (out / "monetary.csv").read_text().splitlines()
@@ -516,12 +516,27 @@ class TestBreakpoints:
         lines[row] = ",".join([*lines[row].split(",")[:-1], cell])  # MB_SA is the last column
         (tmp_path / "monetary.csv").write_text("\n".join(lines) + "\n")
         inputs = ["--monetary", str(tmp_path / "monetary.csv"), "--cpi", str(tmp_path / "cpi.csv")]
-        assert main(["transform", *inputs, "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
+        assert main(["transform", *inputs, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"monephase: error: {tmp_path / 'monetary.csv'}: column MB_SA: "
+            "values must be positive to take logs, offending month 1990-06\n"
+        )
+        assert not (tmp_path / "panel.csv").exists()
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_mb_sa_of_a_panel_csv_refused(self, econ_dir, tmp_path, capsys, value):
+        # a panel.csv no transform writes: its derived columns are those of the edited MB_SA
+        panel = read_panel_csv(econ_dir[0] / "panel.csv")
+        mb_sa = panel["MB_SA"].values.copy()
+        mb_sa[MonthIndex(1990, 6) - panel.start] = value
+        levels = {**panel.series, "MB_SA": panel["MB_SA"].with_values(mb_sa)}
+        derived = pipeline.derive(Panel(panel.start, panel.length, levels), panel["phi"])
+        edited = Panel(panel.start, panel.length, {**levels, **derived})
+        pipeline._write(tmp_path, "panel.csv", ingest.table_rows(edited, ARTIFACTS["panel.csv"]))
         assert main(["breakpoints", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
             f"monephase: error: {tmp_path / 'panel.csv'}: "
-            "MB_SA must be positive to take logs at 1990-06\n"
+            "MB_SA must be positive to take logs at 1990-06; rerun the transform command\n"
         )
 
     def test_out_of_range_window_warns_not_aborts(self, econ_dir, tmp_path):
@@ -1106,12 +1121,23 @@ class TestReport:
 
 class TestCli:
     @pytest.mark.parametrize(
-        "argv", [["nosuch"], ["irf", "--bogus"], ["irf", "--seed", "abc"], []]
+        "argv", [["nosuch"], ["irf", "--bogus"], ["irf", "--seed"], []]
     )
     def test_usage_error_exit_code(self, capsys, argv):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "\nmonephase: error: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["abc", "1_0", "\u0661\u0662"])
+    @pytest.mark.parametrize("option", ["--seed", "--set"])
+    def test_seed_value_read_only_by_the_config(self, tmp_path, capsys, option, value):
+        # --seed N is --set seed=N: the value as given, which only the config reads
+        given = value if option == "--seed" else f"seed={value}"
+        assert main(["synth", "--out", str(tmp_path / "out"), option, given]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"monephase: error: cannot parse value {value!r} for key 'seed'\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("shorthand_first", [True, False])
     @pytest.mark.parametrize(
@@ -1967,6 +1993,39 @@ class TestUpstreamArtifacts:
         ) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["calibrate", "efficiency"])
+    def test_swapped_irf_files_refused(self, default_chain, tmp_path, capsys, command):
+        out, _ = default_chain
+        for path in out.glob("*.csv"):
+            shutil.copy(path, tmp_path / path.name)
+        shutil.copy(out / IRF_PI_FILE, tmp_path / IRF_PHI_FILE)
+        shutil.copy(out / IRF_PHI_FILE, tmp_path / IRF_PI_FILE)
+        capsys.readouterr()
+        assert main([command, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"monephase: error: {tmp_path / IRF_PI_FILE}: response_variable is phi, "
+            "expected pi_core; rerun the irf command\n"
+        )
+
+    @pytest.mark.parametrize("setting, problem", [
+        ("tanh.window_start=2012-06",
+         "tanh_fit.csv: fitted with window 2010-01:2018-12, but the config sets "
+         "tanh.window_start = 2012-06 and tanh.window_end = 2018-12; rerun the fit-phase command"),
+        ("lp.horizon=12",
+         "efficiency.csv:2: estimated with H = 24, but the config sets lp.horizon = 12; "
+         "rerun the efficiency command"),
+    ], ids=["tanh_window", "efficiency_H"])
+    def test_report_refuses_files_of_other_settings(
+        self, default_chain, tmp_path, capsys, setting, problem
+    ):
+        out, _ = default_chain
+        for path in out.glob("*.csv"):
+            shutil.copy(path, tmp_path / path.name)
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path), "--set", setting]) == 1
+        assert capsys.readouterr().err == f"monephase: error: {tmp_path}/{problem}\n"
+        assert not (tmp_path / "report.txt").exists()
+
     def test_only_csvio_names_read_csv(self):
         # every other module reads a CSV through read_artifact, so none skips its checks
         package = Path(monephase.__file__).parent
@@ -2029,6 +2088,13 @@ class TestRunPipeline:
         run = run_pipeline(*source, "--out", "out", cwd=tmp_path)
         assert run.returncode == 2 and run.stderr.startswith("usage: run_pipeline.py")
         assert run.stdout == "" and list(tmp_path.iterdir()) == []
+
+    def test_synthetic_seed_read_only_by_the_config(self, tmp_path):
+        # --synthetic hands its text to --seed, as given
+        run = run_pipeline("--synthetic", "\u0661\u0662", "--out", "out", cwd=tmp_path)
+        assert run.returncode == 1
+        assert "monephase: error: cannot parse value '\u0661\u0662' for key 'seed'" in run.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_data_file_exit_code(self, tmp_path):
         run = run_pipeline("--data", "monetary.csv", "cpi.csv", "--out", "out", cwd=tmp_path)
