@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .csvio import fmt, parse_int, parse_number, read_utf8
+from .csvio import context, fmt, parse_int, parse_number, read_utf8
 from .errors import DataError
 from .phase import PhaseThresholds
 from .series import MonthIndex
@@ -150,19 +150,15 @@ def parse_config(path: Path | str) -> RunConfig:
         if not line or line.startswith("#"):
             continue
         key, sep, value = map(str.strip, line.partition("="))
-        try:
+        with context(f"{path}:{lineno}: "):
             if not sep:
                 raise DataError("expected 'key = value'")
             if key in set_on:
                 raise DataError(f"{key} is set on line {set_on[key]} already")
             set_on[key] = lineno
             _apply_key(values, clusters, key, _INLINE_COMMENT.split(value, maxsplit=1)[0].strip())
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-    try:
+    with context(f"{path}: "):  # the threshold or tanh window order: a pair of keys, not one line
         return RunConfig(clusters=clusters, **values)  # no cluster keys: the default clusters
-    except DataError as exc:  # the threshold or tanh window order: a pair of keys, not one line
-        raise DataError(f"{path}: {exc}") from None
 
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -183,8 +184,17 @@ class Record(dict):
     def parse(self, column: str, kind=parse_number):
         try:
             return kind(self[column])
-        except (ValueError, DataError):
+        except DataError:
             raise self.error(f"cannot parse {column} {self[column]!r}") from None
+
+
+@contextmanager
+def context(prefix: str = "", suffix: str = ""):
+    """Re-raise a DataError of the block as prefix + its message + suffix, without its chain."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{prefix}{exc}{suffix}") from None
 
 
 def read_text(path: Path, artifact: Artifact) -> str:
@@ -193,10 +203,8 @@ def read_text(path: Path, artifact: Artifact) -> str:
         if artifact.command is None:
             raise DataError(f"input file not found: {path}")
         raise DataError(f"missing upstream {path}: run the {artifact.command} command first")
-    try:
+    with context(suffix=artifact.rerun):
         return read_utf8(path)
-    except DataError as exc:
-        raise DataError(f"{exc}{artifact.rerun}") from None
 
 
 def read_artifact(
@@ -211,10 +219,8 @@ def read_artifact(
     """
     path, rerun = Path(path), artifact.rerun
     text = read_text(path, artifact) if text is None else text
-    try:
+    with context(suffix=rerun):
         preamble, header, rows = read_csv(path, text)
-    except DataError as exc:
-        raise DataError(f"{exc}{rerun}") from None
     problem = None
     if tuple(header) != artifact.header:
         problem = f"header {','.join(header)}, expected {','.join(artifact.header)}"

@@ -98,20 +98,27 @@ def remember(path: Path, artifact: Artifact, panel: Panel):
     _memo[artifact.header] = (_fingerprint(read_text(path, artifact)), held)
 
 
-def _refuse_non_positive(path: Path | str, panel: Panel, names, problem: str) -> Panel:
-    """panel, once each named column is positive in every month it holds."""
+# a level that must be positive: why, in the order read_panel_csv checks them
+POSITIVE = {
+    "MB_SA": "values must be positive to take logs",
+    "CPI": "index numbers must be positive",
+    "CPI_core": "index numbers must be positive",
+}
+
+
+def refuse_non_positive(path: Path | str, panel: Panel, names) -> Panel:
+    """panel, once each named column of POSITIVE is positive in every month it holds."""
     for name in names:
         bad = panel[name].values <= 0.0  # False for a missing month
         if bad.any():
             month = panel.start + int(np.argmax(bad))
-            raise DataError(f"{path}: column {name}: {problem}, offending month {month}")
+            raise DataError(f"{path}: column {name}: {POSITIVE[name]}, offending month {month}")
     return panel
 
 
 def load_monetary(path: Path | str) -> Panel:
     """Read the monetary file (MB, BN, CO, RB, MB_SA; 100 million yen); MB_SA must be positive."""
-    problem = "values must be positive to take logs"
-    return _refuse_non_positive(path, load_table(path, MONETARY), ("MB_SA",), problem)
+    return refuse_non_positive(path, load_table(path, MONETARY), ("MB_SA",))
 
 
 def load_cpi(path: Path | str) -> Panel:
@@ -121,8 +128,7 @@ def load_cpi(path: Path | str) -> Panel:
     whose headline average strays outside [95, 105], a warning is issued:
     the data are probably not on the 2020 base the pipeline assumes.
     """
-    panel = load_table(path, CPI)
-    _refuse_non_positive(path, panel, ("CPI", "CPI_core"), "index numbers must be positive")
+    panel = refuse_non_positive(path, load_table(path, CPI), ("CPI", "CPI_core"))
     first = 2020 * 12 - panel.start.ordinal  # the position of 2020-01
     y2020 = panel["CPI"].values[max(first, 0) : max(first + 12, 0)]
     y2020 = y2020[~np.isnan(y2020)]

@@ -25,10 +25,11 @@ from . import econometrics as em
 from . import landau as ld
 from .compartment import CalibrationResult, calibrate, steady_state_phi
 from .config import RunConfig, config_text
-from .csvio import Artifact, Record, parse_float_cell, parse_int, parse_number
+from .csvio import Artifact, Record, context, parse_float_cell, parse_int, parse_number
 from .csvio import read_artifact, write_csv
 from .errors import ConvergenceError, DataError
-from .ingest import CPI, MONETARY, load_cpi, load_monetary, load_table, remember, table_rows
+from .ingest import CPI, MONETARY, POSITIVE, load_cpi, load_monetary, load_table
+from .ingest import refuse_non_positive, remember, table_rows
 from .phase import (
     CASH,
     INTERMEDIATE,
@@ -114,7 +115,7 @@ def _month_fraction(cell: str) -> tuple[MonthIndex, float]:
 def _flag(cell: str) -> bool:
     """A true or false cell, as fmt writes a bool."""
     if cell not in ("true", "false"):
-        raise ValueError(cell)
+        raise DataError(f"cannot parse flag {cell!r}")
     return cell == "true"
 
 
@@ -168,10 +169,8 @@ def build_panel(cfg: RunConfig) -> Panel:
     monetary = load_monetary(cfg.monetary_path)
     cpi = load_cpi(cfg.cpi_path)
     panel = merge({**monetary.series, **cpi.series})
-    try:
+    with context(f"{cfg.monetary_path}: "):  # the composition of the monetary file
         phi = order_parameter(panel["RB"], panel["MB"])
-    except DataError as exc:  # the composition of the monetary file
-        raise DataError(f"{cfg.monetary_path}: {exc}") from None
     return Panel(panel.start, panel.length, {**panel.series, **derive(panel, phi)})
 
 
@@ -189,17 +188,18 @@ def derive(levels: Panel, phi: MonthlySeries) -> dict[str, MonthlySeries]:
 
 
 def read_panel_csv(path: Path | str) -> Panel:
-    """panel.csv as load_table reads it, refused on every read unless phi lies in [0, 1] and
-    each derived column is, bit for bit, what derive gives from the file's own levels."""
+    """panel.csv as load_table reads it, refused on every read unless MB_SA, CPI and CPI_core
+    are positive, as in transform's inputs, phi lies in [0, 1] and each derived column is,
+    bit for bit, what derive gives from the file's own levels."""
     panel, rerun = load_table(path, ARTIFACTS["panel.csv"]), ARTIFACTS["panel.csv"].rerun
+    with context(suffix=rerun):
+        refuse_non_positive(path, panel, POSITIVE)
     phi = panel["phi"].values
     if (bad := (phi < 0.0) | (phi > 1.0)).any():  # a missing month, NaN, is neither
         i = int(np.argmax(bad))
         raise DataError(f"{path}: phi {float(phi[i])} outside [0, 1] at {panel.start + i}{rerun}")
-    try:
+    with context(f"{path}: ", rerun):
         derived = derive(panel, order_parameter(panel["RB"], panel["MB"]))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}{rerun}") from None
     held = np.array([panel[name].values for name in derived])
     want = np.array([series.values for series in derived.values()])
     bad = (held.view(np.int64) != want.view(np.int64)) & ~(np.isnan(held) & np.isnan(want))
@@ -226,12 +226,8 @@ def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
     """Two-segment break search per (series, window) over the config clusters."""
     out = Path(cfg.out_dir)
     panel = read_panel_csv(out / "panel.csv")
-    mb_sa = panel["MB_SA"].values
-    if (bad := mb_sa <= 0.0).any():  # False for a missing month; transform refuses MB_SA <= 0
-        month = panel.start + int(np.argmax(bad))
-        raise _error(out / "panel.csv", f"MB_SA must be positive to take logs at {month}")
     targets = {
-        "log_MB_SA": MonthlySeries(panel.start, np.log(mb_sa)),
+        "log_MB_SA": MonthlySeries(panel.start, np.log(panel["MB_SA"].values)),
         "phi": panel["phi"],
         "pi_core": panel["pi_core"],
     }
@@ -247,12 +243,11 @@ def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
                 if np.isnan(window).any():
                     warnings.warn(f"series {name} not fully defined on {a}..{b}; skipped")
                     continue
-                try:
+                # breakpoint refuses a window too short for the segments, or values too large
+                short = window.size < 2 * cfg.min_segment
+                where = f"breaks.min_segment = {cfg.min_segment}" if short else f"series {name}"
+                with context(f"breaks.cluster.{cluster}, {where}: "):
                     res = em.breakpoint(series, (a, b), min_seg=cfg.min_segment)
-                except DataError as exc:  # a window too short for the segments, or values too large
-                    short = window.size < 2 * cfg.min_segment
-                    where = f"breaks.min_segment = {cfg.min_segment}" if short else f"series {name}"
-                    raise DataError(f"breaks.cluster.{cluster}, {where}: {exc}") from None
                 rows.append((name, cluster, str(a), str(b), str(res.tau), res.rss, res.tie))
     if not rows:
         raise DataError("no breakpoint window could be scanned; every window was skipped")
@@ -327,12 +322,10 @@ def _lp_tables(cfg: RunConfig, panel: Panel, memo: dict, phases=(CASH, RESERVE))
         if not tables or tables["phi"].horizon < H:
             longer = {}
             for response in ("pi_core", "phi"):
-                try:
+                with context(f"{label} {response}: "):
                     longer[response] = em.local_projection(
                         panel[response], memo[key], H, cfg.lags, cfg.hac_lag, tables.get(response)
                     )
-                except DataError as exc:
-                    raise DataError(f"{label} {response}: {exc}") from None
             tables.update(longer)
         out.update({(label, response): table.head(H) for response, table in tables.items()})
     return partition, out
@@ -351,8 +344,8 @@ def write_irfs(out: Path, cfg: RunConfig, tables: dict) -> list[Path]:
 def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
     """The (phase, response) tables that write_irfs wrote under cfg, rows in any order.
 
-    Each file must hold h = 0..H in both phases, its own response_variable,
-    and H, L and the shock definition cfg's.
+    Each file must hold h = 0..H in both phases with a positive se, its own
+    response_variable, and H, L and the shock definition cfg's.
     """
     kinds = {"h": parse_int, "n": parse_int}
     tables = {}
@@ -363,7 +356,7 @@ def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
                     for r in records]
             for phase, records in by_phase.items()
         }
-        try:
+        with context(f"{out / name}: ", IRF_FILE.rerun):
             if (got := preamble["response_variable"]) != response:
                 raise DataError(f"response_variable is {got}, expected {response}")
             H, L = parse_int(preamble["H"]), parse_int(preamble["L"])
@@ -385,9 +378,10 @@ def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
                 for h, _, _, low, high, _ in table.cells():  # the file's bands, recomputed
                     if not (abs(ci_low[h] - low) <= 1e-12 and abs(ci_high[h] - high) <= 1e-12):
                         raise DataError(f"confidence bounds inconsistent at h={h}")
+                if (bad := table.se <= 0.0).any():
+                    h = int(np.argmax(bad))
+                    raise DataError(f"se {se[h]} at h={h} of the {phase} phase is not positive")
                 tables[(phase, response)] = table
-        except (ValueError, DataError) as exc:
-            raise _error(out / name, exc) from None
     return tables
 
 
@@ -449,10 +443,8 @@ def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Pa
     estimated = []
     for name, fields in ROBUSTNESS_GRID:
         v = replace(cfg, **fields)
-        try:
+        with context(f"robustness variant {name}: "):
             tables = sorted(_lp_tables(v, panel, memo)[1].items())
-        except DataError as exc:
-            raise DataError(f"robustness variant {name}: {exc}") from None
         settings = (name, v.cash_max, v.reserve_min, v.horizon, v.lags, _shock_definition(v))
         estimated.append((settings, tables))
     rows = (
@@ -525,7 +517,7 @@ def _calibration(out: Path) -> tuple[dict, Record]:
     for key in ARTIFACTS[SUMMARY_FILE].preamble:
         try:
             flags[key] = _flag(preamble[key])
-        except ValueError:
+        except DataError:
             raise _error(out / SUMMARY_FILE, f"cannot parse {key} {preamble[key]!r}") from None
     if flags["degenerate"]:
         raise DataError(f"{out / SUMMARY_FILE}: degenerate calibration, phi_c unidentified")
@@ -544,10 +536,8 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     phi_c = cfg.landau_phi_c
     if phi_c is None:
-        try:
+        with context("phi_c unavailable: ", "; or set landau.phi_c"):
             phi_c = _calibration(out)[1].parse("phi_c")
-        except DataError as exc:
-            raise DataError(f"phi_c unavailable: {exc}; or set landau.phi_c") from None
     fixed = [("source", "fixed constants in the landau command, not the data")]
 
     sweep_rows = []

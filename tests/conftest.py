@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import shutil
 import time
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from monephase.cli import main
-from monephase.config import RunConfig
+from monephase.cli import COMMANDS, main
+from monephase.config import RunConfig, parse_config
 from monephase.csvio import read_csv
 from monephase.pipeline import (
     cmd_calibrate,
@@ -21,6 +24,9 @@ from monephase.pipeline import (
 from monephase.synth import generate, two_compartment_spec
 
 MECHANISM_SEED = 11
+CHAIN_COMMANDS = (
+    "transform", "breakpoints", "fit-phase", "irf", "calibrate", "landau", "efficiency", "report"
+)
 
 
 @pytest.fixture(scope="session")
@@ -74,6 +80,30 @@ def default_economy(tmp_path_factory):
     assert main(["irf", "--config", config]) == 0
     means = {cells[0]: float(cells[1]) for cells in read_csv(out / "phase_means.csv")[2]}
     return read_irfs(out, RunConfig()), means
+
+
+@pytest.fixture(scope="module")
+def default_chain(tmp_path_factory):
+    """The README chain on the default economy (seed 1): out dir and each command's files."""
+    out = tmp_path_factory.mktemp("chain")
+    written = {"synth": COMMANDS["synth"](RunConfig(out_dir=str(out), seed=1))}
+    cfg = parse_config(out / "synthetic_config.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # windows outside the data
+        for command in CHAIN_COMMANDS:
+            written[command] = COMMANDS[command](cfg)
+    return out, written
+
+
+@pytest.fixture(scope="module")
+def robust_chain(default_chain, tmp_path_factory):
+    """A copy of default_chain's files with irf rerun with --robustness: every declared file."""
+    out, written = default_chain
+    copy = tmp_path_factory.mktemp("robust")
+    for path in out.iterdir():
+        shutil.copy(path, copy / path.name)
+    cfg = replace(parse_config(out / "synthetic_config.txt"), out_dir=str(copy), robustness=True)
+    return copy, {**written, "irf": COMMANDS["irf"](cfg)}
 
 
 def medium_window(H: int) -> slice:

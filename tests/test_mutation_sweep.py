@@ -3,8 +3,9 @@
 One 240-month economy is built through `report`. Each mutation of
 `monetary.csv` and `cpi.csv` is read by `transform`, and each of
 `panel.csv` by `breakpoints`, `fit-phase` and `irf`: the monthly tables.
-Each mutation of a hand-off file is read by one command that reads it:
-the IRF files by `efficiency`, `phase_means.csv` by `calibrate`,
+Each mutation of a hand-off file is read by the commands that read it:
+the IRF files by `efficiency` and `calibrate` (only a mutation let pass
+runs `calibrate`'s solve), `phase_means.csv` by `calibrate`,
 `tanh_fit.csv`, `breakpoints.csv` and `efficiency.csv` by `report`, and
 `critical_point_summary.csv` by `landau` and `report`. The sweep is
 fixed: no mutation and no position is drawn at random.
@@ -44,8 +45,8 @@ READERS = {
 # hand-off file: (the commands that read it, the start of the row mutated, the columns edited:
 # one of numbers and, where the file has one, one of integers)
 HANDOFFS = {
-    IRF_PI_FILE: (("efficiency",), "cash,3,", ("beta", "h")),
-    IRF_PHI_FILE: (("efficiency",), "reserve,5,", ("se", "n")),
+    IRF_PI_FILE: (("efficiency", "calibrate"), "cash,3,", ("beta", "h")),
+    IRF_PHI_FILE: (("efficiency", "calibrate"), "reserve,5,", ("se", "n")),
     "phase_means.csv": (("calibrate",), "cash,", ("phi_bar", "n_months")),
     "tanh_fit.csv": (("report",), "", ("w_months",)),
     "breakpoints.csv": (("report",), "phi,2013,", ("rss",)),

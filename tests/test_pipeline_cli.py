@@ -59,12 +59,11 @@ from monephase.pipeline import (
 from monephase.series import MonthIndex, Panel
 from monephase.synth import default_spec, generate, two_compartment_spec
 
+from conftest import CHAIN_COMMANDS
+
 
 PATHS = st.text("abcXYZ019_-./#", max_size=16)
 MONTHS = st.builds(MonthIndex, st.integers(1000, 9999), st.integers(1, 12))
-CHAIN_COMMANDS = (
-    "transform", "breakpoints", "fit-phase", "irf", "calibrate", "landau", "efficiency", "report"
-)
 
 
 @pytest.fixture(scope="module")
@@ -523,21 +522,28 @@ class TestBreakpoints:
         )
         assert not (tmp_path / "panel.csv").exists()
 
-    @pytest.mark.parametrize("value", [0.0, -1.0])
-    def test_non_positive_mb_sa_of_a_panel_csv_refused(self, econ_dir, tmp_path, capsys, value):
-        # a panel.csv no transform writes: its derived columns are those of the edited MB_SA
+    @pytest.mark.parametrize("command", ["breakpoints", "fit-phase", "irf"])
+    @pytest.mark.parametrize(
+        "column, value", [("MB_SA", 0.0), ("MB_SA", -1.0), ("CPI", -1.0), ("CPI_core", 0.0)]
+    )
+    def test_non_positive_level_of_a_panel_csv_refused(
+        self, econ_dir, tmp_path, capsys, command, column, value
+    ):
+        # a level transform's inputs must hold positive, in a panel.csv no transform writes whose
+        # derived columns are those of the edited level: each reader refuses it as transform does
         panel = read_panel_csv(econ_dir[0] / "panel.csv")
-        mb_sa = panel["MB_SA"].values.copy()
-        mb_sa[MonthIndex(1990, 6) - panel.start] = value
-        levels = {**panel.series, "MB_SA": panel["MB_SA"].with_values(mb_sa)}
+        values = panel[column].values.copy()
+        values[MonthIndex(1990, 6) - panel.start] = value
+        levels = {**panel.series, column: panel[column].with_values(values)}
         derived = pipeline.derive(Panel(panel.start, panel.length, levels), panel["phi"])
         edited = Panel(panel.start, panel.length, {**levels, **derived})
         pipeline._write(tmp_path, "panel.csv", ingest.table_rows(edited, ARTIFACTS["panel.csv"]))
-        assert main(["breakpoints", "--out", str(tmp_path)]) == 1
+        assert main([command, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
-            f"monephase: error: {tmp_path / 'panel.csv'}: "
-            "MB_SA must be positive to take logs at 1990-06; rerun the transform command\n"
+            f"monephase: error: {tmp_path / 'panel.csv'}: column {column}: "
+            f"{ingest.POSITIVE[column]}, offending month 1990-06; rerun the transform command\n"
         )
+        assert [path.name for path in tmp_path.iterdir()] == ["panel.csv"]
 
     def test_out_of_range_window_warns_not_aborts(self, econ_dir, tmp_path):
         out, cfg, spec = econ_dir
@@ -1389,6 +1395,17 @@ class TestCli:
         assert f"{cpi}: byte 2 (0x8f) is not UTF-8; save the file as UTF-8" in err
         assert "Traceback" not in err and not (tmp_path / "panel.csv").exists()
 
+    def test_cp932_upstream_exit_code(self, econ_dir, tmp_path, capsys):
+        # a hand-off file's error ends with the command that rewrites it
+        panel = tmp_path / "panel.csv"
+        comment = "# 消費者物価指数\n".encode("cp932")
+        panel.write_bytes(comment + (econ_dir[0] / "panel.csv").read_bytes())
+        assert main(["breakpoints", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"monephase: error: {panel}: byte 2 (0x8f) is not UTF-8; save the file as UTF-8; "
+            "rerun the transform command\n"
+        )
+
     @pytest.mark.parametrize("option", ["--monetary", "--config"])
     def test_directory_as_file_exit_code(self, econ_dir, tmp_path, capsys, option):
         _, cfg, _ = econ_dir
@@ -1550,30 +1567,6 @@ class TestCalibrationOutputs:
         assert preamble["degenerate"] == "true"
 
 
-@pytest.fixture(scope="module")
-def default_chain(tmp_path_factory):
-    """The README chain on the default economy (seed 1): out dir and each command's files."""
-    out = tmp_path_factory.mktemp("chain")
-    written = {"synth": COMMANDS["synth"](RunConfig(out_dir=str(out), seed=1))}
-    cfg = parse_config(out / "synthetic_config.txt")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # windows outside the data
-        for command in CHAIN_COMMANDS:
-            written[command] = COMMANDS[command](cfg)
-    return out, written
-
-
-@pytest.fixture(scope="module")
-def robust_chain(default_chain, tmp_path_factory):
-    """A copy of default_chain's files with irf rerun with --robustness: every declared file."""
-    out, written = default_chain
-    copy = tmp_path_factory.mktemp("robust")
-    for path in out.iterdir():
-        shutil.copy(path, copy / path.name)
-    cfg = replace(parse_config(out / "synthetic_config.txt"), out_dir=str(copy), robustness=True)
-    return copy, {**written, "irf": COMMANDS["irf"](cfg)}
-
-
 # the files one command reads back from another; each must hold data rows
 HANDOFF_FILES = (
     "panel.csv", "breakpoints.csv", "tanh_fit.csv", IRF_PI_FILE, IRF_PHI_FILE,
@@ -1611,6 +1604,12 @@ def _panel_phi(month, value):
     """An edit of panel.csv's lines that sets the phi cell of month to value."""
     column = ARTIFACTS["panel.csv"].header.index("phi")
     return lambda lines: _edit_row(lines, f"{month},", lambda line: _set_cell(line, column, value))
+
+
+def _zero_se(line):
+    """An IRF row with se 0 and both bounds at beta, as beta -+ 1.96 * 0 gives them."""
+    phase, h, beta, *_, n = line.split(",")
+    return ",".join((phase, h, beta, "0", beta, beta, n))
 
 
 def _degenerate(lines):
@@ -1709,6 +1708,14 @@ MALFORMED = {
     ),
     "irf_empty_cells_efficiency": (
         IRF_PHI_FILE, _empty_cells, "efficiency", "non-finite beta or se at h=3",
+    ),
+    "irf_zero_se_efficiency": (
+        IRF_PHI_FILE, lambda lines: _edit_row(lines, "reserve,5,", _zero_se), "efficiency",
+        "IRF_J7_phi.csv: se 0.0 at h=5 of the reserve phase is not positive; rerun the irf command",
+    ),
+    "irf_zero_se_calibrate": (
+        IRF_PHI_FILE, lambda lines: _edit_row(lines, "reserve,5,", _zero_se), "calibrate",
+        "IRF_J7_phi.csv: se 0.0 at h=5 of the reserve phase is not positive; rerun the irf command",
     ),
     "irf_empty_cells_calibrate": (
         IRF_PI_FILE, _empty_cells, "calibrate", "non-finite beta or se at h=3",

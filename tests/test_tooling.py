@@ -1,11 +1,14 @@
-"""The benchmark's tracer (perfbench/tracing.py) wraps monephase functions by name.
+"""The benchmark's tracer (perfbench/tracing.py) wraps monephase functions by name,
+and its output checks (perfbench/checks.py) judge the files of a chain.
 
 A renamed or deleted function would make `perfbench/run.py --trace 1`
-fail at start-up; these checks catch that in the test suite instead.
+fail at start-up, and a file a check refuses would make the benchmark
+report its outputs incorrect; these tests catch both in the test suite.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -58,3 +61,20 @@ def test_calibrate_polishes_once_through_optimize(monkeypatch, default_economy):
     out = compartment.calibrate(*default_economy)
     assert len(results) == 1
     assert results[0].nfev == out.rate_evaluations - 3 * 65**2
+
+
+def test_benchmark_checks_pass_on_the_default_chain(robust_chain, monkeypatch):
+    # each check that perfbench/run.py applies to chain-default (seed 1, 612 months, the full
+    # chain with the sweep) raises CheckFailed on a file it refuses
+    modules = {}
+    for name in ("workloads", "checks"):  # as run.py imports them: checks imports workloads
+        spec = importlib.util.spec_from_file_location(name, TRACING.parent / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    workload = modules["workloads"].WORKLOADS["chain-default"]
+    assert (workload.months, workload.robustness) == (612, True)
+    checks = modules["checks"].checks_for(workload)
+    assert len(checks) == 9
+    for check in checks:
+        check(robust_chain[0], workload)
