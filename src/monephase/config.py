@@ -99,6 +99,11 @@ class RunConfig:
 _SCALAR_KEYS = {f.metadata["key"]: f for f in fields(RunConfig) if f.metadata}
 
 
+def key_text(cfg: RunConfig, key: str) -> str:
+    """The value cfg gives a scalar key, as config_text writes it: 0.30 is 0.3."""
+    return fmt(getattr(cfg, _SCALAR_KEYS[key].name))
+
+
 def _check(key: str, value) -> None:
     """Refuse a value outside its key's own range; the threshold order spans two keys."""
     if key.startswith("breaks.cluster."):
@@ -180,10 +185,8 @@ def config_text(cfg: RunConfig) -> str:
     line break, whitespace followed by '#', or text that UTF-8 cannot encode)
     raises DataError naming its key.
     """
-    pairs = []
-    for key, setting in _SCALAR_KEYS.items():
-        if (value := getattr(cfg, setting.name)) is not None:
-            pairs.append((key, fmt(value)))
+    pairs = [(key, key_text(cfg, key)) for key, setting in _SCALAR_KEYS.items()
+             if getattr(cfg, setting.name) is not None]
     for name, windows in cfg.clusters.items():
         pairs.append((f"breaks.cluster.{name}", ",".join(f"{a}:{b}" for a, b in windows)))
     for key, value in pairs:

@@ -58,10 +58,7 @@ def load_table(path: Path | str, artifact: Artifact) -> Panel:
     if (held := _memo.get(artifact.header)) and held[0] == _fingerprint(text):
         return held[1]
     _, rows = read_artifact(path, artifact, text)
-    try:
-        start = MonthIndex.parse(rows[0][0])
-    except DataError:  # report it as the Record of the first row does
-        raise Record(path, artifact, rows[0]).error(f"cannot parse date {rows[0][0]!r}") from None
+    start = Record(path, artifact, rows[0]).parse("date", MonthIndex.parse)
     by_year, values = dict(artifact.by_year), []
     columns = [j for j, name in enumerate(artifact.header) if j and name not in by_year]
     for i, (row, date) in enumerate(zip(rows, month_labels(start, len(rows)))):

@@ -7,7 +7,8 @@ a command writes, once: the command, the header, the preamble keys its
 readers require and a monthly table's by_year columns. Every CSV written
 here goes through _write with that header, and only a write makes the
 output directory. Every file one command reads from another is read
-back through read_artifact, which checks it before any cell is used. A
+back through read_artifact, which checks it before any cell is used, and
+refused unless each setting it records (SETTINGS) is the reader's. A
 monthly table this process wrote is held by ingest as the Panel its text
 parses to, and served unparsed while the file's text has that text's
 length and hash.
@@ -24,7 +25,7 @@ import numpy as np
 from . import econometrics as em
 from . import landau as ld
 from .compartment import CalibrationResult, calibrate, steady_state_phi
-from .config import RunConfig, config_text
+from .config import RunConfig, config_text, key_text
 from .csvio import Artifact, Record, context, parse_float_cell, parse_int, parse_number
 from .csvio import read_artifact, write_csv
 from .errors import ConvergenceError, DataError
@@ -55,9 +56,18 @@ def era_label(year: int) -> str:
     return next((f"{first}-{last}" for first, last in ERAS if first <= year <= last), "")
 
 
-IRF_FILE = Artifact(
-    "irf", ("phase", *em.IRF_COLUMNS), ("response_variable", "shock_definition", "H", "L")
-)
+# preamble key that records settings: (the config keys it records, its value from their values)
+SETTINGS = {
+    "shock_definition": (("shock.kind", "shock.p"), "{}({})"),
+    "H": (("lp.horizon",), "{}"),
+    "L": (("lp.lags",), "{}"),
+    "cash_max": (("phase.cash_max",), "{}"),
+    "reserve_min": (("phase.reserve_min",), "{}"),
+    "hac_lag": (("lp.hac_lag",), "{}"),
+    "window": (("tanh.window_start", "tanh.window_end"), "{}:{}"),
+}
+LP_SETTINGS = ("shock_definition", "H", "L", "cash_max", "reserve_min", "hac_lag")
+IRF_FILE = Artifact("irf", ("phase", *em.IRF_COLUMNS), ("response_variable", *LP_SETTINGS))
 ARTIFACTS = {
     "monetary.csv": Artifact("synth", MONETARY.header),
     "cpi.csv": Artifact("synth", CPI.header),
@@ -76,7 +86,9 @@ ARTIFACTS = {
         "fit-phase", ("phi0", "A", "t0_calendar", "w_months", "sse", "converged"), ("window",)
     ),
     **{name: IRF_FILE for name in IRF_FILES.values()},
-    "phase_means.csv": Artifact("irf", ("phase", "phi_bar", "n_months")),
+    "phase_means.csv": Artifact(
+        "irf", ("phase", "phi_bar", "n_months"), ("cash_max", "reserve_min")
+    ),
     "IRF_intermediate_diagnostic.csv": Artifact("irf", ("response", *em.IRF_COLUMNS)),
     "IRF_robustness.csv": Artifact(
         "irf",
@@ -100,7 +112,7 @@ ARTIFACTS = {
     "steady_state_sweep.csv": Artifact("landau", ("theta", "phi_star")),
     "susceptibility.csv": Artifact("landau", ("phi", "S")),
     "efficiency.csv": Artifact(
-        "efficiency", ("phase", "eff_r", "argmax_r", "eff_c", "argmax_c", "H")
+        "efficiency", ("phase", "eff_r", "argmax_r", "eff_c", "argmax_c", "H"), LP_SETTINGS
     ),
     "report.txt": Artifact("report", ()),
 }
@@ -119,8 +131,20 @@ def _flag(cell: str) -> bool:
     return cell == "true"
 
 
-def _read(out: Path, name: str) -> tuple[dict[str, str], list[Record]]:
+def recorded(cfg: RunConfig, name: str) -> dict[str, str]:
+    """Each setting the file name records, as its preamble holds it under cfg, in SETTINGS order."""
+    return {key: form.format(*(key_text(cfg, k) for k in keys))
+            for key, (keys, form) in SETTINGS.items() if key in ARTIFACTS[name].preamble}
+
+
+def _read(out: Path, name: str, cfg: RunConfig) -> tuple[dict[str, str], list[Record]]:
+    """(preamble, records) of the file name in out, refused unless it records cfg's settings."""
     preamble, rows = read_artifact(out / name, ARTIFACTS[name])
+    for key, value in recorded(cfg, name).items():
+        if preamble[key] != value:
+            sets = " and ".join(f"{k} = {key_text(cfg, k)}" for k in SETTINGS[key][0])
+            problem = f"made with {key} = {preamble[key]}, but the config sets {sets}"
+            raise _error(out / name, problem)
     return preamble, [Record(out / name, ARTIFACTS[name], row) for row in rows]
 
 
@@ -128,9 +152,9 @@ def _write(out: Path, name: str, rows, preamble=()) -> Path:
     return write_csv(out / name, ARTIFACTS[name].header, rows, preamble)
 
 
-def _one_row(out: Path, name: str) -> tuple[dict[str, str], Record]:
+def _one_row(out: Path, name: str, cfg: RunConfig) -> tuple[dict[str, str], Record]:
     """(preamble, the record) of a file of one data row; a second row is refused."""
-    preamble, (row, *more) = _read(out, name)
+    preamble, (row, *more) = _read(out, name, cfg)
     if more:
         raise more[0].error("more than one data row")
     return preamble, row
@@ -141,9 +165,9 @@ def _error(path: Path, problem) -> DataError:
     return DataError(f"{path}: {problem}{ARTIFACTS[path.name].rerun}")
 
 
-def _phase_records(out: Path, name: str) -> tuple[dict[str, str], dict[str, list[Record]]]:
+def _phase_records(out: Path, name: str, cfg: RunConfig):
     """(preamble, the records of each phase) of a file of cash and reserve rows."""
-    preamble, records = _read(out, name)
+    preamble, records = _read(out, name, cfg)
     by_phase: dict[str, list[Record]] = {}
     for rec in records:
         by_phase.setdefault(rec["phase"], []).append(rec)
@@ -153,9 +177,9 @@ def _phase_records(out: Path, name: str) -> tuple[dict[str, str], dict[str, list
     return preamble, by_phase
 
 
-def _both_phases(out: Path, name: str) -> dict[str, Record]:
+def _both_phases(out: Path, name: str, cfg: RunConfig) -> dict[str, Record]:
     """The one record of each phase of a file, cash then reserve."""
-    by_phase = _phase_records(out, name)[1]
+    by_phase = _phase_records(out, name, cfg)[1]
     for phase, records in by_phase.items():
         if len(records) > 1:
             raise records[1].error(f"repeated phase {phase}")
@@ -276,7 +300,7 @@ def cmd_fit_phase(cfg: RunConfig) -> list[Path]:
             )
         ],
         preamble=[
-            ("window", _tanh_window(cfg)),
+            *recorded(cfg, "tanh_fit.csv").items(),
             ("degenerate_width", fit.degenerate_width),
             ("trustworthy", fit.trustworthy),
         ],
@@ -284,14 +308,6 @@ def cmd_fit_phase(cfg: RunConfig) -> list[Path]:
     if not fit.converged:
         raise ConvergenceError("tanh fit did not converge")
     return [path]
-
-
-def _tanh_window(cfg: RunConfig) -> str:
-    return f"{cfg.tanh_start}:{cfg.tanh_end}"
-
-
-def _shock_definition(cfg: RunConfig) -> str:
-    return f"{cfg.shock_kind}({cfg.shock_p})"
 
 
 def _lp_tables(cfg: RunConfig, panel: Panel, memo: dict, phases=(CASH, RESERVE)):
@@ -335,22 +351,22 @@ def write_irfs(out: Path, cfg: RunConfig, tables: dict) -> list[Path]:
     """The (phase, response) tables estimated under cfg, one file per response; phase, then h."""
     paths = []
     for response, name in IRF_FILES.items():
-        values = (response, _shock_definition(cfg), cfg.horizon, cfg.lags)
+        preamble = [("response_variable", response), *recorded(cfg, name).items()]
         rows = [(p, *c) for p in (CASH, RESERVE) for c in tables[(p, response)].cells()]
-        paths.append(_write(out, name, rows, zip(IRF_FILE.preamble, values)))
+        paths.append(_write(out, name, rows, preamble))
     return paths
 
 
 def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
     """The (phase, response) tables that write_irfs wrote under cfg, rows in any order.
 
-    Each file must hold h = 0..H in both phases with a positive se, its own
-    response_variable, and H, L and the shock definition cfg's.
+    Each file must record cfg's settings and its own response_variable, and
+    hold h = 0..H in both phases with a positive se and an n above 2L + 2.
     """
     kinds = {"h": parse_int, "n": parse_int}
-    tables = {}
+    tables, H = {}, cfg.horizon
     for response, name in IRF_FILES.items():
-        preamble, by_phase = _phase_records(out, name)
+        preamble, by_phase = _phase_records(out, name, cfg)
         parsed = {
             phase: [tuple(r.parse(c, kinds.get(c, parse_float_cell)) for c in em.IRF_COLUMNS)
                     for r in records]
@@ -359,17 +375,6 @@ def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
         with context(f"{out / name}: ", IRF_FILE.rerun):
             if (got := preamble["response_variable"]) != response:
                 raise DataError(f"response_variable is {got}, expected {response}")
-            H, L = parse_int(preamble["H"]), parse_int(preamble["L"])
-            if (H, L) != (cfg.horizon, cfg.lags):
-                raise DataError(
-                    f"estimated with H = {H} and L = {L}, but the config sets "
-                    f"lp.horizon = {cfg.horizon} and lp.lags = {cfg.lags}"
-                )
-            if preamble["shock_definition"] != _shock_definition(cfg):
-                raise DataError(
-                    f"estimated with shock_definition {preamble['shock_definition']}, but the "
-                    f"config sets shock.kind = {cfg.shock_kind} and shock.p = {cfg.shock_p}"
-                )
             for phase, rows in parsed.items():
                 hs, beta, se, ci_low, ci_high, n = zip(*sorted(rows, key=lambda r: r[0]))
                 if list(hs) != list(range(H + 1)):
@@ -381,6 +386,9 @@ def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
                 if (bad := table.se <= 0.0).any():
                     h = int(np.argmax(bad))
                     raise DataError(f"se {se[h]} at h={h} of the {phase} phase is not positive")
+                if (bad := table.n <= 2 * cfg.lags + 2).any():  # no more rows than regressors
+                    h, least = int(np.argmax(bad)), f"2L + 2 = {2 * cfg.lags + 2}"
+                    raise DataError(f"n {n[h]} at h={h} of the {phase} phase is not above {least}")
                 tables[(phase, response)] = table
     return tables
 
@@ -416,6 +424,7 @@ def cmd_irf(cfg: RunConfig) -> list[Path]:
                 (CASH, phi_bar_cash, int(partition[CASH].sum())),
                 (RESERVE, phi_bar_reserve, int(partition[RESERVE].sum())),
             ],
+            recorded(cfg, "phase_means.csv").items(),
         )
     )
 
@@ -445,7 +454,8 @@ def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Pa
         v = replace(cfg, **fields)
         with context(f"robustness variant {name}: "):
             tables = sorted(_lp_tables(v, panel, memo)[1].items())
-        settings = (name, v.cash_max, v.reserve_min, v.horizon, v.lags, _shock_definition(v))
+        shock = recorded(v, IRF_PI_FILE)["shock_definition"]
+        settings = (name, v.cash_max, v.reserve_min, v.horizon, v.lags, shock)
         estimated.append((settings, tables))
     rows = (
         (*settings, *key, *c) for settings, tables in estimated
@@ -457,7 +467,7 @@ def _robustness_sweep(cfg: RunConfig, panel: Panel, memo: dict, out: Path) -> Pa
 def cmd_calibrate(cfg: RunConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     tables = read_irfs(out, cfg)
-    means = _both_phases(out, "phase_means.csv")
+    means = _both_phases(out, "phase_means.csv", cfg)
     phi_bars = {phase: rec.parse("phi_bar") for phase, rec in means.items()}
     for phase, rec in means.items():
         if not 0.0 < phi_bars[phase] < 1.0:
@@ -510,9 +520,9 @@ def write_calibration(out: Path, result: CalibrationResult, tables: dict) -> lis
     return paths
 
 
-def _calibration(out: Path) -> tuple[dict, Record]:
+def _calibration(out: Path, cfg: RunConfig) -> tuple[dict, Record]:
     """The summary's preamble and row, once its flags parse and hold and phi_c is in (0, 1)."""
-    preamble, row = _one_row(out, SUMMARY_FILE)
+    preamble, row = _one_row(out, SUMMARY_FILE, cfg)
     flags = {}
     for key in ARTIFACTS[SUMMARY_FILE].preamble:
         try:
@@ -537,7 +547,7 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
     phi_c = cfg.landau_phi_c
     if phi_c is None:
         with context("phi_c unavailable: ", "; or set landau.phi_c"):
-            phi_c = _calibration(out)[1].parse("phi_c")
+            phi_c = _calibration(out, cfg)[1].parse("phi_c")
     fixed = [("source", "fixed constants in the landau command, not the data")]
 
     sweep_rows = []
@@ -581,7 +591,7 @@ def cmd_efficiency(cfg: RunConfig) -> list[Path]:
         (label, *tables[(label, "phi")].peak(), *tables[(label, "pi_core")].peak(), cfg.horizon)
         for label in (CASH, RESERVE)
     ]
-    return [_write(out, "efficiency.csv", rows)]
+    return [_write(out, "efficiency.csv", rows, recorded(cfg, "efficiency.csv").items())]
 
 
 def write_economy(out: Path, panel: Panel, truth: GroundTruth) -> list[Path]:
@@ -607,16 +617,12 @@ def cmd_synth(cfg: RunConfig) -> list[Path]:
 
 def cmd_report(cfg: RunConfig) -> list[Path]:
     out = Path(cfg.out_dir)
-    fitted, tanh = _one_row(out, "tanh_fit.csv")
-    if (window := fitted["window"]) != _tanh_window(cfg):
-        config = f"tanh.window_start = {cfg.tanh_start} and tanh.window_end = {cfg.tanh_end}"
-        problem = f"fitted with window {window}, but the config sets {config}"
-        raise _error(out / "tanh_fit.csv", problem)
+    tanh = _one_row(out, "tanh_fit.csv", cfg)[1]
     if not tanh.parse("converged", _flag):
         raise _error(out / "tanh_fit.csv", "tanh fit did not converge")
-    _, breaks = _read(out, "breakpoints.csv")
-    effs = _both_phases(out, "efficiency.csv")
-    summary, calibration = _calibration(out)
+    _, breaks = _read(out, "breakpoints.csv", cfg)
+    effs = _both_phases(out, "efficiency.csv", cfg)
+    summary, calibration = _calibration(out, cfg)
     kinds = {"t0_calendar": _month_fraction, "argmax_r": parse_int, "argmax_c": parse_int}
 
     def cell(rec: Record, column: str) -> str:  # copied as written, once it parses
@@ -634,9 +640,6 @@ def cmd_report(cfg: RunConfig) -> list[Path]:
         median = MonthIndex.from_ordinal(sorted(taus.values())[(len(taus) - 1) // 2])
         lines.append(f"breakpoints.{cluster}.{series}.median = {median}")
     for rec in effs.values():
-        if (H := rec.parse("H", parse_int)) != cfg.horizon:
-            horizon = f"lp.horizon = {cfg.horizon}"
-            raise rec.error(f"estimated with H = {H}, but the config sets {horizon}")
         for c in ("eff_r", "argmax_r", "eff_c", "argmax_c"):
             lines.append(f"efficiency.{rec['phase']}.{c} = {cell(rec, c)}")
     lines += [f"calibration.{c} = {cell(calibration, c)}" for c in ("phi_c", "s_pi", "objective")]

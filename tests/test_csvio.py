@@ -81,6 +81,13 @@ class TestFirstBadCell:
             tmp_path, kind, 3, "cannot parse date '1990-13'"
         )
 
+    def test_bad_first_date_before_bad_cell_on_one_line(self, tmp_path, kind):
+        # the first row's date is the table's start, parsed before any cell of the table
+        edits = {(0, "MB"): "x", (0, "date"): "1990-13"}
+        assert _error(tmp_path, kind, edits) == _message(
+            tmp_path, kind, 2, "cannot parse date '1990-13'"
+        )
+
     def test_month_gap_before_bad_cell_on_one_line(self, tmp_path, kind):
         edits = {(2, "date"): "1990-05", (2, "MB"): "x"}
         assert _error(tmp_path, kind, edits) == _message(
@@ -118,11 +125,14 @@ class TestFirstBadCell:
         assert np.isnan(rb[1]) and rb[[0, 2, 3]].tolist() == [1.0, 1.0, 1.0]
 
     def test_blank_cells_parse_no_cell_through_a_record(self, tmp_path, kind, monkeypatch):
-        # a blank cell, empty or not, is missing without the per-cell path that reports errors
-        calls = []
-        monkeypatch.setattr(Record, "parse", lambda rec, *args: calls.append(args))
+        # a blank cell, empty or not, is missing without the per-cell path that reports errors;
+        # a Record parses only the first date, the table's start
+        calls, parse = [], Record.parse
+        monkeypatch.setattr(
+            Record, "parse", lambda rec, *args: calls.append(args) or parse(rec, *args)
+        )
         panel = _load(tmp_path, kind, {(1, "RB"): "", (2, "RB"): " \t"})
-        assert np.isnan(panel["RB"].values[1:3]).all() and calls == []
+        assert np.isnan(panel["RB"].values[1:3]).all() and calls == [("date", MonthIndex.parse)]
 
     def test_surrounding_spaces_accepted(self, tmp_path, kind):
         panel = _load(tmp_path, kind, {(1, "RB"): " 1.5 ", (1, "date"): " 1990-02 "})

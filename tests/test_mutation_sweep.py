@@ -16,12 +16,14 @@ fixed: no mutation and no position is drawn at random.
   phase, h or series, a swapped row changes nothing, nor does a cell that
   its reader does not read; a dropped `breakpoints.csv` row is let pass
   (see `_DROPPED_BREAKPOINT`).
-- A preamble key that records a setting or a flag (the four IRF keys,
-  `tanh_fit.csv`'s `window` and the summary's three flags), set to `x`,
-  exits 1 with one error line that names the file.
+- A preamble key that a hand-off file's readers require (its recorded
+  settings, an IRF file's `response_variable` and the summary's three
+  flags), set to `x`, exits 1 with one error line that names the file.
 - CRLF line ends and a BOM exit 0, every output byte-identical.
 - A decimal edit of `panel.csv` exits 1 naming the file: its derived
-  columns must be what its levels give. A decimal edit of another file
+  columns must be what its levels give. An IRF `n` of 0 or -1 exits 1
+  naming the file: a projection needs more rows than its 2L + 2
+  regressors. A decimal edit of another file
   may exit 0 or 1, with one error line, which names the file when
   `transform` reads it or the file is a hand-off file; a negative RB
   exits 1 from `transform`.
@@ -196,6 +198,9 @@ def test_mutated_table(economy, tmp_path, capsys, name, command, mutation):
             assert error == f"{path}: reserve balances negative at {month}; composition violated"
         elif name == "panel.csv":
             assert code == 1 and error.startswith(f"{path}: ")
+        elif column == "n" and cell in ("0", "-1"):  # a projection has 2L + 2 = 26 regressors
+            problem = f"n {cell} at h=5 of the reserve phase is not above 2L + 2 = 26"
+            assert code == 1 and error == f"{path}: {problem}; rerun the irf command"
         elif code and (handoff or command == "transform"):
             assert code == 1 and error.startswith(f"{path}:")
         else:  # the error of a command downstream of an input may name a series, not the file

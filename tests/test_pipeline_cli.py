@@ -32,6 +32,7 @@ from monephase.config import (
     RunConfig,
     apply_overrides,
     config_text,
+    key_text,
     parse_config,
 )
 from monephase.csvio import fmt, parse_float_cell, read_csv
@@ -41,6 +42,7 @@ from monephase.pipeline import (
     ARTIFACTS,
     IRF_PHI_FILE,
     IRF_PI_FILE,
+    SETTINGS,
     SUMMARY_FILE,
     cmd_breakpoints,
     cmd_calibrate,
@@ -53,6 +55,7 @@ from monephase.pipeline import (
     era_label,
     read_irfs,
     read_panel_csv,
+    recorded,
     write_economy,
     write_irfs,
 )
@@ -1578,8 +1581,9 @@ def _header_only(lines):
     return lines[: next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1]
 
 
-def _swap_phi_bar_n_months(lines):
-    return [",".join((c[0], c[2], c[1])) for c in (line.split(",") for line in lines)]
+def _swap_phi_bar_n_months(lines):  # a preamble line, one cell, is kept
+    cells = (line.split(",") for line in lines)
+    return [",".join((c[0], c[2], c[1])) if len(c) == 3 else c[0] for c in cells]
 
 
 def _edit_row(lines, prefix, edit):
@@ -1638,7 +1642,7 @@ MALFORMED = {
     ),
     "phase_means_empty_phi_bar": (
         "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,,1"),
-        "calibrate", "phase_means.csv:2: cannot parse phi_bar ''",
+        "calibrate", "phase_means.csv:4: cannot parse phi_bar ''",
     ),
     "summary_empty_phi_c": (
         SUMMARY_FILE, lambda lines: lines[:-1] + ["," + lines[-1].split(",", 1)[1]],
@@ -1650,15 +1654,15 @@ MALFORMED = {
     ),
     "phase_means_phi_bar_above_one": (
         "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,1.12,457"),
-        "calibrate", "phase_means.csv:2: phi_bar 1.12 outside (0, 1); rerun the irf command",
+        "calibrate", "phase_means.csv:4: phi_bar 1.12 outside (0, 1); rerun the irf command",
     ),
     "phase_means_cash_not_below_reserve": (
         "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,0.9,457"),
-        "calibrate", "phase_means.csv:3: phi_bar 0.6864696708835965 is not above cash's 0.9;",
+        "calibrate", "phase_means.csv:5: phi_bar 0.6864696708835965 is not above cash's 0.9;",
     ),
     "phase_means_non_number": (
         "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,abc,1"),
-        "calibrate", "phase_means.csv:2: cannot parse phi_bar 'abc'",
+        "calibrate", "phase_means.csv:4: cannot parse phi_bar 'abc'",
     ),
     "summary_header_only_landau": (
         SUMMARY_FILE, _header_only, "landau", "no data rows; rerun the calibrate command",
@@ -1687,11 +1691,11 @@ MALFORMED = {
     ),
     "irf_grouped_preamble_H": (
         IRF_PHI_FILE, _preamble("H", "2_4"),
-        "efficiency", "cannot parse integer '2_4'; rerun the irf command",
+        "efficiency", "made with H = 2_4, but the config sets lp.horizon = 24; rerun the irf",
     ),
     "efficiency_grouped_argmax": (
         "efficiency.csv", lambda lines: _edit_row(lines, "cash,", lambda r: _set_cell(r, 4, "0_4")),
-        "report", "efficiency.csv:2: cannot parse argmax_c '0_4'",
+        "report", "efficiency.csv:8: cannot parse argmax_c '0_4'",
     ),
     "irf_fractional_h": (
         IRF_PI_FILE,
@@ -1783,7 +1787,7 @@ MALFORMED = {
     ),
     "phase_means_non_number_full_path": (
         "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,abc,1"),
-        "calibrate", "/phase_means.csv:2: cannot parse phi_bar 'abc'; rerun the irf command",
+        "calibrate", "/phase_means.csv:4: cannot parse phi_bar 'abc'; rerun the irf command",
     ),
     "irf_missing_horizon_rerun": (
         IRF_PHI_FILE, lambda lines: _drop(lines, "reserve,5,"),
@@ -1797,10 +1801,12 @@ MALFORMED = {
         "efficiency", "confidence bounds inconsistent at h=3; rerun the irf command",
     ),
     "irf_unparsable_H": (
-        IRF_PHI_FILE, _preamble("H", "x"), "calibrate", "'x'; rerun the irf command",
+        IRF_PHI_FILE, _preamble("H", "x"), "calibrate",
+        "H = x, but the config sets lp.horizon = 24; rerun the irf command",
     ),
     "irf_unparsable_L": (
-        IRF_PI_FILE, _preamble("L", "12.5"), "efficiency", "'12.5'; rerun the irf command",
+        IRF_PI_FILE, _preamble("L", "12.5"), "efficiency",
+        "L = 12.5, but the config sets lp.lags = 12; rerun the irf command",
     ),
     "irf_no_cash_rows": (
         IRF_PI_FILE, lambda lines: _drop(lines, "cash,"), "calibrate",
@@ -1812,17 +1818,17 @@ MALFORMED = {
     ),
     "irf_horizon_mismatch_calibrate": (
         IRF_PHI_FILE, _horizon_20, "calibrate",
-        f"{IRF_PHI_FILE}: estimated with H = 20 and L = 12, but the config sets "
-        "lp.horizon = 24 and lp.lags = 12; rerun the irf command",
+        f"{IRF_PHI_FILE}: made with H = 20, but the config sets lp.horizon = 24; "
+        "rerun the irf command",
     ),
     "irf_horizon_mismatch_efficiency": (
         IRF_PHI_FILE, _horizon_20, "efficiency",
-        f"{IRF_PHI_FILE}: estimated with H = 20 and L = 12, but the config sets "
-        "lp.horizon = 24 and lp.lags = 12; rerun the irf command",
+        f"{IRF_PHI_FILE}: made with H = 20, but the config sets lp.horizon = 24; "
+        "rerun the irf command",
     ),
     "phase_means_repeated_cash": (
         "phase_means.csv", lambda lines: lines + ["cash,0.5,3"], "calibrate",
-        "phase_means.csv:4: repeated phase cash; rerun the irf command",
+        "phase_means.csv:6: repeated phase cash; rerun the irf command",
     ),
     "efficiency_no_reserve_row": (
         "efficiency.csv", lambda lines: _drop(lines, "reserve,"), "report",
@@ -1830,17 +1836,18 @@ MALFORMED = {
         "rerun the efficiency command",
     ),
     "efficiency_repeated_cash": (
-        "efficiency.csv", lambda lines: lines + [lines[1]], "report",
-        "efficiency.csv:4: repeated phase cash; rerun the efficiency command",
+        "efficiency.csv", lambda lines: lines + [line for line in lines if line[:5] == "cash,"],
+        "report",
+        "efficiency.csv:10: repeated phase cash; rerun the efficiency command",
     ),
     "irf_shock_mismatch_calibrate": (
         IRF_PI_FILE, _preamble("shock_definition", "detrended(12)"), "calibrate",
-        f"{IRF_PI_FILE}: estimated with shock_definition detrended(12), but the config sets "
+        f"{IRF_PI_FILE}: made with shock_definition = detrended(12), but the config sets "
         "shock.kind = ar_resid and shock.p = 12; rerun the irf command",
     ),
     "irf_shock_mismatch_efficiency": (
         IRF_PHI_FILE, _preamble("shock_definition", "ar_resid(6)"), "efficiency",
-        f"{IRF_PHI_FILE}: estimated with shock_definition ar_resid(6), but the config sets "
+        f"{IRF_PHI_FILE}: made with shock_definition = ar_resid(6), but the config sets "
         "shock.kind = ar_resid and shock.p = 12; rerun the irf command",
     ),
     "tanh_fit_two_rows_report": (
@@ -1868,6 +1875,32 @@ MALFORMED = {
         "panel.csv: phi -0.4 outside [0, 1] at 2020-06; rerun the transform command",
     ),
 }
+
+
+# command: the files it reads that record settings, in the order it reads them
+SETTINGS_READERS = {
+    "calibrate": (IRF_PI_FILE, IRF_PHI_FILE, "phase_means.csv"),
+    "efficiency": (IRF_PI_FILE, IRF_PHI_FILE),
+    "report": ("tanh_fit.csv", "efficiency.csv"),
+}
+# config key: a value other than the default chain's
+OTHER_VALUES = {
+    "shock.kind": "detrended", "shock.p": "6", "lp.horizon": "20", "lp.lags": "6",
+    "phase.cash_max": "0.25", "phase.reserve_min": "0.65", "lp.hac_lag": "3",
+    "tanh.window_start": "2012-06", "tanh.window_end": "2017-12",
+}
+
+
+def _recorded_settings():
+    """(command, file, key, config key): each config key of each setting a file records, as
+    ARTIFACTS declares it, with each command that reads the file."""
+    for command, names in SETTINGS_READERS.items():
+        for name in names:
+            for key in [key for key in ARTIFACTS[name].preamble if key in SETTINGS]:
+                for config_key in SETTINGS[key][0]:
+                    yield pytest.param(
+                        command, name, key, config_key, id=f"{command}-{name}-{config_key}"
+                    )
 
 
 class TestUpstreamArtifacts:
@@ -1901,15 +1934,17 @@ class TestUpstreamArtifacts:
         assert table == declared
 
     def test_clean_panel_read_parses_no_cell_through_a_record(self, default_chain, monkeypatch):
-        # panel.csv is parsed row by row; a Record parses only to report a bad cell
+        # panel.csv is parsed row by row; a Record parses the first date, the table's start,
+        # and otherwise only reports a bad cell
         out, _ = default_chain
         calls = []
         parse = csvio.Record.parse
+        monkeypatch.setattr(ingest, "_memo", {})  # parsed, not served from the memo
         monkeypatch.setattr(
             csvio.Record, "parse", lambda rec, *args: calls.append(args) or parse(rec, *args)
         )
         assert read_panel_csv(out / "panel.csv").length == 612
-        assert calls == []
+        assert calls == [("date", MonthIndex.parse)]
 
     def test_pipeline_names_write_csv_only_in_write(self):
         # every CSV a command writes, synth's included, takes its header from ARTIFACTS:
@@ -1982,25 +2017,6 @@ class TestUpstreamArtifacts:
         assert all(Path(line).is_file() for line in lines)
 
     @pytest.mark.parametrize("command", ["calibrate", "efficiency"])
-    @pytest.mark.parametrize("setting, H, L", [("lp.horizon=20", 20, 12), ("lp.lags=6", 24, 6)])
-    def test_irf_files_of_other_lp_settings_refused(
-        self, default_chain, tmp_path, capsys, command, setting, H, L
-    ):
-        out, _ = default_chain
-        for path in out.iterdir():
-            shutil.copy(path, tmp_path / path.name)
-        config = str(tmp_path / "synthetic_config.txt")
-        assert main(["irf", "--config", config, "--out", str(tmp_path), "--set", setting]) == 0
-        capsys.readouterr()
-        assert main([command, "--config", config, "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert (
-            f"{tmp_path / IRF_PI_FILE}: estimated with H = {H} and L = {L}, but the config "
-            "sets lp.horizon = 24 and lp.lags = 12; rerun the irf command"
-        ) in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("command", ["calibrate", "efficiency"])
     def test_swapped_irf_files_refused(self, default_chain, tmp_path, capsys, command):
         out, _ = default_chain
         for path in out.glob("*.csv"):
@@ -2014,24 +2030,50 @@ class TestUpstreamArtifacts:
             "expected pi_core; rerun the irf command\n"
         )
 
-    @pytest.mark.parametrize("setting, problem", [
-        ("tanh.window_start=2012-06",
-         "tanh_fit.csv: fitted with window 2010-01:2018-12, but the config sets "
-         "tanh.window_start = 2012-06 and tanh.window_end = 2018-12; rerun the fit-phase command"),
-        ("lp.horizon=12",
-         "efficiency.csv:2: estimated with H = 24, but the config sets lp.horizon = 12; "
-         "rerun the efficiency command"),
-    ], ids=["tanh_window", "efficiency_H"])
-    def test_report_refuses_files_of_other_settings(
-        self, default_chain, tmp_path, capsys, setting, problem
+    def test_settings_table_matches_the_declarations(self):
+        declared = {key for artifact in ARTIFACTS.values() for key in artifact.preamble}
+        assert set(SETTINGS) <= declared  # every entry is recorded by some file
+        # every other declared key is an IRF file's identity or one of the summary's flags
+        assert declared - set(SETTINGS) == {"response_variable", *ARTIFACTS[SUMMARY_FILE].preamble}
+        assert {k for keys, _ in SETTINGS.values() for k in keys} <= set(_SCALAR_KEYS)
+        recording = {name for name, a in ARTIFACTS.items() if set(a.preamble) & set(SETTINGS)}
+        assert {name for names in SETTINGS_READERS.values() for name in names} == recording
+
+    @pytest.mark.parametrize("command, name, key, config_key", _recorded_settings())
+    def test_file_made_under_other_settings_refused(
+        self, default_chain, tmp_path, capsys, command, name, key, config_key
     ):
         out, _ = default_chain
-        for path in out.glob("*.csv"):
+        for path in out.iterdir():
             shutil.copy(path, tmp_path / path.name)
+        config = tmp_path / "synthetic_config.txt"
+        setting = f"{config_key}={OTHER_VALUES[config_key]}"
+        args = ["--config", str(config), "--out", str(tmp_path), "--set", setting]
+        # the files the command reads before this one, where they record the key, agree
+        before = SETTINGS_READERS[command][: SETTINGS_READERS[command].index(name)]
+        for writer in {ARTIFACTS[n].command for n in before if key in ARTIFACTS[n].preamble}:
+            assert main([writer, *args]) == 0
+            shutil.copy(out / name, tmp_path / name)
         capsys.readouterr()
-        assert main(["report", "--out", str(tmp_path), "--set", setting]) == 1
-        assert capsys.readouterr().err == f"monephase: error: {tmp_path}/{problem}\n"
-        assert not (tmp_path / "report.txt").exists()
+        assert main([command, *args]) == 1
+        cfg = parse_config(config)
+        sets = " and ".join(
+            f"{k} = {key_text(apply_overrides(cfg, [setting]), k)}" for k in SETTINGS[key][0]
+        )
+        assert capsys.readouterr().err == (
+            f"monephase: error: {tmp_path / name}: made with {key} = {recorded(cfg, name)[key]}, "
+            f"but the config sets {sets}; rerun the {ARTIFACTS[name].command} command\n"
+        )
+
+    def test_settings_compared_as_the_config_writes_them(self, default_chain, tmp_path):
+        # phase.cash_max = 0.30 is the recorded 0.3, and lp.horizon = 024 the recorded 24
+        out, _ = default_chain
+        for path in out.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        config = str(tmp_path / "synthetic_config.txt")
+        sets = ["--set", "phase.cash_max=0.30", "--set", "lp.horizon=024"]
+        assert main(["efficiency", "--config", config, "--out", str(tmp_path), *sets]) == 0
+        assert (tmp_path / "efficiency.csv").read_bytes() == (out / "efficiency.csv").read_bytes()
 
     def test_only_csvio_names_read_csv(self):
         # every other module reads a CSV through read_artifact, so none skips its checks
