@@ -64,12 +64,14 @@ def write_csv(
     header: Sequence[str],
     rows: Iterable[Sequence],
     preamble: Sequence[tuple[str, object]] = (),
+    digest=None,
 ) -> Path:
     """Write a comma-delimited UTF-8 file after a '# key: value' preamble, and make its
     directory. It holds one block of WRITE_BLOCK rows' cells, formatted a column at a time,
     and each block's text, written in order: never the whole file as one text or as bytes.
     Every block is formatted before the file is opened, so a row of other than one cell
-    per header column raises ValueError, and nothing is written."""
+    per header column raises ValueError, and nothing is written. A blake2b digest, if
+    given, is fed each block's text, UTF-8 encoded, as it is written."""
     path = Path(path)
     lines = [f"# {key}: {fmt(value)}" for key, value in preamble]
     texts, rows = ["\n".join([*lines, ",".join(header), ""])], iter(rows)
@@ -82,7 +84,10 @@ def write_csv(
         texts.append("\n".join([*map(",".join, zip(*columns)), ""]))
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as file:
-        file.writelines(texts)
+        for text in texts:
+            file.write(text)
+            if digest is not None:
+                digest.update(text.encode())
     return path
 
 

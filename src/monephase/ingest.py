@@ -13,13 +13,14 @@ reader, load_table, reads the pipeline's panel.csv too, row by row. A
 table's Artifact declares its shape, once: table_rows gives the rows the
 pipeline writes for it, a write block of months at a time, and remember
 holds a table just written as the Panel its text parses to. Only a write
-puts a table in the process's memo, which holds its Panel with the length
-and hash of its text, not the text.
+puts a table in the process's memo, which holds its Panel with the
+digest write_csv took of its text as it wrote it, not the text.
 """
 
 from __future__ import annotations
 
 import warnings
+from _blake2 import blake2b  # hashlib would load OpenSSL's _hashlib
 from pathlib import Path
 
 import numpy as np
@@ -33,14 +34,8 @@ MONETARY = Artifact(None, ("date", "MB", "BN", "CO", "RB", "MB_SA"))
 CPI = Artifact(None, ("date", "CPI", "CPI_core"))
 
 
-# header -> ((length, hash) of its text, Panel) of the table of that shape last written and
-# remembered, under any declaration: a chain in one process reads the tables the command before
-# wrote. A stale table needs two texts of one length whose per-process 64-bit str hashes collide.
-_memo: dict[tuple[str, ...], tuple[tuple[int, int], Panel]] = {}
-
-
-def _fingerprint(text: str) -> tuple[int, int]:
-    return len(text), hash(text)
+# header -> (digest of its text, Panel) of the table of that shape last written and remembered
+_memo: dict[tuple[str, ...], tuple[bytes, Panel]] = {}
 
 
 def load_table(path: Path | str, artifact: Artifact) -> Panel:
@@ -48,14 +43,14 @@ def load_table(path: Path | str, artifact: Artifact) -> Panel:
 
     The first bad cell in file order is reported: the earliest line, and in
     it the date, then the columns in header order. A file whose text has the
-    length and hash of the table last written and remembered with the same
-    header gives that Panel, whose arrays are read-only, without a parse:
-    the checks depend on the text alone. Each call reads the file once; no
+    digest of the table last written and remembered with the same header
+    gives that Panel, whose arrays are read-only, without a parse: the
+    checks depend on the text alone. Each call reads the file once; no
     text, parse or failure is kept.
     """
     path = Path(path)
     text = read_text(path, artifact)
-    if (held := _memo.get(artifact.header)) and held[0] == _fingerprint(text):
+    if (held := _memo.get(artifact.header)) and held[0] == blake2b(text.encode()).digest():
         return held[1]
     _, rows = read_artifact(path, artifact, text)
     start = Record(path, artifact, rows[0]).parse("date", MonthIndex.parse)
@@ -78,21 +73,20 @@ def load_table(path: Path | str, artifact: Artifact) -> Panel:
     return Panel(start, len(rows), series)
 
 
-def remember(path: Path, artifact: Artifact, panel: Panel):
-    """Hold panel as the table that path, just written from it by table_rows, parses to.
+def remember(artifact: Artifact, panel: Panel, digest: bytes):
+    """Hold panel as the table that table_rows wrote from it, whose text has digest.
 
-    It is served for a text of the length and hash of the file's text as
-    read back, which is not kept. The Panel held is panel's own read-only
-    series of the artifact's read columns, in header order: write_csv's
-    shortest round-trip floats read back bit for bit, a missing month's NaN
-    is written blank and a blank cell parses to NaN, and a MonthlySeries
-    holds no infinity, so a parse of the text would give the same Panel and
-    pass every check.
+    It is served for a text of that digest, the blake2b that write_csv
+    took as it wrote the file; nothing is read. The Panel held is panel's
+    own read-only series of the artifact's read columns, in header order:
+    write_csv's shortest round-trip floats read back bit for bit, a missing
+    month's NaN is written blank and a blank cell parses to NaN, and a
+    MonthlySeries holds no infinity, so a parse of the text would give the
+    same Panel and pass every check.
     """
     by_year = dict(artifact.by_year)
     series = {name: panel[name] for name in artifact.header[1:] if name not in by_year}
-    held = Panel(panel.start, panel.length, series)
-    _memo[artifact.header] = (_fingerprint(read_text(path, artifact)), held)
+    _memo[artifact.header] = (digest, Panel(panel.start, panel.length, series))
 
 
 # a level that must be positive: why, in the order read_panel_csv checks them

@@ -10,13 +10,14 @@ output directory. Every file one command reads from another is read
 back through read_artifact, which checks it before any cell is used, and
 refused unless each setting it records (SETTINGS) is the reader's. A
 monthly table this process wrote is held by ingest as the Panel its text
-parses to, and served unparsed while the file's text has that text's
-length and hash.
+parses to, and served unparsed while the file's text has the digest
+write_csv took of that text as it wrote it.
 """
 
 from __future__ import annotations
 
 import warnings
+from _blake2 import blake2b  # hashlib would load OpenSSL's _hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,7 +81,8 @@ ARTIFACTS = {
         by_year=(("era", era_label),),
     ),
     "breakpoints.csv": Artifact(
-        "breakpoints", ("series", "cluster", "window_start", "window_end", "tau", "rss", "tie")
+        "breakpoints", ("series", "cluster", "window_start", "window_end", "tau", "rss", "tie"),
+        ("windows",),  # how many (series, window) pairs it scanned, one row each
     ),
     "tanh_fit.csv": Artifact(
         "fit-phase", ("phi0", "A", "t0_calendar", "w_months", "sse", "converged"), ("window",)
@@ -148,8 +150,17 @@ def _read(out: Path, name: str, cfg: RunConfig) -> tuple[dict[str, str], list[Re
     return preamble, [Record(out / name, ARTIFACTS[name], row) for row in rows]
 
 
-def _write(out: Path, name: str, rows, preamble=()) -> Path:
-    return write_csv(out / name, ARTIFACTS[name].header, rows, preamble)
+def _write(out: Path, name: str, rows, preamble=(), digest=None) -> Path:
+    return write_csv(out / name, ARTIFACTS[name].header, rows, preamble, digest)
+
+
+def _key(out: Path, name: str, preamble: dict[str, str], key: str, kind):
+    """preamble[key] of the file name in out, parsed by kind; a value that does not parse is
+    refused naming the file."""
+    try:
+        return kind(preamble[key])
+    except DataError:
+        raise _error(out / name, f"cannot parse {key} {preamble[key]!r}") from None
 
 
 def _one_row(out: Path, name: str, cfg: RunConfig) -> tuple[dict[str, str], Record]:
@@ -237,8 +248,8 @@ def read_panel_csv(path: Path | str) -> Panel:
 
 def _write_table(out: Path, name: str, panel: Panel) -> Path:
     """A monthly table, remembered as the Panel that load_table would parse it to."""
-    path = _write(out, name, table_rows(panel, ARTIFACTS[name]))
-    remember(path, ARTIFACTS[name], panel)
+    path = _write(out, name, table_rows(panel, ARTIFACTS[name]), digest=(digest := blake2b()))
+    remember(ARTIFACTS[name], panel, digest.digest())
     return path
 
 
@@ -276,7 +287,7 @@ def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
     if not rows:
         raise DataError("no breakpoint window could be scanned; every window was skipped")
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return [_write(out, "breakpoints.csv", rows)]
+    return [_write(out, "breakpoints.csv", rows, [("windows", len(rows))])]
 
 
 def cmd_fit_phase(cfg: RunConfig) -> list[Path]:
@@ -523,12 +534,8 @@ def write_calibration(out: Path, result: CalibrationResult, tables: dict) -> lis
 def _calibration(out: Path, cfg: RunConfig) -> tuple[dict, Record]:
     """The summary's preamble and row, once its flags parse and hold and phi_c is in (0, 1)."""
     preamble, row = _one_row(out, SUMMARY_FILE, cfg)
-    flags = {}
-    for key in ARTIFACTS[SUMMARY_FILE].preamble:
-        try:
-            flags[key] = _flag(preamble[key])
-        except DataError:
-            raise _error(out / SUMMARY_FILE, f"cannot parse {key} {preamble[key]!r}") from None
+    flags = {key: _key(out, SUMMARY_FILE, preamble, key, _flag)
+             for key in ARTIFACTS[SUMMARY_FILE].preamble}
     if flags["degenerate"]:
         raise DataError(f"{out / SUMMARY_FILE}: degenerate calibration, phi_c unidentified")
     if not flags["converged"]:
@@ -620,7 +627,7 @@ def cmd_report(cfg: RunConfig) -> list[Path]:
     tanh = _one_row(out, "tanh_fit.csv", cfg)[1]
     if not tanh.parse("converged", _flag):
         raise _error(out / "tanh_fit.csv", "tanh fit did not converge")
-    _, breaks = _read(out, "breakpoints.csv", cfg)
+    scanned, breaks = _read(out, "breakpoints.csv", cfg)
     effs = _both_phases(out, "efficiency.csv", cfg)
     summary, calibration = _calibration(out, cfg)
     kinds = {"t0_calendar": _month_fraction, "argmax_r": parse_int, "argmax_c": parse_int}
@@ -636,6 +643,9 @@ def cmd_report(cfg: RunConfig) -> list[Path]:
         if window in (taus := by_key.setdefault((rec["series"], rec["cluster"]), {})):
             raise rec.error(f"repeated {rec['series']} window {window[0]}..{window[1]}")
         taus[window] = rec.parse("tau", MonthIndex.parse).ordinal
+    if (windows := _key(out, "breakpoints.csv", scanned, "windows", parse_int)) != len(breaks):
+        problem = f"holds {len(breaks)} rows, but records windows = {windows}"
+        raise _error(out / "breakpoints.csv", problem)
     for (series, cluster), taus in sorted(by_key.items()):
         median = MonthIndex.from_ordinal(sorted(taus.values())[(len(taus) - 1) // 2])
         lines.append(f"breakpoints.{cluster}.{series}.median = {median}")

@@ -9,6 +9,7 @@ header order.
 
 import math
 import tracemalloc
+from _blake2 import blake2b
 from unittest import mock
 
 import numpy as np
@@ -287,11 +288,12 @@ def test_write_csv_cells_are_fmt_of_each_value(tmp_path_factory, table):
 def test_write_csv_blocks_join_to_the_same_bytes(tmp_path_factory, table, block):
     rows, n_columns = table
     header = [f"c{j}" for j in range(n_columns)]
-    path = tmp_path_factory.mktemp("w") / "t.csv"
+    path, digest = tmp_path_factory.mktemp("w") / "t.csv", blake2b()
     with mock.patch.object(csvio, "WRITE_BLOCK", block):
-        write_csv(path, header, iter(rows))
+        write_csv(path, header, iter(rows), digest=digest)
     lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    assert digest.digest() == blake2b(path.read_bytes()).digest()
 
 
 @pytest.mark.parametrize("rows", [[(1.0, 2.0), (3.0,)], [(1.0, 2.0), (3.0, 4.0), (5.0,)], [(1.0, 2.0, 3.0)]])

@@ -14,11 +14,12 @@ fixed: no mutation and no position is drawn at random.
   exit 1 with one error line that names the file, and the line when one
   row is at fault. In a hand-off file, whose reader keys its rows by
   phase, h or series, a swapped row changes nothing, nor does a cell that
-  its reader does not read; a dropped `breakpoints.csv` row is let pass
-  (see `_DROPPED_BREAKPOINT`).
+  its reader does not read; a dropped `breakpoints.csv` row is refused
+  by its `windows` count.
 - A preamble key that a hand-off file's readers require (its recorded
-  settings, an IRF file's `response_variable` and the summary's three
-  flags), set to `x`, exits 1 with one error line that names the file.
+  settings, an IRF file's `response_variable`, the summary's three flags
+  and `breakpoints.csv`'s `windows`), set to `x`, exits 1 with one error
+  line that names the file.
 - CRLF line ends and a BOM exit 0, every output byte-identical.
 - A decimal edit of `panel.csv` exits 1 naming the file: its derived
   columns must be what its levels give. An IRF `n` of 0 or -1 exits 1
@@ -69,9 +70,6 @@ DECIMAL = ("1e300", "-1e300", "-1", "0", "")
 GARBAGE = "x"  # the value each preamble key that a hand-off file's readers require is set to
 WARNING, ERROR = "monephase: warning: ", "monephase: error: "  # what starts a stderr line
 PREFIXES = {"landau": "phi_c unavailable: "}  # what a command says before the file's error
-# report takes the median break date of each (series, cluster) over the rows it finds, and
-# nothing it reads says how many windows breakpoints scanned: a dropped row exits 0
-_DROPPED_BREAKPOINT = ("breakpoints.csv", "dropped")
 
 # name: (lines, the row's index) -> (the mutated lines, the line at fault or None)
 REFUSED = {
@@ -171,8 +169,6 @@ def test_mutated_table(economy, tmp_path, capsys, name, command, mutation):
         code, written, error = _run(economy, tmp_path, capsys, name, command, mutated)
         if handoff and mutation == "swapped":
             assert _unchanged(economy, code, written)
-        elif (name, mutation) == _DROPPED_BREAKPOINT:
-            assert code == 0
         elif handoff:  # a phase's, a horizon's or the one row missing names no line
             assert code == 1 and error.startswith((f"{path}:{line}: ", f"{path}: "))
         else:

@@ -809,6 +809,15 @@ class TestIrfCommand:
 
 
 class TestLandauCommand:
+    def test_readme_quotes_the_default_phi_c(self, default_chain):
+        # the susceptibility.csv preamble line the README gives for the default economy
+        out, _ = default_chain
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = (out / "susceptibility.csv").read_text(encoding="utf-8").splitlines()
+        assert re.findall(r"`(# phi_c: [^`]*)`", readme) == [
+            line for line in lines if line.startswith("# phi_c:")
+        ]
+
     def test_outputs(self, econ_dir, tmp_path):
         out, cfg, spec = econ_dir
         from dataclasses import replace
@@ -1021,6 +1030,22 @@ class TestPanelMemo:
             assert all(sys.getsizeof(value) < 1024 for value in others)
         held = ingest._memo[ARTIFACTS["panel.csv"].header][1]
         assert read_panel_csv(tmp_path / "panel.csv") is held
+
+    def test_written_table_is_not_read_back(self, econ_dir, tmp_path, monkeypatch):
+        # remember holds the digest write_csv took as it wrote the text: no read at all
+        out, _, _ = econ_dir
+        panel, reads = read_panel_csv(out / "panel.csv"), []
+
+        def spy(read):
+            return lambda *args, **kwargs: reads.append(args) or read(*args, **kwargs)
+
+        for owner, name in ((csvio, "read_text"), (ingest, "read_text"), (Path, "read_text"),
+                            (Path, "read_bytes")):
+            monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+        path = pipeline._write_table(tmp_path, "panel.csv", panel)
+        monkeypatch.undo()
+        assert reads == []
+        assert read_panel_csv(path) is ingest._memo[ARTIFACTS["panel.csv"].header][1]
 
     def test_written_file_edited_is_parsed_and_checked(self, tmp_path, capsys):
         # edited with the same size and mtime as written, a table is parsed and checked anew
@@ -1360,6 +1385,20 @@ class TestCli:
         # SciPy is no runtime dependency: importing it would triple each command's start-up
         src = str(Path(monephase.__file__).resolve().parents[1])
         code = "import sys, monephase.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_hashlib(self):
+        # digests come from _blake2 alone: hashlib loads OpenSSL's _hashlib, megabytes of memory
+        src = str(Path(monephase.__file__).resolve().parents[1])
+        code = "import sys, monephase.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
         run = subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": src},
@@ -1725,8 +1764,16 @@ MALFORMED = {
         IRF_PI_FILE, _empty_cells, "calibrate", "non-finite beta or se at h=3",
     ),
     "breakpoints_repeated_window": (
-        "breakpoints.csv", lambda lines: [*lines[:2], *lines[1:]],
-        "report", "breakpoints.csv:3: repeated log_MB_SA window 1983-01..1997-12; rerun the",
+        "breakpoints.csv", lambda lines: [*lines[:3], *lines[2:]],
+        "report", "breakpoints.csv:4: repeated log_MB_SA window 1983-01..1997-12; rerun the",
+    ),
+    "breakpoints_dropped_row": (
+        "breakpoints.csv", lambda lines: _drop(lines, "phi,2013,2010-01,"), "report",
+        "breakpoints.csv: holds 44 rows, but records windows = 45; rerun the breakpoints command",
+    ),
+    "breakpoints_windows_x": (
+        "breakpoints.csv", _preamble("windows", "x"),
+        "report", "breakpoints.csv: cannot parse windows 'x'; rerun the breakpoints command",
     ),
     "efficiency_no_rows": (
         "efficiency.csv", _header_only, "report", "no data rows; rerun the efficiency command",
@@ -2033,8 +2080,10 @@ class TestUpstreamArtifacts:
     def test_settings_table_matches_the_declarations(self):
         declared = {key for artifact in ARTIFACTS.values() for key in artifact.preamble}
         assert set(SETTINGS) <= declared  # every entry is recorded by some file
-        # every other declared key is an IRF file's identity or one of the summary's flags
-        assert declared - set(SETTINGS) == {"response_variable", *ARTIFACTS[SUMMARY_FILE].preamble}
+        # every other declared key is an IRF file's identity, one of the summary's flags or
+        # breakpoints.csv's count of its rows
+        others = {"response_variable", "windows", *ARTIFACTS[SUMMARY_FILE].preamble}
+        assert declared - set(SETTINGS) == others
         assert {k for keys, _ in SETTINGS.values() for k in keys} <= set(_SCALAR_KEYS)
         recording = {name for name, a in ARTIFACTS.items() if set(a.preamble) & set(SETTINGS)}
         assert {name for names in SETTINGS_READERS.values() for name in names} == recording
