@@ -160,6 +160,9 @@ class Artifact:
     preamble: tuple[str, ...] = ()  # keys its readers require
     # a monthly table's (column, its cell for a year) pairs: written from the date, never read
     by_year: tuple[tuple[str, Callable[[int], str]], ...] = ()
+    # (name, kind[, a test of its value, the problem if it fails, from the name and the value])
+    # of each column or required key that a reader parses other than by parse_number
+    kinds: tuple[tuple, ...] = ()
 
     @property
     def rerun(self) -> str:
@@ -175,22 +178,18 @@ def parse_number(cell: str) -> float:
 
 
 class Record(dict):
-    """The cells of one row of a file read_artifact checked, keyed by column name."""
+    """The values of one data row, or of the preamble, of a file read_artifact checked, keyed
+    by column or key as its reader parses them; text holds each as written."""
 
-    def __init__(self, path: Path, artifact: Artifact, row: Row):
-        super().__init__(zip(artifact.header, row))
-        self.where = f"{path}:{row.lineno}"
+    def __init__(self, path: Path, artifact: Artifact, text=(), lineno: int | None = None):
+        super().__init__()
+        self.text: dict[str, str] = dict(text)
+        self.where = f"{path}:{lineno}" if lineno else str(path)  # a preamble names no line
         self.rerun = artifact.rerun  # the rerun hint of an upstream file; empty for an input
 
     def error(self, problem: str) -> DataError:
-        """A DataError for this row, naming its path and line and, upstream, the rerun."""
+        """A DataError for this row, naming its path, its line if any and, upstream, the rerun."""
         return DataError(f"{self.where}: {problem}{self.rerun}")
-
-    def parse(self, column: str, kind=parse_number):
-        try:
-            return kind(self[column])
-        except DataError:
-            raise self.error(f"cannot parse {column} {self[column]!r}") from None
 
 
 @contextmanager

@@ -4,11 +4,13 @@ Identical inputs produce byte-identical outputs: seeds are fixed in the
 config, CSV row order is fixed (phase first, then horizon), and floats
 are written in shortest round-trip form. ARTIFACTS declares every file
 a command writes, once: the command, the header, the preamble keys its
-readers require and a monthly table's by_year columns. Every CSV written
-here goes through _write with that header, and only a write makes the
-output directory. Every file one command reads from another is read
-back through read_artifact, which checks it before any cell is used, and
-refused unless each setting it records (SETTINGS) is the reader's. A
+readers require, a monthly table's by_year columns and the kinds of a
+file that _read reads. Every CSV written here goes through _write with
+that header, and only a write makes the output directory. Every file one
+command reads from another, panel.csv aside, is read back through _read,
+which checks it with read_artifact, parses each of its required keys and
+cells once, by its kind, before any is used, and refuses it unless each
+setting it records (SETTINGS) is the reader's. A
 monthly table this process wrote is held by ingest as the Panel its text
 parses to, and served unparsed while the file's text has the digest
 write_csv took of that text as it wrote it.
@@ -48,6 +50,7 @@ IRF_PI_FILE = "IRF_J6_core_inflation.csv"
 IRF_PHI_FILE = "IRF_J7_phi.csv"
 IRF_FILES = {"pi_core": IRF_PI_FILE, "phi": IRF_PHI_FILE}  # each response's file
 SUMMARY_FILE = "critical_point_summary.csv"
+FLAGS = ("converged", "degenerate", "ordering_holds")  # the summary's verdicts on its solve
 
 ERAS = ((1971, 1989), (1990, 2012), (2013, 2021), (2022, 2026))  # of Japan's record
 
@@ -68,7 +71,28 @@ SETTINGS = {
     "window": (("tanh.window_start", "tanh.window_end"), "{}:{}"),
 }
 LP_SETTINGS = ("shock_definition", "H", "L", "cash_max", "reserve_min", "hac_lag")
-IRF_FILE = Artifact("irf", ("phase", *em.IRF_COLUMNS), ("response_variable", *LP_SETTINGS))
+
+
+def _flag(cell: str) -> bool:
+    """A true or false cell, as fmt writes a bool."""
+    if cell not in ("true", "false"):
+        raise DataError(f"cannot parse flag {cell!r}")
+    return cell == "true"
+
+
+def _month_fraction(cell: str) -> tuple[MonthIndex, float]:
+    """A YYYY-MM+fraction cell, as TanhFit.t0_calendar_str writes it: a fraction in [0, 1], as
+    {:.4f} may round one just below 1 up to 1.0000."""
+    month, _, fraction = cell.partition("+")
+    if not 0.0 <= (value := parse_number(fraction)) <= 1.0:
+        raise DataError("fraction outside [0, 1]")
+    return MonthIndex.parse(month), value
+
+
+# bounds a kind may carry: (a test of the value, the problem, from the name and the value)
+NON_NEGATIVE = (lambda v: v >= 0, "{} {} is negative")
+IN_UNIT = (lambda v: 0.0 < v < 1.0, "{} {} outside (0, 1)")
+TEXT = (str, str.strip, "cannot parse {} {!r}")  # a cell kept as written, refused if blank
 ARTIFACTS = {
     "monetary.csv": Artifact("synth", MONETARY.header),
     "cpi.csv": Artifact("synth", CPI.header),
@@ -83,13 +107,30 @@ ARTIFACTS = {
     "breakpoints.csv": Artifact(
         "breakpoints", ("series", "cluster", "window_start", "window_end", "tau", "rss", "tie"),
         ("windows",),  # how many (series, window) pairs it scanned, one row each
+        kinds=(("series", *TEXT), ("cluster", *TEXT),
+               *((c, MonthIndex.parse) for c in ("window_start", "window_end", "tau")),
+               ("rss", parse_number, *NON_NEGATIVE), ("tie", _flag),
+               ("windows", parse_int, *NON_NEGATIVE)),
     ),
     "tanh_fit.csv": Artifact(
-        "fit-phase", ("phi0", "A", "t0_calendar", "w_months", "sse", "converged"), ("window",)
+        "fit-phase", ("phi0", "A", "t0_calendar", "w_months", "sse", "converged"), ("window",),
+        kinds=(("t0_calendar", _month_fraction), ("sse", parse_number, *NON_NEGATIVE),
+               ("w_months", parse_number, lambda v: v > 0, "{} {} is not positive"),
+               ("converged", _flag)),
     ),
-    **{name: IRF_FILE for name in IRF_FILES.values()},
+    **{
+        name: Artifact(
+            "irf", ("phase", *em.IRF_COLUMNS), ("response_variable", *LP_SETTINGS),
+            kinds=(("phase", *TEXT), ("h", parse_int), ("n", parse_int),
+                   ("response_variable", str, response.__eq__, "{} is {}, expected " + response),
+                   *((c, parse_float_cell) for c in ("beta", "se", "ci_low", "ci_high"))),
+        )
+        for response, name in IRF_FILES.items()
+    },
     "phase_means.csv": Artifact(
-        "irf", ("phase", "phi_bar", "n_months"), ("cash_max", "reserve_min")
+        "irf", ("phase", "phi_bar", "n_months"), ("cash_max", "reserve_min"),
+        kinds=(("phase", *TEXT), ("phi_bar", parse_number, *IN_UNIT),
+               ("n_months", parse_int, *NON_NEGATIVE)),
     ),
     "IRF_intermediate_diagnostic.csv": Artifact("irf", ("response", *em.IRF_COLUMNS)),
     "IRF_robustness.csv": Artifact(
@@ -101,7 +142,9 @@ ARTIFACTS = {
     SUMMARY_FILE: Artifact(
         "calibrate",
         ("phi_c", "s_pi", "phi_bar_cash", "phi_bar_reserve", "objective"),
-        ("converged", "degenerate", "ordering_holds"),
+        (*LP_SETTINGS, *FLAGS),
+        kinds=(("phi_c", parse_number, IN_UNIT[0], "{} must lie in (0, 1), got {}"),
+               *((key, _flag) for key in FLAGS)),
     ),
     **{
         f"fit_{label}_phase.csv": Artifact(
@@ -114,23 +157,13 @@ ARTIFACTS = {
     "steady_state_sweep.csv": Artifact("landau", ("theta", "phi_star")),
     "susceptibility.csv": Artifact("landau", ("phi", "S")),
     "efficiency.csv": Artifact(
-        "efficiency", ("phase", "eff_r", "argmax_r", "eff_c", "argmax_c", "H"), LP_SETTINGS
+        "efficiency", ("phase", "eff_r", "argmax_r", "eff_c", "argmax_c", "H"), LP_SETTINGS,
+        kinds=(("phase", *TEXT), ("H", parse_int),
+               *((c, parse_number, *NON_NEGATIVE) for c in ("eff_r", "eff_c")),
+               *((c, parse_int, *NON_NEGATIVE) for c in ("argmax_r", "argmax_c"))),
     ),
     "report.txt": Artifact("report", ()),
 }
-
-
-def _month_fraction(cell: str) -> tuple[MonthIndex, float]:
-    """A YYYY-MM+fraction cell, as TanhFit.t0_calendar_str writes it."""
-    month, _, fraction = cell.partition("+")
-    return MonthIndex.parse(month), parse_number(fraction)
-
-
-def _flag(cell: str) -> bool:
-    """A true or false cell, as fmt writes a bool."""
-    if cell not in ("true", "false"):
-        raise DataError(f"cannot parse flag {cell!r}")
-    return cell == "true"
 
 
 def recorded(cfg: RunConfig, name: str) -> dict[str, str]:
@@ -139,41 +172,41 @@ def recorded(cfg: RunConfig, name: str) -> dict[str, str]:
             for key, (keys, form) in SETTINGS.items() if key in ARTIFACTS[name].preamble}
 
 
-def _read(out: Path, name: str, cfg: RunConfig) -> tuple[dict[str, str], list[Record]]:
-    """(preamble, records) of the file name in out, refused unless it records cfg's settings."""
-    preamble, rows = read_artifact(out / name, ARTIFACTS[name])
+def _read(out: Path, name: str, cfg: RunConfig) -> tuple[Record, list[Record]]:
+    """(preamble, records) of the file name in out: each required key and each cell parsed
+    once, by its kind, and held to its bound. A setting is kept as written, and its bound is
+    cfg's setting. Refused at the first failure in file order."""
+    path, artifact = out / name, ARTIFACTS[name]
+    preamble, rows = read_artifact(path, artifact)
+    kinds = {key: kind for key, *kind in artifact.kinds}
+    keys = dict(kinds)  # the preamble's, where a setting is held to cfg's
     for key, value in recorded(cfg, name).items():
-        if preamble[key] != value:
-            sets = " and ".join(f"{k} = {key_text(cfg, k)}" for k in SETTINGS[key][0])
-            problem = f"made with {key} = {preamble[key]}, but the config sets {sets}"
-            raise _error(out / name, problem)
-    return preamble, [Record(out / name, ARTIFACTS[name], row) for row in rows]
+        sets = " and ".join(f"{k} = {key_text(cfg, k)}" for k in SETTINGS[key][0])
+        keys[key] = (str, value.__eq__, f"made with {{}} = {{}}, but the config sets {sets}")
+    head = Record(path, artifact, {k: v for k, v in preamble.items() if k in artifact.preamble})
+    records = [Record(path, artifact, zip(artifact.header, row), row.lineno) for row in rows]
+    for rec in [head, *records]:
+        for key, text in rec.text.items():
+            kind, *bound = (keys if rec is head else kinds).get(key, (parse_number,))
+            try:
+                rec[key] = kind(text)
+            except DataError:
+                raise rec.error(f"cannot parse {key} {text!r}") from None
+            if bound and not bound[0](rec[key]):
+                raise rec.error(bound[1].format(key, rec[key]))
+    return head, records
 
 
 def _write(out: Path, name: str, rows, preamble=(), digest=None) -> Path:
     return write_csv(out / name, ARTIFACTS[name].header, rows, preamble, digest)
 
 
-def _key(out: Path, name: str, preamble: dict[str, str], key: str, kind):
-    """preamble[key] of the file name in out, parsed by kind; a value that does not parse is
-    refused naming the file."""
-    try:
-        return kind(preamble[key])
-    except DataError:
-        raise _error(out / name, f"cannot parse {key} {preamble[key]!r}") from None
-
-
-def _one_row(out: Path, name: str, cfg: RunConfig) -> tuple[dict[str, str], Record]:
+def _one_row(out: Path, name: str, cfg: RunConfig) -> tuple[Record, Record]:
     """(preamble, the record) of a file of one data row; a second row is refused."""
     preamble, (row, *more) = _read(out, name, cfg)
     if more:
         raise more[0].error("more than one data row")
     return preamble, row
-
-
-def _error(path: Path, problem) -> DataError:
-    """A DataError for the hand-off file at path, with its rerun hint."""
-    return DataError(f"{path}: {problem}{ARTIFACTS[path.name].rerun}")
 
 
 def _phase_records(out: Path, name: str, cfg: RunConfig):
@@ -184,7 +217,7 @@ def _phase_records(out: Path, name: str, cfg: RunConfig):
         by_phase.setdefault(rec["phase"], []).append(rec)
     if sorted(by_phase) != [CASH, RESERVE]:
         got = ", ".join(sorted(by_phase))
-        raise _error(out / name, f"expected rows of phases cash and reserve, got {got}")
+        raise preamble.error(f"expected rows of phases cash and reserve, got {got}")
     return preamble, by_phase
 
 
@@ -374,20 +407,13 @@ def read_irfs(out: Path, cfg: RunConfig) -> dict[tuple[str, str], em.IRFTable]:
     Each file must record cfg's settings and its own response_variable, and
     hold h = 0..H in both phases with a positive se and an n above 2L + 2.
     """
-    kinds = {"h": parse_int, "n": parse_int}
     tables, H = {}, cfg.horizon
     for response, name in IRF_FILES.items():
-        preamble, by_phase = _phase_records(out, name, cfg)
-        parsed = {
-            phase: [tuple(r.parse(c, kinds.get(c, parse_float_cell)) for c in em.IRF_COLUMNS)
-                    for r in records]
-            for phase, records in by_phase.items()
-        }
-        with context(f"{out / name}: ", IRF_FILE.rerun):
-            if (got := preamble["response_variable"]) != response:
-                raise DataError(f"response_variable is {got}, expected {response}")
-            for phase, rows in parsed.items():
-                hs, beta, se, ci_low, ci_high, n = zip(*sorted(rows, key=lambda r: r[0]))
+        by_phase = _phase_records(out, name, cfg)[1]
+        with context(f"{out / name}: ", ARTIFACTS[name].rerun):
+            for phase, records in by_phase.items():
+                rows = sorted(tuple(rec.values()) for rec in records)  # one phase: by h
+                _, hs, beta, se, ci_low, ci_high, n = zip(*rows)
                 if list(hs) != list(range(H + 1)):
                     raise DataError(f"IRF table must cover h = 0..{H} without gaps, got {list(hs)}")
                 table = em.IRFTable(np.array(beta), np.array(se), np.array(n))
@@ -479,14 +505,11 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     tables = read_irfs(out, cfg)
     means = _both_phases(out, "phase_means.csv", cfg)
-    phi_bars = {phase: rec.parse("phi_bar") for phase, rec in means.items()}
-    for phase, rec in means.items():
-        if not 0.0 < phi_bars[phase] < 1.0:
-            raise rec.error(f"phi_bar {phi_bars[phase]} outside (0, 1)")
+    phi_bars = {phase: rec["phi_bar"] for phase, rec in means.items()}
     if (cash := phi_bars[CASH]) >= phi_bars[RESERVE]:
         raise means[RESERVE].error(f"phi_bar {phi_bars[RESERVE]} is not above cash's {cash}")
     result = calibrate(tables, phi_bars)
-    written = write_calibration(out, result, tables)
+    written = write_calibration(out, cfg, result, tables)
     if result.degenerate:
         msg = "calibration degenerate: fitted price responses are null, phi_c unidentified"
         raise ConvergenceError(msg)
@@ -495,7 +518,9 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
     return written
 
 
-def write_calibration(out: Path, result: CalibrationResult, tables: dict) -> list[Path]:
+def write_calibration(
+    out: Path, cfg: RunConfig, result: CalibrationResult, tables: dict
+) -> list[Path]:
     fits = (("cash", result.cash), ("reserve", result.reserve))
     params_rows = [(label, f.u, f.v, f.delta, f.gamma) for label, f in fits]
     paths = [
@@ -513,6 +538,7 @@ def write_calibration(out: Path, result: CalibrationResult, tables: dict) -> lis
                 )
             ],
             preamble=[
+                *recorded(cfg, SUMMARY_FILE).items(),
                 ("converged", result.converged),
                 ("degenerate", result.degenerate),
                 ("ordering_holds", result.ordering_holds()),
@@ -531,21 +557,17 @@ def write_calibration(out: Path, result: CalibrationResult, tables: dict) -> lis
     return paths
 
 
-def _calibration(out: Path, cfg: RunConfig) -> tuple[dict, Record]:
-    """The summary's preamble and row, once its flags parse and hold and phi_c is in (0, 1)."""
+def _calibration(out: Path, cfg: RunConfig) -> tuple[Record, Record]:
+    """The summary's preamble and row, once its flags hold."""
     preamble, row = _one_row(out, SUMMARY_FILE, cfg)
-    flags = {key: _key(out, SUMMARY_FILE, preamble, key, _flag)
-             for key in ARTIFACTS[SUMMARY_FILE].preamble}
-    if flags["degenerate"]:
+    if preamble["degenerate"]:
         raise DataError(f"{out / SUMMARY_FILE}: degenerate calibration, phi_c unidentified")
-    if not flags["converged"]:
-        raise _error(out / SUMMARY_FILE, "calibration did not converge")
-    if not 0.0 < (phi_c := row.parse("phi_c")) < 1.0:
-        raise row.error(f"phi_c must lie in (0, 1), got {phi_c}")
-    holds = row.parse("phi_bar_cash") < phi_c < row.parse("phi_bar_reserve")
-    if holds != flags["ordering_holds"]:
+    if not preamble["converged"]:
+        raise preamble.error("calibration did not converge")
+    holds = row["phi_bar_cash"] < row["phi_c"] < row["phi_bar_reserve"]
+    if holds != preamble["ordering_holds"]:
         ordering = f"phi_bar_cash < phi_c < phi_bar_reserve {'holds' if holds else 'fails'}"
-        raise row.error(f"ordering_holds is {preamble['ordering_holds']}, but {ordering}")
+        raise row.error(f"ordering_holds is {preamble.text['ordering_holds']}, but {ordering}")
     return preamble, row
 
 
@@ -554,7 +576,7 @@ def cmd_landau(cfg: RunConfig) -> list[Path]:
     phi_c = cfg.landau_phi_c
     if phi_c is None:
         with context("phi_c unavailable: ", "; or set landau.phi_c"):
-            phi_c = _calibration(out, cfg)[1].parse("phi_c")
+            phi_c = _calibration(out, cfg)[1]["phi_c"]
     fixed = [("source", "fixed constants in the landau command, not the data")]
 
     sweep_rows = []
@@ -624,36 +646,38 @@ def cmd_synth(cfg: RunConfig) -> list[Path]:
 
 def cmd_report(cfg: RunConfig) -> list[Path]:
     out = Path(cfg.out_dir)
-    tanh = _one_row(out, "tanh_fit.csv", cfg)[1]
-    if not tanh.parse("converged", _flag):
-        raise _error(out / "tanh_fit.csv", "tanh fit did not converge")
+    fitted, tanh = _one_row(out, "tanh_fit.csv", cfg)
+    if not tanh["converged"]:
+        raise fitted.error("tanh fit did not converge")
     scanned, breaks = _read(out, "breakpoints.csv", cfg)
     effs = _both_phases(out, "efficiency.csv", cfg)
     summary, calibration = _calibration(out, cfg)
-    kinds = {"t0_calendar": _month_fraction, "argmax_r": parse_int, "argmax_c": parse_int}
-
-    def cell(rec: Record, column: str) -> str:  # copied as written, once it parses
-        rec.parse(column, kinds.get(column, parse_number))
-        return rec[column]
-
-    lines = [f"tanh.{c} = {cell(tanh, c)}" for c in ("phi0", "A", "t0_calendar", "w_months")]
+    # each number copied as written
+    lines = [f"tanh.{c} = {tanh.text[c]}" for c in ("phi0", "A", "t0_calendar", "w_months")]
     by_key: dict[tuple[str, str], dict[tuple, int]] = {}  # (series, cluster): each window's tau
     for rec in breaks:
-        window = tuple(rec.parse(c, MonthIndex.parse) for c in ("window_start", "window_end"))
+        window = start, end = rec["window_start"], rec["window_end"]
+        if end < start:
+            raise rec.error(f"window_end {end} is before window_start {start}")
+        if not start <= rec["tau"] < end:
+            raise rec.error(f"tau {rec['tau']} outside its window {start}..{end}")
         if window in (taus := by_key.setdefault((rec["series"], rec["cluster"]), {})):
-            raise rec.error(f"repeated {rec['series']} window {window[0]}..{window[1]}")
-        taus[window] = rec.parse("tau", MonthIndex.parse).ordinal
-    if (windows := _key(out, "breakpoints.csv", scanned, "windows", parse_int)) != len(breaks):
+            raise rec.error(f"repeated {rec['series']} window {start}..{end}")
+        taus[window] = rec["tau"].ordinal
+    if (windows := scanned["windows"]) != len(breaks):
         problem = f"holds {len(breaks)} rows, but records windows = {windows}"
-        raise _error(out / "breakpoints.csv", problem)
+        raise scanned.error(problem)
     for (series, cluster), taus in sorted(by_key.items()):
         median = MonthIndex.from_ordinal(sorted(taus.values())[(len(taus) - 1) // 2])
         lines.append(f"breakpoints.{cluster}.{series}.median = {median}")
     for rec in effs.values():
+        for c in ("argmax_r", "argmax_c"):
+            if rec[c] > cfg.horizon:
+                raise rec.error(f"{c} {rec[c]} is above lp.horizon = {cfg.horizon}")
         for c in ("eff_r", "argmax_r", "eff_c", "argmax_c"):
-            lines.append(f"efficiency.{rec['phase']}.{c} = {cell(rec, c)}")
-    lines += [f"calibration.{c} = {cell(calibration, c)}" for c in ("phi_c", "s_pi", "objective")]
-    lines.append(f"calibration.ordering_holds = {summary['ordering_holds']}")
+            lines.append(f"efficiency.{rec['phase']}.{c} = {rec.text[c]}")
+    lines += [f"calibration.{c} = {calibration.text[c]}" for c in ("phi_c", "s_pi", "objective")]
+    lines.append(f"calibration.ordering_holds = {summary.text['ordering_holds']}")
 
     path = out / "report.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

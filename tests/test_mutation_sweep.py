@@ -12,22 +12,26 @@ fixed: no mutation and no position is drawn at random.
 - A cell that is not a decimal, a row duplicated, dropped, swapped or cut
   short, a trailing comma, a preamble key given twice and an empty file
   exit 1 with one error line that names the file, and the line when one
-  row is at fault. In a hand-off file, whose reader keys its rows by
-  phase, h or series, a swapped row changes nothing, nor does a cell that
-  its reader does not read; a dropped `breakpoints.csv` row is refused
-  by its `windows` count.
+  row is at fault. In a hand-off file, every column of the row mutated
+  takes a garbage cell that its kind refuses: `abc` where the file's
+  Artifact declares a parsed kind, and an empty cell in a text column.
+  Each exits 1 naming the file and the line: its reader parses every
+  cell. A hand-off file's reader keys its rows by phase, h or series, so
+  a swapped row changes nothing; a dropped `breakpoints.csv` row is
+  refused by its `windows` count.
 - A preamble key that a hand-off file's readers require (its recorded
   settings, an IRF file's `response_variable`, the summary's three flags
   and `breakpoints.csv`'s `windows`), set to `x`, exits 1 with one error
   line that names the file.
 - CRLF line ends and a BOM exit 0, every output byte-identical.
 - A decimal edit of `panel.csv` exits 1 naming the file: its derived
-  columns must be what its levels give. An IRF `n` of 0 or -1 exits 1
-  naming the file: a projection needs more rows than its 2L + 2
-  regressors. A decimal edit of another file
-  may exit 0 or 1, with one error line, which names the file when
-  `transform` reads it or the file is a hand-off file; a negative RB
-  exits 1 from `transform`.
+  columns must be what its levels give. Each number and integer column
+  of a hand-off file takes each decimal edit, read by the first command
+  listed for the file. An IRF `n` of 0 or -1 exits 1 naming the file: a
+  projection needs more rows than its 2L + 2 regressors. A decimal edit
+  of another file may exit 0 or 1, with one error line, which names the
+  file when `transform` reads it or the file is a hand-off file; a
+  negative RB exits 1 from `transform`.
 """
 
 import shutil
@@ -36,7 +40,8 @@ from pathlib import Path
 import pytest
 
 from monephase.cli import main
-from monephase.pipeline import ARTIFACTS, IRF_PHI_FILE, IRF_PI_FILE, SUMMARY_FILE
+from monephase.csvio import parse_float_cell, parse_int, parse_number
+from monephase.pipeline import ARTIFACTS, IRF_PHI_FILE, IRF_PI_FILE, SUMMARY_FILE, TEXT
 
 MONTHS = ("2016-05", "2021-06")  # the cells edited; rows are mutated at the first
 # monthly table: (the commands that read it, the column edited in each month of MONTHS)
@@ -45,17 +50,18 @@ READERS = {
     "cpi.csv": (("transform",), ("CPI_core", "CPI")),
     "panel.csv": (("breakpoints", "fit-phase", "irf"), ("phi", "pi_core")),
 }
-# hand-off file: (the commands that read it, the start of the row mutated, the columns edited:
-# one of numbers and, where the file has one, one of integers)
+# hand-off file: (the commands that read it, the first of them taking the decimal edits; the
+# start of the row mutated)
 HANDOFFS = {
-    IRF_PI_FILE: (("efficiency", "calibrate"), "cash,3,", ("beta", "h")),
-    IRF_PHI_FILE: (("efficiency", "calibrate"), "reserve,5,", ("se", "n")),
-    "phase_means.csv": (("calibrate",), "cash,", ("phi_bar", "n_months")),
-    "tanh_fit.csv": (("report",), "", ("w_months",)),
-    "breakpoints.csv": (("report",), "phi,2013,", ("rss",)),
-    "efficiency.csv": (("report",), "cash,", ("eff_r", "argmax_r")),
-    SUMMARY_FILE: (("landau", "report"), "", ("phi_c",)),
+    IRF_PI_FILE: (("calibrate", "efficiency"), "cash,3,"),
+    IRF_PHI_FILE: (("calibrate", "efficiency"), "reserve,5,"),
+    "phase_means.csv": (("calibrate",), "cash,"),
+    "tanh_fit.csv": (("report",), ""),
+    "breakpoints.csv": (("report",), "phi,2013,"),
+    "efficiency.csv": (("report",), "cash,"),
+    SUMMARY_FILE: (("landau", "report"), ""),
 }
+NUMBERS = (parse_number, parse_float_cell, parse_int)  # the kinds of cells that a decimal edits
 # command: the files it reads
 READS = {
     "transform": ("monetary.csv", "cpi.csv"),
@@ -88,6 +94,17 @@ UNCHANGED = {
 }
 
 
+def _kind(name: str, column: str) -> tuple:
+    """The kind that name's Artifact declares for column, with its bound if it has one."""
+    kinds = {key: tuple(kind) for key, *kind in ARTIFACTS[name].kinds}
+    return kinds.get(column, (parse_number,))
+
+
+def _garbage(name: str, column: str) -> str:
+    """A cell that column's kind refuses: empty for text, abc for a parsed kind."""
+    return "" if _kind(name, column) == TEXT else "abc"
+
+
 def _cases():
     for name, (commands, columns) in READERS.items():
         edits = [f"{column}={cell}@{month}" for month, column in zip(MONTHS, columns)
@@ -95,11 +112,15 @@ def _cases():
         for command in commands:
             for mutation in [*edits, *REFUSED, *UNCHANGED]:
                 yield pytest.param(name, command, mutation, id=f"{name}-{command}-{mutation}")
-    for name, (commands, _, columns) in HANDOFFS.items():
-        edits = [f"{column}={cell}" for column in columns for cell in NOT_DECIMAL + DECIMAL]
+    for name, (commands, _) in HANDOFFS.items():
+        header = ARTIFACTS[name].header
+        edits = [f"{column}={_garbage(name, column)}" for column in header]
         edits += [f"#{key}={GARBAGE}" for key in ARTIFACTS[name].preamble]
+        decimals = [f"{column}={cell}" for column in header if _kind(name, column)[0] in NUMBERS
+                    for cell in DECIMAL]
         for command in commands:
-            for mutation in [*edits, *REFUSED, *UNCHANGED]:
+            first = decimals if command == commands[0] else []
+            for mutation in [*edits, *first, *REFUSED, *UNCHANGED]:
                 yield pytest.param(name, command, mutation, id=f"{name}-{command}-{mutation}")
 
 
@@ -184,18 +205,16 @@ def test_mutated_table(economy, tmp_path, capsys, name, command, mutation):
         k = _row(lines, month) if month else k
         code, written, error = _run(economy, tmp_path, capsys, name, command,
                                     _edit(lines, k, column, cell))
-        if cell in NOT_DECIMAL:
-            refused = f"{path}:{k + 1}: cannot parse {column} {cell!r}"
-            assert (code == 1 and error.startswith(refused)) or (
-                handoff and _unchanged(economy, code, written)  # a cell its reader skips
-            )
+        if cell in NOT_DECIMAL or (handoff and cell == _garbage(name, column)):
+            assert code == 1 and error.startswith(f"{path}:{k + 1}: cannot parse {column} {cell!r}")
         elif column == "RB" and cell.startswith("-"):
             assert code == 1
             assert error == f"{path}: reserve balances negative at {month}; composition violated"
         elif name == "panel.csv":
             assert code == 1 and error.startswith(f"{path}: ")
         elif column == "n" and cell in ("0", "-1"):  # a projection has 2L + 2 = 26 regressors
-            problem = f"n {cell} at h=5 of the reserve phase is not above 2L + 2 = 26"
+            phase, h = HANDOFFS[name][1].split(",")[:2]
+            problem = f"n {cell} at h={h} of the {phase} phase is not above 2L + 2 = 26"
             assert code == 1 and error == f"{path}: {problem}; rerun the irf command"
         elif code and (handoff or command == "transform"):
             assert code == 1 and error.startswith(f"{path}:")
@@ -216,3 +235,56 @@ def test_composition_refused_naming_the_monetary_file(economy, tmp_path, capsys,
     lines = _edit(lines, _row(lines, "2016-05"), column, cell)
     code, _, error = _run(economy, tmp_path, capsys, "monetary.csv", "transform", lines)
     assert code == 1 and error == f"{tmp_path / 'monetary.csv'}: {problem}"
+
+
+# (file, command, data row, column, cell, the problem at that row's line): each cell is parsed
+# and held to its kind's bound, and report holds a row's cells to each other
+EDITS = [
+    ("phase_means.csv", "calibrate", 0, "n_months", "-5", "n_months -5 is negative"),
+    ("tanh_fit.csv", "report", 0, "sse", "abc", "cannot parse sse 'abc'"),
+    ("tanh_fit.csv", "report", 0, "w_months", "-3", "w_months -3.0 is not positive"),
+    ("tanh_fit.csv", "report", 0, "t0_calendar", "2013-04+7",
+     "cannot parse t0_calendar '2013-04+7'"),
+    ("breakpoints.csv", "report", 0, "rss", "x", "cannot parse rss 'x'"),
+    ("breakpoints.csv", "report", 1, "tie", "maybe", "cannot parse tie 'maybe'"),
+    ("breakpoints.csv", "report", 0, "cluster", "", "cannot parse cluster ''"),
+    ("breakpoints.csv", "report", 0, "window_end", "1900-01",
+     "window_end 1900-01 is before window_start {window_start}"),
+    ("breakpoints.csv", "report", 0, "tau", "1900-01",
+     "tau 1900-01 outside its window {window_start}..{window_end}"),
+    ("efficiency.csv", "report", 0, "H", "zz", "cannot parse H 'zz'"),
+    ("efficiency.csv", "report", 0, "eff_r", "-1", "eff_r -1.0 is negative"),
+    ("efficiency.csv", "report", 0, "argmax_r", "-3", "argmax_r -3 is negative"),
+    ("efficiency.csv", "report", 0, "argmax_r", "99", "argmax_r 99 is above lp.horizon = 24"),
+    (SUMMARY_FILE, "landau", 0, "s_pi", "abc", "cannot parse s_pi 'abc'"),
+    (SUMMARY_FILE, "landau", 0, "objective", "abc", "cannot parse objective 'abc'"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, command, index, column, cell, problem", EDITS,
+    ids=[f"{name}-{command}-{column}={cell}" for name, command, _, column, cell, _ in EDITS],
+)
+def test_edit_refused_at_its_line(economy, tmp_path, capsys, name, command, index, column, cell,
+                                  problem):
+    out, _ = economy
+    path, lines = tmp_path / name, (out / name).read_text().split("\n")
+    k = _row(lines, "") + index
+    header = next(line for line in lines if not line.startswith("#")).split(",")
+    problem = problem.format(**dict(zip(header, lines[k].split(","))))
+    code, _, error = _run(economy, tmp_path, capsys, name, command, _edit(lines, k, column, cell))
+    rerun = f"; rerun the {ARTIFACTS[name].command} command"
+    assert code == 1 and error.startswith(f"{path}:{k + 1}: {problem}{rerun}")
+
+
+def test_summary_made_under_another_horizon_refused(economy, tmp_path, capsys):
+    # the summary records the IRF files' settings, so landau refuses one calibrated from H = 24
+    out, config = economy
+    shutil.copy(out / SUMMARY_FILE, tmp_path / SUMMARY_FILE)
+    capsys.readouterr()
+    args = ["--config", config, "--out", str(tmp_path), "--set", "lp.horizon=20"]
+    assert main(["landau", *args]) == 1
+    assert capsys.readouterr().err == (
+        f"{ERROR}{PREFIXES['landau']}{tmp_path / SUMMARY_FILE}: made with H = 24, but the config "
+        "sets lp.horizon = 20; rerun the calibrate command; or set landau.phi_c\n"
+    )

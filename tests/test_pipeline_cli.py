@@ -40,8 +40,10 @@ from monephase.errors import DataError
 from monephase.phase import CASH, RESERVE
 from monephase.pipeline import (
     ARTIFACTS,
+    FLAGS,
     IRF_PHI_FILE,
     IRF_PI_FILE,
+    LP_SETTINGS,
     SETTINGS,
     SUMMARY_FILE,
     cmd_breakpoints,
@@ -1567,8 +1569,7 @@ class TestCalibrationOutputs:
         _, header, params = read_csv(mechanism_run["out"] / "two_compartment_parameters.csv")
         assert header == ["phase", "u", "v", "delta", "gamma"]
         assert [cells[0] for cells in params] == [CASH, RESERVE]
-        assert list(preamble) == ["converged", "degenerate", "ordering_holds", "binding_bounds",
-                                  "rate_evaluations"]
+        assert list(preamble) == [*LP_SETTINGS, *FLAGS, "binding_bounds", "rate_evaluations"]
         assert preamble["converged"] == "true"
         assert int(preamble["rate_evaluations"]) > 0
         bounds = preamble["binding_bounds"]
@@ -1689,7 +1690,7 @@ MALFORMED = {
     ),
     "summary_empty_phi_c_report": (
         SUMMARY_FILE, lambda lines: lines[:-1] + ["," + lines[-1].split(",", 1)[1]],
-        "report", "critical_point_summary.csv:7: cannot parse phi_c ''",
+        "report", "critical_point_summary.csv:13: cannot parse phi_c ''",
     ),
     "phase_means_phi_bar_above_one": (
         "phase_means.csv", lambda lines: _edit_row(lines, "cash,", lambda line: "cash,1.12,457"),
@@ -1809,16 +1810,16 @@ MALFORMED = {
     ),
     "summary_ordering_holds_false_report": (
         SUMMARY_FILE, _preamble("ordering_holds", "false"), "report",
-        f"{SUMMARY_FILE}:7: ordering_holds is false, but phi_bar_cash < phi_c < "
+        f"{SUMMARY_FILE}:13: ordering_holds is false, but phi_bar_cash < phi_c < "
         "phi_bar_reserve holds; rerun the calibrate command",
     ),
     "summary_phi_c_5_landau": (
         SUMMARY_FILE, lambda lines: lines[:-1] + ["5.0," + lines[-1].split(",", 1)[1]], "landau",
-        f"{SUMMARY_FILE}:7: phi_c must lie in (0, 1), got 5.0; rerun the calibrate command",
+        f"{SUMMARY_FILE}:13: phi_c must lie in (0, 1), got 5.0; rerun the calibrate command",
     ),
     "summary_phi_c_5_report": (
         SUMMARY_FILE, lambda lines: lines[:-1] + ["5.0," + lines[-1].split(",", 1)[1]], "report",
-        f"{SUMMARY_FILE}:7: phi_c must lie in (0, 1), got 5.0; rerun the calibrate command",
+        f"{SUMMARY_FILE}:13: phi_c must lie in (0, 1), got 5.0; rerun the calibrate command",
     ),
     "panel_blank_lines": (
         "panel.csv", lambda lines: ["", ""],
@@ -1903,11 +1904,11 @@ MALFORMED = {
     ),
     "summary_two_rows_landau": (
         SUMMARY_FILE, lambda lines: lines + [lines[-1]], "landau",
-        f"{SUMMARY_FILE}:8: more than one data row; rerun the calibrate command",
+        f"{SUMMARY_FILE}:14: more than one data row; rerun the calibrate command",
     ),
     "summary_two_rows_report": (
         SUMMARY_FILE, lambda lines: lines + [lines[-1]], "report",
-        f"{SUMMARY_FILE}:8: more than one data row; rerun the calibrate command",
+        f"{SUMMARY_FILE}:14: more than one data row; rerun the calibrate command",
     ),
     "tanh_fit_not_converged": (
         "tanh_fit.csv", lambda lines: [re.sub(",true$", ",false", line) for line in lines],
@@ -1927,8 +1928,9 @@ MALFORMED = {
 # command: the files it reads that record settings, in the order it reads them
 SETTINGS_READERS = {
     "calibrate": (IRF_PI_FILE, IRF_PHI_FILE, "phase_means.csv"),
+    "landau": (SUMMARY_FILE,),
     "efficiency": (IRF_PI_FILE, IRF_PHI_FILE),
-    "report": ("tanh_fit.csv", "efficiency.csv"),
+    "report": ("tanh_fit.csv", "efficiency.csv", SUMMARY_FILE),
 }
 # config key: a value other than the default chain's
 OTHER_VALUES = {
@@ -1981,17 +1983,15 @@ class TestUpstreamArtifacts:
         assert table == declared
 
     def test_clean_panel_read_parses_no_cell_through_a_record(self, default_chain, monkeypatch):
-        # panel.csv is parsed row by row; a Record parses the first date, the table's start,
-        # and otherwise only reports a bad cell
+        # panel.csv is parsed row by row; a Record is made only to report a bad row
         out, _ = default_chain
         calls = []
-        parse = csvio.Record.parse
         monkeypatch.setattr(ingest, "_memo", {})  # parsed, not served from the memo
         monkeypatch.setattr(
-            csvio.Record, "parse", lambda rec, *args: calls.append(args) or parse(rec, *args)
+            ingest, "Record", lambda *args: calls.append(args) or csvio.Record(*args)
         )
         assert read_panel_csv(out / "panel.csv").length == 612
-        assert calls == [("date", MonthIndex.parse)]
+        assert calls == []
 
     def test_pipeline_names_write_csv_only_in_write(self):
         # every CSV a command writes, synth's included, takes its header from ARTIFACTS:
@@ -2017,6 +2017,27 @@ class TestUpstreamArtifacts:
                     stray.append(f"{path.name}:{node.lineno}")
         assert stray == []
         assert [getattr(call.func, "id", None) for call in calls] == ["write_csv"]
+
+    def test_pipeline_parses_cells_only_in_read(self):
+        # a hand-off cell or required key is parsed by the kind that its Artifact declares, in
+        # _read: outside the kinds' own definitions and the module's declarations (its imports
+        # and assignments), pipeline names no cell parser
+        parsers = {"parse_int", "parse_number", "parse_float_cell", "_flag", "_month_fraction",
+                   "MonthIndex.parse"}
+        tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
+        named, stray = set(), []
+        for statement in tree.body:
+            declared = isinstance(statement, (ast.Import, ast.ImportFrom, ast.Assign))
+            allowed = declared or getattr(statement, "name", None) in ("_read", *parsers)
+            for node in ast.walk(statement):
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    names.add(f"{node.value.id}.{node.attr}")
+                named |= names & parsers
+                if names & parsers and not allowed:
+                    stray.append(f"pipeline.py:{node.lineno}")
+        assert named == parsers  # each is still a kind
+        assert stray == []
 
     def test_only_write_csv_makes_a_directory(self):
         # a command makes its output directory only by writing a file into it, so one that
@@ -2082,7 +2103,7 @@ class TestUpstreamArtifacts:
         assert set(SETTINGS) <= declared  # every entry is recorded by some file
         # every other declared key is an IRF file's identity, one of the summary's flags or
         # breakpoints.csv's count of its rows
-        others = {"response_variable", "windows", *ARTIFACTS[SUMMARY_FILE].preamble}
+        others = {"response_variable", "windows", *FLAGS}
         assert declared - set(SETTINGS) == others
         assert {k for keys, _ in SETTINGS.values() for k in keys} <= set(_SCALAR_KEYS)
         recording = {name for name, a in ARTIFACTS.items() if set(a.preamble) & set(SETTINGS)}
@@ -2098,20 +2119,28 @@ class TestUpstreamArtifacts:
         config = tmp_path / "synthetic_config.txt"
         setting = f"{config_key}={OTHER_VALUES[config_key]}"
         args = ["--config", str(config), "--out", str(tmp_path), "--set", setting]
-        # the files the command reads before this one, where they record the key, agree
+        # the files the command reads before this one, where they record the key, agree: their
+        # writers rerun, in chain order, after the writers of the files they read that record it
         before = SETTINGS_READERS[command][: SETTINGS_READERS[command].index(name)]
-        for writer in {ARTIFACTS[n].command for n in before if key in ARTIFACTS[n].preamble}:
+        writers, files = set(), [n for n in before if key in ARTIFACTS[n].preamble]
+        while files:
+            writers.add(writer := ARTIFACTS[files.pop()].command)
+            files += [n for n in SETTINGS_READERS.get(writer, ()) if key in ARTIFACTS[n].preamble]
+        for writer in (c for c in CHAIN_COMMANDS if c in writers):
             assert main([writer, *args]) == 0
-            shutil.copy(out / name, tmp_path / name)
+        shutil.copy(out / name, tmp_path / name)
         capsys.readouterr()
         assert main([command, *args]) == 1
         cfg = parse_config(config)
         sets = " and ".join(
             f"{k} = {key_text(apply_overrides(cfg, [setting]), k)}" for k in SETTINGS[key][0]
         )
+        wrap = {"landau": ("phi_c unavailable: ", "; or set landau.phi_c")}  # its context
+        prefix, suffix = wrap.get(command, ("", ""))
         assert capsys.readouterr().err == (
-            f"monephase: error: {tmp_path / name}: made with {key} = {recorded(cfg, name)[key]}, "
-            f"but the config sets {sets}; rerun the {ARTIFACTS[name].command} command\n"
+            f"monephase: error: {prefix}{tmp_path / name}: made with {key} = "
+            f"{recorded(cfg, name)[key]}, but the config sets {sets}; rerun the "
+            f"{ARTIFACTS[name].command} command{suffix}\n"
         )
 
     def test_settings_compared_as_the_config_writes_them(self, default_chain, tmp_path):
