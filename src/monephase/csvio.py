@@ -160,9 +160,9 @@ class Artifact:
     preamble: tuple[str, ...] = ()  # keys its readers require
     # a monthly table's (column, its cell for a year) pairs: written from the date, never read
     by_year: tuple[tuple[str, Callable[[int], str]], ...] = ()
-    # (name, kind[, a test of its value, the problem if it fails, from the name and the value])
-    # of each column or required key that a reader parses other than by parse_number
-    kinds: tuple[tuple, ...] = ()
+    # (name, the kind that parses it) of each column or required key other than a setting that
+    # a reader parses other than by parse_number; see parse_cell
+    kinds: tuple[tuple[str, Callable[[str], object]], ...] = ()
 
     @property
     def rerun(self) -> str:
@@ -181,15 +181,28 @@ class Record(dict):
     """The values of one data row, or of the preamble, of a file read_artifact checked, keyed
     by column or key as its reader parses them; text holds each as written."""
 
-    def __init__(self, path: Path, artifact: Artifact, text=(), lineno: int | None = None):
+    def __init__(self, path: Path, artifact: Artifact, cells: Row | dict[str, str]):
         super().__init__()
-        self.text: dict[str, str] = dict(text)
-        self.where = f"{path}:{lineno}" if lineno else str(path)  # a preamble names no line
+        row = isinstance(cells, Row)
+        self.text: dict[str, str] = dict(zip(artifact.header, cells) if row else cells)
+        self.where = f"{path}:{cells.lineno}" if row else str(path)  # a preamble names no line
         self.rerun = artifact.rerun  # the rerun hint of an upstream file; empty for an input
 
     def error(self, problem: str) -> DataError:
         """A DataError for this row, naming its path, its line if any and, upstream, the rerun."""
         return DataError(f"{self.where}: {problem}{self.rerun}")
+
+
+def parse_cell(rec: Record, key: str, kind: Callable[[str], object] = parse_number):
+    """rec's cell or key as written, parsed by kind. A kind raises DataError for a text that
+    does not parse, and ValueError, with the problem that follows the key, for a value out of
+    its bound; either is refused with rec's path and line."""
+    try:
+        return kind(rec.text[key])
+    except DataError:
+        raise rec.error(f"cannot parse {key} {rec.text[key]!r}") from None
+    except ValueError as bound:
+        raise rec.error(f"{key} {bound}") from None
 
 
 @contextmanager
@@ -218,7 +231,7 @@ def read_artifact(
 
     A missing file, text that is not UTF-8, a ragged row, another header,
     a missing preamble key or no data rows raise DataError naming the file
-    and, unless it is an input, the command that writes it; a row's Record
+    and, unless it is an input, the command that writes it; parse_cell
     reports a cell that does not parse the same way, with its line.
     """
     path, rerun = Path(path), artifact.rerun

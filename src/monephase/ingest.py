@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .csvio import Artifact, Record, parse_float_cell, read_artifact, read_text
+from .csvio import Artifact, Record, parse_cell, parse_float_cell, read_artifact, read_text
 from .errors import DataError
 from .series import MonthIndex, MonthlySeries, Panel, month_labels
 
@@ -53,33 +53,23 @@ def load_table(path: Path | str, artifact: Artifact) -> Panel:
     if (held := _memo.get(artifact.header)) and held[0] == blake2b(text.encode()).digest():
         return held[1]
     _, rows = read_artifact(path, artifact, text)
-    start = _month(path, artifact, rows[0])
+    start = parse_cell(Record(path, artifact, rows[0]), "date", MonthIndex.parse)
     by_year, values = dict(artifact.by_year), []
     columns = [j for j, name in enumerate(artifact.header) if j and name not in by_year]
     for i, (row, date) in enumerate(zip(rows, month_labels(start, len(rows)))):
         if row[0].strip() != date:  # each date must be the month after the one above it
-            rec, previous = Record(path, artifact, lineno=row.lineno), start + (i - 1)
-            month = _month(path, artifact, row)
+            rec, previous = Record(path, artifact, row), start + (i - 1)
+            month = parse_cell(rec, "date", MonthIndex.parse)
             gap = f"months must ascend without gaps ({previous} -> {month})"
             raise rec.error(f"duplicate month {month}" if month == previous else gap)
         for j in columns:
             try:
                 values.append(parse_float_cell(row[j]))
-            except DataError:
-                problem = f"cannot parse {artifact.header[j]} {row[j]!r}"
-                raise Record(path, artifact, lineno=row.lineno).error(problem) from None
+            except DataError:  # refused at its line, as parse_cell words it
+                parse_cell(Record(path, artifact, row), artifact.header[j], parse_float_cell)
     table = np.array(values).reshape(len(rows), len(columns)).T
     series = {artifact.header[j]: MonthlySeries(start, v) for j, v in zip(columns, table)}
     return Panel(start, len(rows), series)
-
-
-def _month(path: Path, artifact: Artifact, row) -> MonthIndex:
-    """The date of a monthly table's row, refused at its line unless it parses."""
-    try:
-        return MonthIndex.parse(row[0])
-    except DataError:
-        problem = f"cannot parse date {row[0]!r}"
-        raise Record(path, artifact, lineno=row.lineno).error(problem) from None
 
 
 def remember(artifact: Artifact, panel: Panel, digest: bytes):

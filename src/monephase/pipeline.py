@@ -21,6 +21,7 @@ from __future__ import annotations
 import warnings
 from _blake2 import blake2b  # hashlib would load OpenSSL's _hashlib
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,8 @@ from . import econometrics as em
 from . import landau as ld
 from .compartment import CalibrationResult, calibrate, steady_state_phi
 from .config import RunConfig, config_text, key_text
-from .csvio import Artifact, Record, context, parse_float_cell, parse_int, parse_number
+from .csvio import Artifact, Record, context, parse_cell, parse_float_cell, parse_int
+from .csvio import parse_number
 from .csvio import read_artifact, write_csv
 from .errors import ConvergenceError, DataError
 from .ingest import CPI, MONETARY, POSITIVE, load_cpi, load_monetary, load_table
@@ -89,10 +91,24 @@ def _month_fraction(cell: str) -> tuple[MonthIndex, float]:
     return MonthIndex.parse(month), value
 
 
-# bounds a kind may carry: (a test of the value, the problem, from the name and the value)
-NON_NEGATIVE = (lambda v: v >= 0, "{} {} is negative")
-IN_UNIT = (lambda v: 0.0 < v < 1.0, "{} {} outside (0, 1)")
-TEXT = (str, str.strip, "cannot parse {} {!r}")  # a cell kept as written, refused if blank
+def _text(cell: str) -> str:
+    """A cell kept as written; a blank one does not parse."""
+    if not cell.strip():
+        raise DataError("blank cell")
+    return cell
+
+
+def _within(kind, test, problem: str, cell: str):
+    """kind(cell), held to a bound: partial(_within, kind, test, problem) is a kind that raises
+    ValueError with problem, given the value, for a value that fails test."""
+    if not test(value := kind(cell)):
+        raise ValueError(problem.format(value))
+    return value
+
+
+NON_NEGATIVE = (lambda v: v >= 0, "{} is negative")
+COUNT = partial(_within, parse_int, *NON_NEGATIVE)  # as n_months
+SIZE = partial(_within, parse_number, *NON_NEGATIVE)  # as rss
 ARTIFACTS = {
     "monetary.csv": Artifact("synth", MONETARY.header),
     "cpi.csv": Artifact("synth", CPI.header),
@@ -107,30 +123,30 @@ ARTIFACTS = {
     "breakpoints.csv": Artifact(
         "breakpoints", ("series", "cluster", "window_start", "window_end", "tau", "rss", "tie"),
         ("windows",),  # how many (series, window) pairs it scanned, one row each
-        kinds=(("series", *TEXT), ("cluster", *TEXT),
+        kinds=(("series", _text), ("cluster", _text),
                *((c, MonthIndex.parse) for c in ("window_start", "window_end", "tau")),
-               ("rss", parse_number, *NON_NEGATIVE), ("tie", _flag),
-               ("windows", parse_int, *NON_NEGATIVE)),
+               ("rss", SIZE), ("tie", _flag), ("windows", COUNT)),
     ),
     "tanh_fit.csv": Artifact(
         "fit-phase", ("phi0", "A", "t0_calendar", "w_months", "sse", "converged"), ("window",),
-        kinds=(("t0_calendar", _month_fraction), ("sse", parse_number, *NON_NEGATIVE),
-               ("w_months", parse_number, lambda v: v > 0, "{} {} is not positive"),
-               ("converged", _flag)),
+        kinds=(("t0_calendar", _month_fraction), ("sse", SIZE), ("converged", _flag),
+               ("w_months", partial(_within, parse_number, lambda v: v > 0, "{} is not positive"))),
     ),
     **{
         name: Artifact(
             "irf", ("phase", *em.IRF_COLUMNS), ("response_variable", *LP_SETTINGS),
-            kinds=(("phase", *TEXT), ("h", parse_int), ("n", parse_int),
-                   ("response_variable", str, response.__eq__, "{} is {}, expected " + response),
+            kinds=(("phase", _text), ("h", parse_int), ("n", parse_int),
+                   ("response_variable",
+                    partial(_within, str, response.__eq__, "is {}, expected " + response)),
                    *((c, parse_float_cell) for c in ("beta", "se", "ci_low", "ci_high"))),
         )
         for response, name in IRF_FILES.items()
     },
     "phase_means.csv": Artifact(
         "irf", ("phase", "phi_bar", "n_months"), ("cash_max", "reserve_min"),
-        kinds=(("phase", *TEXT), ("phi_bar", parse_number, *IN_UNIT),
-               ("n_months", parse_int, *NON_NEGATIVE)),
+        kinds=(("phase", _text), ("n_months", COUNT),
+               ("phi_bar", partial(_within, parse_number, lambda v: 0 < v < 1,
+                                   "{} outside (0, 1)"))),
     ),
     "IRF_intermediate_diagnostic.csv": Artifact("irf", ("response", *em.IRF_COLUMNS)),
     "IRF_robustness.csv": Artifact(
@@ -143,7 +159,8 @@ ARTIFACTS = {
         "calibrate",
         ("phi_c", "s_pi", "phi_bar_cash", "phi_bar_reserve", "objective"),
         (*LP_SETTINGS, *FLAGS),
-        kinds=(("phi_c", parse_number, IN_UNIT[0], "{} must lie in (0, 1), got {}"),
+        kinds=(("phi_c", partial(_within, parse_number, lambda v: 0 < v < 1,
+                                 "must lie in (0, 1), got {}")),
                *((key, _flag) for key in FLAGS)),
     ),
     **{
@@ -158,9 +175,8 @@ ARTIFACTS = {
     "susceptibility.csv": Artifact("landau", ("phi", "S")),
     "efficiency.csv": Artifact(
         "efficiency", ("phase", "eff_r", "argmax_r", "eff_c", "argmax_c", "H"), LP_SETTINGS,
-        kinds=(("phase", *TEXT), ("H", parse_int),
-               *((c, parse_number, *NON_NEGATIVE) for c in ("eff_r", "eff_c")),
-               *((c, parse_int, *NON_NEGATIVE) for c in ("argmax_r", "argmax_c"))),
+        kinds=(("phase", _text), ("H", parse_int), ("eff_r", SIZE), ("eff_c", SIZE),
+               ("argmax_r", COUNT), ("argmax_c", COUNT)),
     ),
     "report.txt": Artifact("report", ()),
 }
@@ -173,27 +189,22 @@ def recorded(cfg: RunConfig, name: str) -> dict[str, str]:
 
 
 def _read(out: Path, name: str, cfg: RunConfig) -> tuple[Record, list[Record]]:
-    """(preamble, records) of the file name in out: each required key and each cell parsed
-    once, by its kind, and held to its bound. A setting is kept as written, and its bound is
-    cfg's setting. Refused at the first failure in file order."""
+    """(preamble, records) of the file name in out, refused unless it records cfg's settings;
+    then each other required key and each cell parsed once, by its kind, and refused at the
+    first that fails in file order."""
     path, artifact = out / name, ARTIFACTS[name]
     preamble, rows = read_artifact(path, artifact)
-    kinds = {key: kind for key, *kind in artifact.kinds}
-    keys = dict(kinds)  # the preamble's, where a setting is held to cfg's
-    for key, value in recorded(cfg, name).items():
-        sets = " and ".join(f"{k} = {key_text(cfg, k)}" for k in SETTINGS[key][0])
-        keys[key] = (str, value.__eq__, f"made with {{}} = {{}}, but the config sets {sets}")
-    head = Record(path, artifact, {k: v for k, v in preamble.items() if k in artifact.preamble})
-    records = [Record(path, artifact, zip(artifact.header, row), row.lineno) for row in rows]
+    settings = recorded(cfg, name)
+    head = Record(path, artifact, {k: v for k, v in preamble.items()
+                                   if k in artifact.preamble and k not in settings})
+    for key, value in settings.items():
+        if preamble[key] != value:
+            sets = " and ".join(f"{k} = {key_text(cfg, k)}" for k in SETTINGS[key][0])
+            raise head.error(f"made with {key} = {preamble[key]}, but the config sets {sets}")
+    kinds, records = dict(artifact.kinds), [Record(path, artifact, row) for row in rows]
     for rec in [head, *records]:
-        for key, text in rec.text.items():
-            kind, *bound = (keys if rec is head else kinds).get(key, (parse_number,))
-            try:
-                rec[key] = kind(text)
-            except DataError:
-                raise rec.error(f"cannot parse {key} {text!r}") from None
-            if bound and not bound[0](rec[key]):
-                raise rec.error(bound[1].format(key, rec[key]))
+        for key in rec.text:
+            rec[key] = parse_cell(rec, key, kinds.get(key, parse_number))
     return head, records
 
 
@@ -671,6 +682,8 @@ def cmd_report(cfg: RunConfig) -> list[Path]:
         median = MonthIndex.from_ordinal(sorted(taus.values())[(len(taus) - 1) // 2])
         lines.append(f"breakpoints.{cluster}.{series}.median = {median}")
     for rec in effs.values():
+        if rec["H"] != cfg.horizon:
+            raise rec.error(f"H {rec['H']} is not lp.horizon = {cfg.horizon}")
         for c in ("argmax_r", "argmax_c"):
             if rec[c] > cfg.horizon:
                 raise rec.error(f"{c} {rec[c]} is above lp.horizon = {cfg.horizon}")

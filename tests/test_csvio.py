@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monephase import csvio, ingest
-from monephase.csvio import Record, fmt, parse_float_cell, read_artifact, write_csv
+from monephase.csvio import Record, fmt, parse_cell, parse_float_cell, read_artifact, write_csv
 from monephase.errors import DataError
 from monephase.ingest import MONETARY, load_table
 from monephase.pipeline import ARTIFACTS
@@ -126,12 +126,14 @@ class TestFirstBadCell:
         assert np.isnan(rb[1]) and rb[[0, 2, 3]].tolist() == [1.0, 1.0, 1.0]
 
     def test_blank_cells_parse_no_cell_through_a_record(self, tmp_path, kind, monkeypatch):
-        # a blank cell, empty or not, is missing without the per-cell path that reports errors:
-        # a table's reader makes a Record only to report a bad row
-        calls = []
-        monkeypatch.setattr(ingest, "Record", lambda *args: calls.append(args) or Record(*args))
+        # a blank cell, empty or not, is missing without the per-cell path that reports errors;
+        # parse_cell parses only the first date, the table's start
+        calls, parse = [], ingest.parse_cell
+        monkeypatch.setattr(
+            ingest, "parse_cell", lambda rec, *args: calls.append(args) or parse(rec, *args)
+        )
         panel = _load(tmp_path, kind, {(1, "RB"): "", (2, "RB"): " \t"})
-        assert np.isnan(panel["RB"].values[1:3]).all() and calls == []
+        assert np.isnan(panel["RB"].values[1:3]).all() and calls == [("date", MonthIndex.parse)]
 
     def test_surrounding_spaces_accepted(self, tmp_path, kind):
         panel = _load(tmp_path, kind, {(1, "RB"): " 1.5 ", (1, "date"): " 1990-02 "})
@@ -202,28 +204,20 @@ def test_preamble_key_given_twice_refused(tmp_path):
     assert str(exc.value) == f"{path}:3: preamble key 'H' given twice; rerun the irf command"
 
 
-def _parse(rec, name, kind):
-    """rec's cell name parsed by kind; one that does not parse is refused at its line."""
-    try:
-        return kind(rec.text[name])
-    except DataError:
-        raise rec.error(f"cannot parse {name} {rec.text[name]!r}") from None
-
-
 def walk_rows(path, artifact):
     """Reference reader: every row through its Record, top to bottom, each cell in header order."""
     _, rows = read_artifact(path, artifact)
     months, data = [], {name: [] for name in artifact.header[1:]}
     for row in rows:
-        rec = Record(path, artifact, zip(artifact.header, row), row.lineno)
-        month = _parse(rec, "date", MonthIndex.parse)
+        rec = Record(path, artifact, row)
+        month = parse_cell(rec, "date", MonthIndex.parse)
         if months and month - months[-1] == 0:
             raise rec.error(f"duplicate month {month}")
         if months and month - months[-1] != 1:
             raise rec.error(f"months must ascend without gaps ({months[-1]} -> {month})")
         months.append(month)
         for name in data:
-            data[name].append(_parse(rec, name, parse_float_cell))
+            data[name].append(parse_cell(rec, name, parse_float_cell))
     return Panel(months[0], len(months), {n: MonthlySeries(months[0], v) for n, v in data.items()})
 
 

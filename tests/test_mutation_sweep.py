@@ -12,12 +12,12 @@ fixed: no mutation and no position is drawn at random.
 - A cell that is not a decimal, a row duplicated, dropped, swapped or cut
   short, a trailing comma, a preamble key given twice and an empty file
   exit 1 with one error line that names the file, and the line when one
-  row is at fault. In a hand-off file, every column of the row mutated
-  takes a garbage cell that its kind refuses: `abc` where the file's
-  Artifact declares a parsed kind, and an empty cell in a text column.
-  Each exits 1 naming the file and the line: its reader parses every
-  cell. A hand-off file's reader keys its rows by phase, h or series, so
-  a swapped row changes nothing; a dropped `breakpoints.csv` row is
+  row is at fault. In a hand-off file, from each of its readers, every
+  column of the row mutated takes each cell that is not a decimal, or an
+  empty cell where the file's Artifact declares text; each exits 1
+  naming the file and the line, as its reader parses every cell. A
+  hand-off file's reader keys its rows by phase, h or series, so a
+  swapped row changes nothing; a dropped `breakpoints.csv` row is
   refused by its `windows` count.
 - A preamble key that a hand-off file's readers require (its recorded
   settings, an IRF file's `response_variable`, the summary's three flags
@@ -26,12 +26,12 @@ fixed: no mutation and no position is drawn at random.
 - CRLF line ends and a BOM exit 0, every output byte-identical.
 - A decimal edit of `panel.csv` exits 1 naming the file: its derived
   columns must be what its levels give. Each number and integer column
-  of a hand-off file takes each decimal edit, read by the first command
-  listed for the file. An IRF `n` of 0 or -1 exits 1 naming the file: a
-  projection needs more rows than its 2L + 2 regressors. A decimal edit
-  of another file may exit 0 or 1, with one error line, which names the
-  file when `transform` reads it or the file is a hand-off file; a
-  negative RB exits 1 from `transform`.
+  of a hand-off file takes each decimal edit from each of its readers.
+  An IRF `n` of 0 or -1 exits 1 naming the file: a projection needs more
+  rows than its 2L + 2 regressors. A decimal edit of another file may
+  exit 0 or 1, with one error line, which names the file when
+  `transform` reads it or the file is a hand-off file; a negative RB
+  exits 1 from `transform`.
 """
 
 import shutil
@@ -41,7 +41,7 @@ import pytest
 
 from monephase.cli import main
 from monephase.csvio import parse_float_cell, parse_int, parse_number
-from monephase.pipeline import ARTIFACTS, IRF_PHI_FILE, IRF_PI_FILE, SUMMARY_FILE, TEXT
+from monephase.pipeline import ARTIFACTS, IRF_PHI_FILE, IRF_PI_FILE, SUMMARY_FILE, _text
 
 MONTHS = ("2016-05", "2021-06")  # the cells edited; rows are mutated at the first
 # monthly table: (the commands that read it, the column edited in each month of MONTHS)
@@ -50,11 +50,10 @@ READERS = {
     "cpi.csv": (("transform",), ("CPI_core", "CPI")),
     "panel.csv": (("breakpoints", "fit-phase", "irf"), ("phi", "pi_core")),
 }
-# hand-off file: (the commands that read it, the first of them taking the decimal edits; the
-# start of the row mutated)
+# hand-off file: (the commands that read it, the start of the row mutated)
 HANDOFFS = {
-    IRF_PI_FILE: (("calibrate", "efficiency"), "cash,3,"),
-    IRF_PHI_FILE: (("calibrate", "efficiency"), "reserve,5,"),
+    IRF_PI_FILE: (("efficiency", "calibrate"), "cash,3,"),
+    IRF_PHI_FILE: (("efficiency", "calibrate"), "reserve,5,"),
     "phase_means.csv": (("calibrate",), "cash,"),
     "tanh_fit.csv": (("report",), ""),
     "breakpoints.csv": (("report",), "phi,2013,"),
@@ -94,15 +93,17 @@ UNCHANGED = {
 }
 
 
-def _kind(name: str, column: str) -> tuple:
-    """The kind that name's Artifact declares for column, with its bound if it has one."""
-    kinds = {key: tuple(kind) for key, *kind in ARTIFACTS[name].kinds}
-    return kinds.get(column, (parse_number,))
+def _kind(name: str, column: str):
+    """The kind that name's Artifact declares for column, without the bound of a bounded one."""
+    kind = dict(ARTIFACTS[name].kinds).get(column, parse_number)
+    return getattr(kind, "args", (kind,))[0]  # partial(_within, kind, ...)
 
 
-def _garbage(name: str, column: str) -> str:
-    """A cell that column's kind refuses: empty for text, abc for a parsed kind."""
-    return "" if _kind(name, column) == TEXT else "abc"
+def _cells(name: str, column: str) -> tuple[str, ...]:
+    """The cells column takes: an empty one if it holds text, else each that is not a decimal
+    and, if it holds a number or an integer, each decimal."""
+    kind = _kind(name, column)
+    return ("",) if kind is _text else NOT_DECIMAL + DECIMAL * (kind in NUMBERS)
 
 
 def _cases():
@@ -113,14 +114,11 @@ def _cases():
             for mutation in [*edits, *REFUSED, *UNCHANGED]:
                 yield pytest.param(name, command, mutation, id=f"{name}-{command}-{mutation}")
     for name, (commands, _) in HANDOFFS.items():
-        header = ARTIFACTS[name].header
-        edits = [f"{column}={_garbage(name, column)}" for column in header]
+        edits = [f"{column}={cell}" for column in ARTIFACTS[name].header
+                 for cell in _cells(name, column)]
         edits += [f"#{key}={GARBAGE}" for key in ARTIFACTS[name].preamble]
-        decimals = [f"{column}={cell}" for column in header if _kind(name, column)[0] in NUMBERS
-                    for cell in DECIMAL]
         for command in commands:
-            first = decimals if command == commands[0] else []
-            for mutation in [*edits, *first, *REFUSED, *UNCHANGED]:
+            for mutation in [*edits, *REFUSED, *UNCHANGED]:
                 yield pytest.param(name, command, mutation, id=f"{name}-{command}-{mutation}")
 
 
@@ -205,7 +203,7 @@ def test_mutated_table(economy, tmp_path, capsys, name, command, mutation):
         k = _row(lines, month) if month else k
         code, written, error = _run(economy, tmp_path, capsys, name, command,
                                     _edit(lines, k, column, cell))
-        if cell in NOT_DECIMAL or (handoff and cell == _garbage(name, column)):
+        if cell in NOT_DECIMAL or (handoff and _kind(name, column) is _text):
             assert code == 1 and error.startswith(f"{path}:{k + 1}: cannot parse {column} {cell!r}")
         elif column == "RB" and cell.startswith("-"):
             assert code == 1
@@ -253,6 +251,7 @@ EDITS = [
     ("breakpoints.csv", "report", 0, "tau", "1900-01",
      "tau 1900-01 outside its window {window_start}..{window_end}"),
     ("efficiency.csv", "report", 0, "H", "zz", "cannot parse H 'zz'"),
+    ("efficiency.csv", "report", 0, "H", "5", "H 5 is not lp.horizon = 24"),
     ("efficiency.csv", "report", 0, "eff_r", "-1", "eff_r -1.0 is negative"),
     ("efficiency.csv", "report", 0, "argmax_r", "-3", "argmax_r -3 is negative"),
     ("efficiency.csv", "report", 0, "argmax_r", "99", "argmax_r 99 is above lp.horizon = 24"),

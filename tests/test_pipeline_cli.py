@@ -1983,15 +1983,16 @@ class TestUpstreamArtifacts:
         assert table == declared
 
     def test_clean_panel_read_parses_no_cell_through_a_record(self, default_chain, monkeypatch):
-        # panel.csv is parsed row by row; a Record is made only to report a bad row
+        # panel.csv is parsed row by row; parse_cell parses the first date, the table's start,
+        # and otherwise only reports a bad cell
         out, _ = default_chain
-        calls = []
+        calls, parse = [], csvio.parse_cell
         monkeypatch.setattr(ingest, "_memo", {})  # parsed, not served from the memo
         monkeypatch.setattr(
-            ingest, "Record", lambda *args: calls.append(args) or csvio.Record(*args)
+            ingest, "parse_cell", lambda rec, *args: calls.append(args) or parse(rec, *args)
         )
         assert read_panel_csv(out / "panel.csv").length == 612
-        assert calls == []
+        assert calls == [("date", MonthIndex.parse)]
 
     def test_pipeline_names_write_csv_only_in_write(self):
         # every CSV a command writes, synth's included, takes its header from ARTIFACTS:
@@ -2022,8 +2023,8 @@ class TestUpstreamArtifacts:
         # a hand-off cell or required key is parsed by the kind that its Artifact declares, in
         # _read: outside the kinds' own definitions and the module's declarations (its imports
         # and assignments), pipeline names no cell parser
-        parsers = {"parse_int", "parse_number", "parse_float_cell", "_flag", "_month_fraction",
-                   "MonthIndex.parse"}
+        parsers = {"parse_cell", "parse_int", "parse_number", "parse_float_cell", "_flag",
+                   "_month_fraction", "_text", "MonthIndex.parse"}
         tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
         named, stray = set(), []
         for statement in tree.body:
