@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .normal import Stream
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ def lk_trajectory(
     out[0] = m0
     m = float(m0)
     if noise_sd > 0.0:
-        increments = np.random.default_rng(seed).standard_normal(steps)
+        increments = Stream(seed).standard_normal(steps)
     else:
         increments = None
     sqrt_dt = math.sqrt(dt)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .compartment import CompartmentParams, CouplingParams, cpi_irf, phi_irf
 from .errors import DataError
+from .normal import Stream
 from .phase import CASH, RESERVE, PhaseThresholds, classify, segments
 from .series import MonthIndex, MonthlySeries, Panel
 
@@ -128,7 +129,7 @@ def _levels(first: float, monthly_growth: float, yoy: np.ndarray) -> np.ndarray:
 def generate(spec: SynthSpec) -> tuple[Panel, GroundTruth]:
     """Build the full panel (MB, BN, CO, RB, MB_SA, CPI, CPI_core) plus truth."""
     spec.validate()
-    rng = np.random.default_rng(spec.seed)
+    rng = Stream(spec.seed)
     T = spec.months
     a0, a1 = AR_COEFFS
 

@@ -1397,19 +1397,32 @@ class TestCli:
         )
         assert run.stdout.strip() == "[]"
 
-    def test_cli_import_loads_no_hashlib(self):
-        # digests come from _blake2 alone: hashlib loads OpenSSL's _hashlib, megabytes of memory
+    def test_cli_import_loads_no_hashlib(self, tmp_path):
+        # digests come from _blake2 alone: hashlib loads OpenSSL's _hashlib, megabytes of memory;
+        # synth's draws come from monephase.normal, since numpy.random loads hashlib via secrets
         src = str(Path(monephase.__file__).resolve().parents[1])
-        code = "import sys, monephase.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+        code = (
+            "import sys, monephase.cli\n"
+            "held = lambda: sorted({'numpy.random', 'secrets', 'hmac', 'hashlib', '_hashlib'}"
+            " & set(sys.modules))\n"
+            "print(held())\n"
+            "out = sys.argv[1]\n"
+            "config = out + '/synthetic_config.txt'\n"
+            "assert monephase.cli.main(['synth', '--out', out, '--set', 'synth.months=240']) == 0\n"
+            "for command in ('transform', 'breakpoints', 'fit-phase', 'irf', 'efficiency'):\n"
+            "    assert monephase.cli.main([command, '--config', config]) == 0, command\n"
+            "print(held())\n"
+        )
         run = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", code, str(tmp_path)],
             env={**os.environ, "PYTHONPATH": src},
             check=True,
             capture_output=True,
             text=True,
-            timeout=60,
+            timeout=120,
         )
-        assert run.stdout.strip() == "[]"
+        lines = run.stdout.splitlines()  # after the import, then after the commands' output
+        assert (lines[0], lines[-1]) == ("[]", "[]")
 
     def test_package_root_imports_no_module(self):
         # the package root exports nothing; each name is imported from its own module
