@@ -75,7 +75,6 @@ class RunConfig:
     hac_lag: int = _setting("lp.hac_lag", 12, parse_int, 0)
     min_segment: int = _setting("breaks.min_segment", 24, parse_int, 1)
     robustness: bool = _setting("irf.robustness", False, lambda v: _BOOLS[v.lower()])
-    landau_phi_c: float | None = _setting("landau.phi_c", None, parse_number)
     synth_months: int = _setting("synth.months", 612, parse_int)
     seed: int = _setting("seed", 1, parse_int, 0)
     clusters: dict = field(default_factory=dict)  # empty: DEFAULT_CLUSTERS
@@ -116,8 +115,6 @@ def _check(key: str, value) -> None:
         raise DataError(f"{key} must be {'positive' if least else 'nonnegative'}, got {value}")
     if key == "shock.kind" and value not in SHOCK_KINDS:
         raise DataError(f"shock kind must be one of {SHOCK_KINDS}, got {value!r}")
-    if key == "landau.phi_c" and value is not None and not 0.0 < value < 1.0:
-        raise DataError(f"landau.phi_c must lie in (0, 1), got {value}")
 
 
 def _apply_key(values: dict, clusters: dict, key: str, raw: str):
@@ -185,8 +182,7 @@ def config_text(cfg: RunConfig) -> str:
     line break, whitespace followed by '#', or text that UTF-8 cannot encode)
     raises DataError naming its key.
     """
-    pairs = [(key, key_text(cfg, key)) for key, setting in _SCALAR_KEYS.items()
-             if getattr(cfg, setting.name) is not None]
+    pairs = [(key, key_text(cfg, key)) for key in _SCALAR_KEYS]
     for name, windows in cfg.clusters.items():
         pairs.append((f"breaks.cluster.{name}", ",".join(f"{a}:{b}" for a, b in windows)))
     for key, value in pairs:

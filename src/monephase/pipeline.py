@@ -28,7 +28,7 @@ import numpy as np
 
 from . import econometrics as em
 from . import landau as ld
-from .compartment import CalibrationResult, calibrate, steady_state_phi
+from .compartment import CalibrationResult, calibrate
 from .config import RunConfig, config_text, key_text
 from .csvio import Artifact, Record, context, parse_cell, parse_float_cell, parse_int
 from .csvio import parse_number
@@ -71,6 +71,7 @@ SETTINGS = {
     "reserve_min": (("phase.reserve_min",), "{}"),
     "hac_lag": (("lp.hac_lag",), "{}"),
     "window": (("tanh.window_start", "tanh.window_end"), "{}:{}"),
+    "min_segment": (("breaks.min_segment",), "{}"),
 }
 LP_SETTINGS = ("shock_definition", "H", "L", "cash_max", "reserve_min", "hac_lag")
 
@@ -122,7 +123,7 @@ ARTIFACTS = {
     ),
     "breakpoints.csv": Artifact(
         "breakpoints", ("series", "cluster", "window_start", "window_end", "tau", "rss", "tie"),
-        ("windows",),  # how many (series, window) pairs it scanned, one row each
+        ("min_segment", "windows"),  # windows: the (series, window) pairs scanned, a row each
         kinds=(("series", _text), ("cluster", _text),
                *((c, MonthIndex.parse) for c in ("window_start", "window_end", "tau")),
                ("rss", SIZE), ("tie", _flag), ("windows", COUNT)),
@@ -169,9 +170,6 @@ ARTIFACTS = {
         )
         for label in (CASH, RESERVE)
     },
-    "landau_sweep.csv": Artifact("landau", ("theta_or_a", "m_star", "F_min", "degenerate_flag")),
-    "landau_potential.csv": Artifact("landau", ("a", "m", "F")),
-    "steady_state_sweep.csv": Artifact("landau", ("theta", "phi_star")),
     "susceptibility.csv": Artifact("landau", ("phi", "S")),
     "efficiency.csv": Artifact(
         "efficiency", ("phase", "eff_r", "argmax_r", "eff_c", "argmax_c", "H"), LP_SETTINGS,
@@ -331,7 +329,8 @@ def cmd_breakpoints(cfg: RunConfig) -> list[Path]:
     if not rows:
         raise DataError("no breakpoint window could be scanned; every window was skipped")
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return [_write(out, "breakpoints.csv", rows, [("windows", len(rows))])]
+    preamble = [*recorded(cfg, "breakpoints.csv").items(), ("windows", len(rows))]
+    return [_write(out, "breakpoints.csv", rows, preamble)]
 
 
 def cmd_fit_phase(cfg: RunConfig) -> list[Path]:
@@ -584,43 +583,10 @@ def _calibration(out: Path, cfg: RunConfig) -> tuple[Record, Record]:
 
 def cmd_landau(cfg: RunConfig) -> list[Path]:
     out = Path(cfg.out_dir)
-    phi_c = cfg.landau_phi_c
-    if phi_c is None:
-        with context("phi_c unavailable: ", "; or set landau.phi_c"):
-            phi_c = _calibration(out, cfg)[1]["phi_c"]
-    fixed = [("source", "fixed constants in the landau command, not the data")]
-
-    sweep_rows = []
-    for a in np.linspace(1.0, -1.0, 81):
-        params = ld.LandauParams(a=float(a), b=1.0, h_field=0.0)
-        stat = ld.stationary_points(params)
-        sweep_rows.append(
-            (
-                float(a),
-                stat.global_minimum,
-                ld.free_energy(stat.global_minimum, params),
-                stat.degenerate_pair,
-            )
-        )
-    paths = [_write(out, "landau_sweep.csv", sweep_rows, fixed)]
-
-    m_grid = np.linspace(-1.5, 1.5, 121)
-    pot_rows = []
-    for a in (0.5, -0.5):
-        energy = ld.free_energy(m_grid, ld.LandauParams(a=a, b=1.0, h_field=0.0))
-        pot_rows += [(a, m, f) for m, f in zip(m_grid.tolist(), energy.tolist())]
-    paths.append(_write(out, "landau_potential.csv", pot_rows, fixed))
-
-    theta_grid = np.linspace(-6.0, 6.0, 121)
-    phi_star = steady_state_phi(theta_grid, (1.0, 0.0), rates=(0.06, 0.05, 0.02), injection=1.0)
-    steady_rows = zip(theta_grid.tolist(), phi_star.tolist())
-    paths.append(_write(out, "steady_state_sweep.csv", steady_rows, fixed))
-
+    phi_c = _calibration(out, cfg)[1]["phi_c"]
     phi_grid = np.linspace(0.0, 1.0, 201)
-    sus = ld.susceptibility(phi_grid, phi_c, epsilon=0.05)
-    sus_rows = zip(phi_grid.tolist(), sus.tolist())
-    paths.append(_write(out, "susceptibility.csv", sus_rows, [("phi_c", phi_c)]))
-    return paths
+    rows = zip(phi_grid.tolist(), ld.susceptibility(phi_grid, phi_c, epsilon=0.05).tolist())
+    return [_write(out, "susceptibility.csv", rows, [("phi_c", phi_c)])]
 
 
 def cmd_efficiency(cfg: RunConfig) -> list[Path]:
@@ -668,11 +634,11 @@ def cmd_report(cfg: RunConfig) -> list[Path]:
     by_key: dict[tuple[str, str], dict[tuple, int]] = {}  # (series, cluster): each window's tau
     for rec in breaks:
         window = start, end = rec["window_start"], rec["window_end"]
-        if end < start:
-            raise rec.error(f"window_end {end} is before window_start {start}")
+        if window not in cfg.clusters.get(cluster := rec["cluster"], ()):  # nor is a reversed one
+            raise rec.error(f"window {start}..{end} is not a window of breaks.cluster.{cluster}")
         if not start <= rec["tau"] < end:
             raise rec.error(f"tau {rec['tau']} outside its window {start}..{end}")
-        if window in (taus := by_key.setdefault((rec["series"], rec["cluster"]), {})):
+        if window in (taus := by_key.setdefault((rec["series"], cluster), {})):
             raise rec.error(f"repeated {rec['series']} window {start}..{end}")
         taus[window] = rec["tau"].ordinal
     if (windows := scanned["windows"]) != len(breaks):

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import monephase
+from monephase.compartment import steady_state_phi
+from monephase.csvio import fmt, read_csv
 from monephase.errors import DataError
 from monephase.landau import (
     MAXIMUM,
@@ -167,3 +175,48 @@ class TestPitchfork:
             out = stationary_points(params(a=float(a)))
             expected = 0.0 if a >= 0 else np.sqrt(-a)
             assert abs(abs(out.global_minimum) - expected) < 1e-8
+
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "landau_illustrations.py"
+
+
+class TestIllustrationsScript:
+    def test_rows_are_the_per_point_calls_and_a_rerun_is_byte_identical(self, tmp_path):
+        src = str(Path(monephase.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        argv = [sys.executable, str(SCRIPT), "--out", str(tmp_path / "out")]
+        names = ["landau_sweep.csv", "landau_potential.csv", "steady_state_sweep.csv"]
+        written = []
+        for _ in range(2):
+            run = subprocess.run(argv, env={**os.environ, "PYTHONPATH": pythonpath},
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0 and run.stderr == "", run.stderr
+            assert run.stdout == "".join(f"{tmp_path / 'out' / name}\n" for name in names)
+            written.append({name: (tmp_path / "out" / name).read_bytes() for name in names})
+        assert written[0] == written[1]
+
+        sweep = []
+        for a in np.linspace(1.0, -1.0, 81).tolist():
+            stat = stationary_points(params(a))
+            m_star = stat.global_minimum
+            sweep.append((a, m_star, free_energy(m_star, params(a)), stat.degenerate_pair))
+            assert abs(abs(m_star) - (0.0 if a >= 0 else np.sqrt(-a))) < 1e-8
+        thetas = np.linspace(-6.0, 6.0, 121).tolist()
+        steady = [
+            (th, steady_state_phi(th, (1.0, 0.0), rates=(0.06, 0.05, 0.02), injection=1.0))
+            for th in thetas
+        ]
+        assert all(b[1] >= a[1] - 1e-12 for a, b in zip(steady, steady[1:]))
+        expected = {
+            "landau_sweep.csv": (("theta_or_a", "m_star", "F_min", "degenerate_flag"), sweep),
+            "landau_potential.csv": (("a", "m", "F"), [
+                (a, m, free_energy(m, params(a)))
+                for a in (0.5, -0.5) for m in np.linspace(-1.5, 1.5, 121).tolist()
+            ]),
+            "steady_state_sweep.csv": (("theta", "phi_star"), steady),
+        }
+        source = {"source": "fixed constants in scripts/landau_illustrations.py, not the data"}
+        for name, (header, rows) in expected.items():
+            assert read_csv(tmp_path / "out" / name) == (
+                source, list(header), [[fmt(v) for v in row] for row in rows]
+            ), name

@@ -74,7 +74,6 @@ NOT_DECIMAL = ("nan", "inf", "1_0", "abc")
 DECIMAL = ("1e300", "-1e300", "-1", "0", "")
 GARBAGE = "x"  # the value each preamble key that a hand-off file's readers require is set to
 WARNING, ERROR = "monephase: warning: ", "monephase: error: "  # what starts a stderr line
-PREFIXES = {"landau": "phi_c unavailable: "}  # what a command says before the file's error
 
 # name: (lines, the row's index) -> (the mutated lines, the line at fault or None)
 REFUSED = {
@@ -160,7 +159,7 @@ def _run(economy, tmp_path, capsys, name, command, lines):
     captured = capsys.readouterr()
     errors = [line for line in captured.err.splitlines() if not line.startswith(WARNING)]
     assert len(errors) == bool(code) and all(line.startswith(ERROR) for line in errors)
-    error = errors[0].removeprefix(ERROR).removeprefix(PREFIXES.get(command, "")) if code else None
+    error = errors[0].removeprefix(ERROR) if code else None
     return code, list(map(Path, captured.out.splitlines())), error
 
 
@@ -236,7 +235,7 @@ def test_composition_refused_naming_the_monetary_file(economy, tmp_path, capsys,
 
 
 # (file, command, data row, column, cell, the problem at that row's line): each cell is parsed
-# and held to its kind's bound, and report holds a row's cells to each other
+# and held to its kind's bound, and report holds a row's cells to each other and to the config
 EDITS = [
     ("phase_means.csv", "calibrate", 0, "n_months", "-5", "n_months -5 is negative"),
     ("tanh_fit.csv", "report", 0, "sse", "abc", "cannot parse sse 'abc'"),
@@ -247,7 +246,9 @@ EDITS = [
     ("breakpoints.csv", "report", 1, "tie", "maybe", "cannot parse tie 'maybe'"),
     ("breakpoints.csv", "report", 0, "cluster", "", "cannot parse cluster ''"),
     ("breakpoints.csv", "report", 0, "window_end", "1900-01",
-     "window_end 1900-01 is before window_start {window_start}"),
+     "window {window_start}..1900-01 is not a window of breaks.cluster.{cluster}"),
+    ("breakpoints.csv", "report", 0, "window_start", "1983-02",
+     "window 1983-02..{window_end} is not a window of breaks.cluster.{cluster}"),
     ("breakpoints.csv", "report", 0, "tau", "1900-01",
      "tau 1900-01 outside its window {window_start}..{window_end}"),
     ("efficiency.csv", "report", 0, "H", "zz", "cannot parse H 'zz'"),
@@ -284,6 +285,6 @@ def test_summary_made_under_another_horizon_refused(economy, tmp_path, capsys):
     args = ["--config", config, "--out", str(tmp_path), "--set", "lp.horizon=20"]
     assert main(["landau", *args]) == 1
     assert capsys.readouterr().err == (
-        f"{ERROR}{PREFIXES['landau']}{tmp_path / SUMMARY_FILE}: made with H = 24, but the config "
-        "sets lp.horizon = 20; rerun the calibrate command; or set landau.phi_c\n"
+        f"{ERROR}{tmp_path / SUMMARY_FILE}: made with H = 24, but the config "
+        "sets lp.horizon = 20; rerun the calibrate command\n"
     )

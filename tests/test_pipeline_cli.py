@@ -25,7 +25,6 @@ from monephase import econometrics as em
 from monephase import landau as ld
 from monephase import pipeline
 from monephase.cli import COMMANDS, main
-from monephase.compartment import steady_state_phi
 from monephase.config import (
     _SCALAR_KEYS,
     DEFAULT_CLUSTERS,
@@ -230,7 +229,6 @@ class TestConfig:
             ("lp.lags", "-1", "lp.lags must be nonnegative, got -1"),
             ("lp.hac_lag", "-1", "lp.hac_lag must be nonnegative, got -1"),
             ("breaks.min_segment", "0", "breaks.min_segment must be positive, got 0"),
-            ("landau.phi_c", "1", "landau.phi_c must lie in (0, 1), got 1.0"),
             ("seed", "-1", "seed must be nonnegative, got -1"),
         ],
     )
@@ -249,7 +247,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", ["1_0", "\u0661\u0662"])
     @pytest.mark.parametrize(
-        "key", [k for k, f in _SCALAR_KEYS.items() if f.type in ("int", "float", "float | None")]
+        "key", [k for k, f in _SCALAR_KEYS.items() if f.type in ("int", "float")]
     )
     def test_numbers_follow_the_table_cell_grammar(self, tmp_path, capsys, key, value):
         # int() and float() read digit grouping and other scripts' digits; a table cell and a
@@ -324,7 +322,6 @@ class TestConfig:
             hac_lag=st.integers(0, 24),
             min_segment=st.integers(1, 60),
             robustness=st.booleans(),
-            landau_phi_c=st.none() | st.floats(0.01, 0.99),
             synth_months=st.integers(1, 3000),
             seed=st.integers(0, 2**31),
             clusters=st.dictionaries(
@@ -372,8 +369,8 @@ class TestConfig:
         assert list(_SCALAR_KEYS) == [
             "data.monetary", "data.cpi", "out.dir", "phase.cash_max", "phase.reserve_min",
             "tanh.window_start", "tanh.window_end", "shock.kind", "shock.p", "lp.horizon",
-            "lp.lags", "lp.hac_lag", "breaks.min_segment", "irf.robustness", "landau.phi_c",
-            "synth.months", "seed",
+            "lp.lags", "lp.hac_lag", "breaks.min_segment", "irf.robustness", "synth.months",
+            "seed",
         ]
 
     def test_default_clusters_are_their_config_text(self):
@@ -820,77 +817,41 @@ class TestLandauCommand:
             line for line in lines if line.startswith("# phi_c:")
         ]
 
-    def test_outputs(self, econ_dir, tmp_path):
-        out, cfg, spec = econ_dir
-        from dataclasses import replace
-
-        cfg2 = replace(cfg, out_dir=str(tmp_path), landau_phi_c=0.231)
-        paths = {p.name: p for p in cmd_landau(cfg2)}
-        # the illustrations say that fixed constants, not the data, draw them; only the
-        # susceptibility reads phi_c, and says which
-        fixed = {"source": "fixed constants in the landau command, not the data"}
-        for name in ("landau_sweep.csv", "landau_potential.csv", "steady_state_sweep.csv"):
-            assert read_csv(paths[name])[0] == fixed, name
-        assert read_csv(paths["susceptibility.csv"])[0] == {"phi_c": "0.231"}
-        _, _, sweep = read_csv(paths["landau_sweep.csv"])
-        for cells in sweep:
-            a, m_star = float(cells[0]), float(cells[1])
-            expected = 0.0 if a >= 0 else np.sqrt(-a)
-            assert abs(abs(m_star) - expected) < 1e-8
-        _, _, sus = read_csv(paths["susceptibility.csv"])
-        phis = np.array([float(c[0]) for c in sus])
-        vals = np.array([float(c[1]) for c in sus])
-        assert vals.max() <= 1.0
-        assert abs(phis[vals.argmax()] - 0.231) < 0.01
-        _, _, steady = read_csv(paths["steady_state_sweep.csv"])
-        stars = [float(c[1]) for c in steady]
-        assert all(b >= a - 1e-12 for a, b in zip(stars, stars[1:]))
-
-    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "0", "1"])
-    def test_phi_c_outside_unit_interval_exit_code(self, tmp_path, capsys, value):
-        assert main(["landau", "--out", str(tmp_path), "--set", f"landau.phi_c={value}"]) == 1
-        err = capsys.readouterr().err
-        # nan and inf are no finite decimal, so the table-cell number grammar refuses them first
-        problem = ("landau.phi_c must lie in (0, 1)" if value not in ("nan", "inf")
-                   else f"cannot parse value {value!r} for key 'landau.phi_c'")
-        assert problem in err and "Traceback" not in err
-        assert not (tmp_path / "susceptibility.csv").exists()
-
-    def test_grid_files_equal_per_point_calls(self, tmp_path):
-        written = cmd_landau(RunConfig(out_dir=str(tmp_path), landau_phi_c=0.231))
-        expected = {
-            "landau_potential.csv": [
-                (a, m, ld.free_energy(m, ld.LandauParams(a=a, b=1.0, h_field=0.0)))
-                for a in (0.5, -0.5)
-                for m in np.linspace(-1.5, 1.5, 121).tolist()
-            ],
-            "steady_state_sweep.csv": [
-                (th, steady_state_phi(th, (1.0, 0.0), rates=(0.06, 0.05, 0.02), injection=1.0))
-                for th in np.linspace(-6.0, 6.0, 121).tolist()
-            ],
-            "susceptibility.csv": [
-                (phi, ld.susceptibility(phi, 0.231, epsilon=0.05))
-                for phi in np.linspace(0.0, 1.0, 201).tolist()
-            ],
-        }
-        for path in written:
-            if path.name in expected:
-                rows = read_csv(path)[2]
-                assert rows == [[fmt(v) for v in row] for row in expected[path.name]], path.name
-
-    def test_set_phi_c_skips_the_summary(self, default_chain, tmp_path):
+    def test_outputs(self, default_chain, tmp_path):
+        # the susceptibility around the calibrated phi_c, which the file names, point by point
         out, _ = default_chain
-        lines = (out / SUMMARY_FILE).read_text().splitlines()
-        (tmp_path / SUMMARY_FILE).write_text("\n".join(_preamble("converged", "false")(lines)))
-        assert main(["landau", "--out", str(tmp_path), "--set", "landau.phi_c=0.3"]) == 0
+        shutil.copy(out / SUMMARY_FILE, tmp_path / SUMMARY_FILE)
+        cfg = replace(parse_config(out / "synthetic_config.txt"), out_dir=str(tmp_path))
+        assert cmd_landau(cfg) == [tmp_path / "susceptibility.csv"]
+        phi_c = read_csv(out / SUMMARY_FILE)[2][0][0]
+        preamble, _, rows = read_csv(tmp_path / "susceptibility.csv")
+        assert preamble == {"phi_c": phi_c}
+        assert rows == [
+            [fmt(phi), fmt(ld.susceptibility(phi, float(phi_c), epsilon=0.05))]
+            for phi in np.linspace(0.0, 1.0, 201).tolist()
+        ]
+        vals = np.array([float(cells[1]) for cells in rows])
+        assert vals.max() <= 1.0 and abs(float(rows[vals.argmax()][0]) - float(phi_c)) < 0.01
 
-    def test_needs_phi_c(self, econ_dir, tmp_path):
+    @pytest.mark.parametrize("source", ["file", "set"])
+    def test_phi_c_key_is_unknown(self, tmp_path, capsys, source):
+        # landau reads phi_c from the calibration only; the key it once took is refused
+        config = tmp_path / "run.conf"
+        config.write_text("landau.phi_c = 0.45\n" if source == "file" else "")
+        args = ["--config", str(config), "--out", str(tmp_path)]
+        args += ["--set", "landau.phi_c=0.45"] if source == "set" else []
+        assert main(["landau", *args]) == 1
+        where = f"{config}:1: " if source == "file" else ""
+        problem = f"{where}unknown configuration key 'landau.phi_c'"
+        assert capsys.readouterr().err == f"monephase: error: {problem}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
+
+    def test_missing_summary_refused(self, econ_dir, tmp_path):
+        # in the words every reader of an upstream file uses
         out, cfg, spec = econ_dir
-        from dataclasses import replace
-
-        cfg2 = replace(cfg, out_dir=str(tmp_path))
-        with pytest.raises(DataError, match="phi_c unavailable"):
-            cmd_landau(cfg2)
+        problem = f"missing upstream {tmp_path / SUMMARY_FILE}: run the calibrate command first"
+        with pytest.raises(DataError, match=f"^{re.escape(problem)}$"):
+            cmd_landau(replace(cfg, out_dir=str(tmp_path)))
 
 
 def _count_parses(monkeypatch) -> list:
@@ -1346,11 +1307,16 @@ class TestCli:
         assert f"missing upstream {out / upstream}: run the " in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_landau_with_phi_c_set_makes_its_directory(self, tmp_path):
-        out = tmp_path / "fresh"
-        assert main(["landau", "--set", "landau.phi_c=0.3", "--out", str(out)]) == 0
-        declared = sorted(name for name, a in ARTIFACTS.items() if a.command == "landau")
-        assert sorted(path.name for path in out.iterdir()) == declared and len(declared) == 4
+    def test_landau_writes_only_the_susceptibility(self, default_chain, tmp_path, capsys):
+        out, _ = default_chain
+        shutil.copy(out / SUMMARY_FILE, tmp_path / SUMMARY_FILE)
+        capsys.readouterr()
+        config = str(out / "synthetic_config.txt")
+        assert main(["landau", "--config", config, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"{tmp_path / 'susceptibility.csv'}\n"
+        declared = [name for name, a in ARTIFACTS.items() if a.command == "landau"]
+        assert declared == ["susceptibility.csv"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [SUMMARY_FILE, *declared]
 
     @pytest.mark.parametrize(
         "months, commands",
@@ -1778,8 +1744,8 @@ MALFORMED = {
         IRF_PI_FILE, _empty_cells, "calibrate", "non-finite beta or se at h=3",
     ),
     "breakpoints_repeated_window": (
-        "breakpoints.csv", lambda lines: [*lines[:3], *lines[2:]],
-        "report", "breakpoints.csv:4: repeated log_MB_SA window 1983-01..1997-12; rerun the",
+        "breakpoints.csv", lambda lines: [*lines[:4], *lines[3:]],
+        "report", "breakpoints.csv:5: repeated log_MB_SA window 1983-01..1997-12; rerun the",
     ),
     "breakpoints_dropped_row": (
         "breakpoints.csv", lambda lines: _drop(lines, "phi,2013,2010-01,"), "report",
@@ -1839,8 +1805,8 @@ MALFORMED = {
         "irf", "panel.csv: no header line found; rerun the transform command",
     ),
     "breakpoints_ragged_row": (
-        "breakpoints.csv", lambda lines: lines[:2] + ["phi"] + lines[3:],
-        "report", "breakpoints.csv:3: expected 7 columns, got 1; rerun the breakpoints command",
+        "breakpoints.csv", lambda lines: lines[:3] + ["phi"] + lines[4:],
+        "report", "breakpoints.csv:4: expected 7 columns, got 1; rerun the breakpoints command",
     ),
     "tanh_fit_converged_maybe": (
         "tanh_fit.csv", lambda lines: [re.sub(",true$", ",maybe", line) for line in lines],
@@ -1943,13 +1909,13 @@ SETTINGS_READERS = {
     "calibrate": (IRF_PI_FILE, IRF_PHI_FILE, "phase_means.csv"),
     "landau": (SUMMARY_FILE,),
     "efficiency": (IRF_PI_FILE, IRF_PHI_FILE),
-    "report": ("tanh_fit.csv", "efficiency.csv", SUMMARY_FILE),
+    "report": ("tanh_fit.csv", "breakpoints.csv", "efficiency.csv", SUMMARY_FILE),
 }
 # config key: a value other than the default chain's
 OTHER_VALUES = {
     "shock.kind": "detrended", "shock.p": "6", "lp.horizon": "20", "lp.lags": "6",
     "phase.cash_max": "0.25", "phase.reserve_min": "0.65", "lp.hac_lag": "3",
-    "tanh.window_start": "2012-06", "tanh.window_end": "2017-12",
+    "tanh.window_start": "2012-06", "tanh.window_end": "2017-12", "breaks.min_segment": "30",
 }
 
 
@@ -2149,12 +2115,10 @@ class TestUpstreamArtifacts:
         sets = " and ".join(
             f"{k} = {key_text(apply_overrides(cfg, [setting]), k)}" for k in SETTINGS[key][0]
         )
-        wrap = {"landau": ("phi_c unavailable: ", "; or set landau.phi_c")}  # its context
-        prefix, suffix = wrap.get(command, ("", ""))
         assert capsys.readouterr().err == (
-            f"monephase: error: {prefix}{tmp_path / name}: made with {key} = "
+            f"monephase: error: {tmp_path / name}: made with {key} = "
             f"{recorded(cfg, name)[key]}, but the config sets {sets}; rerun the "
-            f"{ARTIFACTS[name].command} command{suffix}\n"
+            f"{ARTIFACTS[name].command} command\n"
         )
 
     def test_settings_compared_as_the_config_writes_them(self, default_chain, tmp_path):
@@ -2166,6 +2130,35 @@ class TestUpstreamArtifacts:
         sets = ["--set", "phase.cash_max=0.30", "--set", "lp.horizon=024"]
         assert main(["efficiency", "--config", config, "--out", str(tmp_path), *sets]) == 0
         assert (tmp_path / "efficiency.csv").read_bytes() == (out / "efficiency.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "setting, problem",
+        [
+            ("breaks.cluster.2013=2009-01:2018-12",
+             ":9: window 2008-01..2019-12 is not a window of breaks.cluster.2013"),
+            ("breaks.min_segment=30",
+             ": made with min_segment = 24, but the config sets breaks.min_segment = 30"),
+        ],
+    )
+    def test_breakpoints_made_under_other_breaks_settings_refused(
+        self, default_chain, tmp_path, capsys, setting, problem
+    ):
+        # report would copy medians that breakpoints, rerun with the config, moves
+        out, _ = default_chain
+        for path in out.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        args = ["--config", str(tmp_path / "synthetic_config.txt"), "--out", str(tmp_path)]
+        args += ["--set", setting]
+        capsys.readouterr()
+        assert main(["report", *args]) == 1
+        assert capsys.readouterr().err == (
+            f"monephase: error: {tmp_path / 'breakpoints.csv'}{problem}; rerun the breakpoints "
+            "command\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # windows outside the data
+            assert main(["breakpoints", *args]) == 0 and main(["report", *args]) == 0
+        assert (tmp_path / "report.txt").read_bytes() != (out / "report.txt").read_bytes()
 
     def test_only_csvio_names_read_csv(self):
         # every other module reads a CSV through read_artifact, so none skips its checks
@@ -2220,7 +2213,7 @@ class TestRunPipeline:
             assert len(re.findall(r"^   took \d+\.\d\d s$", run.stdout, re.M)) == len(commands)
             assert "--robustness" in re.search(r"^== monephase irf .*$", run.stdout, re.M)[0]
         chain = sorted(name for name, artifact in ARTIFACTS.items() if artifact.command != "synth")
-        assert len(chain) == 18 and sorted(path.name for path in b.iterdir()) == chain
+        assert len(chain) == 15 and sorted(path.name for path in b.iterdir()) == chain
         for name in chain:
             assert (b / name).read_bytes() == (a / name).read_bytes(), name
 
